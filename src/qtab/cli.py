@@ -845,14 +845,18 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
 def _degree_cap(args: argparse.Namespace) -> int:
     if args.degree_cap is not None:
-        return args.degree_cap
-    env = os.environ.get("QTAB_DEGREE_CAP")
-    if env is not None:
+        cap, source = args.degree_cap, "--degree-cap"
+    else:
+        env = os.environ.get("QTAB_DEGREE_CAP")
+        if env is None:
+            return DEFAULT_DEGREE_CAP
         try:
-            return int(env)
+            cap, source = int(env), "QTAB_DEGREE_CAP"
         except ValueError as exc:
             raise UsageError(f"QTAB_DEGREE_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_DEGREE_CAP
+    if cap < 0:
+        raise UsageError(f"{source} must be nonnegative, got {cap}")
+    return cap
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

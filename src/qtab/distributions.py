@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
+from . import engine
 from .extensions import (
     LinearExtension,
     comaj_at,
@@ -27,7 +28,7 @@ from .extensions import (
     gf_comaj,
 )
 from .posets import Poset, order_ideals, rank_data
-from .ppartitions import Rpp, enumerate_rpp, ideal_at_level, rpp_size_gf
+from .ppartitions import Rpp, rpp_size_gf
 from .qpoly import (
     QLaurent,
     QPoly,
@@ -212,19 +213,15 @@ def ensemble_uniform(poset: Poset) -> WeightedEnsemble:
 def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble:
     """Weight of I: sum of q^(size + k) over fillings whose level-k ideal is I.
 
-    ``mode="direct"`` enumerates bounded fillings; ``mode="via_theta_m"``
-    assembles the same weights from prefix ideals of linear extensions
-    carrying theta_m, providing an independent route to the distribution.
+    ``mode="direct"`` sums over multichains of ideals; ``mode="via_theta_m"``
+    enumerates linear extensions and assembles the same weights from their
+    prefix ideals carrying theta_m, an independent route to the distribution.
     """
     if m < 1:
         raise ValueError("level bound must be at least 1")
     acc: dict[int, QPoly] = {}
     if mode == "direct":
-        for rpp in enumerate_rpp(poset, m):
-            for k in range(m):
-                mask = ideal_at_level(rpp, k)
-                term = QPoly.monomial(1, rpp.size + k)
-                acc[mask] = acc.get(mask, QPoly.of([])) + term
+        acc = dict(zip(order_ideals(poset), map(QPoly.of, engine.rpp_weights(poset, m))))
     elif mode == "via_theta_m":
         for ext in enumerate_linear_extensions(poset):
             mask = 0
@@ -242,13 +239,7 @@ def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble
 
 def ensemble_lin(poset: Poset) -> WeightedEnsemble:
     """Weight of I: sum of theta(T, |I|) over extensions whose prefix is I."""
-    acc: dict[int, QPoly] = {}
-    for ext in enumerate_linear_extensions(poset):
-        mask = 0
-        for i in range(poset.n + 1):
-            if i:
-                mask |= 1 << ext.positions[i - 1]
-            acc[mask] = acc.get(mask, QPoly.of([])) + theta(ext, i)
+    acc = dict(zip(order_ideals(poset), map(QPoly.of, engine.lin_weights(poset))))
     normalizer = qnum(poset.n + 1) * gf_comaj(poset)
     return WeightedEnsemble.from_weights(poset, acc, normalizer, "lin")
 

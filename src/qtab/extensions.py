@@ -13,6 +13,10 @@ descents are read off the filling the same way -- the position of value ``u``
 against that of ``u+1`` -- except that ``i* - 1`` never counts and ``i*``
 always counts, where ``i*`` is the larger entry of the doubleton.
 
+The generating functions are path sums over the order ideals, computed by
+``engine``; the enumerators are the reference they are tested against and
+the route behind ``ensemble_rpp(mode="via_theta_m")``.
+
 Tableau text format (for posets with box coordinates): one line per row,
 entries comma-separated, a doubled cell written ``a|b`` -- e.g. ``"1,3\\n2,4|5"``.
 """
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from . import engine
 from .posets import Poset
 from .qpoly import QPoly, QTPoly, qfact, qnum
 
@@ -134,12 +139,7 @@ def comaj_at(ext: LinearExtension, i: int) -> int:
 
 def gf_comaj(poset: Poset) -> QPoly:
     """Generating function of comaj over all linear extensions."""
-    n = poset.n
-    acc: dict[int, int] = {}
-    for pos in _extension_positions(poset):
-        c = sum(n - k for k in range(1, n) if pos[k - 1] > pos[k])
-        acc[c] = acc.get(c, 0) + 1
-    return QPoly.of(acc.get(e, 0) for e in range(max(acc) + 1)) if acc else QPoly.of([])
+    return QPoly.of(engine.comaj_gf(poset))
 
 
 def gf_comaj_hook_formula(partition: Sequence[int], shifted: bool = False) -> QPoly:
@@ -288,43 +288,13 @@ def gf_bsv(poset: Poset, refined: bool = False) -> QTPoly:
     """Generating function q^(comaj+1) * t^(row of doubled cell - 1).
 
     The t exponent is tracked when the poset carries box coordinates and is 0
-    otherwise; ``refined=True`` insists on coordinates.
+    otherwise; ``refined=True`` insists on coordinates.  A barely set-valued
+    extension is a triple (T, i, p) with p maximal in the prefix ideal I of
+    size i, weighing theta(T, i), so the sum runs over the ideals of P.
     """
-    track_rows = poset.coords is not None
-    if refined and not track_rows:
+    if refined and poset.coords is None:
         raise UnsupportedRefinement("poset has no box coordinates")
-    n = poset.n
-    rows = [rc[0] for rc in poset.coords] if track_rows else [1] * n
-    nrows = max(rows, default=1)
-    lower = poset.lower_covers
-    acc: dict[tuple[int, int], int] = {}
-    for pos in _extension_positions(poset):
-        is_max = [False] * n
-        row_counts = [0] * (nrows + 1)
-        for i in range(1, n + 1):
-            e = pos[i - 1]
-            for l in lower[e]:
-                if is_max[l]:
-                    is_max[l] = False
-                    row_counts[rows[l]] -= 1
-            is_max[e] = True
-            row_counts[rows[e]] += 1
-            # descents of the inserted filling, read off its values directly:
-            # value u sits at pos[u-1] for u <= i and at pos[u-2] for u >= i+2,
-            # with u = i never and u = i+1 always a descent.
-            c = n - i
-            for u in range(1, i):
-                if pos[u - 1] > pos[u]:
-                    c += n + 1 - u
-            for u in range(i + 2, n + 1):
-                if pos[u - 2] > pos[u - 1]:
-                    c += n + 1 - u
-            for r in range(1, nrows + 1):
-                cnt = row_counts[r]
-                if cnt:
-                    key = (c, r - 1)
-                    acc[key] = acc.get(key, 0) + cnt
-    return QTPoly.of(acc)
+    return QTPoly.of(engine.mark_maximal(poset, engine.lin_weights(poset)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class Poset:
         coords: Sequence[tuple[int, int]] | None = None,
         origin: str | None = None,
     ) -> None:
+        if n < 0:
+            raise ValueError(f"element count must be nonnegative, got {n}")
         self.n = n
         self.covers = tuple(sorted(set((lo, hi) for lo, hi in covers)))
         self.coords = tuple(coords) if coords is not None else None
@@ -53,8 +55,12 @@ class Poset:
         for lo, hi in self.covers:
             if not (0 <= lo < hi < n):
                 raise ValueError(f"cover ({lo}, {hi}) violates the natural labeling")
-        if self.coords is not None and len(self.coords) != n:
-            raise ValueError("coords must give one (row, col) per element")
+        if self.coords is not None:
+            if len(self.coords) != n:
+                raise ValueError("coords must give one (row, col) per element")
+            for rc in self.coords:
+                if len(rc) != 2 or any(not isinstance(x, int) or x < 1 for x in rc):
+                    raise ValueError(f"coords entry {rc!r} is not a 1-based (row, col)")
         self._check_covers_irredundant()
 
     def _check_covers_irredundant(self) -> None:
@@ -459,6 +465,8 @@ def from_json(text: str) -> Poset:
         origin = doc.get("origin")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise PosetSpecError(f"malformed poset JSON: {exc}") from exc
+    if n < 0:
+        raise PosetSpecError(f"n must be nonnegative, got {n}")
     if sorted(labeling) != list(range(1, n + 1)):
         raise PosetSpecError("labeling must be a bijection onto 1..n")
     position = [labeling[e] - 1 for e in range(n)]
@@ -470,9 +478,13 @@ def from_json(text: str) -> Poset:
         raise PosetSpecError("labeling is not a natural labeling of the covers")
     new_coords = None
     if coords is not None:
+        if not isinstance(coords, list) or len(coords) != n:
+            raise PosetSpecError("coords must be a list of one [row, col] per element")
         new_coords = [None] * n
         for e, rc in enumerate(coords):
-            new_coords[position[e]] = (int(rc[0]), int(rc[1]))
+            if not (isinstance(rc, list) and len(rc) == 2 and all(type(x) is int for x in rc)):
+                raise PosetSpecError(f"coords entry {rc!r} is not a [row, col] pair of integers")
+            new_coords[position[e]] = tuple(rc)
     try:
         return Poset(n, renumbered, coords=new_coords, origin=origin)
     except ValueError as exc:

@@ -11,6 +11,9 @@ holds ``{x, y}`` with ``x < y``, every other cell a single entry, weak
 increase read through cell minima and maxima.  Such fillings correspond to
 triples ``(pi, i, p)`` with ``0 <= i <= m-1`` and ``p`` maximal in the
 level-i ideal of ``pi``: the doubled cell is ``p`` with ``y = i + 1``.
+
+The generating functions are multichain sums over the order ideals, computed
+by ``engine``; the enumerators are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import engine
 from .extensions import InvalidTriple, UnsupportedRefinement
 from .posets import Poset, hook_lengths, rank_data
 from .qpoly import QPoly, QTPoly, qnum
@@ -93,29 +97,18 @@ def rpp_from_chain(poset: Poset, m: int, masks: Sequence[int]) -> Rpp:
 
 def rpp_size_gf(poset: Poset, m: int) -> QPoly:
     """Generating function of size over fillings with entries in 0..m."""
-    acc: dict[int, int] = {}
-    for rpp in enumerate_rpp(poset, m):
-        acc[rpp.size] = acc.get(rpp.size, 0) + 1
-    return QPoly.of(acc.get(e, 0) for e in range(max(acc) + 1))
+    return QPoly.of(engine.filling_gf(poset, m))
 
 
 def rpp_size_series(poset: Poset, cap: int) -> QPoly:
-    """Size series of unbounded weakly increasing fillings, truncated at cap."""
-    n = poset.n
-    counts = [0] * (cap + 1)
-    entries = [0] * n
+    """Size series of unbounded weakly increasing fillings, truncated at cap.
 
-    def rec(e: int, partial: int) -> None:
-        if e == n:
-            counts[partial] += 1
-            return
-        lo = max((entries[c] for c in poset.lower_covers[e]), default=0)
-        for v in range(lo, cap - partial + 1):
-            entries[e] = v
-            rec(e + 1, partial + v)
-
-    rec(0, 0)
-    return QPoly.of(counts)
+    A filling of size at most cap has entries at most cap, so this is the
+    bounded series at m = cap, truncated.
+    """
+    if cap < 0:
+        raise ValueError("degree cap must be nonnegative")
+    return QPoly.of(engine.filling_gf(poset, cap, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +237,10 @@ def gf_bsv_rpp(poset: Poset, m: int, refined: bool = False) -> QTPoly:
     """Generating function q^(size - 1) * t^(row of doubled cell - 1).
 
     The t exponent is tracked when the poset carries box coordinates and is 0
-    otherwise; ``refined=True`` insists on coordinates.
+    otherwise; ``refined=True`` insists on coordinates.  A triple (pi, i, p)
+    weighs q^(size(pi) + i) and p is maximal in the level-i ideal of pi, so the
+    sum runs over the ideals of P with the weights of ``ensemble_rpp``.
     """
-    track_rows = poset.coords is not None
-    if refined and not track_rows:
+    if refined and poset.coords is None:
         raise UnsupportedRefinement("poset has no box coordinates")
-    n = poset.n
-    rows = [rc[0] for rc in poset.coords] if track_rows else [1] * n
-    nrows = max(rows, default=1)
-    lower = poset.lower_covers
-    acc: dict[tuple[int, int], int] = {}
-    for rpp in enumerate_rpp(poset, m):
-        by_level: list[list[int]] = [[] for _ in range(m + 1)]
-        for e, v in enumerate(rpp.entries):
-            by_level[v].append(e)
-        size = rpp.size
-        is_max = [False] * n
-        row_counts = [0] * (nrows + 1)
-        for k in range(m):
-            for e in by_level[k]:
-                for l in lower[e]:
-                    if is_max[l]:
-                        is_max[l] = False
-                        row_counts[rows[l]] -= 1
-                is_max[e] = True
-                row_counts[rows[e]] += 1
-            for r in range(1, nrows + 1):
-                cnt = row_counts[r]
-                if cnt:
-                    key = (size + k, r - 1)
-                    acc[key] = acc.get(key, 0) + cnt
-    return QTPoly.of(acc)
+    return QTPoly.of(engine.mark_maximal(poset, engine.rpp_weights(poset, m)))

@@ -111,10 +111,19 @@ def test_gf_rpp_series_uses_degree_cap(capsys, monkeypatch):
     assert code == 2
     assert "QTAB_DEGREE_CAP" in err
 
+    monkeypatch.setenv("QTAB_DEGREE_CAP", "-1")
+    code, out, err = run_cli(capsys, "gf", "rect:2x2", "rpp")
+    assert (code, out) == (2, "")
+    assert "QTAB_DEGREE_CAP" in err
+
     monkeypatch.delenv("QTAB_DEGREE_CAP")
     code, out, _ = run_cli(capsys, "gf", "rect:2x2", "rpp")
     assert code == 0
     assert parse_poly(out.splitlines()[0]) == rpp_size_series(RECT22, 20)
+
+    code, out, err = run_cli(capsys, "gf", "rect:2x2", "rpp", "--degree-cap", "-1")
+    assert (code, out) == (2, "")
+    assert "--degree-cap" in err
 
 
 def test_gf_json(capsys):
@@ -132,6 +141,24 @@ def test_gf_error_exits(capsys):
     assert run_cli(capsys, "gf", "rect:2x2", "comaj", "--refined")[0] == 2
     assert run_cli(capsys, "gf", "minuscule:E6", "bsv-comaj", "--refined")[0] == 3
     assert run_cli(capsys, "gf", "minuscule:propeller:2", "bsv-rpp", "--m", "1", "--refined")[0] == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": -1, "covers": []},
+        {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]], "coords": [[1, 1], [1, 2]]},
+        {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], [1, 2], [1, 3]]},
+        {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], None]},
+    ],
+)
+def test_gf_rejects_bad_poset_files(capsys, tmp_path, doc):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("comaj",), ("bsv-comaj", "--refined")):
+        code, out, err = run_cli(capsys, "gf", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,157 @@
+"""Differential tests: the J(P) path and multichain sums against the
+enumeration oracles, on random naturally labeled posets and on shapes."""
+
+from __future__ import annotations
+
+import itertools
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import partition_strategy, strict_partition_strategy
+from qtab.distributions import ensemble_lin, ensemble_rpp, ensemble_uniform, theta
+from qtab.extensions import (
+    comaj,
+    comaj_plus,
+    enumerate_bsv,
+    enumerate_linear_extensions,
+    gf_bsv,
+    gf_comaj,
+)
+from qtab.posets import Poset, build_shape, build_shifted, order_ideals
+from qtab.ppartitions import (
+    enumerate_bsv_rpp,
+    enumerate_rpp,
+    gf_bsv_rpp,
+    ideal_at_level,
+    rpp_size_gf,
+    rpp_size_series,
+)
+from qtab.qpoly import QPoly, QTPoly
+
+EXTENSION_LIMIT = 300  # larger posets are skipped: the oracles enumerate
+FILLING_LIMIT = 400
+
+
+@st.composite
+def naturally_labeled_posets(draw, max_n: int = 8) -> Poset:
+    """Random relations i < j on 0..n-1, closed transitively, kept as covers."""
+    n = draw(st.integers(0, max_n))
+    above = [0] * n  # elements strictly above each element
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                above[i] |= (1 << j) | above[j]
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if above[i] >> j & 1 and not any(above[i] >> k & 1 and above[k] >> j & 1 for k in range(n))
+    ]
+    return Poset(n, covers)
+
+
+def at_most(items, limit: int) -> list | None:
+    """All items, or None when there are more than limit."""
+    out = list(itertools.islice(items, limit + 1))
+    return out if len(out) <= limit else None
+
+
+def poly_sum(exponents) -> QPoly:
+    acc: dict[int, int] = {}
+    for e in exponents:
+        acc[e] = acc.get(e, 0) + 1
+    return QPoly.of(acc.get(e, 0) for e in range(max(acc, default=-1) + 1))
+
+
+def qt_sum(keys) -> QTPoly:
+    acc: dict[tuple[int, int], int] = {}
+    for key in keys:
+        acc[key] = acc.get(key, 0) + 1
+    return QTPoly.of(acc)
+
+
+def row(poset: Poset, p: int) -> int:
+    return poset.coords[p][0] - 1 if poset.coords is not None else 0
+
+
+def weights_by_ideal(poset: Poset, terms) -> tuple[tuple[int, QPoly], ...]:
+    """Ideal weights of an ensemble from (mask, monomial or QPoly) terms."""
+    acc = {mask: QPoly.of([]) for mask in order_ideals(poset)}
+    for mask, term in terms:
+        acc[mask] = acc[mask] + term
+    return tuple(acc.items())
+
+
+def check_extension_sums(poset: Poset, extensions: list) -> None:
+    assert gf_comaj(poset) == poly_sum(comaj(ext) for ext in extensions)
+    assert gf_bsv(poset) == qt_sum(
+        (comaj_plus(bsv), row(poset, bsv.p_star)) for bsv in enumerate_bsv(poset)
+    )
+    assert ensemble_lin(poset).weights == weights_by_ideal(
+        poset,
+        ((ext.prefix_ideal(i), theta(ext, i)) for ext in extensions for i in range(poset.n + 1)),
+    )
+
+
+def check_filling_sums(poset: Poset, m: int, fillings: list) -> None:
+    assert rpp_size_gf(poset, m) == poly_sum(rpp.size for rpp in fillings)
+    assert rpp_size_series(poset, m) == poly_sum(rpp.size for rpp in fillings if rpp.size <= m)
+    assert gf_bsv_rpp(poset, m) == qt_sum(
+        (bsv.size - 1, row(poset, bsv.p_star)) for bsv in enumerate_bsv_rpp(poset, m)
+    )
+    if m >= 1:
+        assert ensemble_rpp(poset, m).weights == weights_by_ideal(
+            poset,
+            (
+                (ideal_at_level(rpp, k), QPoly.monomial(1, rpp.size + k))
+                for rpp in fillings
+                for k in range(m)
+            ),
+        )
+    if m == 1:
+        assert ensemble_uniform(poset).normalizer == poly_sum(rpp.size for rpp in fillings)
+
+
+def extension_case(poset: Poset) -> None:
+    extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
+    assume(extensions is not None)
+    check_extension_sums(poset, extensions)
+
+
+def filling_case(poset: Poset, m: int) -> None:
+    fillings = at_most(enumerate_rpp(poset, m), FILLING_LIMIT)
+    assume(fillings is not None)
+    check_filling_sums(poset, m, fillings)
+
+
+@given(naturally_labeled_posets())
+@settings(max_examples=100, deadline=None)
+def test_extension_sums_on_random_posets(poset):
+    extension_case(poset)
+
+
+@given(naturally_labeled_posets(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_filling_sums_on_random_posets(poset, m):
+    filling_case(poset, m)
+
+
+@given(st.one_of(partition_strategy(6).map(build_shape), strict_partition_strategy(7).map(build_shifted)))
+@settings(max_examples=30, deadline=None)
+def test_row_refinement_on_shapes(poset):
+    extension_case(poset)
+    filling_case(poset, 2)
+
+
+def test_edge_posets():
+    empty = Poset(0, [])
+    chain = Poset(5, [(i, i + 1) for i in range(4)])
+    antichain = Poset(5, [])
+    for poset in (empty, Poset(1, []), chain, antichain):
+        check_extension_sums(poset, list(enumerate_linear_extensions(poset)))
+        for m in (0, 1, 2):
+            check_filling_sums(poset, m, list(enumerate_rpp(poset, m)))
+    assert gf_comaj(empty) == QPoly.of([1])
+    assert gf_bsv(empty) == QTPoly.of({})
+    assert rpp_size_series(chain, 0) == QPoly.of([1])

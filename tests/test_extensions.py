@@ -139,6 +139,11 @@ def test_shifted_hook_formula_matches_enumeration(lam):
     assert gf_comaj(build_shifted(lam)) == gf_comaj_hook_formula(lam, shifted=True)
 
 
+def test_hook_formula_past_enumeration():
+    """rect 5x5 has 701,149,020 linear extensions; the J(P) sum has 252 ideals."""
+    assert gf_comaj(build_rectangle(5, 5)) == gf_comaj_hook_formula((5, 5, 5, 5, 5))
+
+
 def test_hook_formula_golden():
     assert gf_comaj_hook_formula((2, 2)) == parse_poly("1 + q^2")
     assert gf_comaj_hook_formula((3, 2, 1), shifted=True) == parse_poly("1 + q^3")
@@ -334,7 +339,9 @@ def test_gf_bsv_refinement_requires_coordinates():
         d_star(bsv)
 
 
-@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (1, 4), (2, 4)])
+@pytest.mark.parametrize(
+    "a,b", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (1, 4), (2, 4), (5, 5), (4, 6)]
+)
 def test_rectangle_product_identity(a, b):
     """[a+b] * gf = [a][b][ab+1] * gf_comaj, with rows refining [a]."""
     rect = build_rectangle(a, b)

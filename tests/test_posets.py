@@ -99,6 +99,8 @@ def test_bad_partitions_rejected():
 
 def test_cover_validation():
     with pytest.raises(ValueError):
+        Poset(-1, [])
+    with pytest.raises(ValueError):
         Poset(3, [(1, 0)])
     with pytest.raises(ValueError):
         Poset(3, [(0, 1), (1, 2), (0, 2)])  # (0, 2) is transitive, not a cover
@@ -317,6 +319,28 @@ def test_json_rejects_bad_documents():
         from_json(json.dumps({"n": 2, "covers": [[1, 0]], "labeling": [1, 2]}))
     with pytest.raises(PosetSpecError):
         from_json(json.dumps({"n": 2, "covers": [[0, 5]], "labeling": [1, 2]}))
+    for n, covers in ((-1, []), (-1, [[0, 1]])):
+        with pytest.raises(PosetSpecError):
+            from_json(json.dumps({"n": n, "covers": covers}))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [[1, 1], [1, 2]],  # short
+        [[1, 1], [1, 2], [2, 1], [2, 2], [3, 1]],  # long
+        [[1, 1], [1, 2], [2, 1], [2]],
+        [[1, 1], [1, 2], [2, 1], "2,2"],
+        [[1, 1], [1, 2], [2, 1], [2, "x"]],
+        [[1, 1], [1, 2], [2, 1], [2, 0]],
+        {"0": [1, 1]},
+    ],
+)
+def test_json_rejects_bad_coords(coords):
+    doc = json.loads(to_json(build_rectangle(2, 2)))
+    doc["coords"] = coords
+    with pytest.raises(PosetSpecError):
+        from_json(json.dumps(doc))
 
 
 def test_parse_poset_spec():

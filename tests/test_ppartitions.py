@@ -301,5 +301,10 @@ def test_staircase_bounded_product_identity(k, m):
 
 def test_zero_bound_edge_cases():
     assert rpp_size_gf(RECT22, 0) == parse_poly("1")
+    assert rpp_size_series(RECT22, 0) == parse_poly("1")
+    with pytest.raises(ValueError):
+        rpp_size_series(RECT22, -1)
+    with pytest.raises(ValueError):
+        rpp_size_gf(RECT22, -1)
     assert not list(enumerate_bsv_rpp(RECT22, 0))
     assert gf_bsv_rpp(RECT22, 0) == QTPoly.of({})
