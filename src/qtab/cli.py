@@ -125,6 +125,11 @@ SUITE_NAMES = (
 )
 
 
+# Exit code when the reader closes stdout early, as a shell reports a process
+# killed by SIGPIPE (128 + 13).
+EXIT_BROKEN_PIPE = 141
+
+
 class UsageError(Exception):
     """A runtime argument problem reported with exit code 2."""
 
@@ -1036,7 +1041,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``qtab ... | head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

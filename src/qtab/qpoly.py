@@ -52,6 +52,10 @@ class DimensionMismatch(QAlgebraError):
     """Matrix/vector shapes passed to the linear solver do not agree."""
 
 
+class ResidualMismatch(QAlgebraError):
+    """A solver answer does not satisfy the system it was computed from."""
+
+
 # ---------------------------------------------------------------------------
 # QPoly
 
@@ -598,26 +602,55 @@ class LinearSystemResult:
     witness_row: int | None
 
 
+def _unpack(x: int, k: int) -> QPoly:
+    """Invert evaluation at q = 2^k by balanced base-2^k digits.
+
+    Exact for polynomials whose coefficients lie in [-2^(k-1), 2^(k-1)).
+    """
+    base, half = 1 << k, 1 << (k - 1)
+    coeffs = []
+    while x:
+        d = x & (base - 1)
+        if d >= half:
+            d -= base
+        coeffs.append(d)
+        x = (x - d) >> k
+    return QPoly(tuple(coeffs))
+
+
 def solve_linear_system(
     matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly]
 ) -> LinearSystemResult:
     """Solve ``matrix @ x = rhs`` over Q(q) by fraction-free elimination.
 
-    Entries stay integer polynomials throughout (Bareiss one-step division);
-    rational functions appear only during back-substitution.
+    Bareiss one-step division (Math. Comp. 22, 1968) on Kronecker-packed
+    entries: each cell holds the integer P(2^k) of its polynomial P.  Every
+    Bareiss entry is a minor of [A|b] of size at most ncols+1, so its
+    coefficients are bounded by H, the product of the ncols+1 largest row
+    1-norms.  The smallest k with 2^(k-1) > H makes balanced base-2^k digits
+    cover every coefficient, so evaluation at 2^k is injective on everything
+    the elimination meets.  The integer divisions are therefore exact, an
+    entry is zero exactly when its polynomial is, and the pivot rows unpack
+    by balanced digits.  Rational functions appear only during
+    back-substitution, and a consistent answer is checked against the
+    system (``check_solution``) before it is returned.
     """
     m = len(matrix)
     if len(rhs) != m:
         raise DimensionMismatch(f"{m} rows but {len(rhs)} right-hand sides")
     ncols = len(matrix[0]) if m else 0
-    rows: list[list[QPoly]] = []
+    norms = []
     for i, row in enumerate(matrix):
         if len(row) != ncols:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
-        rows.append(list(row) + [rhs[i]])
+        norms.append(sum(abs(c) for p in (*row, rhs[i]) for c in p.coeffs))
+    norms.sort(reverse=True)
+    k = (2 * math.prod(max(v, 1) for v in norms[: ncols + 1]) + 1).bit_length()
+    q0 = 1 << k
+    rows = [[p.evaluate(q0) for p in (*row, rhs[i])] for i, row in enumerate(matrix)]
     origin = list(range(m))
 
-    prev = ONE
+    prev = 1
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):
@@ -626,12 +659,14 @@ def solve_linear_system(
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
-        piv = rows[r][c]
+        top = rows[r]
+        piv = top[c]
         for i in range(r + 1, m):
-            fi = rows[i][c]
+            row = rows[i]
+            f = row[c]
             for j in range(c + 1, ncols + 1):
-                rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]).exact_div(prev)
-            rows[i][c] = ZERO
+                row[j] = (piv * row[j] - f * top[j]) // prev
+            row[c] = 0
         pivots.append((r, c))
         prev = piv
         r += 1
@@ -645,13 +680,37 @@ def solve_linear_system(
     xs: list[RatFunc] = [RAT_ZERO] * ncols
     pivot_cols = {c for _, c in pivots}
     for pr, pc in reversed(pivots):
-        acc = RatFunc(rows[pr][ncols])
+        row = rows[pr]
+        acc = RatFunc(_unpack(row[ncols], k))
         for j in range(pc + 1, ncols):
-            if rows[pr][j] and xs[j]:
-                acc = acc - RatFunc(rows[pr][j]) * xs[j]
-        xs[pc] = acc / RatFunc(rows[pr][pc])
+            if row[j] and xs[j]:
+                acc = acc - RatFunc(_unpack(row[j], k)) * xs[j]
+        xs[pc] = acc / RatFunc(_unpack(row[pc], k))
+    check_solution(matrix, rhs, xs)
     free = tuple(c for c in range(ncols) if c not in pivot_cols)
     return LinearSystemResult(True, tuple(xs), free, None)
+
+
+def check_solution(
+    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], solution: Sequence[RatFunc]
+) -> None:
+    """Raise ResidualMismatch unless ``matrix @ solution == rhs`` exactly.
+
+    Denominators are cleared with D, the lcm of the solution denominators,
+    and every row is checked as sum_j A_ij * (num_j * D / den_j) == b_i * D
+    in plain polynomial arithmetic.
+    """
+    lcm = ONE
+    for x in solution:
+        lcm = lcm * x.den.exact_div(poly_gcd(lcm, x.den))
+    cleared = [x.num * lcm.exact_div(x.den) for x in solution]
+    for i, (row, target) in enumerate(zip(matrix, rhs)):
+        acc = ZERO
+        for entry, y in zip(row, cleared):
+            if entry and y:
+                acc = acc + entry * y
+        if acc != target * lcm:
+            raise ResidualMismatch(f"solution violates equation {i}")
 
 
 # ---------------------------------------------------------------------------

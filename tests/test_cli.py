@@ -368,3 +368,26 @@ def test_console_script_installed():
             [*command, "gf", "nonsense:1", "comaj"], capture_output=True, text=True, env=command_env
         )
         assert bad.returncode == 2, bad.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    """`qtab gf rect:6x6 comaj | head -c 50` ends without a traceback."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    read_fd, write_fd = os.pipe()
+    # A one-page pipe holds less than the 14 kB output, so the writer is
+    # still blocked when the reader goes away.
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtab.cli", "gf", "rect:6x6", "comaj"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    head = os.read(read_fd, 50)
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"1 + q^2")
+    assert err == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141

@@ -6,8 +6,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qtab import qpoly
 from qtab.qpoly import (
     ONE,
     Q,
@@ -16,10 +17,13 @@ from qtab.qpoly import (
     DimensionMismatch,
     DivisionByZero,
     InexactDivision,
+    LinearSystemResult,
     QLaurent,
     QPoly,
     QTPoly,
     RatFunc,
+    ResidualMismatch,
+    check_solution,
     coeff_vector,
     format_poly,
     format_qt_poly,
@@ -348,3 +352,152 @@ def test_solver_with_polynomial_entries():
     x, y = res.solution
     assert x == y
     assert x == RatFunc(QPoly.of([1, 2, 1]), QPoly.of([1, 2]))
+
+
+def _reference_solve(matrix, rhs):
+    """The Bareiss elimination on QPoly cells that the packed solver replaced."""
+    m = len(matrix)
+    ncols = len(matrix[0]) if m else 0
+    rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    origin = list(range(m))
+
+    prev = ONE
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
+        piv = rows[r][c]
+        for i in range(r + 1, m):
+            fi = rows[i][c]
+            for j in range(c + 1, ncols + 1):
+                rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]).exact_div(prev)
+            rows[i][c] = ZERO
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+        if r == m:
+            break
+
+    for i in range(r, m):
+        if rows[i][ncols]:
+            return LinearSystemResult(False, None, (), origin[i])
+
+    xs = [RAT_ZERO] * ncols
+    pivot_cols = {c for _, c in pivots}
+    for pr, pc in reversed(pivots):
+        acc = RatFunc(rows[pr][ncols])
+        for j in range(pc + 1, ncols):
+            if rows[pr][j] and xs[j]:
+                acc = acc - RatFunc(rows[pr][j]) * xs[j]
+        xs[pc] = acc / RatFunc(rows[pr][pc])
+    free = tuple(c for c in range(ncols) if c not in pivot_cols)
+    return LinearSystemResult(True, tuple(xs), free, None)
+
+
+def _matmul(a, b):
+    """Product of two matrices of QPoly."""
+    return [
+        [sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a
+    ]
+
+
+def _poly_matrix(rows, cols, max_degree, bound):
+    entry = st.one_of(
+        st.just(ZERO),
+        st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(QPoly.of),
+    )
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def linear_systems(draw):
+    """Tall (up to 12 x 5), square and wide systems of degree <= 4, of full
+    or deficient rank, consistent by construction or with a free rhs."""
+    shape = draw(st.sampled_from(["tall", "square", "wide"]))
+    if shape == "tall":
+        n = draw(st.integers(1, 5))
+        m = draw(st.integers(n + 1, 12))
+    elif shape == "square":
+        m = n = draw(st.integers(1, 6))
+    else:
+        m = draw(st.integers(1, 5))
+        n = draw(st.integers(m + 1, 7))
+    if min(m, n) > 1 and draw(st.booleans()):
+        # A product through an inner dimension below min(m, n) has that rank
+        # at most; factors of degree <= 2 keep the entries at degree <= 4.
+        inner = draw(st.integers(1, min(m, n) - 1))
+        left = draw(_poly_matrix(m, inner, 2, 500))
+        right = draw(_poly_matrix(inner, n, 2, 500))
+        matrix = _matmul(left, right)
+    else:
+        matrix = draw(_poly_matrix(m, n, 4, 10**6))
+    if draw(st.booleans()):
+        planted = draw(_poly_matrix(n, 1, 2, 50))
+        rhs = [row[0] for row in _matmul(matrix, planted)]
+        if draw(st.booleans()):
+            # Break one equation: inconsistent whenever that row is dependent.
+            i = draw(st.integers(0, m - 1))
+            rhs[i] = rhs[i] + QPoly.of(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)))
+    else:
+        rhs = [row[0] for row in draw(_poly_matrix(m, 1, 4, 10**6))]
+    return matrix, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_solver_matches_reference_elimination(system):
+    matrix, rhs = system
+    assert solve_linear_system(matrix, rhs) == _reference_solve(matrix, rhs)
+
+
+def test_solver_vandermonde_stress():
+    # Rows (1, x, ..., x^4) at x = 101^i * q + 1 - i: the minors are
+    # products of differences, and the solution has coefficients of over
+    # 200 bits.
+    xs = [QPoly.of([1 - i, 101**i]) for i in range(5)]
+    matrix = [[x**j for j in range(5)] for x in xs]
+    rhs = [qnum(i + 2) * 1000003 for i in range(5)]
+    result = solve_linear_system(matrix, rhs)
+    assert result == _reference_solve(matrix, rhs)
+    assert result.consistent and result.free_columns == ()
+    assert solve_linear_system(matrix[:3], rhs[:3]) == _reference_solve(matrix[:3], rhs[:3])
+
+
+def test_solver_packing_bound_is_attained():
+    # Rows N*q^2 x = 0 and q^3 y = M*q: the bound is H = N*(M+1), so k = 61,
+    # and the pivot row (0, N*q^5, N*M*q^3) holds N*M >= 2^59.  Balanced
+    # digits of one bit fewer stop below 2^59 and would decode it wrongly.
+    n_coef, m_coef = 999_983, 10**12 + 39
+    matrix = [[QPoly.monomial(n_coef, 2), ZERO], [ZERO, QPoly.monomial(1, 3)]]
+    rhs = [ZERO, QPoly.monomial(m_coef, 1)]
+    result = solve_linear_system(matrix, rhs)
+    assert result == _reference_solve(matrix, rhs)
+    assert result.solution == (RAT_ZERO, RatFunc(QPoly.of([m_coef]), QPoly.monomial(1, 2)))
+    # 4x = q and x = 4 leave the witness entry 16 - q, a 2x2 minor of [A|b].
+    # A bound over ncols = 1 rows (H = 5, k = 4) would pack it as 16 - 2^4 = 0.
+    witness = solve_linear_system([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
+    assert witness == _reference_solve([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
+    assert witness.witness_row == 1
+
+
+def test_check_solution_rejects_planted_error():
+    # (1+q) x + q y = (1+q)^2 and x = y hold for x = y = (1+q)^2 / (1+2q).
+    matrix = [[qnum(2), Q], [ONE, -ONE]]
+    rhs = [QPoly.of([1, 2, 1]), ZERO]
+    x = RatFunc(QPoly.of([1, 2, 1]), QPoly.of([1, 2]))
+    check_solution(matrix, rhs, (x, x))
+    with pytest.raises(ResidualMismatch, match="equation 0"):
+        check_solution(matrix, rhs, (x, x + RatFunc(ONE, qnum(2))))
+    with pytest.raises(ResidualMismatch, match="equation 1"):
+        check_solution(matrix, rhs, (x + RatFunc(Q), x - RatFunc(qnum(2))))
+
+
+def test_solver_certifies_its_answer(monkeypatch):
+    unpack = qpoly._unpack
+    monkeypatch.setattr(qpoly, "_unpack", lambda x, k: unpack(x, k) + ONE)
+    with pytest.raises(ResidualMismatch):
+        solve_linear_system([[qnum(2), Q], [ONE, -ONE]], [QPoly.of([1, 2, 1]), ZERO])

@@ -53,7 +53,9 @@ def test_build_system_shape():
         build_system(poset, statistic_ddeg(poset), row_limit=3)
 
 
-@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "a,b", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (5, 6)]
+)
 def test_rectangle_constants(a, b):
     rect = build_rectangle(a, b)
     result = toggle_solve(rect, statistic_ddeg(rect))
@@ -101,6 +103,18 @@ def test_consistency_on_shapes_matches_rectangularity():
         if not result.consistent:
             assert result.witness_mask in order_ideals(poset)
             assert result.constant is None
+
+
+@pytest.mark.parametrize(
+    "lam,mask", [((4, 3, 2, 1), 503), ((3, 2, 1), 41), ((2, 1), 7)], ids=["4321", "321", "21"]
+)
+def test_inconsistent_witness_masks(lam, mask):
+    # The witness is the first row left nonzero after elimination, so it
+    # pins the column order, the pivot rule and the row swaps.
+    poset = build_shape(lam)
+    result = toggle_solve(poset, statistic_ddeg(poset))
+    assert not result.consistent
+    assert result.witness_mask == mask
 
 
 def test_hook_shape_is_consistent_at_one():
