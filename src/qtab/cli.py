@@ -18,9 +18,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .distributions import (
     Statistic,
@@ -62,7 +61,6 @@ from .posets import (
     Poset,
     PosetSpecError,
     build_minuscule,
-    build_propeller,
     build_rectangle,
     build_shape,
     build_shifted,
@@ -112,17 +110,6 @@ REPORT_VERSION = 1
 DEFAULT_DEGREE_CAP = 20
 
 GF_KINDS = ("comaj", "bsv-comaj", "rpp", "bsv-rpp")
-SUITE_NAMES = (
-    "thm-syt",
-    "thm-pp",
-    "toggle-symmetry",
-    "m-weight",
-    "shifted",
-    "minuscule",
-    "paths",
-    "appendix",
-    "solver",
-)
 
 
 # Exit code when the reader closes stdout early, as a shell reports a process
@@ -140,11 +127,16 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification with a thunk returning (ok, lhs, rhs)."""
+    """One named verification: ``fn(*params)`` returns (ok, lhs, rhs).
+
+    ``fn`` is a module-level function and ``params`` holds its arguments, so a
+    check is plain data that can be listed, counted and compared unrun.
+    """
 
     id: str
     anchor: str
-    run: Callable[[], tuple[bool, object, object]]
+    fn: Callable[..., tuple[bool, object, object]]
+    params: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -178,27 +170,25 @@ def _eq(lhs: object, rhs: object) -> tuple[bool, object, object]:
     return lhs == rhs, lhs, rhs
 
 
-def _run_checks(checks: Sequence[Check], jobs: int) -> list[CheckRecord]:
-    def run_one(check: Check) -> CheckRecord:
+def _run_checks(checks: Sequence[Check]) -> list[CheckRecord]:
+    """Run the checks one after another in id order; a crash is a failure."""
+    records = []
+    for check in sorted(checks, key=lambda check: check.id):
         start = time.perf_counter()
         try:
-            ok, lhs, rhs = check.run()
+            ok, lhs, rhs = check.fn(*check.params)
         except Exception as exc:  # a crashing check is a failing check
             ok, lhs, rhs = False, f"{type(exc).__name__}: {exc}", None
-        return CheckRecord(check.id, check.anchor, ok, time.perf_counter() - start, lhs, rhs)
-
-    ordered = sorted(checks, key=lambda check: check.id)
-    if jobs <= 1:
-        return [run_one(check) for check in ordered]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_one, ordered))
+        records.append(CheckRecord(check.id, check.anchor, ok, time.perf_counter() - start, lhs, rhs))
+    return records
 
 
 # ---------------------------------------------------------------------------
 # corpora
 
 
-def _partitions(max_boxes: int, min_boxes: int = 1) -> list[tuple[int, ...]]:
+def _partitions(max_boxes: int, strict: bool = False) -> list[tuple[int, ...]]:
+    """Partitions of 1..max_boxes boxes, distinct parts only when ``strict``."""
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
@@ -207,24 +197,7 @@ def _partitions(max_boxes: int, min_boxes: int = 1) -> list[tuple[int, ...]]:
             return
         for part in range(min(remaining, max_part), 0, -1):
             prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    for total in range(min_boxes, max_boxes + 1):
-        rec(total, total, [])
-    return out
-
-
-def _strict_partitions(max_boxes: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part - 1, prefix)
+            rec(remaining - part, part - 1 if strict else part, prefix)
             prefix.pop()
 
     for total in range(1, max_boxes + 1):
@@ -236,21 +209,16 @@ def _shape_label(lam: Sequence[int]) -> str:
     return "shape:" + ",".join(str(part) for part in lam)
 
 
-def _staircase(k: int) -> Poset:
-    return build_shifted(tuple(range(k, 0, -1)))
+def _members(*specs: str) -> list[tuple[str, Poset]]:
+    """Each poset spec with the poset it names; the spec doubles as its label."""
+    return [(spec, parse_poset_spec(spec)) for spec in specs]
 
 
 def _labeled_corpus(max_boxes: int) -> list[tuple[str, Poset]]:
     """Shapes up to the cap plus the staircase and propeller family members."""
-    items = [(_shape_label(lam), build_shape(lam)) for lam in _partitions(max_boxes)]
-    extras = [
-        ("shifted:2,1", build_shifted((2, 1))),
-        ("shifted:3,2,1", build_shifted((3, 2, 1))),
-        ("minuscule:propeller:2", build_propeller(2)),
-        ("minuscule:propeller:3", build_propeller(3)),
-    ]
-    items.extend((label, poset) for label, poset in extras if poset.n <= max_boxes)
-    return items
+    shapes = [_shape_label(lam) for lam in _partitions(max_boxes)]
+    extras = ("shifted:2,1", "shifted:3,2,1", "minuscule:propeller:2", "minuscule:propeller:3")
+    return [(label, poset) for label, poset in _members(*shapes, *extras) if poset.n <= max_boxes]
 
 
 def _cap(value: int | None, default: int) -> int:
@@ -273,27 +241,21 @@ def _rect_lin_sides(args: argparse.Namespace) -> list[tuple[int, int]]:
     ]
 
 
-def _check_rect_lin(a: int, b: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        rect = build_rectangle(a, b)
-        lhs = gf_bsv(rect) * qnum(a + b)
-        rhs = qt_num(a) * qnum(b) * qnum(a * b + 1) * gf_comaj(rect)
-        return _eq(lhs, rhs)
-
-    return run
+def _check_rect_lin(a: int, b: int) -> tuple[bool, object, object]:
+    rect = build_rectangle(a, b)
+    lhs = gf_bsv(rect) * qnum(a + b)
+    rhs = qt_num(a) * qnum(b) * qnum(a * b + 1) * gf_comaj(rect)
+    return _eq(lhs, rhs)
 
 
-def _check_hooks(lam: tuple[int, ...], shifted: bool) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = build_shifted(lam) if shifted else build_shape(lam)
-        return _eq(gf_comaj(poset), gf_comaj_hook_formula(lam, shifted=shifted))
-
-    return run
+def _check_hooks(lam: tuple[int, ...], shifted: bool) -> tuple[bool, object, object]:
+    poset = build_shifted(lam) if shifted else build_shape(lam)
+    return _eq(gf_comaj(poset), gf_comaj_hook_formula(lam, shifted=shifted))
 
 
 def _suite_thm_syt(args: argparse.Namespace) -> list[Check]:
     checks = [
-        Check(f"thm-syt:rect:{a}x{b}", "rectangle-row-refined-identity", _check_rect_lin(a, b))
+        Check(f"thm-syt:rect:{a}x{b}", "rectangle-row-refined-identity", _check_rect_lin, (a, b))
         for a, b in _rect_lin_sides(args)
     ]
     for lam in _partitions(min(_cap(args.max_boxes, 16), 8)):
@@ -301,30 +263,18 @@ def _suite_thm_syt(args: argparse.Namespace) -> list[Check]:
             Check(
                 f"thm-syt:hooks:{_shape_label(lam)}",
                 "hook-product-q-count",
-                _check_hooks(lam, shifted=False),
+                _check_hooks,
+                (lam, False),
             )
         )
     return checks
 
 
-def _check_rect_rpp_t1(a: int, b: int, m: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        rect = build_rectangle(a, b)
-        lhs = gf_bsv_rpp(rect, m).at_t1() * qnum(a + b)
-        rhs = qnum(a) * qnum(b) * qnum(m) * macmahon_gf(a, b, m)
-        return _eq(lhs, rhs)
-
-    return run
-
-
-def _check_rect_rpp_refined(a: int, b: int, m: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        rect = build_rectangle(a, b)
-        lhs = gf_bsv_rpp(rect, m) * qnum(a + b)
-        rhs = qt_num(a) * qnum(b) * qnum(m) * macmahon_gf(a, b, m)
-        return _eq(lhs, rhs)
-
-    return run
+def _check_rect_rpp(a: int, b: int, m: int, refined: bool) -> tuple[bool, object, object]:
+    full = gf_bsv_rpp(build_rectangle(a, b), m)
+    lhs = (full if refined else full.at_t1()) * qnum(a + b)
+    rhs = (qt_num(a) if refined else qnum(a)) * qnum(b) * qnum(m) * macmahon_gf(a, b, m)
+    return _eq(lhs, rhs)
 
 
 def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
@@ -338,7 +288,8 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
                 Check(
                     f"thm-pp:refined-lin:rect:{a}x{b}",
                     "rectangle-row-refined-identity",
-                    _check_rect_lin(a, b),
+                    _check_rect_lin,
+                    (a, b),
                 )
             )
             for m in range(1, max_m + 1):
@@ -346,7 +297,8 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
                     Check(
                         f"thm-pp:bounded:rect:{a}x{b}:m{m}",
                         "rectangle-bounded-identity",
-                        _check_rect_rpp_t1(a, b, m),
+                        _check_rect_rpp,
+                        (a, b, m, False),
                     )
                 )
     for a in range(1, min(max_a, 2) + 1):
@@ -356,86 +308,72 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
                     Check(
                         f"thm-pp:refined-rpp:rect:{a}x{b}:m{m}",
                         "rectangle-bounded-row-refined-identity",
-                        _check_rect_rpp_refined(a, b, m),
+                        _check_rect_rpp,
+                        (a, b, m, True),
                     )
                 )
     return checks
 
 
-def _symmetry_failures(poset: Poset, ensemble) -> list[list[int]] | None:
+def _check_symmetry(poset: Poset, make_ensemble: Callable, *extra: object) -> tuple[bool, object, object]:
+    """``make_ensemble(poset, *extra)`` has toggle expectation zero at every element."""
+    ensemble = make_ensemble(poset, *extra)
     if check_toggle_symmetry(ensemble):
-        return None
-    return [
-        _vec(expectation(ensemble, statistic_toggle(poset, p)))
-        for p in range(poset.n)
-    ]
-
-
-def _check_symmetry(poset: Poset, make_ensemble) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        failures = _symmetry_failures(poset, make_ensemble(poset))
-        return failures is None, failures, None
-
-    return run
+        return True, None, None
+    failures = [_vec(expectation(ensemble, statistic_toggle(poset, p))) for p in range(poset.n)]
+    return False, failures, None
 
 
 def _suite_toggle_symmetry(args: argparse.Namespace) -> list[Check]:
     max_m = _cap(args.max_m, 3)
     checks = []
     for label, poset in _labeled_corpus(_cap(args.max_boxes, 7)):
-        families: list[tuple[str, Callable[[Poset], object]]] = [
-            ("uni", ensemble_uniform),
-            ("lin", ensemble_lin),
+        families: list[tuple[str, tuple]] = [
+            ("uni", (ensemble_uniform,)),
+            ("lin", (ensemble_lin,)),
         ]
         try:
             rank_data(poset)
         except NotGraded:
             pass
         else:
-            families.append(("rank", ensemble_rank))
+            families.append(("rank", (ensemble_rank,)))
         for m in range(1, max_m + 1):
             for mode in ("direct", "via_theta_m"):
-                families.append(
-                    (f"rpp:m{m}:{mode}", lambda p, m=m, mode=mode: ensemble_rpp(p, m, mode=mode))
-                )
+                families.append((f"rpp:m{m}:{mode}", (ensemble_rpp, m, mode)))
         for family, make in families:
             checks.append(
                 Check(
                     f"toggle-symmetry:{label}:{family}",
                     "toggle-expectation-zero",
-                    _check_symmetry(poset, make),
+                    _check_symmetry,
+                    (poset, *make),
                 )
             )
     return checks
 
 
-def _check_rpp_modes(poset: Poset, m: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        direct = ensemble_rpp(poset, m, mode="direct")
-        via = ensemble_rpp(poset, m, mode="via_theta_m")
-        ok = direct.weights == via.weights and direct.normalizer == via.normalizer
-        if ok:
-            return True, None, None
-        return False, [_vec(w) for _, w in direct.weights], [_vec(w) for _, w in via.weights]
-
-    return run
+def _check_rpp_modes(poset: Poset, m: int) -> tuple[bool, object, object]:
+    direct = ensemble_rpp(poset, m, mode="direct")
+    via = ensemble_rpp(poset, m, mode="via_theta_m")
+    ok = direct.weights == via.weights and direct.normalizer == via.normalizer
+    if ok:
+        return True, None, None
+    return False, [_vec(w) for _, w in direct.weights], [_vec(w) for _, w in via.weights]
 
 
-def _check_theta_m_factorization(poset: Poset, m: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        n = poset.n
-        total = QPoly.of([])
-        for ext in enumerate_linear_extensions(poset):
-            des = descents(ext)
-            for i in range(n + 1):
-                value = theta_m(ext, i, m)
-                product = theta(ext, i) * qbinom(m + n - len(des - {i}), n + 1)
-                if value != product:
-                    return False, value, product
-                total = total + value
-        return _eq(total, qnum(m) * rpp_size_gf(poset, m))
-
-    return run
+def _check_theta_m_factorization(poset: Poset, m: int) -> tuple[bool, object, object]:
+    n = poset.n
+    total = QPoly.of([])
+    for ext in enumerate_linear_extensions(poset):
+        des = descents(ext)
+        for i in range(n + 1):
+            value = theta_m(ext, i, m)
+            product = theta(ext, i) * qbinom(m + n - len(des - {i}), n + 1)
+            if value != product:
+                return False, value, product
+            total = total + value
+    return _eq(total, qnum(m) * rpp_size_gf(poset, m))
 
 
 def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
@@ -449,7 +387,8 @@ def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
                 Check(
                     f"m-weight:modes:{label}:m{m}",
                     "bounded-ensemble-two-routes",
-                    _check_rpp_modes(poset, m),
+                    _check_rpp_modes,
+                    (poset, m),
                 )
             )
         if poset.n <= 6:
@@ -458,55 +397,44 @@ def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
                     Check(
                         f"m-weight:factorization:{label}:m{m}",
                         "bounded-weight-factorization",
-                        _check_theta_m_factorization(poset, m),
+                        _check_theta_m_factorization,
+                        (poset, m),
                     )
                 )
     return checks
 
 
-def _check_staircase_lin(k: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = _staircase(k)
-        lhs = gf_bsv(poset).at_t1() * qnum(2 * k)
-        rhs = qbinom(k + 1, 2) * qnum(poset.n + 1) * gf_comaj(poset)
-        return _eq(lhs, rhs)
-
-    return run
+def _check_staircase_lin(k: int) -> tuple[bool, object, object]:
+    poset = build_minuscule("shifted_staircase", k)
+    lhs = gf_bsv(poset).at_t1() * qnum(2 * k)
+    rhs = qbinom(k + 1, 2) * qnum(poset.n + 1) * gf_comaj(poset)
+    return _eq(lhs, rhs)
 
 
-def _check_staircase_diag(k: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = _staircase(k)
-        acc: dict[tuple[int, int], int] = {}
-        for bsv in enumerate_bsv(poset):
-            key = (comaj_plus(bsv), d_star(bsv))
-            acc[key] = acc.get(key, 0) + 1
-        lhs = QTPoly.of(acc) * qnum(2 * k)
-        bracket_k_q2 = qnum(k).substitute(2)
-        split = QTPoly.from_qpoly(qbinom(k, 2).shift(1)) + QTPoly.of(
-            {(e, 1): c for e, c in enumerate(bracket_k_q2.coeffs) if c}
-        )
-        rhs = split * qnum(poset.n + 1) * gf_comaj(poset)
-        return _eq(lhs, rhs)
-
-    return run
+def _check_staircase_diag(k: int) -> tuple[bool, object, object]:
+    poset = build_minuscule("shifted_staircase", k)
+    acc: dict[tuple[int, int], int] = {}
+    for bsv in enumerate_bsv(poset):
+        key = (comaj_plus(bsv), d_star(bsv))
+        acc[key] = acc.get(key, 0) + 1
+    lhs = QTPoly.of(acc) * qnum(2 * k)
+    bracket_k_q2 = qnum(k).substitute(2)
+    split = QTPoly.from_qpoly(qbinom(k, 2).shift(1)) + QTPoly.of(
+        {(e, 1): c for e, c in enumerate(bracket_k_q2.coeffs) if c}
+    )
+    rhs = split * qnum(poset.n + 1) * gf_comaj(poset)
+    return _eq(lhs, rhs)
 
 
-def _check_staircase_rpp(k: int, m: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = _staircase(k)
-        lhs = gf_bsv_rpp(poset, m).at_t1() * qnum(2 * k)
-        rhs = qbinom(k + 1, 2) * qnum(m) * bender_knuth_gf(k, m)
-        return _eq(lhs, rhs)
-
-    return run
+def _check_staircase_rpp(k: int, m: int) -> tuple[bool, object, object]:
+    poset = build_minuscule("shifted_staircase", k)
+    lhs = gf_bsv_rpp(poset, m).at_t1() * qnum(2 * k)
+    rhs = qbinom(k + 1, 2) * qnum(m) * bender_knuth_gf(k, m)
+    return _eq(lhs, rhs)
 
 
-def _check_bounded_product(poset: Poset, m: int, product: QPoly) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        return _eq(rpp_size_gf(poset, m), product)
-
-    return run
+def _check_bounded_product(poset: Poset, m: int, product: QPoly) -> tuple[bool, object, object]:
+    return _eq(rpp_size_gf(poset, m), product)
 
 
 def _suite_shifted(args: argparse.Namespace) -> list[Check]:
@@ -514,13 +442,14 @@ def _suite_shifted(args: argparse.Namespace) -> list[Check]:
     checks = []
     for k in (2, 3):
         checks.append(
-            Check(f"shifted:lin-identity:k{k}", "staircase-product-identity", _check_staircase_lin(k))
+            Check(f"shifted:lin-identity:k{k}", "staircase-product-identity", _check_staircase_lin, (k,))
         )
         checks.append(
             Check(
                 f"shifted:diag-refinement:k{k}",
                 "staircase-diagonal-refined-identity",
-                _check_staircase_diag(k),
+                _check_staircase_diag,
+                (k,),
             )
         )
         for m in range(1, max_m + 1):
@@ -528,219 +457,190 @@ def _suite_shifted(args: argparse.Namespace) -> list[Check]:
                 Check(
                     f"shifted:rpp-identity:k{k}:m{m}",
                     "staircase-bounded-identity",
-                    _check_staircase_rpp(k, m),
+                    _check_staircase_rpp,
+                    (k, m),
                 )
             )
             checks.append(
                 Check(
                     f"shifted:bounded-count:k{k}:m{m}",
                     "staircase-bounded-product-formula",
-                    _check_bounded_product(_staircase(k), m, bender_knuth_gf(k, m)),
+                    _check_bounded_product,
+                    (build_minuscule("shifted_staircase", k), m, bender_knuth_gf(k, m)),
                 )
             )
-    for lam in _strict_partitions(_cap(args.max_boxes, 8)):
+    for lam in _partitions(_cap(args.max_boxes, 8), strict=True):
         label = ",".join(str(part) for part in lam)
         checks.append(
             Check(
                 f"shifted:hooks:shifted:{label}",
                 "shifted-hook-product-q-count",
-                _check_hooks(lam, shifted=True),
+                _check_hooks,
+                (lam, True),
             )
         )
     return checks
 
 
-def _check_minuscule_structure(name: str, ideals: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = build_minuscule(name)
-        rd = rank_data(poset)
-        sizes = [rd.ranks.count(r) for r in range(rd.rank + 1)]
-        num = 1
-        den = 1
-        for r in rd.ranks:
-            num *= r + 2
-            den *= r + 1
-        ok = (
-            len(order_ideals(poset)) == ideals
-            and is_self_dual(poset)
-            and sizes == sizes[::-1]
-            and num % den == 0
-            and num // den == ideals
-        )
-        return ok, len(order_ideals(poset)), ideals
-
-    return run
+def _check_minuscule_structure(name: str, ideals: int) -> tuple[bool, object, object]:
+    poset = build_minuscule(name)
+    rd = rank_data(poset)
+    sizes = [rd.ranks.count(r) for r in range(rd.rank + 1)]
+    num = 1
+    den = 1
+    for r in rd.ranks:
+        num *= r + 2
+        den *= r + 1
+    ok = (
+        len(order_ideals(poset)) == ideals
+        and is_self_dual(poset)
+        and sizes == sizes[::-1]
+        and num % den == 0
+        and num // den == ideals
+    )
+    return ok, len(order_ideals(poset)), ideals
 
 
-def _check_minuscule_gf(poset: Poset, m: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        return _eq(minuscule_gf(poset, m), rpp_size_gf(poset, m))
-
-    return run
+def _check_minuscule_gf(poset: Poset, m: int) -> tuple[bool, object, object]:
+    return _eq(minuscule_gf(poset, m), rpp_size_gf(poset, m))
 
 
 def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
     max_m = _cap(args.max_m, 3)
     checks = [
-        Check("minuscule:structure:E6", "rank-product-ideal-count", _check_minuscule_structure("E6", 27)),
-        Check("minuscule:structure:E7", "rank-product-ideal-count", _check_minuscule_structure("E7", 56)),
+        Check("minuscule:structure:E6", "rank-product-ideal-count", _check_minuscule_structure, ("E6", 27)),
+        Check("minuscule:structure:E7", "rank-product-ideal-count", _check_minuscule_structure, ("E7", 56)),
     ]
-    members = [
-        ("minuscule:E6", build_minuscule("E6")),
-        ("minuscule:E7", build_minuscule("E7")),
-        ("minuscule:propeller:2", build_propeller(2)),
-        ("minuscule:propeller:3", build_propeller(3)),
-        ("rect:2x2", build_rectangle(2, 2)),
-        ("rect:2x3", build_rectangle(2, 3)),
-        ("shifted:2,1", _staircase(2)),
-        ("shifted:3,2,1", _staircase(3)),
-    ]
+    members = _members(
+        "minuscule:E6", "minuscule:E7", "minuscule:propeller:2", "minuscule:propeller:3",
+        "rect:2x2", "rect:2x3", "shifted:2,1", "shifted:3,2,1",
+    )
     for label, poset in members:
         for m in range(1, max_m + 1):
             checks.append(
                 Check(
                     f"minuscule:gf:{label}:m{m}",
                     "rank-product-bounded-count",
-                    _check_minuscule_gf(poset, m),
+                    _check_minuscule_gf,
+                    (poset, m),
                 )
             )
     return checks
 
 
-def _check_rbmotz_count(length: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        count = sum(1 for _ in enumerate_rbmotz(length))
-        return _eq(count, catalan_number(length - 1))
-
-    return run
+def _check_rbmotz_count(length: int) -> tuple[bool, object, object]:
+    count = sum(1 for _ in enumerate_rbmotz(length))
+    return _eq(count, catalan_number(length - 1))
 
 
-def _check_bool(fn: Callable[[int], bool], value: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        return fn(value), None, None
-
-    return run
+def _check_bool(fn: Callable[[int], bool], value: int) -> tuple[bool, object, object]:
+    return fn(value), None, None
 
 
 def _suite_paths(args: argparse.Namespace) -> list[Check]:
     max_l = _cap(args.max_l, 10)
     max_b = _cap(args.max_b, 5)
     checks = [
-        Check(f"paths:rbmotz-count:l{length}", "path-count-catalan", _check_rbmotz_count(length))
+        Check(f"paths:rbmotz-count:l{length}", "path-count-catalan", _check_rbmotz_count, (length,))
         for length in range(2, max_l + 1)
     ]
     checks += [
-        Check(f"paths:gen-fun:b{b}", "colored-path-generating-function", _check_bool(verify_cor_dyck_gen_fun, b))
+        Check(f"paths:gen-fun:b{b}", "colored-path-generating-function", _check_bool, (verify_cor_dyck_gen_fun, b))
         for b in range(1, max_b + 1)
     ]
     checks += [
-        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool(catalan_sum_check, length))
+        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool, (catalan_sum_check, length))
         for length in range(2, min(max_l, 8) + 1)
     ]
     checks += [
-        Check(f"paths:narayana:l{length}", "tableau-count-narayana-rows", _check_bool(narayana_check, length))
+        Check(f"paths:narayana:l{length}", "tableau-count-narayana-rows", _check_bool, (narayana_check, length))
         for length in range(2, min(max_l, 8) + 1)
     ]
     return checks
 
 
-def _check_bijection(poset: Poset) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        n = poset.n
-        extensions = list(enumerate_linear_extensions(poset))
-        q = QPoly.monomial(1, 1)
-        for p in range(n):
-            out_pairs = []
-            in_pairs = []
-            for ext in extensions:
-                for y in range(n + 1):
-                    mask = ext.prefix_ideal(y)
-                    if tout(poset, p, mask):
-                        out_pairs.append((ext, y))
-                    if tin(poset, p, mask):
-                        in_pairs.append((ext, y))
-            images = []
-            for ext, y in out_pairs:
-                image, y2 = toggle_bijection(p, ext, y)
-                if not tin(poset, p, image.prefix_ideal(y2)):
-                    return False, f"p={p}: image pair is not in-togglable", None
-                if theta(ext, y) * q != theta(image, y2):
-                    return False, f"p={p}: weight law broken", None
-                if len(descents(ext) - {y}) != len(descents(image) - {y2}):
-                    return False, f"p={p}: descent count changed", None
-                if inverse_toggle_bijection(p, image, y2) != (ext, y):
-                    return False, f"p={p}: inverse does not roundtrip", None
-                images.append((image, y2))
-            if len(set(images)) != len(out_pairs) or set(images) != set(in_pairs):
-                return False, f"p={p}: images do not match the in-togglable pairs", None
-            lhs = sum((theta(ext, y) * q for ext, y in out_pairs), QPoly.of([]))
-            rhs = sum((theta(ext, y) for ext, y in in_pairs), QPoly.of([]))
-            if lhs != rhs:
-                return False, lhs, rhs
-            if expectation(ensemble_lin(poset), statistic_toggle(poset, p)) != RatFunc.from_int(0):
-                return False, f"p={p}: extension-weight toggle expectation is nonzero", None
-        return True, None, None
-
-    return run
+def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
+    n = poset.n
+    extensions = list(enumerate_linear_extensions(poset))
+    q = QPoly.monomial(1, 1)
+    for p in range(n):
+        out_pairs = []
+        in_pairs = []
+        for ext in extensions:
+            for y in range(n + 1):
+                mask = ext.prefix_ideal(y)
+                if tout(poset, p, mask):
+                    out_pairs.append((ext, y))
+                if tin(poset, p, mask):
+                    in_pairs.append((ext, y))
+        images = []
+        for ext, y in out_pairs:
+            image, y2 = toggle_bijection(p, ext, y)
+            if not tin(poset, p, image.prefix_ideal(y2)):
+                return False, f"p={p}: image pair is not in-togglable", None
+            if theta(ext, y) * q != theta(image, y2):
+                return False, f"p={p}: weight law broken", None
+            if len(descents(ext) - {y}) != len(descents(image) - {y2}):
+                return False, f"p={p}: descent count changed", None
+            if inverse_toggle_bijection(p, image, y2) != (ext, y):
+                return False, f"p={p}: inverse does not roundtrip", None
+            images.append((image, y2))
+        if len(set(images)) != len(out_pairs) or set(images) != set(in_pairs):
+            return False, f"p={p}: images do not match the in-togglable pairs", None
+        lhs = sum((theta(ext, y) * q for ext, y in out_pairs), QPoly.of([]))
+        rhs = sum((theta(ext, y) for ext, y in in_pairs), QPoly.of([]))
+        if lhs != rhs:
+            return False, lhs, rhs
+        if expectation(ensemble_lin(poset), statistic_toggle(poset, p)) != RatFunc.from_int(0):
+            return False, f"p={p}: extension-weight toggle expectation is nonzero", None
+    return True, None, None
 
 
 def _suite_appendix(args: argparse.Namespace) -> list[Check]:
     return [
-        Check(f"appendix:bijection:{label}", "toggle-pairing-exhaustive", _check_bijection(poset))
+        Check(f"appendix:bijection:{label}", "toggle-pairing-exhaustive", _check_bijection, (poset,))
         for label, poset in _labeled_corpus(_cap(args.max_boxes, 7))
     ]
 
 
-def _check_shape_solve(lam: tuple[int, ...]) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = build_shape(lam)
-        result = toggle_solve(poset, statistic_ddeg(poset))
-        is_rectangle = len(set(lam)) == 1
-        if result.consistent != is_rectangle:
-            return False, result.consistent, is_rectangle
-        if is_rectangle:
-            a, b = len(lam), lam[0]
-            return _eq(result.constant, RatFunc(qnum(a) * qnum(b), qnum(a + b)))
-        return result.witness_mask in order_ideals(poset), result.witness_mask, None
-
-    return run
+def _check_shape_solve(lam: tuple[int, ...]) -> tuple[bool, object, object]:
+    poset = build_shape(lam)
+    result = toggle_solve(poset, statistic_ddeg(poset))
+    is_rectangle = len(set(lam)) == 1
+    if result.consistent != is_rectangle:
+        return False, result.consistent, is_rectangle
+    if is_rectangle:
+        a, b = len(lam), lam[0]
+        return _eq(result.constant, RatFunc(qnum(a) * qnum(b), qnum(a + b)))
+    return result.witness_mask in order_ideals(poset), result.witness_mask, None
 
 
-def _check_refinements(poset: Poset) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        reports = verify_refinements(poset)
-        bad = [report for report in reports if not report.ok]
-        if bad:
-            return False, [report.label for report in bad], [_vec(report.expected) for report in bad]
-        return True, None, None
-
-    return run
+def _check_refinements(poset: Poset) -> tuple[bool, object, object]:
+    reports = verify_refinements(poset)
+    bad = [report for report in reports if not report.ok]
+    if bad:
+        return False, [report.label for report in bad], [_vec(report.expected) for report in bad]
+    return True, None, None
 
 
-def _check_staircase_solve(k: int) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        poset = _staircase(k)
-        result = toggle_solve(poset, statistic_ddeg(poset))
-        if not result.consistent:
-            return False, "inconsistent", None
-        return _eq(result.constant, RatFunc(qbinom(k + 1, 2), qnum(2 * k)))
-
-    return run
+def _check_staircase_solve(k: int) -> tuple[bool, object, object]:
+    poset = build_minuscule("shifted_staircase", k)
+    result = toggle_solve(poset, statistic_ddeg(poset))
+    if not result.consistent:
+        return False, "inconsistent", None
+    return _eq(result.constant, RatFunc(qbinom(k + 1, 2), qnum(2 * k)))
 
 
-def _check_rank_constant(poset: Poset) -> Callable[[], tuple[bool, object, object]]:
-    def run() -> tuple[bool, object, object]:
-        rd = rank_data(poset)
-        coeffs = [0] * (rd.rank + 1)
-        for r in rd.ranks:
-            coeffs[r] += 1
-        expected = RatFunc(QPoly.of(coeffs), qnum(rd.rank + 2))
-        result = toggle_solve(poset, statistic_ddeg(poset))
-        if not result.consistent:
-            return False, "inconsistent", _vec(expected)
-        return _eq(result.constant, expected)
-
-    return run
+def _check_rank_constant(poset: Poset) -> tuple[bool, object, object]:
+    rd = rank_data(poset)
+    coeffs = [0] * (rd.rank + 1)
+    for r in rd.ranks:
+        coeffs[r] += 1
+    expected = RatFunc(QPoly.of(coeffs), qnum(rd.rank + 2))
+    result = toggle_solve(poset, statistic_ddeg(poset))
+    if not result.consistent:
+        return False, "inconsistent", _vec(expected)
+    return _eq(result.constant, expected)
 
 
 def _check_hook_at_one() -> tuple[bool, object, object]:
@@ -756,7 +656,7 @@ def _check_hook_at_one() -> tuple[bool, object, object]:
 
 def _suite_solver(args: argparse.Namespace) -> list[Check]:
     checks = [
-        Check(f"solver:generic:{_shape_label(lam)}", "rectangularity-decides-consistency", _check_shape_solve(lam))
+        Check(f"solver:generic:{_shape_label(lam)}", "rectangularity-decides-consistency", _check_shape_solve, (lam,))
         for lam in _partitions(_cap(args.max_boxes, 9))
     ]
     for a in range(1, 4):
@@ -765,27 +665,25 @@ def _suite_solver(args: argparse.Namespace) -> list[Check]:
                 Check(
                     f"solver:rows:rect:{a}x{b}",
                     "row-refined-constants",
-                    _check_refinements(build_rectangle(a, b)),
+                    _check_refinements,
+                    (build_rectangle(a, b),),
                 )
             )
     for k in (2, 3):
         checks.append(
-            Check(f"solver:staircase:k{k}", "staircase-constant", _check_staircase_solve(k))
+            Check(f"solver:staircase:k{k}", "staircase-constant", _check_staircase_solve, (k,))
         )
         checks.append(
             Check(
                 f"solver:diagonal:k{k}",
                 "diagonal-refined-constants",
-                _check_refinements(_staircase(k)),
+                _check_refinements,
+                (build_minuscule("shifted_staircase", k),),
             )
         )
-    for label, poset in [
-        ("minuscule:propeller:2", build_propeller(2)),
-        ("minuscule:propeller:3", build_propeller(3)),
-        ("minuscule:E6", build_minuscule("E6")),
-    ]:
+    for label, poset in _members("minuscule:propeller:2", "minuscule:propeller:3", "minuscule:E6"):
         checks.append(
-            Check(f"solver:rank-constant:{label}", "rank-polynomial-constant", _check_rank_constant(poset))
+            Check(f"solver:rank-constant:{label}", "rank-polynomial-constant", _check_rank_constant, (poset,))
         )
     checks.append(Check("solver:q1:shape:2,1", "hook-shape-at-one", _check_hook_at_one))
     return checks
@@ -802,6 +700,7 @@ SUITES: dict[str, Callable[[argparse.Namespace], list[Check]]] = {
     "appendix": _suite_appendix,
     "solver": _suite_solver,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -865,11 +764,8 @@ def _degree_cap(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite_names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    checks: list[Check] = []
-    for name in suite_names:
-        checks.extend(SUITES[name](args))
-    records = _run_checks(checks, args.jobs)
+    suite_names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    records = _run_checks([check for name in suite_names for check in SUITES[name](args)])
     ok = all(record.ok for record in records)
     if args.json:
         payload = {
@@ -986,12 +882,23 @@ def cmd_bijection_trace(args: argparse.Namespace) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the verify caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_verify_caps(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-a", type=int, default=None, help="cap on the first rectangle side")
-    parser.add_argument("--max-b", type=int, default=None, help="cap on the second rectangle side")
-    parser.add_argument("--max-m", type=int, default=None, help="cap on the filling bound m")
-    parser.add_argument("--max-boxes", type=int, default=None, help="cap on poset size")
-    parser.add_argument("--max-l", type=int, default=None, help="cap on path length")
+    parser.add_argument("--max-a", type=_positive_int, default=None, help="cap on the first rectangle side")
+    parser.add_argument("--max-b", type=_positive_int, default=None, help="cap on the second rectangle side")
+    parser.add_argument("--max-m", type=_positive_int, default=None, help="cap on the filling bound m")
+    parser.add_argument("--max-boxes", type=_positive_int, default=None, help="cap on poset size")
+    parser.add_argument("--max-l", type=_positive_int, default=None, help="cap on path length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1013,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",), help="which suite")
     verify.add_argument("--json", action="store_true", help="machine-readable report")
-    verify.add_argument("--jobs", type=int, default=1, help="checks run in parallel")
+    verify.add_argument("--jobs", type=int, default=1, help="deprecated and ignored; checks run one at a time")
     _add_verify_caps(verify)
     verify.set_defaults(func=cmd_verify)
 
@@ -1051,10 +958,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PosetSpecError as exc:
+    except (UsageError, PosetSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedRefinement, UnsupportedPoset) as exc:

@@ -315,10 +315,8 @@ def _check_partition(parts: Sequence[int], strict: bool) -> tuple[int, ...]:
     return lam
 
 
-def build_shape(partition: Sequence[int]) -> Poset:
-    """Poset of the Young diagram of a partition, row-major element order."""
-    lam = _check_partition(partition, strict=False)
-    boxes = [(r, c) for r in range(1, len(lam) + 1) for c in range(1, lam[r - 1] + 1)]
+def _diagram(boxes: list[tuple[int, int]], origin: str) -> Poset:
+    """Poset of a diagram's boxes, each covered by its right and lower neighbors."""
     index = {box: e for e, box in enumerate(boxes)}
     covers = []
     for (r, c), e in index.items():
@@ -326,17 +324,22 @@ def build_shape(partition: Sequence[int]) -> Poset:
             covers.append((e, index[(r, c + 1)]))
         if (r + 1, c) in index:
             covers.append((e, index[(r + 1, c)]))
-    origin = "shape:" + ",".join(str(x) for x in lam)
     return Poset(len(boxes), covers, coords=boxes, origin=origin)
+
+
+def build_shape(partition: Sequence[int]) -> Poset:
+    """Poset of the Young diagram of a partition, row-major element order."""
+    lam = _check_partition(partition, strict=False)
+    boxes = [(r, c) for r in range(1, len(lam) + 1) for c in range(1, lam[r - 1] + 1)]
+    return _diagram(boxes, "shape:" + ",".join(str(x) for x in lam))
 
 
 def build_rectangle(a: int, b: int) -> Poset:
     """The a x b rectangle (a rows, b columns)."""
     if a < 1 or b < 1:
         raise ValueError("rectangle sides must be positive")
-    poset = build_shape((b,) * a)
-    poset.origin = f"rect:{a}x{b}"
-    return poset
+    boxes = [(r, c) for r in range(1, a + 1) for c in range(1, b + 1)]
+    return _diagram(boxes, f"rect:{a}x{b}")
 
 
 def build_shifted(partition: Sequence[int]) -> Poset:
@@ -345,15 +348,7 @@ def build_shifted(partition: Sequence[int]) -> Poset:
     boxes = [
         (r, c) for r in range(1, len(lam) + 1) for c in range(r, lam[r - 1] + r)
     ]
-    index = {box: e for e, box in enumerate(boxes)}
-    covers = []
-    for (r, c), e in index.items():
-        if (r, c + 1) in index:
-            covers.append((e, index[(r, c + 1)]))
-        if (r + 1, c) in index:
-            covers.append((e, index[(r + 1, c)]))
-    origin = "shifted:" + ",".join(str(x) for x in lam)
-    return Poset(len(boxes), covers, coords=boxes, origin=origin)
+    return _diagram(boxes, "shifted:" + ",".join(str(x) for x in lam))
 
 
 def build_propeller(k: int) -> Poset:

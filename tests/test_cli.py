@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -294,9 +295,43 @@ def test_run_checks_sorted_by_id():
         Check("b", "x", lambda: (order.append("b") or True, None, None)),
         Check("a", "x", lambda: (order.append("a") or True, None, None)),
     ]
-    records = _run_checks(checks, jobs=1)
+    records = _run_checks(checks)
     assert [record.id for record in records] == ["a", "b"]
     assert order == ["a", "b"]
+
+
+def all_checks() -> list[Check]:
+    """Every check of ``verify all`` at default caps, built and not run."""
+    args = cli.build_parser().parse_args(["verify", "all"])
+    return [check for name in cli.SUITE_NAMES for check in cli.SUITES[name](args)]
+
+
+def test_check_inventory_pinned():
+    # A renamed, dropped or duplicated check changes the count or the digest.
+    checks = all_checks()
+    assert len(checks) == 1072
+    assert len({check.id for check in checks}) == len(checks)
+    lines = "\n".join(sorted(f"{check.id} {check.anchor}" for check in checks))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "dbde283c2df29d0a22dd1d10a01f08195de30b7c0d0308b6d29d2217ad615f5c"
+
+
+def test_checks_are_data():
+    for check in all_checks():
+        assert check.fn.__closure__ is None, check.id
+        assert "<locals>" not in check.fn.__qualname__, check.id
+        assert isinstance(check.params, tuple), check.id
+
+
+@pytest.mark.parametrize("flag", ["--max-a", "--max-b", "--max-m", "--max-boxes", "--max-l"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_caps_must_be_positive(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-syt", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "positive integer" in err
 
 
 # ---------------------------------------------------------------------------
