@@ -37,6 +37,7 @@ from .distributions import (
     tout,
 )
 from .extensions import (
+    LinearExtension,
     UnsupportedRefinement,
     d_star,
     descents,
@@ -91,6 +92,7 @@ from .qpoly import (
     qt_num,
 )
 from .solver import (
+    RowLimitExceeded,
     UnsupportedPoset,
     statistic_diagonal,
     statistic_row,
@@ -562,6 +564,7 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
 def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
     n = poset.n
     extensions = list(enumerate_linear_extensions(poset))
+    ensemble = ensemble_lin(poset)
     q = QPoly.monomial(1, 1)
     for p in range(n):
         out_pairs = []
@@ -591,7 +594,7 @@ def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
         rhs = sum((theta(ext, y) for ext, y in in_pairs), QPoly.of([]))
         if lhs != rhs:
             return False, lhs, rhs
-        if expectation(ensemble_lin(poset), statistic_toggle(poset, p)) != RatFunc.from_int(0):
+        if expectation(ensemble, statistic_toggle(poset, p)) != RatFunc.from_int(0):
             return False, f"p={p}: extension-weight toggle expectation is nonzero", None
     return True, None, None
 
@@ -847,6 +850,8 @@ def cmd_bijection_trace(args: argparse.Namespace) -> int:
         ext = parse_tableau(args.tableau.replace("/", "\n"), poset)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if not isinstance(ext, LinearExtension):
+        raise UsageError("the pairing acts on standard tableaux; this tableau has a doubled cell")
     try:
         if args.inverse:
             image, y2 = inverse_toggle_bijection(args.p, ext, args.y)
@@ -958,7 +963,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (UsageError, PosetSpecError) as exc:
+    except (UsageError, PosetSpecError, RowLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedRefinement, UnsupportedPoset) as exc:

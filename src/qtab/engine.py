@@ -16,34 +16,16 @@ The work grows with |J(P)| times the number of elements, not with the
 number of extensions or fillings.  Polynomials are plain coefficient lists
 (index = exponent of q) inside the DPs; every function here returns lists,
 one per ideal in ``order_ideals`` order where it returns per-ideal values.
+They are added and multiplied by the list kernel in ``qpoly`` (``_add`` and
+``_mul``), the same one ``QPoly`` arithmetic runs on.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .posets import Poset, order_ideals
+from .qpoly import _add, _mul
 
 Poly = list[int]
-
-
-def _add(acc: Poly, poly: Poly, shift: int = 0) -> None:
-    """``acc += q^shift * poly``, in place."""
-    end = shift + len(poly)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = map(add, acc[shift:end], poly)
-
-
-def _mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(b)
-    for e, c in enumerate(a):
-        if c:
-            out[e:e + width] = map(add, out[e:e + width], [c * d for d in b])
-    return out
 
 
 class _Lattice:

@@ -226,11 +226,7 @@ def triple_from_bsv(bsv: BsvLinearExtension) -> tuple[LinearExtension, int, int]
     for e, cell in enumerate(bsv.entries):
         v = min(cell)
         values.append(v if v < i_star else v - 1)
-    return _from_values(bsv.poset, values), i_star - 1, bsv.p_star
-
-
-def _from_values(poset: Poset, values: Sequence[int]) -> LinearExtension:
-    return LinearExtension(poset, tuple(values))
+    return LinearExtension(bsv.poset, tuple(values)), i_star - 1, bsv.p_star
 
 
 def bsv_descents(bsv: BsvLinearExtension) -> frozenset[int]:

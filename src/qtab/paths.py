@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .extensions import BsvLinearExtension, LinearExtension
 from .posets import Poset, build_rectangle
-from .qpoly import QPoly, QTPoly, qbinom, qnum, qt_num
+from .qpoly import QPoly, QTPoly, _from_map, qbinom, qnum, qt_num
 
 
 class WrongShape(Exception):
@@ -128,11 +129,7 @@ def q_catalan(b: int) -> QPoly:
 
 def gf_comaj_dyck(b: int) -> QPoly:
     """Generating function of comaj over Dyck paths of semilength b."""
-    acc: dict[int, int] = {}
-    for path in enumerate_dyck(b):
-        c = path.comaj()
-        acc[c] = acc.get(c, 0) + 1
-    return QPoly.of(acc.get(e, 0) for e in range(max(acc) + 1)) if acc else QPoly.of([1])
+    return _from_map(Counter(path.comaj() for path in enumerate_dyck(b))) or QPoly.of([1])
 
 
 # ---------------------------------------------------------------------------

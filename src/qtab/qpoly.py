@@ -6,9 +6,9 @@ Representations:
 * ``QPoly`` -- a polynomial in q with integer coefficients, stored densely as
   a tuple ``coeffs`` where ``coeffs[e]`` is the coefficient of ``q**e``.
   Canonical form has no trailing zero, so the zero polynomial is ``()``.
-* ``QTPoly`` -- a polynomial in q and t with integer coefficients, stored
-  sparsely as ``(q_exp, t_exp, coeff)`` triples sorted by ``(t_exp, q_exp)``
-  with every ``coeff`` nonzero.
+* ``QTPoly`` -- a polynomial in q and t with integer coefficients, stored as
+  ``rows``, one ``QPoly`` per power of t: ``rows[k]`` multiplies ``t**k``.
+  Canonical form has no trailing zero row, so the zero polynomial is ``()``.
 * ``QLaurent`` -- ``q**shift * poly`` with a possibly negative ``shift``;
   canonical form has ``poly`` zero (with shift 0) or with nonzero constant
   term, so equal Laurent polynomials compare equal.
@@ -17,7 +17,10 @@ Representations:
   denominator share no polynomial factor and no integer content, and zero is
   ``0/1``.  Equal rational functions therefore compare equal with ``==``.
 
-Every division is exact or raises; nothing here rounds.
+Every division is exact or raises; nothing here rounds.  All polynomial
+products go through one kernel on integer coefficient lists, ``_add`` and
+``_mul``, which ``QPoly`` and the J(P) engine share; ``QTPoly`` reaches it
+through ``QPoly``.
 
 Text format for q-polynomials: terms in ascending exponent order joined with
 `` + `` / `` - ``, e.g. ``"1 + 2*q + q^2"``.  The parser also accepts ``2q``,
@@ -33,6 +36,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 
@@ -54,6 +59,35 @@ class DimensionMismatch(QAlgebraError):
 
 class ResidualMismatch(QAlgebraError):
     """A solver answer does not satisfy the system it was computed from."""
+
+
+# ---------------------------------------------------------------------------
+# the kernel on coefficient lists (index = exponent of q)
+
+
+def _add(acc: list[int], poly: Sequence[int], shift: int = 0) -> None:
+    """``acc += q^shift * poly``, in place."""
+    end = shift + len(poly)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = map(add, acc[shift:end], poly)
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two coefficient sequences, schoolbook."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for e, c in enumerate(a):
+        if c:
+            for f, d in enumerate(b, e):
+                out[f] += c * d
+    return out
+
+
+def _from_map(entries: dict[int, int]) -> QPoly:
+    """The polynomial with coefficient ``entries.get(e, 0)`` at q^e."""
+    return QPoly.of(entries.get(e, 0) for e in range(max(entries, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +138,7 @@ class QPoly:
         if len(a) < len(b):
             a, b = b, a
         cs = list(a)
-        for e, c in enumerate(b):
-            cs[e] += c
+        _add(cs, b)
         return QPoly.of(cs)
 
     def __neg__(self) -> QPoly:
@@ -123,14 +156,7 @@ class QPoly:
             return QPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, QPoly):
             return NotImplemented
-        if not self or not other:
-            return ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                for f, d in enumerate(other.coeffs):
-                    out[e + f] += c * d
-        return QPoly(tuple(out))
+        return QPoly(tuple(_mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -253,7 +279,7 @@ def qt_num(k: int) -> QTPoly:
     """The (q, t)-integer t^(k-1) + q*t^(k-2) + ... + q^(k-1)."""
     if k < 0:
         raise ValueError("(q, t)-integer of a negative number")
-    return QTPoly(tuple((r, k - 1 - r, 1) for r in range(k - 1, -1, -1)))
+    return QTPoly(tuple(QPoly.monomial(1, k - 1 - te) for te in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,51 +288,46 @@ def qt_num(k: int) -> QTPoly:
 
 @dataclass(frozen=True, slots=True)
 class QTPoly:
-    """Sparse integer-coefficient polynomial in q and t.
+    """Integer-coefficient polynomial in q and t; ``rows[k]`` multiplies t^k."""
 
-    ``terms`` holds ``(q_exp, t_exp, coeff)`` triples sorted by
-    ``(t_exp, q_exp)`` with nonzero coefficients.
-    """
-
-    terms: tuple[tuple[int, int, int], ...]
+    rows: tuple[QPoly, ...]
 
     def __post_init__(self) -> None:
-        keys = [(te, qe) for qe, te, _ in self.terms]
-        if keys != sorted(set(keys)) or any(c == 0 for _, _, c in self.terms):
-            raise ValueError("QTPoly terms must be sorted, unique, and nonzero")
+        if self.rows and not self.rows[-1]:
+            raise ValueError("QTPoly rows must not end in zero")
 
     @classmethod
     def of(cls, entries: dict[tuple[int, int], int]) -> QTPoly:
         """Build from a {(q_exp, t_exp): coeff} map, dropping zeros."""
-        triples = sorted(
-            ((qe, te, c) for (qe, te), c in entries.items() if c),
-            key=lambda t: (t[1], t[0]),
-        )
-        return cls(tuple(triples))
+        by_t: dict[int, dict[int, int]] = {}
+        for (qe, te), c in entries.items():
+            by_t.setdefault(te, {})[qe] = c
+        return _qt_rows(_from_map(by_t.get(te, {})) for te in range(max(by_t, default=-1) + 1))
 
     @classmethod
     def from_qpoly(cls, p: QPoly, t_exp: int = 0) -> QTPoly:
-        return cls.of({(e, t_exp): c for e, c in enumerate(p.coeffs) if c})
+        return _qt_rows((ZERO,) * t_exp + (p,))
 
-    def as_map(self) -> dict[tuple[int, int], int]:
-        return {(qe, te): c for qe, te, c in self.terms}
+    @property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """``(q_exp, t_exp, coeff)`` triples, nonzero, sorted by ``(t_exp, q_exp)``."""
+        return tuple(
+            (qe, te, c) for te, row in enumerate(self.rows) for qe, c in enumerate(row.coeffs) if c
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __add__(self, other: QTPoly | QPoly | int) -> QTPoly:
         other = _embed_qt(other)
         if other is None:
             return NotImplemented
-        out = self.as_map()
-        for qe, te, c in other.terms:
-            out[(qe, te)] = out.get((qe, te), 0) + c
-        return QTPoly.of(out)
+        return _qt_rows(a + b for a, b in zip_longest(self.rows, other.rows, fillvalue=ZERO))
 
     __radd__ = __add__
 
     def __neg__(self) -> QTPoly:
-        return QTPoly(tuple((qe, te, -c) for qe, te, c in self.terms))
+        return QTPoly(tuple(-row for row in self.rows))
 
     def __sub__(self, other: QTPoly | QPoly | int) -> QTPoly:
         other = _embed_qt(other)
@@ -324,47 +345,39 @@ class QTPoly:
         other = _embed_qt(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for qa, ta, ca in self.terms:
-            for qb, tb, cb in other.terms:
-                key = (qa + qb, ta + tb)
-                out[key] = out.get(key, 0) + ca * cb
-        return QTPoly.of(out)
+        if not self or not other:
+            return QTPoly(())
+        out = [ZERO] * (len(self.rows) + len(other.rows) - 1)
+        for i, a in enumerate(self.rows):
+            for j, b in enumerate(other.rows, i):
+                out[j] = out[j] + a * b
+        return QTPoly(tuple(out))
 
     __rmul__ = __mul__
 
     @property
     def t_degree(self) -> int:
         """Highest power of t present; -1 for the zero polynomial."""
-        return max((te for _, te, _ in self.terms), default=-1)
+        return len(self.rows) - 1
 
     def coefficient_of_t(self, t_exp: int) -> QPoly:
         """The q-polynomial multiplying t^t_exp."""
-        out: dict[int, int] = {}
-        for qe, te, c in self.terms:
-            if te == t_exp:
-                out[qe] = c
-        if not out:
-            return ZERO
-        size = max(out) + 1
-        return QPoly.of(out.get(e, 0) for e in range(size))
+        return self.rows[t_exp] if 0 <= t_exp < len(self.rows) else ZERO
 
     def at_t1(self) -> QPoly:
         """Specialize t = 1."""
-        out: dict[int, int] = {}
-        for qe, _, c in self.terms:
-            out[qe] = out.get(qe, 0) + c
-        if not out:
-            return ZERO
-        return QPoly.of(out.get(e, 0) for e in range(max(out) + 1))
+        return sum(self.rows, ZERO)
 
     def __str__(self) -> str:
         return format_qt_poly(self)
 
 
-QT_ZERO = QTPoly(())
-QT_ONE = QTPoly(((0, 0, 1),))
-T = QTPoly(((0, 1, 1),))
+def _qt_rows(rows: Iterable[QPoly]) -> QTPoly:
+    """The QTPoly with these rows, trailing zero rows dropped."""
+    out = list(rows)
+    while out and not out[-1]:
+        out.pop()
+    return QTPoly(tuple(out))
 
 
 def _embed_qt(x: QTPoly | QPoly | int) -> QTPoly | None:
@@ -373,7 +386,7 @@ def _embed_qt(x: QTPoly | QPoly | int) -> QTPoly | None:
     if isinstance(x, QPoly):
         return QTPoly.from_qpoly(x)
     if isinstance(x, int):
-        return QTPoly.of({(0, 0): x})
+        return QTPoly.from_qpoly(QPoly.of([x]))
     return None
 
 
@@ -511,9 +524,7 @@ class RatFunc:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             c = math.gcd(num.content(), den.content())
-            if c > 1:
-                num = QPoly(tuple(x // c for x in num.coeffs))
-                den = QPoly(tuple(x // c for x in den.coeffs))
+            num, den = _exact_scalar_div(num, c), _exact_scalar_div(den, c)
             if den.lc < 0:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
@@ -549,10 +560,14 @@ class RatFunc:
     def __sub__(self, other: RatFunc) -> RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        # the negation of a canonical fraction is canonical: skip the gcd
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __mul__(self, other: RatFunc) -> RatFunc:
         if not isinstance(other, RatFunc):
@@ -717,26 +732,24 @@ def check_solution(
 # text format
 
 
+def _power(var: str, e: int) -> list[str]:
+    return [] if e == 0 else [var] if e == 1 else [f"{var}^{e}"]
+
+
+def _signed_join(terms: Iterable[tuple[int, list[str]]]) -> str:
+    """Join ``(coeff, factors)`` terms as ``a + b - c``; ``"0"`` when empty."""
+    pieces = []
+    for c, factors in terms:
+        if abs(c) != 1 or not factors:
+            factors = [str(abs(c)), *factors]
+        sign = (" - " if c < 0 else " + ") if pieces else ("-" if c < 0 else "")
+        pieces.append(sign + "*".join(factors))
+    return "".join(pieces) or "0"
+
+
 def format_poly(p: QPoly) -> str:
     """Render in the documented text format, e.g. ``1 + 2*q + q^2``."""
-    if not p:
-        return "0"
-    parts: list[tuple[bool, str]] = []
-    for e, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            power = "q" if e == 1 else f"q^{e}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        parts.append((c < 0, body))
-    neg, body = parts[0]
-    pieces = [("-" if neg else "") + body]
-    for neg, body in parts[1:]:
-        pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces)
+    return _signed_join((c, _power("q", e)) for e, c in enumerate(p.coeffs) if c)
 
 
 _TERM_RE = re.compile(
@@ -787,31 +800,12 @@ def parse_poly(text: str) -> QPoly:
         if te:
             raise ValueError(f"unexpected t in q-polynomial {text!r}")
         acc[qe] = acc.get(qe, 0) + coeff
-    if not acc:
-        return ZERO
-    return QPoly.of(acc.get(e, 0) for e in range(max(acc) + 1))
+    return _from_map(acc)
 
 
 def format_qt_poly(p: QTPoly) -> str:
     """Render a (q, t)-polynomial, e.g. ``q + 2*q*t + t^2``."""
-    if not p:
-        return "0"
-    parts: list[tuple[bool, str]] = []
-    for qe, te, c in p.terms:
-        factors = []
-        if qe:
-            factors.append("q" if qe == 1 else f"q^{qe}")
-        if te:
-            factors.append("t" if te == 1 else f"t^{te}")
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        parts.append((c < 0, "*".join(factors)))
-    neg, body = parts[0]
-    pieces = [("-" if neg else "") + body]
-    for neg, body in parts[1:]:
-        pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces)
+    return _signed_join((c, _power("q", qe) + _power("t", te)) for qe, te, c in p.terms)
 
 
 def parse_qt_poly(text: str) -> QTPoly:

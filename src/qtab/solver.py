@@ -31,6 +31,10 @@ class UnsupportedPoset(Exception):
     """A refinement check was requested for a poset without the needed shape."""
 
 
+class RowLimitExceeded(ValueError):
+    """The poset has more order ideals than the system's row limit."""
+
+
 @dataclass(frozen=True)
 class ToggleSolveResult:
     """Outcome of the toggle-constant system for one statistic."""
@@ -61,7 +65,7 @@ def build_system(
     """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f."""
     ideals = order_ideals(poset)
     if len(ideals) > row_limit:
-        raise ValueError(f"{len(ideals)} ideals exceed the row limit {row_limit}")
+        raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {row_limit}")
     one = QPoly.of([1])
     matrix = []
     rhs = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from qtab import cli
 from qtab.cli import Check, _run_checks, main
 from qtab.posets import build_rectangle, build_shifted
 from qtab.ppartitions import rpp_size_series
+from qtab.solver import toggle_solve
 from qtab.qpoly import (
     QPoly,
     RatFunc,
@@ -230,6 +232,15 @@ def test_solve_statistic_errors(capsys):
     assert run_cli(capsys, "solve", "minuscule:E6", "row:1")[0] == 3
 
 
+def test_solve_row_limit_exit(capsys, monkeypatch):
+    """Too many order ideals for the system is a usage error, not a traceback."""
+    monkeypatch.setattr(cli, "toggle_solve", functools.partial(toggle_solve, row_limit=3))
+    code, out, err = run_cli(capsys, "solve", "rect:2x2", "ddeg")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 6 ideals exceed the row limit 3\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -369,6 +380,14 @@ def test_bijection_trace_errors(capsys):
         capsys, "bijection", "trace", "rect:2x2", "--tableau", "1,2,3/4,5", "--p", "0", "--y", "1"
     )
     assert bad_shape[0] == 2
+    for argv in (
+        ("--tableau", "1,2|3/4,5", "--p", "1", "--y", "2"),
+        ("--tableau", "1|2,3/4,5", "--p", "0", "--y", "1", "--inverse"),
+    ):
+        code, out, err = run_cli(capsys, "bijection", "trace", "rect:2x2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "doubled cell" in err
 
 
 # ---------------------------------------------------------------------------

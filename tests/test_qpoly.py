@@ -221,6 +221,96 @@ def test_qt_t1_is_ring_homomorphism(a, b):
     assert (a + b).at_t1() == a.at_t1() + b.at_t1()
 
 
+def qt_map(x) -> dict[tuple[int, int], int]:
+    """{(q_exp, t_exp): coeff} of a QTPoly, QPoly or int, zeros kept out."""
+    if isinstance(x, QTPoly):
+        return {(qe, te): c for qe, te, c in x.terms}
+    if isinstance(x, QPoly):
+        return {(e, 0): c for e, c in enumerate(x.coeffs) if c}
+    return {(0, 0): x} if x else {}
+
+
+def map_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return out
+
+
+def map_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, int], int] = {}
+    for (qa, ta), ca in a.items():
+        for (qb, tb), cb in b.items():
+            key = (qa + qb, ta + tb)
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+qt_operands = st.one_of(qt_polys, polys, st.integers(-9, 9))
+
+
+@given(qt_polys, qt_operands)
+def test_qt_arithmetic_matches_dict_convolution(a, b):
+    ma, mb = qt_map(a), qt_map(b)
+    assert a + b == b + a == QTPoly.of(map_add(ma, mb))
+    assert a - b == QTPoly.of(map_add(ma, mb, -1))
+    assert b - a == QTPoly.of(map_add(mb, ma, -1))
+    assert a * b == b * a == QTPoly.of(map_mul(ma, mb))
+
+
+@given(qt_polys)
+def test_qt_rows_agree_with_terms(p):
+    assert QTPoly.of(qt_map(p)) == p
+    assert p.t_degree == max((te for _, te, _ in p.terms), default=-1)
+    for te in range(-1, p.t_degree + 2):
+        row = {qe: c for qe, t, c in p.terms if t == te}
+        assert p.coefficient_of_t(te) == QPoly.of(row.get(e, 0) for e in range(max(row, default=-1) + 1))
+
+
+def test_qt_canonical_form():
+    p = QTPoly.of({(1, 0): 2, (0, 3): 0, (2, 1): 0, (0, 1): 5})
+    assert p.terms == ((1, 0, 2), (0, 1, 5))
+    assert p.t_degree == 1
+    assert QTPoly.of({(0, 0): 0}) == QTPoly.of({}) and not QTPoly.of({(4, 2): 0})
+    assert p - p == QTPoly.of({})
+    assert (p - p).terms == ()
+    assert QTPoly.from_qpoly(QPoly.of([0, 3, 0, -1]), 2).terms == ((1, 2, 3), (3, 2, -1))
+    assert QTPoly.from_qpoly(ZERO, 2) == QTPoly.of({})
+    same = QTPoly.of({(0, 1): 5, (1, 0): 2})
+    assert same == p and hash(same) == hash(p)
+    assert hash(p * p) == hash(QTPoly.of(map_mul(qt_map(p), qt_map(p))))
+    assert p.coefficient_of_t(-1) == ZERO and p.coefficient_of_t(5) == ZERO
+
+
+def naive_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out if a and b else []
+
+
+coefficient_lists = st.lists(st.integers(-50, 50), max_size=12)
+
+
+@given(coefficient_lists, coefficient_lists)
+def test_list_kernel_mul_matches_double_loop(a, b):
+    assert qpoly._mul(a, b) == naive_mul(a, b)
+    assert qpoly._mul(tuple(a), tuple(b)) == naive_mul(a, b)
+
+
+@given(coefficient_lists, coefficient_lists, st.integers(0, 4))
+def test_list_kernel_add_is_shifted_sum(a, b, shift):
+    acc = list(a)
+    qpoly._add(acc, b, shift)
+    want = [0] * max(len(a), len(b) + shift)
+    for i, x in enumerate(a):
+        want[i] += x
+    for j, y in enumerate(b):
+        want[j + shift] += y
+    assert acc == want
+
+
 # ---------------------------------------------------------------------------
 # QLaurent
 
