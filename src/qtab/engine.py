@@ -185,14 +185,14 @@ def rpp_weights(poset: Poset, m: int) -> list[Poly]:
 # the doubled cell
 
 
-def mark_maximal(poset: Poset, weights: list[Poly]) -> dict[tuple[int, int], int]:
-    """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)`` as a
-    {(q_exp, t_exp): coeff} map; t_exp is 0 without box coordinates."""
+def mark_maximal(poset: Poset, weights: list[Poly]) -> list[Poly]:
+    """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)`` as one
+    list per power of t; everything lands in t^0 without box coordinates."""
     rows = [r - 1 for r, _ in poset.coords] if poset.coords is not None else [0] * poset.n
     up = poset.up_masks
-    by_row: dict[int, Poly] = {}
+    by_row: list[Poly] = [[] for _ in range(max(rows, default=-1) + 1)]
     for mask, poly in zip(order_ideals(poset), weights):
         for p in range(poset.n):
             if mask >> p & 1 and not up[p] & mask:
-                _add(by_row.setdefault(rows[p], []), poly)
-    return {(e, t): c for t, poly in by_row.items() for e, c in enumerate(poly) if c}
+                _add(by_row[rows[p]], poly)
+    return by_row

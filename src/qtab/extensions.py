@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from . import engine
 from .posets import Poset
-from .qpoly import QPoly, QTPoly, qfact, qnum
+from .qpoly import QPoly, QTPoly, _qt_rows, qfact, qnum
 
 
 class InvalidTriple(Exception):
@@ -290,7 +290,8 @@ def gf_bsv(poset: Poset, refined: bool = False) -> QTPoly:
     """
     if refined and poset.coords is None:
         raise UnsupportedRefinement("poset has no box coordinates")
-    return QTPoly.of(engine.mark_maximal(poset, engine.lin_weights(poset)))
+    rows = engine.mark_maximal(poset, engine.lin_weights(poset))
+    return _qt_rows(QPoly.of(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from . import engine
 from .extensions import InvalidTriple, UnsupportedRefinement
 from .posets import Poset, hook_lengths, rank_data
-from .qpoly import QPoly, QTPoly, qnum
+from .qpoly import QPoly, QTPoly, _qt_rows, qnum
 
 
 @dataclass(frozen=True)
@@ -243,4 +243,5 @@ def gf_bsv_rpp(poset: Poset, m: int, refined: bool = False) -> QTPoly:
     """
     if refined and poset.coords is None:
         raise UnsupportedRefinement("poset has no box coordinates")
-    return QTPoly.of(engine.mark_maximal(poset, engine.rpp_weights(poset, m)))
+    rows = engine.mark_maximal(poset, engine.rpp_weights(poset, m))
+    return _qt_rows(QPoly.of(row) for row in rows)

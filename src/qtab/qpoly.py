@@ -36,8 +36,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from operator import add
+from itertools import chain, zip_longest
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -633,33 +633,123 @@ def _unpack(x: int, k: int) -> QPoly:
     return QPoly(tuple(coeffs))
 
 
+# The row basis is picked from [A|b] at q = _BASIS_POINT modulo _BASIS_PRIME,
+# the largest prime below 2^30, so every value fits in one machine word.
+_BASIS_PRIME = 1_073_741_789
+_BASIS_POINT = 1_000_003
+
+
+def _row_basis(
+    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], ncols: int
+) -> list[int] | None:
+    """Input indices of the rows that raise the rank of A modulo the prime.
+
+    Rows are reduced in input order against the kept ones, which are held in
+    reduced row echelon form with unit pivots, each restricted to the
+    columns that have no pivot yet and the right-hand side.  A row whose
+    reduction is nonzero on some column of A raises the rank and is kept.
+    None means the system looks inconsistent: some row reduced to
+    (0 ... 0 | nonzero).
+    """
+    prime, point = _BASIS_PRIME, _BASIS_POINT
+    coeffs = attrgetter("coeffs")
+    values: dict[tuple[int, ...], int] = {}
+    for entry in set(map(coeffs, chain(chain.from_iterable(matrix), rhs))):
+        v = 0
+        for c in reversed(entry):
+            v = (v * point + c) % prime
+        values[entry] = v
+    value = values.__getitem__
+
+    live = list(range(ncols + 1))
+    basis: dict[int, list[int]] = {}
+    kept: list[int] = []
+    for i, row in enumerate(matrix):
+        vals = list(map(value, map(coeffs, row)))
+        vals.append(value(rhs[i].coeffs))
+        red = list(map(vals.__getitem__, live))
+        for c, top in basis.items():
+            f = vals[c]
+            if f:
+                red = [(v - f * t) % prime for v, t in zip(red, top)]
+        pos = next((j for j in range(len(live) - 1) if red[j]), None)
+        if pos is None:
+            if red[-1]:
+                return None
+            continue
+        inv = pow(red[pos], -1, prime)
+        new = [v * inv % prime for v in red]
+        for c, top in basis.items():
+            f = top[pos]
+            if f:
+                top = basis[c] = [(v - f * t) % prime for v, t in zip(top, new)]
+            del top[pos]
+        del new[pos]
+        basis[live.pop(pos)] = new
+        kept.append(i)
+    return kept
+
+
 def solve_linear_system(
     matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly]
 ) -> LinearSystemResult:
-    """Solve ``matrix @ x = rhs`` over Q(q) by fraction-free elimination.
+    """Solve ``matrix @ x = rhs`` over Q(q) exactly.
 
-    Bareiss one-step division (Math. Comp. 22, 1968) on Kronecker-packed
-    entries: each cell holds the integer P(2^k) of its polynomial P.  Every
-    Bareiss entry is a minor of [A|b] of size at most ncols+1, so its
-    coefficients are bounded by H, the product of the ncols+1 largest row
-    1-norms.  The smallest k with 2^(k-1) > H makes balanced base-2^k digits
-    cover every coefficient, so evaluation at 2^k is injective on everything
-    the elimination meets.  The integer divisions are therefore exact, an
-    entry is zero exactly when its polynomial is, and the pivot rows unpack
-    by balanced digits.  Rational functions appear only during
-    back-substitution, and a consistent answer is checked against the
-    system (``check_solution``) before it is returned.
+    A tall system is decided by at most ncols of its rows.  They are picked
+    at a fixed integer q modulo a fixed word-size prime (``_row_basis``):
+    rows are reduced in input order and each row that raises the rank of A
+    is kept.  When ncols rows are kept and no row looked inconsistent, A has
+    full column rank modulo the prime and therefore over Q(q), so the
+    solution is unique; the square system of the kept rows is eliminated
+    (``_eliminate``) and its answer is certified against every row
+    (``check_solution``).  In every other case -- a row that looked
+    inconsistent, rank below ncols, or a failed certificate -- all rows are
+    eliminated, which also gives the witness row of an inconsistent system,
+    and a consistent answer is certified the same way.  A bad prime or
+    evaluation point can only send a system to the full elimination; it
+    never changes an answer.
     """
     m = len(matrix)
     if len(rhs) != m:
         raise DimensionMismatch(f"{m} rows but {len(rhs)} right-hand sides")
     ncols = len(matrix[0]) if m else 0
-    norms = []
     for i, row in enumerate(matrix):
         if len(row) != ncols:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
-        norms.append(sum(abs(c) for p in (*row, rhs[i]) for c in p.coeffs))
-    norms.sort(reverse=True)
+    kept = _row_basis(matrix, rhs, ncols)
+    if kept is not None and len(kept) == ncols:
+        result = _eliminate([matrix[i] for i in kept], [rhs[i] for i in kept], ncols)
+        try:
+            check_solution(matrix, rhs, result.solution)
+            return result
+        except ResidualMismatch:
+            pass
+    result = _eliminate(matrix, rhs, ncols)
+    if result.consistent:
+        check_solution(matrix, rhs, result.solution)
+    return result
+
+
+def _eliminate(
+    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], ncols: int
+) -> LinearSystemResult:
+    """Bareiss one-step division (Math. Comp. 22, 1968) on packed entries.
+
+    Each cell holds the integer P(2^k) of its polynomial P.  Every Bareiss
+    entry is a minor of [A|b] of size at most ncols+1, so its coefficients
+    are bounded by H, the product of the ncols+1 largest row 1-norms.  The
+    smallest k with 2^(k-1) > H makes balanced base-2^k digits cover every
+    coefficient, so evaluation at 2^k is injective on everything the
+    elimination meets.  The integer divisions are therefore exact, an entry
+    is zero exactly when its polynomial is, and the pivot rows unpack by
+    balanced digits.  Rational functions appear only during
+    back-substitution.  The answer is not certified here.
+    """
+    m = len(matrix)
+    norms = sorted(
+        (sum(abs(c) for p in (*row, rhs[i]) for c in p.coeffs) for i, row in enumerate(matrix)),
+        reverse=True,
+    )
     k = (2 * math.prod(max(v, 1) for v in norms[: ncols + 1]) + 1).bit_length()
     q0 = 1 << k
     rows = [[p.evaluate(q0) for p in (*row, rhs[i])] for i, row in enumerate(matrix)]
@@ -701,7 +791,6 @@ def solve_linear_system(
             if row[j] and xs[j]:
                 acc = acc - RatFunc(_unpack(row[j], k)) * xs[j]
         xs[pc] = acc / RatFunc(_unpack(row[pc], k))
-    check_solution(matrix, rhs, xs)
     free = tuple(c for c in range(ncols) if c not in pivot_cols)
     return LinearSystemResult(True, tuple(xs), free, None)
 

@@ -20,7 +20,7 @@ from .distributions import (
     ensemble_rank,
     expectation,
     statistic_ddeg,
-    toggle_statistic_value,
+    tin,
     tout,
 )
 from .posets import Poset, order_ideals
@@ -66,12 +66,18 @@ def build_system(
     ideals = order_ideals(poset)
     if len(ideals) > row_limit:
         raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {row_limit}")
-    one = QPoly.of([1])
+    # tin and tout are never both 1, so every toggle entry is 0, 1 or -q;
+    # the rows share one QPoly for each.
+    zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
+    elements = range(poset.n)
     matrix = []
     rhs = []
     for mask in ideals:
         row = [one]
-        row.extend(toggle_statistic_value(poset, p, mask) for p in range(poset.n))
+        row.extend(
+            one if tin(poset, p, mask) else minus_q if tout(poset, p, mask) else zero
+            for p in elements
+        )
         matrix.append(row)
         rhs.append(statistic.values[mask])
     return matrix, rhs

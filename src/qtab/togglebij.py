@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .distributions import tin, tout
 from .extensions import LinearExtension
-from .posets import Poset, dual
+from .posets import dual
 
 _LEFT_CASES = ("L0", "L1", "L2", "L3a", "L3b")
 _RIGHT_CASES = ("R0", "R1", "R2", "R3a", "R3b")

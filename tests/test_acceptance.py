@@ -51,7 +51,6 @@ from qtab.posets import (
     rank_data,
 )
 from qtab.ppartitions import (
-    bender_knuth_gf,
     gf_bsv_rpp,
     macmahon_gf,
     rpp_size_gf,

@@ -16,7 +16,7 @@ import pytest
 
 from qtab import cli
 from qtab.cli import Check, _run_checks, main
-from qtab.posets import build_rectangle, build_shifted
+from qtab.posets import build_rectangle
 from qtab.ppartitions import rpp_size_series
 from qtab.solver import toggle_solve
 from qtab.qpoly import (

@@ -9,7 +9,6 @@ import pytest
 from conftest import small_poset_corpus, small_shape_corpus
 from qtab.distributions import (
     PosetMismatch,
-    Statistic,
     WeightedEnsemble,
     check_toggle_symmetry,
     ddeg,
@@ -33,15 +32,12 @@ from qtab.extensions import (
     descents,
     enumerate_linear_extensions,
     gf_bsv,
-    gf_comaj,
     parse_tableau,
 )
 from qtab.posets import (
     NotGraded,
-    Poset,
     build_rectangle,
     build_shape,
-    build_shifted,
     dual,
     ideal_members,
     order_ideals,

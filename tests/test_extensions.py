@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    all_partitions,
     partition_strategy,
-    rectangle_corpus,
     small_shape_corpus,
     strict_partition_strategy,
 )

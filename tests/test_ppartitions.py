@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_partitions, partition_strategy, small_shape_corpus
+from conftest import partition_strategy, small_shape_corpus
 from qtab.extensions import InvalidTriple, UnsupportedRefinement, gf_comaj, r_star
 from qtab.posets import (
     build_minuscule,

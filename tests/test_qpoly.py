@@ -6,9 +6,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtab import qpoly
+from qtab.distributions import statistic_ddeg
+from qtab.posets import build_rectangle, build_shape, build_shifted
 from qtab.qpoly import (
     ONE,
     Q,
@@ -37,6 +39,7 @@ from qtab.qpoly import (
     qt_num,
     solve_linear_system,
 )
+from qtab.solver import build_system
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly.of)
 nonzero_polys = polys.filter(bool)
@@ -539,9 +542,53 @@ def linear_systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(linear_systems())
+# A all zero with b zero and ncols > 0: no row is kept modulo the prime.
+@example(([[ZERO, ZERO], [ZERO, ZERO], [ZERO, ZERO]], [ZERO, ZERO, ZERO]))
+# Row 1 is the first row inconsistent with the rows before it, but the row
+# swaps of the full elimination make row 0 the witness.
+@example(([[ZERO, ONE], [ZERO, ONE], [ONE, ZERO]], [ONE, ZERO, ZERO]))
 def test_solver_matches_reference_elimination(system):
     matrix, rhs = system
     assert solve_linear_system(matrix, rhs) == _reference_solve(matrix, rhs)
+
+
+def test_solver_certifies_the_square_path(monkeypatch):
+    # x = 0 and x = q - 5 agree at q = 5, so with that evaluation point the
+    # first row alone looks like a basis of a consistent system.  Only the
+    # certificate on every row sends it to the full elimination.
+    monkeypatch.setattr(qpoly, "_BASIS_POINT", 5)
+    matrix, rhs = [[ONE], [ONE]], [ZERO, QPoly.of([-5, 1])]
+    assert qpoly._row_basis(matrix, rhs, 1) == [0]
+    res = solve_linear_system(matrix, rhs)
+    assert res == _reference_solve(matrix, rhs)
+    assert res.witness_row == 1
+
+
+def _toggle_systems():
+    posets = [
+        build_rectangle(3, 3),
+        build_rectangle(4, 4),
+        build_shape((3, 2, 1)),
+        build_shape((4, 3, 2, 1)),
+        build_shifted((4, 3, 2, 1)),
+    ]
+    return [build_system(poset, statistic_ddeg(poset)) for poset in posets]
+
+
+@pytest.mark.parametrize("point", [-1, 0])
+def test_solver_survives_unlucky_evaluation_point(monkeypatch, point):
+    systems = _toggle_systems()
+    expected = [solve_linear_system(matrix, rhs) for matrix, rhs in systems]
+    monkeypatch.setattr(qpoly, "_BASIS_POINT", point)
+    for (matrix, rhs), want in zip(systems, expected):
+        assert solve_linear_system(matrix, rhs) == want == _reference_solve(matrix, rhs)
+    if point == -1:
+        # At q = -1 the constant [3][3]/[6] of rect 3x3 has a vanishing
+        # denominator, so its rows look inconsistent, and rect 4x4 keeps only
+        # 16 of 17 rows: both take the full elimination.
+        (m3, b3), (m4, b4) = systems[:2]
+        assert qpoly._row_basis(m3, b3, len(m3[0])) is None
+        assert len(qpoly._row_basis(m4, b4, len(m4[0]))) == 16
 
 
 def test_solver_vandermonde_stress():

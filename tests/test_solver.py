@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_partitions
-from qtab.distributions import Statistic, ddeg, statistic_ddeg
+from qtab import qpoly
+from qtab.distributions import ddeg, statistic_ddeg
 from qtab.posets import (
     NotGraded,
     build_minuscule,
@@ -115,6 +116,27 @@ def test_inconsistent_witness_masks(lam, mask):
     result = toggle_solve(poset, statistic_ddeg(poset))
     assert not result.consistent
     assert result.witness_mask == mask
+
+
+@pytest.mark.parametrize(
+    "poset,rows",
+    [(build_rectangle(4, 4), [17]), (build_shape((4, 3, 2, 1)), [42])],
+    ids=["rect4x4", "4321"],
+)
+def test_elimination_sees_a_row_basis(monkeypatch, poset, rows):
+    # Rect 4x4 has 70 equations in 17 unknowns: only the 17 rows picked
+    # modulo the prime are eliminated.  Shape 4,3,2,1 looks inconsistent
+    # there, so all 42 rows are eliminated to find the witness.
+    seen = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhs, ncols):
+        seen.append(len(matrix))
+        return eliminate(matrix, rhs, ncols)
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    toggle_solve(poset, statistic_ddeg(poset))
+    assert seen == rows
 
 
 def test_hook_shape_is_consistent_at_one():
