@@ -718,6 +718,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
         raise UsageError("--m must be nonnegative")
     if args.refined and args.kind not in ("bsv-comaj", "bsv-rpp"):
         raise UsageError(f"--refined does not apply to kind {args.kind!r}")
+    if args.degree_cap is not None and (args.kind != "rpp" or args.m is not None):
+        raise UsageError("--degree-cap applies only to kind 'rpp' without --m")
 
     poly: QPoly | QTPoly
     if args.kind == "comaj":

@@ -35,20 +35,13 @@ class _Lattice:
         self.n = poset.n
         self.masks = order_ideals(poset)
         self.sizes = [mask.bit_count() for mask in self.masks]
-        index = {mask: j for j, mask in enumerate(self.masks)}
-        low = poset.low_masks
-        # up[j]: (e, index of masks[j] + e) for every e addable to masks[j],
-        # e ascending; by_element[e]: (lower, upper) index pairs of those edges
-        self.up: list[list[tuple[int, int]]] = []
-        self.by_element: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for j, mask in enumerate(self.masks):
-            edges = []
-            for e in range(self.n):
-                if not mask >> e & 1 and mask & low[e] == low[e]:
-                    upper = index[mask | 1 << e]
-                    edges.append((e, upper))
-                    self.by_element[e].append((j, upper))
-            self.up.append(edges)
+        # by_element[e]: (lower, upper) index pairs of the edges adding e;
+        # up[j]: (e, upper) for every edge leaving masks[j], e ascending
+        self.by_element = poset.ideal_edges
+        self.up: list[list[tuple[int, int]]] = [[] for _ in self.masks]
+        for e, edges in enumerate(self.by_element):
+            for lower, upper in edges:
+                self.up[lower].append((e, upper))
 
     def sum_below(self, values: list[Poly]) -> list[Poly]:
         """``out[I] = sum of values[J] over ideals J <= I``.
@@ -189,10 +182,10 @@ def mark_maximal(poset: Poset, weights: list[Poly]) -> list[Poly]:
     """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)`` as one
     list per power of t; everything lands in t^0 without box coordinates."""
     rows = [r - 1 for r, _ in poset.coords] if poset.coords is not None else [0] * poset.n
-    up = poset.up_masks
     by_row: list[Poly] = [[] for _ in range(max(rows, default=-1) + 1)]
-    for mask, poly in zip(order_ideals(poset), weights):
-        for p in range(poset.n):
-            if mask >> p & 1 and not up[p] & mask:
-                _add(by_row[rows[p]], poly)
+    # p is maximal in I exactly when the edge I - p -> I adds p
+    for p, edges in enumerate(poset.ideal_edges):
+        acc = by_row[rows[p]]
+        for _, upper in edges:
+            _add(acc, weights[upper])
     return by_row

@@ -18,6 +18,10 @@ JSON exchange format::
 
 ``labeling`` may be any natural labeling on input; elements are renumbered so
 the stored labeling is always the identity.
+
+Each poset builds its lattice J(P) once, on first use: ``order_ideals`` (built
+element by element) and its cover edges ``Poset.ideal_edges``, which the J(P)
+engine, the doubled-cell sum and the toggle system all read.
 """
 
 from __future__ import annotations
@@ -118,18 +122,26 @@ class Poset:
 
     @cached_property
     def _ideals(self) -> tuple[int, ...]:
-        found = {0}
-        frontier = [0]
-        low = self.low_masks
-        while frontier:
-            ideal = frontier.pop()
-            for p in range(self.n):
-                if not ideal >> p & 1 and ideal & low[p] == low[p]:
-                    bigger = ideal | 1 << p
-                    if bigger not in found:
-                        found.add(bigger)
-                        frontier.append(bigger)
-        return tuple(sorted(found))
+        # The lower covers of k lie in 0..k-1, so the ideals on 0..k are those
+        # on 0..k-1 plus k added to each of them that holds its lower covers;
+        # the added masks are the larger ones, so the list stays ascending.
+        ideals = [0]
+        for k, low in enumerate(self.low_masks):
+            ideals += [mask | 1 << k for mask in ideals if mask & low == low]
+        return tuple(ideals)
+
+    @cached_property
+    def ideal_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per element e, the cover edges ``I -> I + e`` of J(P) as
+        ``(lower, upper)`` index pairs into ``order_ideals``, lower ascending."""
+        ideals = self._ideals
+        index = {m: j for j, m in enumerate(ideals)}
+        out = []
+        for e, low in enumerate(self.low_masks):
+            bit, test = 1 << e, low | 1 << e  # e absent, its lower covers present
+            pairs = [(j, index[m | bit]) for j, m in enumerate(ideals) if m & test == low]
+            out.append(tuple(pairs))
+        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):

@@ -20,7 +20,6 @@ from .distributions import (
     ensemble_rank,
     expectation,
     statistic_ddeg,
-    tin,
     tout,
 )
 from .posets import Poset, order_ideals
@@ -66,21 +65,15 @@ def build_system(
     ideals = order_ideals(poset)
     if len(ideals) > row_limit:
         raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {row_limit}")
-    # tin and tout are never both 1, so every toggle entry is 0, 1 or -q;
-    # the rows share one QPoly for each.
+    # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
+    # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
     zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
-    elements = range(poset.n)
-    matrix = []
-    rhs = []
-    for mask in ideals:
-        row = [one]
-        row.extend(
-            one if tin(poset, p, mask) else minus_q if tout(poset, p, mask) else zero
-            for p in elements
-        )
-        matrix.append(row)
-        rhs.append(statistic.values[mask])
-    return matrix, rhs
+    matrix = [[one] + [zero] * poset.n for _ in ideals]
+    for p, edges in enumerate(poset.ideal_edges):
+        for lower, upper in edges:
+            matrix[lower][p + 1] = one
+            matrix[upper][p + 1] = minus_q
+    return matrix, [statistic.values[mask] for mask in ideals]
 
 
 def _evaluated_rows(

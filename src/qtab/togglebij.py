@@ -117,6 +117,8 @@ def classify(
     n = poset.n
     if not 0 <= y <= n:
         raise ValueError(f"prefix length {y} out of range")
+    if not 0 <= p < n:
+        raise ValueError(f"element {p} out of range")
     if not tout(poset, p, ext.prefix_ideal(y)):
         raise PNotTogglableOut(f"element {p} is not togglable out of the {y}-prefix")
     pos = ext.positions
@@ -240,6 +242,8 @@ def inverse_toggle_bijection(
     n = poset.n
     if not 0 <= y <= n:
         raise ValueError(f"prefix length {y} out of range")
+    if not 0 <= p < n:
+        raise ValueError(f"element {p} out of range")
     if not tin(poset, p, ext.prefix_ideal(y)):
         raise PNotTogglableIn(f"element {p} is not togglable into the {y}-prefix")
     star = dual_extension(ext)

@@ -43,6 +43,24 @@ def strict_partition_strategy(max_boxes: int = 8) -> st.SearchStrategy[tuple[int
     return st.sampled_from(strict_partitions(max_boxes))
 
 
+@st.composite
+def naturally_labeled_posets(draw, max_n: int = 8) -> Poset:
+    """Random relations i < j on 0..n-1, closed transitively, kept as covers."""
+    n = draw(st.integers(0, max_n))
+    above = [0] * n  # elements strictly above each element
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                above[i] |= (1 << j) | above[j]
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if above[i] >> j & 1 and not any(above[i] >> k & 1 and above[k] >> j & 1 for k in range(n))
+    ]
+    return Poset(n, covers)
+
+
 def small_poset_corpus(max_shape_boxes: int = 7) -> list[Poset]:
     """Shapes up to max_shape_boxes boxes, small staircases, small propellers."""
     posets = [build_shape(lam) for lam in all_partitions(max_shape_boxes)]

@@ -118,6 +118,8 @@ def test_gf_rpp_series_uses_degree_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "gf", "rect:2x2", "rpp")
     assert (code, out) == (2, "")
     assert "QTAB_DEGREE_CAP" in err
+    for argv in (("comaj",), ("rpp", "--m", "2"), ("bsv-rpp", "--m", "1")):
+        assert run_cli(capsys, "gf", "rect:2x2", *argv)[0] == 0  # the cap does not apply
 
     monkeypatch.delenv("QTAB_DEGREE_CAP")
     code, out, _ = run_cli(capsys, "gf", "rect:2x2", "rpp")
@@ -144,6 +146,16 @@ def test_gf_error_exits(capsys):
     assert run_cli(capsys, "gf", "rect:2x2", "comaj", "--refined")[0] == 2
     assert run_cli(capsys, "gf", "minuscule:E6", "bsv-comaj", "--refined")[0] == 3
     assert run_cli(capsys, "gf", "minuscule:propeller:2", "bsv-rpp", "--m", "1", "--refined")[0] == 3
+    for argv in (
+        ("comaj", "--degree-cap", "5"),
+        ("bsv-comaj", "--degree-cap", "5"),
+        ("rpp", "--m", "2", "--degree-cap", "5"),
+        ("rpp", "--m", "2", "--degree-cap", "-1"),
+        ("bsv-rpp", "--m", "2", "--degree-cap", "5"),
+    ):
+        code, out, err = run_cli(capsys, "gf", "rect:2x2", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--degree-cap" in err
 
 
 @pytest.mark.parametrize(
@@ -388,6 +400,12 @@ def test_bijection_trace_errors(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "doubled cell" in err
+    for argv in (("--p", "4", "--inverse"), ("--p", "-1"), ("--p", "4")):
+        code, out, err = run_cli(
+            capsys, "bijection", "trace", "rect:2x2", "--tableau", "1,2/3,4", "--y", "1", *argv
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "out of range" in err
 
 
 # ---------------------------------------------------------------------------

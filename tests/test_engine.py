@@ -8,7 +8,7 @@ import itertools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import partition_strategy, strict_partition_strategy
+from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
 from qtab.distributions import ensemble_lin, ensemble_rpp, ensemble_uniform, theta
 from qtab.extensions import (
     comaj,
@@ -31,24 +31,6 @@ from qtab.qpoly import QPoly, QTPoly
 
 EXTENSION_LIMIT = 300  # larger posets are skipped: the oracles enumerate
 FILLING_LIMIT = 400
-
-
-@st.composite
-def naturally_labeled_posets(draw, max_n: int = 8) -> Poset:
-    """Random relations i < j on 0..n-1, closed transitively, kept as covers."""
-    n = draw(st.integers(0, max_n))
-    above = [0] * n  # elements strictly above each element
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                above[i] |= (1 << j) | above[j]
-    covers = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if above[i] >> j & 1 and not any(above[i] >> k & 1 and above[k] >> j & 1 for k in range(n))
-    ]
-    return Poset(n, covers)
 
 
 def at_most(items, limit: int) -> list | None:

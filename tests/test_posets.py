@@ -6,8 +6,9 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import naturally_labeled_posets
 from qtab.posets import (
     NotGraded,
     Poset,
@@ -127,11 +128,29 @@ def test_rectangle_ideal_count_is_binomial():
             assert len(order_ideals(build_rectangle(a, b))) == math.comb(a + b, a)
 
 
-@given(partitions())
-def test_ideals_match_brute_force(lam):
-    poset = build_shape(lam)
+@given(st.one_of(partitions().map(build_shape), naturally_labeled_posets()))
+@example(Poset(0, []))
+@example(Poset(10, []))
+def test_ideals_match_brute_force(poset):
     if poset.n <= 10:
         assert list(order_ideals(poset)) == brute_force_ideals(poset)
+
+
+@given(st.one_of(partitions().map(build_shape), naturally_labeled_posets()))
+@example(Poset(0, []))
+@example(Poset(6, []))
+def test_ideal_edges_match_brute_force(poset):
+    ideals = order_ideals(poset)
+    position = {mask: j for j, mask in enumerate(ideals)}
+    expected = [
+        [
+            (j, position[mask | 1 << e])
+            for j, mask in enumerate(ideals)
+            if not mask >> e & 1 and mask | 1 << e in position
+        ]
+        for e in range(poset.n)
+    ]
+    assert [list(edges) for edges in poset.ideal_edges] == expected
 
 
 @given(strict_partitions())

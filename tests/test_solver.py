@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import all_partitions
+from conftest import all_partitions, naturally_labeled_posets, partition_strategy
 from qtab import qpoly
-from qtab.distributions import ddeg, statistic_ddeg
+from qtab.distributions import ddeg, statistic_ddeg, tin, tout
 from qtab.posets import (
     NotGraded,
     build_minuscule,
@@ -52,6 +53,28 @@ def test_build_system_shape():
     assert matrix[0][0] == QPoly.of([1])
     with pytest.raises(ValueError):
         build_system(poset, statistic_ddeg(poset), row_limit=3)
+
+
+def reference_system(poset, statistic):
+    """The toggle system built cell by cell from tin and tout."""
+    zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
+    matrix = []
+    rhs = []
+    for mask in order_ideals(poset):
+        row = [one]
+        row.extend(
+            one if tin(poset, p, mask) else minus_q if tout(poset, p, mask) else zero
+            for p in range(poset.n)
+        )
+        matrix.append(row)
+        rhs.append(statistic.values[mask])
+    return matrix, rhs
+
+
+@given(st.one_of(naturally_labeled_posets(), partition_strategy(8).map(build_shape)))
+def test_build_system_matches_toggle_statistics(poset):
+    statistic = statistic_ddeg(poset)
+    assert build_system(poset, statistic) == reference_system(poset, statistic)
 
 
 @pytest.mark.parametrize(
