@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import engine
 from .extensions import (
@@ -139,8 +139,20 @@ class Statistic:
         return cls(poset, values, label)
 
 
+def _maximal_count(poset: Poset, members: Iterable[int], label: str) -> Statistic:
+    """Per ideal, how many of ``members`` are maximal in it; p is maximal in I
+    exactly when the edge I - p -> I of J(P) adds p."""
+    ideals = order_ideals(poset)
+    counts = [0] * len(ideals)
+    for p in members:
+        for _, upper in poset.ideal_edges[p]:
+            counts[upper] += 1
+    shared = [QPoly.of([k]) for k in range(max(counts) + 1)]
+    return Statistic(poset, {mask: shared[k] for mask, k in zip(ideals, counts)}, label)
+
+
 def statistic_ddeg(poset: Poset) -> Statistic:
-    return Statistic.from_function(poset, lambda mask: ddeg(poset, mask), "ddeg")
+    return _maximal_count(poset, range(poset.n), "ddeg")
 
 
 def statistic_toggle(poset: Poset, p: int) -> Statistic:

@@ -16,14 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import (
+    PosetMismatch,
     Statistic,
+    _maximal_count,
     ensemble_rank,
     expectation,
     statistic_ddeg,
-    tout,
 )
 from .posets import Poset, order_ideals
 from .qpoly import QPoly, RatFunc, qbinom, qnum, solve_linear_system
+
+ROW_LIMIT = 100_000  # most order ideals, hence equations, a system may have
 
 
 class UnsupportedPoset(Exception):
@@ -58,13 +61,13 @@ class RefinementReport:
         return self.consistent and self.constant == self.expected
 
 
-def build_system(
-    poset: Poset, statistic: Statistic, row_limit: int = 100_000
-) -> tuple[list[list[QPoly]], list[QPoly]]:
+def build_system(poset: Poset, statistic: Statistic) -> tuple[list[list[QPoly]], list[QPoly]]:
     """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f."""
+    if statistic.poset != poset:
+        raise PosetMismatch("statistic and system posets differ")
     ideals = order_ideals(poset)
-    if len(ideals) > row_limit:
-        raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {row_limit}")
+    if len(ideals) > ROW_LIMIT:
+        raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {ROW_LIMIT}")
     # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
     # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
     zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
@@ -93,13 +96,10 @@ def _evaluated_rows(
 
 
 def toggle_solve(
-    poset: Poset,
-    statistic: Statistic,
-    q_value: int | Fraction | None = None,
-    row_limit: int = 100_000,
+    poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
 ) -> ToggleSolveResult:
     """Solve for the forced expectation of the statistic, exactly."""
-    matrix, rhs = build_system(poset, statistic, row_limit)
+    matrix, rhs = build_system(poset, statistic)
     if q_value is not None:
         matrix, rhs = _evaluated_rows(matrix, rhs, q_value)
     result = solve_linear_system(matrix, rhs)
@@ -110,11 +110,9 @@ def toggle_solve(
     return ToggleSolveResult(True, solution[0], tuple(solution[1:]), None)
 
 
-def predict_constant(poset: Poset, statistic: Statistic | None = None) -> RatFunc:
-    """Expectation under the rank-chain distribution (graded posets only)."""
-    if statistic is None:
-        statistic = statistic_ddeg(poset)
-    return expectation(ensemble_rank(poset), statistic)
+def predict_constant(poset: Poset) -> RatFunc:
+    """Expected ddeg under the rank-chain distribution (graded posets only)."""
+    return expectation(ensemble_rank(poset), statistic_ddeg(poset))
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +127,11 @@ def _coord_set(poset: Poset) -> set[tuple[int, int]]:
 
 def statistic_row(poset: Poset, row: int) -> Statistic:
     """Number of maximal elements of the ideal lying in the given row."""
-    coords = _coord_set(poset)
-    if row not in {r for r, _ in coords}:
-        raise ValueError(f"no row {row} in this shape")
+    _coord_set(poset)
     members = [e for e, (r, _) in enumerate(poset.coords) if r == row]
-    return Statistic.from_function(
-        poset,
-        lambda mask: sum(tout(poset, p, mask) for p in members),
-        f"row:{row}",
-    )
+    if not members:
+        raise ValueError(f"no row {row} in this shape")
+    return _maximal_count(poset, members, f"row:{row}")
 
 
 def statistic_diagonal(poset: Poset, on_diagonal: bool = True) -> Statistic:
@@ -148,12 +142,7 @@ def statistic_diagonal(poset: Poset, on_diagonal: bool = True) -> Statistic:
         for e, (r, c) in enumerate(poset.coords)
         if (r == c) == on_diagonal
     ]
-    label = "diagonal" if on_diagonal else "off-diagonal"
-    return Statistic.from_function(
-        poset,
-        lambda mask: sum(tout(poset, p, mask) for p in members),
-        label,
-    )
+    return _maximal_count(poset, members, "diagonal" if on_diagonal else "off-diagonal")
 
 
 def _rectangle_sides(coords: set[tuple[int, int]]) -> tuple[int, int] | None:
@@ -169,7 +158,7 @@ def _staircase_side(coords: set[tuple[int, int]]) -> int | None:
     return k if coords == expected else None
 
 
-def verify_refinements(poset: Poset, row_limit: int = 100_000) -> tuple[RefinementReport, ...]:
+def verify_refinements(poset: Poset) -> tuple[RefinementReport, ...]:
     """Solve each refinement statistic and compare with its product constant.
 
     Rectangles split the maximal-element count by row, with the row-i
@@ -177,27 +166,23 @@ def verify_refinements(poset: Poset, row_limit: int = 100_000) -> tuple[Refineme
     with constants [k]_(q^2) / [2k] on and q * qbinom(k, 2) / [2k] off.
     """
     coords = _coord_set(poset)
-    reports = []
     if (sides := _rectangle_sides(coords)) is not None:
         a, b = sides
-        for row in range(1, a + 1):
-            expected = RatFunc(QPoly.monomial(1, a - row) * qnum(b), qnum(a + b))
-            result = toggle_solve(poset, statistic_row(poset, row), row_limit=row_limit)
-            reports.append(
-                RefinementReport(f"row:{row}", result.consistent, result.constant, expected)
-            )
+        pairs = [
+            (statistic_row(poset, row), RatFunc(QPoly.monomial(1, a - row) * qnum(b), qnum(a + b)))
+            for row in range(1, a + 1)
+        ]
     elif (k := _staircase_side(coords)) is not None:
         pairs = [
-            ("diagonal", True, RatFunc(qnum(k).substitute(2), qnum(2 * k))),
-            ("off-diagonal", False, RatFunc(qbinom(k, 2).shift(1), qnum(2 * k))),
+            (statistic_diagonal(poset, True), RatFunc(qnum(k).substitute(2), qnum(2 * k))),
+            (statistic_diagonal(poset, False), RatFunc(qbinom(k, 2).shift(1), qnum(2 * k))),
         ]
-        for label, on_diag, expected in pairs:
-            result = toggle_solve(
-                poset, statistic_diagonal(poset, on_diag), row_limit=row_limit
-            )
-            reports.append(
-                RefinementReport(label, result.consistent, result.constant, expected)
-            )
     else:
         raise UnsupportedPoset("refinements cover rectangles and staircases only")
+    reports = []
+    for statistic, expected in pairs:
+        result = toggle_solve(poset, statistic)
+        reports.append(
+            RefinementReport(statistic.label, result.consistent, result.constant, expected)
+        )
     return tuple(reports)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -14,11 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from qtab import cli
+from qtab import cli, solver
 from qtab.cli import Check, _run_checks, main
 from qtab.posets import build_rectangle
 from qtab.ppartitions import rpp_size_series
-from qtab.solver import toggle_solve
 from qtab.qpoly import (
     QPoly,
     RatFunc,
@@ -246,7 +244,7 @@ def test_solve_statistic_errors(capsys):
 
 def test_solve_row_limit_exit(capsys, monkeypatch):
     """Too many order ideals for the system is a usage error, not a traceback."""
-    monkeypatch.setattr(cli, "toggle_solve", functools.partial(toggle_solve, row_limit=3))
+    monkeypatch.setattr(solver, "ROW_LIMIT", 3)
     code, out, err = run_cli(capsys, "solve", "rect:2x2", "ddeg")
     assert code == 2
     assert out == ""

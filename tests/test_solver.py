@@ -7,11 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_partitions, naturally_labeled_posets, partition_strategy
-from qtab import qpoly
-from qtab.distributions import ddeg, statistic_ddeg, tin, tout
+from conftest import (
+    all_partitions,
+    naturally_labeled_posets,
+    partition_strategy,
+    strict_partition_strategy,
+)
+from qtab import qpoly, solver
+from qtab.distributions import PosetMismatch, ddeg, statistic_ddeg, tin, tout
 from qtab.posets import (
     NotGraded,
+    Poset,
     build_minuscule,
     build_propeller,
     build_rectangle,
@@ -45,14 +51,23 @@ def test_singleton_golden():
     assert result.witness_mask is None
 
 
-def test_build_system_shape():
+def test_build_system_shape(monkeypatch):
     poset = build_rectangle(2, 2)
     matrix, rhs = build_system(poset, statistic_ddeg(poset))
     assert len(matrix) == 6 and len(rhs) == 6
     assert all(len(row) == 5 for row in matrix)
     assert matrix[0][0] == QPoly.of([1])
+    monkeypatch.setattr(solver, "ROW_LIMIT", 3)
     with pytest.raises(ValueError):
-        build_system(poset, statistic_ddeg(poset), row_limit=3)
+        build_system(poset, statistic_ddeg(poset))
+
+
+def test_statistic_from_another_poset_is_refused():
+    # The antichain's ddeg looked up on the chain's ideals would solve to
+    # (3 + 2q + q^2) / [4] instead of the chain's [3] / [4].
+    chain = Poset(3, [(0, 1), (1, 2)])
+    with pytest.raises(PosetMismatch):
+        toggle_solve(chain, statistic_ddeg(Poset(3, [])))
 
 
 def reference_system(poset, statistic):
@@ -182,6 +197,35 @@ def test_rational_specialization():
 def test_predict_constant_requires_grading():
     with pytest.raises(NotGraded):
         predict_constant(build_shape((3, 1)))
+
+
+def maximal_counts(poset, members):
+    """Per ideal, the number of members that tout marks maximal."""
+    return {
+        mask: QPoly.of([sum(tout(poset, p, mask) for p in members)])
+        for mask in order_ideals(poset)
+    }
+
+
+@given(naturally_labeled_posets())
+def test_ddeg_counts_maximal_elements(poset):
+    assert statistic_ddeg(poset).values == maximal_counts(poset, range(poset.n))
+
+
+@given(
+    st.one_of(
+        partition_strategy(8).map(build_shape),
+        strict_partition_strategy(8).map(build_shifted),
+    )
+)
+def test_box_statistics_count_maximal_elements(poset):
+    for row in sorted({r for r, _ in poset.coords}):
+        members = [e for e, (r, _) in enumerate(poset.coords) if r == row]
+        assert statistic_row(poset, row).values == maximal_counts(poset, members)
+    for on_diagonal in (True, False):
+        members = [e for e, (r, c) in enumerate(poset.coords) if (r == c) == on_diagonal]
+        expected = maximal_counts(poset, members)
+        assert statistic_diagonal(poset, on_diagonal).values == expected
 
 
 def test_row_statistics_sum_to_ddeg():
