@@ -4,188 +4,188 @@ Every counting generating function in qtab is a sum over paths or
 multichains in J(P), the transfer-matrix method of Stanley's *Enumerative
 Combinatorics I* (ch. 3 and 4):
 
-* A linear extension is a maximal chain ``0 = I_0 < I_1 < ... < I_n = P``
-  in which step k adds the k-th letter of its word.  A descent at k compares
-  the elements added at steps k and k+1, so a path DP over (ideal, element
+* A linear extension is a maximal chain ``0 = I_0 < ... < I_n = P`` whose
+  step k adds the k-th letter of its word; a path DP over (ideal, element
   added last) sees every descent.
 * A filling with entries in ``0..m`` is the multichain
   ``I_0 <= ... <= I_(m-1)`` of its level ideals, weighing
   ``prod q^(n - |I_k|)``.
 
-The work grows with |J(P)| times the number of elements, not with the
-number of extensions or fillings.  Polynomials are plain coefficient lists
-(index = exponent of q) inside the DPs; every function here returns lists,
-one per ideal in ``order_ideals`` order where it returns per-ideal values.
-They are added and multiplied by the list kernel in ``qpoly`` (``_add`` and
-``_mul``), the same one ``QPoly`` arithmetic runs on.
+The work is a few int operations per edge of J(P), not per extension or
+filling.  Inside the DPs a polynomial is one int, its value at q = 2^k
+(Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
+Algebra*, 8.4): ``+`` adds, ``<< k*s`` multiplies by q^s, an int product
+multiplies and a mask of the low k*(c+1) bits truncates above degree c.
+Int arithmetic is exact for every k; k matters where digits are read.  No
+coefficient is negative, so none exceeds the polynomial's value at q = 1,
+and once 2^k is larger than those values the base-2^k digits are the
+coefficients: ``_exact`` runs each DP at k = 0 first, where every shift is
+0, for the values at q = 1.  Results are coefficient lists (index = exponent
+of q), per-ideal values in ``order_ideals`` order.
 """
 
 from __future__ import annotations
 
-from .posets import Poset, order_ideals
-from .qpoly import _add, _mul
+from bisect import bisect
+from typing import Callable
 
-Poly = list[int]
+from .posets import Poset, order_ideals
 
 
 class _Lattice:
-    """J(P) as ideal masks plus its cover edges ``I -> I + e``."""
+    """J(P) as ideal sizes plus its cover edges ``I -> I + e``."""
 
     def __init__(self, poset: Poset) -> None:
         self.n = poset.n
-        self.masks = order_ideals(poset)
-        self.sizes = [mask.bit_count() for mask in self.masks]
+        self.sizes = [mask.bit_count() for mask in order_ideals(poset)]
         # by_element[e]: (lower, upper) index pairs of the edges adding e;
-        # up[j]: (e, upper) for every edge leaving masks[j], e ascending
+        # up[j] / down[j]: (e, upper) / (e, lower) per edge at ideal j, e ascending
         self.by_element = poset.ideal_edges
-        self.up: list[list[tuple[int, int]]] = [[] for _ in self.masks]
+        self.up, self.down = [[] for _ in self.sizes], [[] for _ in self.sizes]
         for e, edges in enumerate(self.by_element):
             for lower, upper in edges:
                 self.up[lower].append((e, upper))
+                self.down[upper].append((e, lower))
 
-    def sum_below(self, values: list[Poly]) -> list[Poly]:
-        """``out[I] = sum of values[J] over ideals J <= I``.
-
-        Each pair J <= I is counted once, along the path from J to I that
-        adds the elements of I - J in ascending label order; a natural
-        labeling keeps every step an ideal.  One pass per element, ascending,
-        so the cost is one addition per edge of J(P).
-        """
-        out = [list(v) for v in values]
+    def sum_below(self, values: list[int]) -> list[int]:
+        """``out[I] = sum of values[J] over ideals J <= I``, one addition per
+        edge: J reaches I once, adding the elements of I - J in ascending order
+        (a natural labeling keeps every step an ideal), one pass per element."""
+        out = list(values)
         for edges in self.by_element:
             for lower, upper in edges:
-                _add(out[upper], out[lower])
+                out[upper] += out[lower]
         return out
 
-    def sum_above(self, values: list[Poly]) -> list[Poly]:
-        """``out[I] = sum of values[J] over ideals J >= I``.
-
-        As ``sum_below`` with the passes in descending element order: the
-        path from I to J still adds the elements of J - I in ascending order,
-        and the pass for the smallest of them comes last.
-        """
-        out = [list(v) for v in values]
+    def sum_above(self, values: list[int]) -> list[int]:
+        """As ``sum_below`` over the ideals J >= I, with the passes in
+        descending order: the one for the least element of J - I comes last."""
+        out = list(values)
         for edges in reversed(self.by_element):
             for lower, upper in edges:
-                _add(out[lower], out[upper])
+                out[lower] += out[upper]
         return out
 
-    def complement_weights(self, values: list[Poly], cap: int | None = None) -> list[Poly]:
-        """``q^(n - |I|) * values[I]``, truncated above degree cap if given."""
-        out = [[0] * (self.n - size) + v for size, v in zip(self.sizes, values)]
-        if cap is not None:
-            out = [v[: cap + 1] for v in out]
-        return out
+    def complement_weights(self, values: list[int], k: int, cap: int | None = None) -> list[int]:
+        """``q^(n - |I|) * values[I]``, truncated above degree cap if given and
+        k > 0: at k = 0 the whole sums bound every digit the mask reads."""
+        out = [v << k * (self.n - size) for size, v in zip(self.sizes, values)]
+        return out if cap is None or not k else [v & (1 << k * (cap + 1)) - 1 for v in out]
+
+
+def _exact(poset: Poset, dp: Callable[[_Lattice, int], list[int]]) -> list[list[int]]:
+    """The polynomials ``dp(lattice, k)`` returns, read as base-2^k digits
+    with k the bit length of their values at q = 1 plus one, in whole bytes."""
+    lat = _Lattice(poset)
+    step = max(dp(lat, 0), default=0).bit_length() // 8 + 1  # bytes per digit
+    raws = [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in dp(lat, 8 * step)]
+    return [[int.from_bytes(r[i : i + step], "little") for i in range(0, len(r), step)] for r in raws]
 
 
 # ---------------------------------------------------------------------------
 # linear extensions
 
 
-def _total(polys) -> Poly:
-    out: Poly = []
-    for poly in polys:
-        _add(out, poly)
-    return out
+def _paths(lat: _Lattice, k: int, forward: bool) -> list[int]:
+    """Forward: paths 0 -> I, a descent at step i < |I| weighing
+    q^(n + 1 - i).  Backward: paths I -> P, a descent at i > |I| weighing
+    q^(n - i), leaving out the descent at |I|, which also needs the last
+    element before I."""
+    # sums[j][i]: paths to (from) ideal j whose last (first) step adds one of
+    # keys[j][:i].  A step adding e after (before) them makes a descent with
+    # the keys above (below) e, found by bisection of the ascending keys; the
+    # empty path's key -1 (n) makes none.
+    steps = lat.down if forward else lat.up
+    keys = [[e for e, _ in edges] for edges in steps]
+    order = list(range(len(lat.sizes)))[:: 1 if forward else -1]
+    keys[order[0]], sums = [-1 if forward else lat.n], {order[0]: [0, 1]}
+    for j in order[1:]:
+        shift = k * (lat.n + 2 - lat.sizes[j] if forward else lat.n - 1 - lat.sizes[j])
+        acc, pre = 0, [0]
+        for e, other in steps[j]:
+            paths = sums[other]
+            below = paths[bisect(keys[other], e)]
+            descents = paths[-1] - below if forward else below
+            acc += paths[-1] + (descents << shift) - descents
+            pre.append(acc)
+        sums[j] = pre
+    return [sums[j][-1] for j in range(len(lat.sizes))]
 
 
-def _forward(lat: _Lattice) -> list[Poly]:
-    """Paths 0 -> I, a descent at k < |I| weighing q^(n + 1 - k)."""
-    n = lat.n
-    # ends[j][e]: paths to masks[j] whose last step added e (-1: empty path)
-    ends: list[dict[int, Poly]] = [{} for _ in lat.masks]
-    ends[0][-1] = [1]
-    for j, edges in enumerate(lat.up):
-        k = lat.sizes[j]
-        for e, upper in edges:
-            step: Poly = []
-            for last, poly in ends[j].items():
-                _add(step, poly, n + 1 - k if last > e else 0)
-            ends[upper][e] = step
-    return [_total(by_last.values()) for by_last in ends]
+def _lin(lat: _Lattice, k: int) -> list[int]:
+    """``q^(n - |I|) * forward[I] * backward[I]``."""
+    pairs = zip(lat.sizes, _paths(lat, k, True), _paths(lat, k, False))
+    return [f * b << k * (lat.n - size) for size, f, b in pairs]
 
 
-def _backward(lat: _Lattice) -> list[Poly]:
-    """Paths I -> P, a descent at k > |I| weighing q^(n - k); the descent at
-    |I| itself, which also needs the last element before I, is left out."""
-    n = lat.n
-    # starts[j][e]: paths from masks[j] whose first step adds e (n: empty path)
-    starts: list[dict[int, Poly]] = [{} for _ in lat.masks]
-    starts[-1][n] = [1]
-    for j in reversed(range(len(lat.masks))):
-        k = lat.sizes[j]
-        for e, upper in lat.up[j]:
-            step: Poly = []
-            for first, poly in starts[upper].items():
-                _add(step, poly, n - k - 1 if e > first else 0)
-            starts[j][e] = step
-    return [_total(by_first.values()) for by_first in starts]
-
-
-def comaj_gf(poset: Poset) -> Poly:
+def comaj_gf(poset: Poset) -> list[int]:
     """Sum of q^comaj over all linear extensions."""
-    return _backward(_Lattice(poset))[0]
+    return _exact(poset, lambda lat, k: _paths(lat, k, False)[:1])[0]
 
 
-def lin_weights(poset: Poset) -> list[Poly]:
-    """Per ideal I: the sum of theta(T, |I|) over extensions T with prefix I,
-    ``q^(n - |I|) * forward[I] * backward[I]``."""
-    lat = _Lattice(poset)
-    products = [_mul(f, g) for f, g in zip(_forward(lat), _backward(lat))]
-    return lat.complement_weights(products)
+def lin_weights(poset: Poset) -> list[list[int]]:
+    """Per ideal I: the sum of theta(T, |I|) over extensions T with prefix I."""
+    return _exact(poset, _lin)
 
 
 # ---------------------------------------------------------------------------
 # multichains
 
 
-def _chains_ending(lat: _Lattice, m: int, cap: int | None = None) -> list[list[Poly]]:
+def _chains_ending(lat: _Lattice, m: int, k: int, cap: int | None = None) -> list[list[int]]:
     """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1."""
-    level: list[Poly] = [[1]] + [[] for _ in lat.masks[1:]]
-    out = []
+    level, out = [1] + [0] * (len(lat.sizes) - 1), []
     for _ in range(m):
-        level = lat.complement_weights(lat.sum_below(level), cap)
+        level = lat.complement_weights(lat.sum_below(level), k, cap)
         out.append(level)
     return out
 
 
-def filling_gf(poset: Poset, m: int, cap: int | None = None) -> Poly:
+def filling_gf(poset: Poset, m: int, cap: int | None = None) -> list[int]:
     """Size series of the fillings with entries in 0..m, truncated above
-    degree cap if given."""
+    degree cap if given.  A chain ending at I is one filling once I is
+    repeated, so the number of fillings bounds every F[k][I] at q = 1."""
     if m < 0:
         raise ValueError("entry bound must be nonnegative")
-    if m == 0:
-        return [1]
-    return _total(_chains_ending(_Lattice(poset), m, cap)[-1])
+    return _exact(poset, lambda lat, k: [sum(_chains_ending(lat, m, k, cap)[-1]) if m else 1])[0]
 
 
-def rpp_weights(poset: Poset, m: int) -> list[Poly]:
-    """Per ideal I: the sum of q^(size + k) over fillings bounded by m whose
-    level-k ideal is I, ``sum_k q^k * F[k][I] * B[k][I]`` with ``B[k][I]``
-    counting the multichains I <= I_(k+1) <= ... <= I_(m-1)."""
-    lat = _Lattice(poset)
-    ending = _chains_ending(lat, m)
-    out: list[Poly] = [[] for _ in lat.masks]
-    starting: list[Poly] = [[1] for _ in lat.masks]
-    for k in range(m - 1, -1, -1):
-        for j, (f, b) in enumerate(zip(ending[k], starting)):
-            _add(out[j], _mul(f, b), k)
-        starting = lat.sum_above(lat.complement_weights(starting))
+def _rpp(lat: _Lattice, m: int, k: int) -> list[int]:
+    """``sum_k q^k * F[k][I] * B[k][I]``, ``B[k][I]`` counting the multichains
+    I <= I_(k+1) <= ... <= I_(m-1)."""
+    out, starting = [0] * len(lat.sizes), [1] * len(lat.sizes)
+    for level, ending in reversed(list(enumerate(_chains_ending(lat, m, k)))):
+        out = [w + (f * b << k * level) for w, f, b in zip(out, ending, starting)]
+        starting = lat.sum_above(lat.complement_weights(starting, k))
     return out
+
+
+def rpp_weights(poset: Poset, m: int) -> list[list[int]]:
+    """Per ideal I: the sum of q^(size + k) over fillings bounded by m whose
+    level-k ideal is I."""
+    return _exact(poset, lambda lat, k: _rpp(lat, m, k))
 
 
 # ---------------------------------------------------------------------------
 # the doubled cell
 
 
-def mark_maximal(poset: Poset, weights: list[Poly]) -> list[Poly]:
-    """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)`` as one
-    list per power of t; everything lands in t^0 without box coordinates."""
+def _mark_maximal(poset: Poset, weights: list[int]) -> list[int]:
+    """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)``, one
+    int per power of t; everything lands in t^0 without box coordinates."""
     rows = [r - 1 for r, _ in poset.coords] if poset.coords is not None else [0] * poset.n
-    by_row: list[Poly] = [[] for _ in range(max(rows, default=-1) + 1)]
+    by_row = [0] * (max(rows, default=-1) + 1)
     # p is maximal in I exactly when the edge I - p -> I adds p
     for p, edges in enumerate(poset.ideal_edges):
-        acc = by_row[rows[p]]
-        for _, upper in edges:
-            _add(acc, weights[upper])
+        by_row[rows[p]] += sum(weights[upper] for _, upper in edges)
     return by_row
+
+
+def bsv_rows(poset: Poset) -> list[list[int]]:
+    """``_mark_maximal`` of the lin weights."""
+    return _exact(poset, lambda lat, k: _mark_maximal(poset, _lin(lat, k)))
+
+
+def bsv_rpp_rows(poset: Poset, m: int) -> list[list[int]]:
+    """``_mark_maximal`` of the rpp weights."""
+    return _exact(poset, lambda lat, k: _mark_maximal(poset, _rpp(lat, m, k)))

@@ -290,8 +290,7 @@ def gf_bsv(poset: Poset, refined: bool = False) -> QTPoly:
     """
     if refined and poset.coords is None:
         raise UnsupportedRefinement("poset has no box coordinates")
-    rows = engine.mark_maximal(poset, engine.lin_weights(poset))
-    return _qt_rows(QPoly.of(row) for row in rows)
+    return _qt_rows(QPoly.of(row) for row in engine.bsv_rows(poset))
 
 
 # ---------------------------------------------------------------------------

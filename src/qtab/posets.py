@@ -146,10 +146,10 @@ class Poset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.n == other.n and self.covers == other.covers
+        return (self.n, self.covers, self.coords) == (other.n, other.covers, other.coords)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.covers))
+        return hash((self.n, self.covers, self.coords))
 
     def __repr__(self) -> str:
         label = self.origin or f"{self.n} elements, {len(self.covers)} covers"
@@ -182,9 +182,10 @@ def ideal_members(ideal: int) -> tuple[int, ...]:
 
 
 def dual(poset: Poset) -> Poset:
-    """The order-dual poset, with element e renamed to n-1-e."""
+    """The order-dual poset, with element e renamed to n-1-e; it keeps e's box."""
     n = poset.n
-    return Poset(n, ((n - 1 - hi, n - 1 - lo) for lo, hi in poset.covers))
+    coords = poset.coords[::-1] if poset.coords is not None else None
+    return Poset(n, ((n - 1 - hi, n - 1 - lo) for lo, hi in poset.covers), coords=coords)
 
 
 def rank_data(poset: Poset) -> RankData:

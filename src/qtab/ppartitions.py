@@ -243,5 +243,4 @@ def gf_bsv_rpp(poset: Poset, m: int, refined: bool = False) -> QTPoly:
     """
     if refined and poset.coords is None:
         raise UnsupportedRefinement("poset has no box coordinates")
-    rows = engine.mark_maximal(poset, engine.rpp_weights(poset, m))
-    return _qt_rows(QPoly.of(row) for row in rows)
+    return _qt_rows(QPoly.of(row) for row in engine.bsv_rpp_rows(poset, m))

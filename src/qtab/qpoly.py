@@ -19,8 +19,8 @@ Representations:
 
 Every division is exact or raises; nothing here rounds.  All polynomial
 products go through one kernel on integer coefficient lists, ``_add`` and
-``_mul``, which ``QPoly`` and the J(P) engine share; ``QTPoly`` reaches it
-through ``QPoly``.
+``_mul``; ``QTPoly`` reaches it through ``QPoly``.  The J(P) engine does not
+use it: its polynomials are packed into ints (see ``engine``).
 
 Text format for q-polynomials: terms in ascending exponent order joined with
 `` + `` / `` - ``, e.g. ``"1 + 2*q + q^2"``.  The parser also accepts ``2q``,

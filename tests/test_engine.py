@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,17 +18,20 @@ from qtab.extensions import (
     enumerate_linear_extensions,
     gf_bsv,
     gf_comaj,
+    gf_comaj_hook_formula,
 )
-from qtab.posets import Poset, build_shape, build_shifted, order_ideals
+from qtab.posets import Poset, build_rectangle, build_shape, build_shifted, order_ideals
 from qtab.ppartitions import (
     enumerate_bsv_rpp,
     enumerate_rpp,
+    gansner_series,
     gf_bsv_rpp,
     ideal_at_level,
+    macmahon_gf,
     rpp_size_gf,
     rpp_size_series,
 )
-from qtab.qpoly import QPoly, QTPoly
+from qtab.qpoly import QPoly, QTPoly, qnum, qt_num
 
 EXTENSION_LIMIT = 300  # larger posets are skipped: the oracles enumerate
 FILLING_LIMIT = 400
@@ -137,3 +141,29 @@ def test_edge_posets():
     assert gf_comaj(empty) == QPoly.of([1])
     assert gf_bsv(empty) == QTPoly.of({})
     assert rpp_size_series(chain, 0) == QPoly.of([1])
+
+
+# Past the oracles' limits the engine packs wide coefficients (72 bits for
+# comaj on rect 7x7), so the product formulas check it there.
+
+
+@pytest.mark.parametrize("a", [6, 7])
+def test_comaj_on_large_rectangles(a):
+    assert gf_comaj(build_rectangle(a, a)) == gf_comaj_hook_formula((a,) * a)
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(a, 37) if a * b <= 36])
+def test_bsv_on_rectangles(a, b):
+    lhs = gf_bsv(build_rectangle(a, b), refined=True) * qnum(a + b)
+    assert lhs == qt_num(a) * qnum(b) * qnum(a * b + 1) * gf_comaj_hook_formula((b,) * a)
+
+
+@pytest.mark.parametrize("a,b", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_bsv_rpp_on_rectangles(a, b, m):
+    lhs = gf_bsv_rpp(build_rectangle(a, b), m, refined=True) * qnum(a + b)
+    assert lhs == qt_num(a) * qnum(b) * qnum(m) * macmahon_gf(a, b, m)
+
+
+def test_size_series_past_the_fillings_oracle():
+    assert rpp_size_series(build_rectangle(3, 3), 40) == gansner_series((3, 3, 3), 40)

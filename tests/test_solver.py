@@ -70,6 +70,18 @@ def test_statistic_from_another_poset_is_refused():
         toggle_solve(chain, statistic_ddeg(Poset(3, [])))
 
 
+def test_statistic_from_another_box_layout_is_refused():
+    # Both are three incomparable boxes: a row and a column.  The column's
+    # row-1 statistic read on the row would solve to 1 / (1 + q) instead of
+    # the row's 3 / (1 + q).
+    row = Poset(3, [], coords=((1, 1), (1, 2), (1, 3)))
+    column = Poset(3, [], coords=((1, 1), (2, 1), (3, 1)))
+    assert row != column and hash(row) != hash(column)
+    with pytest.raises(PosetMismatch):
+        toggle_solve(row, statistic_row(column, 1))
+    assert toggle_solve(row, statistic_row(row, 1)).constant == RatFunc(QPoly.of([3]), qnum(2))
+
+
 def reference_system(poset, statistic):
     """The toggle system built cell by cell from tin and tout."""
     zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
