@@ -38,14 +38,8 @@ class _Lattice:
     def __init__(self, poset: Poset) -> None:
         self.n = poset.n
         self.sizes = [mask.bit_count() for mask in order_ideals(poset)]
-        # by_element[e]: (lower, upper) index pairs of the edges adding e;
-        # up[j] / down[j]: (e, upper) / (e, lower) per edge at ideal j, e ascending
+        # by_element[e]: (lower, upper) index pairs of the edges adding e
         self.by_element = poset.ideal_edges
-        self.up, self.down = [[] for _ in self.sizes], [[] for _ in self.sizes]
-        for e, edges in enumerate(self.by_element):
-            for lower, upper in edges:
-                self.up[lower].append((e, upper))
-                self.down[upper].append((e, lower))
 
     def sum_below(self, values: list[int]) -> list[int]:
         """``out[I] = sum of values[J] over ideals J <= I``, one addition per
@@ -95,7 +89,14 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> list[int]:
     # keys[j][:i].  A step adding e after (before) them makes a descent with
     # the keys above (below) e, found by bisection of the ascending keys; the
     # empty path's key -1 (n) makes none.
-    steps = lat.down if forward else lat.up
+    # steps[j]: (e, other) per edge adding e into (out of) ideal j, e ascending
+    steps: list[list[tuple[int, int]]] = [[] for _ in lat.sizes]
+    for e, edges in enumerate(lat.by_element):
+        for lower, upper in edges:
+            if forward:
+                steps[upper].append((e, lower))
+            else:
+                steps[lower].append((e, upper))
     keys = [[e for e, _ in edges] for edges in steps]
     order = list(range(len(lat.sizes)))[:: 1 if forward else -1]
     keys[order[0]], sums = [-1 if forward else lat.n], {order[0]: [0, 1]}

@@ -36,8 +36,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
-from operator import add, attrgetter
+from itertools import zip_longest
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -633,81 +633,24 @@ def _unpack(x: int, k: int) -> QPoly:
     return QPoly(tuple(coeffs))
 
 
-# The row basis is picked from [A|b] at q = _BASIS_POINT modulo _BASIS_PRIME,
-# the largest prime below 2^30, so every value fits in one machine word.
-_BASIS_PRIME = 1_073_741_789
-_BASIS_POINT = 1_000_003
-
-
-def _row_basis(
-    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], ncols: int
-) -> list[int] | None:
-    """Input indices of the rows that raise the rank of A modulo the prime.
-
-    Rows are reduced in input order against the kept ones, which are held in
-    reduced row echelon form with unit pivots, each restricted to the
-    columns that have no pivot yet and the right-hand side.  A row whose
-    reduction is nonzero on some column of A raises the rank and is kept.
-    None means the system looks inconsistent: some row reduced to
-    (0 ... 0 | nonzero).
-    """
-    prime, point = _BASIS_PRIME, _BASIS_POINT
-    coeffs = attrgetter("coeffs")
-    values: dict[tuple[int, ...], int] = {}
-    for entry in set(map(coeffs, chain(chain.from_iterable(matrix), rhs))):
-        v = 0
-        for c in reversed(entry):
-            v = (v * point + c) % prime
-        values[entry] = v
-    value = values.__getitem__
-
-    live = list(range(ncols + 1))
-    basis: dict[int, list[int]] = {}
-    kept: list[int] = []
-    for i, row in enumerate(matrix):
-        vals = list(map(value, map(coeffs, row)))
-        vals.append(value(rhs[i].coeffs))
-        red = list(map(vals.__getitem__, live))
-        for c, top in basis.items():
-            f = vals[c]
-            if f:
-                red = [(v - f * t) % prime for v, t in zip(red, top)]
-        pos = next((j for j in range(len(live) - 1) if red[j]), None)
-        if pos is None:
-            if red[-1]:
-                return None
-            continue
-        inv = pow(red[pos], -1, prime)
-        new = [v * inv % prime for v in red]
-        for c, top in basis.items():
-            f = top[pos]
-            if f:
-                top = basis[c] = [(v - f * t) % prime for v, t in zip(top, new)]
-            del top[pos]
-        del new[pos]
-        basis[live.pop(pos)] = new
-        kept.append(i)
-    return kept
+def _norm(p: QPoly) -> int:
+    """The 1-norm, the sum of the absolute coefficients."""
+    return sum(map(abs, p.coeffs))
 
 
 def solve_linear_system(
-    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly]
+    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], *, basis: Sequence[int] = ()
 ) -> LinearSystemResult:
     """Solve ``matrix @ x = rhs`` over Q(q) exactly.
 
-    A tall system is decided by at most ncols of its rows.  They are picked
-    at a fixed integer q modulo a fixed word-size prime (``_row_basis``):
-    rows are reduced in input order and each row that raises the rank of A
-    is kept.  When ncols rows are kept and no row looked inconsistent, A has
-    full column rank modulo the prime and therefore over Q(q), so the
-    solution is unique; the square system of the kept rows is eliminated
-    (``_eliminate``) and its answer is certified against every row
-    (``check_solution``).  In every other case -- a row that looked
-    inconsistent, rank below ncols, or a failed certificate -- all rows are
+    ``basis`` names rows to try first, for a caller that knows ncols rows
+    forming a nonsingular minor of a tall system.  When those rows eliminate
+    with no free column, their answer is unique; it is returned once it
+    passes the certificate (``check_solution``) on every row.  In every other
+    case -- no basis, a free column, or a failed certificate -- all rows are
     eliminated, which also gives the witness row of an inconsistent system,
-    and a consistent answer is certified the same way.  A bad prime or
-    evaluation point can only send a system to the full elimination; it
-    never changes an answer.
+    and a consistent answer is certified the same way.  The basis can only
+    save time; it never changes an answer.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -716,23 +659,31 @@ def solve_linear_system(
     for i, row in enumerate(matrix):
         if len(row) != ncols:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
-    kept = _row_basis(matrix, rhs, ncols)
-    if kept is not None and len(kept) == ncols:
-        result = _eliminate([matrix[i] for i in kept], [rhs[i] for i in kept], ncols)
-        try:
-            check_solution(matrix, rhs, result.solution)
-            return result
-        except ResidualMismatch:
-            pass
-    result = _eliminate(matrix, rhs, ncols)
-    if result.consistent:
-        check_solution(matrix, rhs, result.solution)
-    return result
+    if basis:
+        witness, numerators, denominator, free = _eliminate(
+            [matrix[i] for i in basis], [rhs[i] for i in basis], ncols
+        )
+        if witness is None and not free:
+            try:
+                check_solution(matrix, rhs, numerators, denominator)
+            except ResidualMismatch:
+                pass
+            else:
+                return LinearSystemResult(
+                    True, tuple(RatFunc(y, denominator) for y in numerators), (), None
+                )
+    witness, numerators, denominator, free = _eliminate(matrix, rhs, ncols)
+    if witness is not None:
+        return LinearSystemResult(False, None, (), witness)
+    check_solution(matrix, rhs, numerators, denominator)
+    return LinearSystemResult(
+        True, tuple(RatFunc(y, denominator) for y in numerators), free, None
+    )
 
 
 def _eliminate(
     matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], ncols: int
-) -> LinearSystemResult:
+) -> tuple[int | None, list[QPoly], QPoly, tuple[int, ...]]:
     """Bareiss one-step division (Math. Comp. 22, 1968) on packed entries.
 
     Each cell holds the integer P(2^k) of its polynomial P.  Every Bareiss
@@ -740,15 +691,19 @@ def _eliminate(
     are bounded by H, the product of the ncols+1 largest row 1-norms.  The
     smallest k with 2^(k-1) > H makes balanced base-2^k digits cover every
     coefficient, so evaluation at 2^k is injective on everything the
-    elimination meets.  The integer divisions are therefore exact, an entry
-    is zero exactly when its polynomial is, and the pivot rows unpack by
-    balanced digits.  Rational functions appear only during
-    back-substitution.  The answer is not certified here.
+    elimination meets.  The integer divisions are therefore exact, and an
+    entry is zero exactly when its polynomial is.
+
+    Returns ``(witness_row, numerators, denominator, free_columns)``.  An
+    inconsistent system has a witness row and nothing else.  Otherwise, with
+    d the last pivot and the free columns set to zero, the back-substitution
+    stays fraction-free: it finds y = d * x, a vector of Cramer minors of
+    [A|b], so every division is exact again and every y_j unpacks.  The
+    answer is not certified here.
     """
     m = len(matrix)
     norms = sorted(
-        (sum(abs(c) for p in (*row, rhs[i]) for c in p.coeffs) for i, row in enumerate(matrix)),
-        reverse=True,
+        (sum(map(_norm, row)) + _norm(rhs[i]) for i, row in enumerate(matrix)), reverse=True
     )
     k = (2 * math.prod(max(v, 1) for v in norms[: ncols + 1]) + 1).bit_length()
     q0 = 1 << k
@@ -780,40 +735,47 @@ def _eliminate(
 
     for i in range(r, m):
         if rows[i][ncols]:
-            return LinearSystemResult(False, None, (), origin[i])
+            return origin[i], [], ZERO, ()
 
-    xs: list[RatFunc] = [RAT_ZERO] * ncols
-    pivot_cols = {c for _, c in pivots}
+    ys = [0] * ncols
     for pr, pc in reversed(pivots):
         row = rows[pr]
-        acc = RatFunc(_unpack(row[ncols], k))
-        for j in range(pc + 1, ncols):
-            if row[j] and xs[j]:
-                acc = acc - RatFunc(_unpack(row[j], k)) * xs[j]
-        xs[pc] = acc / RatFunc(_unpack(row[pc], k))
+        acc = prev * row[ncols] - sum(map(mul, row[pc + 1 : ncols], ys[pc + 1 :]))
+        ys[pc] = acc // row[pc]
+    pivot_cols = {c for _, c in pivots}
     free = tuple(c for c in range(ncols) if c not in pivot_cols)
-    return LinearSystemResult(True, tuple(xs), free, None)
+    return None, [_unpack(y, k) for y in ys], _unpack(prev, k), free
 
 
 def check_solution(
-    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], solution: Sequence[RatFunc]
+    matrix: Sequence[Sequence[QPoly]],
+    rhs: Sequence[QPoly],
+    numerators: Sequence[QPoly],
+    denominator: QPoly,
 ) -> None:
-    """Raise ResidualMismatch unless ``matrix @ solution == rhs`` exactly.
+    """Raise ResidualMismatch unless ``matrix @ numerators == denominator * rhs``.
 
-    Denominators are cleared with D, the lcm of the solution denominators,
-    and every row is checked as sum_j A_ij * (num_j * D / den_j) == b_i * D
-    in plain polynomial arithmetic.
+    With N the largest row 1-norm of [A|b] and Y the largest 1-norm among
+    the numerators and the denominator, no coefficient of a row's residual
+    r = sum_j A_ij y_j - d b_i exceeds N*Y in absolute value.  By Cauchy's
+    root bound every root of a nonzero r is then below 1 + N*Y in absolute
+    value, so at q = 2^K > 1 + N*Y the residual is zero exactly when its
+    value is, and each row is compared as one integer.  The entries of a
+    toggle system repeat, so each distinct entry object is evaluated once.
     """
-    lcm = ONE
-    for x in solution:
-        lcm = lcm * x.den.exact_div(poly_gcd(lcm, x.den))
-    cleared = [x.num * lcm.exact_div(x.den) for x in solution]
+    entries = {id(p): p for row in matrix for p in row}
+    entries.update((id(p), p) for p in rhs)
+    norm = {key: _norm(p) for key, p in entries.items()}
+    row_norm = max(
+        (sum(map(norm.__getitem__, map(id, row))) + norm[id(b)] for row, b in zip(matrix, rhs)),
+        default=0,
+    )
+    q0 = 1 << (1 + row_norm * max(map(_norm, (*numerators, denominator)))).bit_length()
+    value = {key: p.evaluate(q0) for key, p in entries.items()}
+    ys = [y.evaluate(q0) for y in numerators]
+    d = denominator.evaluate(q0)
     for i, (row, target) in enumerate(zip(matrix, rhs)):
-        acc = ZERO
-        for entry, y in zip(row, cleared):
-            if entry and y:
-                acc = acc + entry * y
-        if acc != target * lcm:
+        if sum(map(mul, map(value.__getitem__, map(id, row)), ys)) != d * value[id(target)]:
             raise ResidualMismatch(f"solution violates equation {i}")
 
 

@@ -12,6 +12,7 @@ posets the rank-chain distribution predicts the constant independently.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,9 +103,18 @@ def toggle_solve(
     matrix, rhs = build_system(poset, statistic)
     if q_value is not None:
         matrix, rhs = _evaluated_rows(matrix, rhs, q_value)
-    result = solve_linear_system(matrix, rhs)
+    # The n + 1 prefix ideals {0..k-1} (ideals under the natural labeling)
+    # give a nonsingular minor.  At q = 0 the -q entries vanish: with the
+    # unknown c taken last, row k < n has its leading 1 at the column of
+    # element k, which {0..k-1} can always add, and the full ideal's row is
+    # a single 1 at c.  The minor is unit upper triangular there, so its
+    # determinant is +-1 at q = 0 and is not the zero polynomial.  A given
+    # q_value can still make it singular; then all rows are eliminated.
+    ideals = order_ideals(poset)
+    basis = [bisect_left(ideals, (1 << k) - 1) for k in range(poset.n + 1)]
+    result = solve_linear_system(matrix, rhs, basis=basis)
     if not result.consistent:
-        witness = order_ideals(poset)[result.witness_row]
+        witness = ideals[result.witness_row]
         return ToggleSolveResult(False, None, None, witness)
     solution = result.solution
     return ToggleSolveResult(True, solution[0], tuple(solution[1:]), None)

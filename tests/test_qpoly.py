@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
 from qtab import qpoly
 from qtab.distributions import statistic_ddeg
-from qtab.posets import build_rectangle, build_shape, build_shifted
+from qtab.posets import build_shape, build_shifted, order_ideals
 from qtab.qpoly import (
     ONE,
     Q,
@@ -39,7 +40,7 @@ from qtab.qpoly import (
     qt_num,
     solve_linear_system,
 )
-from qtab.solver import build_system
+from qtab.solver import _evaluated_rows, build_system, toggle_solve
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly.of)
 nonzero_polys = polys.filter(bool)
@@ -552,43 +553,73 @@ def test_solver_matches_reference_elimination(system):
     assert solve_linear_system(matrix, rhs) == _reference_solve(matrix, rhs)
 
 
-def test_solver_certifies_the_square_path(monkeypatch):
-    # x = 0 and x = q - 5 agree at q = 5, so with that evaluation point the
-    # first row alone looks like a basis of a consistent system.  Only the
-    # certificate on every row sends it to the full elimination.
-    monkeypatch.setattr(qpoly, "_BASIS_POINT", 5)
+def test_solver_certifies_the_square_path():
+    # The basis row alone solves to x = 0, which the second row x = q - 5
+    # breaks.  Only the certificate on every row sends the system to the
+    # full elimination, which reports that row.
     matrix, rhs = [[ONE], [ONE]], [ZERO, QPoly.of([-5, 1])]
-    assert qpoly._row_basis(matrix, rhs, 1) == [0]
-    res = solve_linear_system(matrix, rhs)
+    res = solve_linear_system(matrix, rhs, basis=[0])
     assert res == _reference_solve(matrix, rhs)
     assert res.witness_row == 1
 
 
-def _toggle_systems():
-    posets = [
-        build_rectangle(3, 3),
-        build_rectangle(4, 4),
-        build_shape((3, 2, 1)),
-        build_shape((4, 3, 2, 1)),
-        build_shifted((4, 3, 2, 1)),
-    ]
-    return [build_system(poset, statistic_ddeg(poset)) for poset in posets]
+def _prefix_rows(poset):
+    """Row indices of the prefix ideals {0..k-1}, k = 0..n."""
+    ideals = order_ideals(poset)
+    return [ideals.index((1 << k) - 1) for k in range(poset.n + 1)]
 
 
-@pytest.mark.parametrize("point", [-1, 0])
-def test_solver_survives_unlucky_evaluation_point(monkeypatch, point):
-    systems = _toggle_systems()
-    expected = [solve_linear_system(matrix, rhs) for matrix, rhs in systems]
-    monkeypatch.setattr(qpoly, "_BASIS_POINT", point)
-    for (matrix, rhs), want in zip(systems, expected):
-        assert solve_linear_system(matrix, rhs) == want == _reference_solve(matrix, rhs)
-    if point == -1:
-        # At q = -1 the constant [3][3]/[6] of rect 3x3 has a vanishing
-        # denominator, so its rows look inconsistent, and rect 4x4 keeps only
-        # 16 of 17 rows: both take the full elimination.
-        (m3, b3), (m4, b4) = systems[:2]
-        assert qpoly._row_basis(m3, b3, len(m3[0])) is None
-        assert len(qpoly._row_basis(m4, b4, len(m4[0]))) == 16
+_TOGGLE_POSETS = st.one_of(
+    naturally_labeled_posets(),
+    partition_strategy(8).map(build_shape),
+    strict_partition_strategy(8).map(build_shifted),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TOGGLE_POSETS)
+def test_prefix_ideal_rows_leave_no_free_column(poset):
+    matrix, rhs = build_system(poset, statistic_ddeg(poset))
+    rows = _prefix_rows(poset)
+    result = solve_linear_system([matrix[i] for i in rows], [rhs[i] for i in rows])
+    assert result.consistent and result.free_columns == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TOGGLE_POSETS, st.sampled_from([None, 1, -1, Fraction(1, 2)]))
+def test_toggle_solve_matches_reference_elimination(poset, q_value):
+    statistic = statistic_ddeg(poset)
+    matrix, rhs = build_system(poset, statistic)
+    if q_value is not None:
+        matrix, rhs = _evaluated_rows(matrix, rhs, q_value)
+    want = _reference_solve(matrix, rhs)
+    got = toggle_solve(poset, statistic, q_value)
+    assert got.consistent == want.consistent
+    if want.consistent:
+        assert (got.constant, got.coefficients) == (want.solution[0], want.solution[1:])
+    else:
+        assert got.witness_mask == order_ideals(poset)[want.witness_row]
+
+
+@pytest.mark.parametrize(
+    "lam,coefficients", [((2, 2), (0, 1, 0, 1)), ((2, 2, 1, 1), (0, 0, 1, 1, 0, 1))]
+)
+def test_singular_prefix_minor_falls_back(monkeypatch, lam, coefficients):
+    # At q = -1 the prefix minor of these shapes is singular: its rows leave
+    # a free column, and all rows are eliminated.
+    poset = build_shape(lam)
+    seen = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhs, ncols):
+        seen.append(len(matrix))
+        return eliminate(matrix, rhs, ncols)
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    result = toggle_solve(poset, statistic_ddeg(poset), q_value=-1)
+    assert seen == [poset.n + 1, len(order_ideals(poset))]
+    assert result.consistent and result.constant == RAT_ZERO
+    assert result.coefficients == tuple(RatFunc.from_int(c) for c in coefficients)
 
 
 def test_solver_vandermonde_stress():
@@ -625,12 +656,32 @@ def test_check_solution_rejects_planted_error():
     # (1+q) x + q y = (1+q)^2 and x = y hold for x = y = (1+q)^2 / (1+2q).
     matrix = [[qnum(2), Q], [ONE, -ONE]]
     rhs = [QPoly.of([1, 2, 1]), ZERO]
-    x = RatFunc(QPoly.of([1, 2, 1]), QPoly.of([1, 2]))
-    check_solution(matrix, rhs, (x, x))
+    y, d = QPoly.of([1, 2, 1]), QPoly.of([1, 2])
+    check_solution(matrix, rhs, (y, y), d)
     with pytest.raises(ResidualMismatch, match="equation 0"):
-        check_solution(matrix, rhs, (x, x + RatFunc(ONE, qnum(2))))
+        check_solution(matrix, rhs, (y, y + ONE), d)
+    # Adding q * e to y_0 and -(1+q) * e to y_1 keeps equation 0.
     with pytest.raises(ResidualMismatch, match="equation 1"):
-        check_solution(matrix, rhs, (x + RatFunc(Q), x - RatFunc(qnum(2))))
+        check_solution(matrix, rhs, (y + Q, y - qnum(2)), d)
+
+
+def test_check_solution_bound_counts_the_row_norm():
+    # x_1 + ... + x_4 = q at x = 1 leaves 4 - q, zero at q = 4.  A bound from
+    # the 1-norms of the y_j alone (Y = 1, so 2^K = 4) would miss it; with
+    # the row 1-norm N = 5 the certificate evaluates at q = 8.
+    with pytest.raises(ResidualMismatch, match="equation 0"):
+        check_solution([[ONE] * 4], [Q], (ONE,) * 4, ONE)
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_check_solution_rejects_residual_vanishing_at_a_power_of_two(j):
+    # x = 2^j against x = q leaves the residual 2^j - q, zero at q = 2^j.
+    with pytest.raises(ResidualMismatch, match="equation 0"):
+        check_solution([[ONE]], [Q], (QPoly.of([2**j]),), ONE)
+    # The same residual scaled by the denominator: d * x = 2^j * d.
+    with pytest.raises(ResidualMismatch, match="equation 0"):
+        check_solution([[ONE]], [Q], (QPoly.of([2**j]) * qnum(3),), qnum(3))
+    check_solution([[ONE]], [QPoly.of([2**j])], (QPoly.of([2**j]),), ONE)
 
 
 def test_solver_certifies_its_answer(monkeypatch):

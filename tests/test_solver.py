@@ -157,7 +157,9 @@ def test_consistency_on_shapes_matches_rectangularity():
 
 
 @pytest.mark.parametrize(
-    "lam,mask", [((4, 3, 2, 1), 503), ((3, 2, 1), 41), ((2, 1), 7)], ids=["4321", "321", "21"]
+    "lam,mask",
+    [((5, 4, 3, 2, 1), 4079), ((4, 3, 2, 1), 503), ((3, 2, 1), 41), ((2, 1), 7)],
+    ids=["54321", "4321", "321", "21"],
 )
 def test_inconsistent_witness_masks(lam, mask):
     # The witness is the first row left nonzero after elimination, so it
@@ -170,13 +172,14 @@ def test_inconsistent_witness_masks(lam, mask):
 
 @pytest.mark.parametrize(
     "poset,rows",
-    [(build_rectangle(4, 4), [17]), (build_shape((4, 3, 2, 1)), [42])],
+    [(build_rectangle(4, 4), [17]), (build_shape((4, 3, 2, 1)), [11, 42])],
     ids=["rect4x4", "4321"],
 )
 def test_elimination_sees_a_row_basis(monkeypatch, poset, rows):
-    # Rect 4x4 has 70 equations in 17 unknowns: only the 17 rows picked
-    # modulo the prime are eliminated.  Shape 4,3,2,1 looks inconsistent
-    # there, so all 42 rows are eliminated to find the witness.
+    # Rect 4x4 has 70 equations in 17 unknowns: only the 17 prefix-ideal
+    # rows are eliminated.  Shape 4,3,2,1 is inconsistent: its 11 prefix
+    # rows solve, the certificate fails, and all 42 rows are eliminated to
+    # find the witness.
     seen = []
     eliminate = qpoly._eliminate
 
