@@ -1,11 +1,12 @@
 """Dyck paths, restricted bicolored Motzkin paths, and the bijections
 carrying two-row (set-valued) tableaux to paths.
 
-Paths are step sequences; heights are derived.  Dyck paths use steps U/D;
-bicolored Motzkin paths add red and blue horizontal steps (Hr/Hb), restricted
-so that a red horizontal step never occurs at height zero and a blue one
-never strictly precedes the first down step (a path with no down step admits
-no blue step at all).  Text format: the steps concatenated, e.g. ``"UHrDUUDD"``.
+Paths are step sequences; heights are derived.  Bicolored Motzkin paths
+take steps U/D and red and blue horizontal steps (Hr/Hb), restricted so that
+a red horizontal step never occurs at height zero and a blue one never
+strictly precedes the first down step (a path with no down step admits no
+blue step at all).  Dyck paths are the restricted paths with no horizontal
+step.  Text format: the steps concatenated, e.g. ``"UHrDUUDD"``.
 
 A two-row set-valued tableau fills a 2 x b rectangle with disjoint nonempty
 sets partitioning 1..2b+k (k entries beyond the minimum), increasing along
@@ -32,146 +33,7 @@ class WrongShape(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Dyck paths
-
-
-@dataclass(frozen=True)
-class DyckPath:
-    """A balanced U/D step sequence that never goes below the axis."""
-
-    steps: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        height = 0
-        for step in self.steps:
-            if step == "U":
-                height += 1
-            elif step == "D":
-                height -= 1
-            else:
-                raise ValueError(f"unknown step {step!r}")
-            if height < 0:
-                raise ValueError("path dips below the axis")
-        if height:
-            raise ValueError("path does not return to the axis")
-
-    @property
-    def semilength(self) -> int:
-        return len(self.steps) // 2
-
-    def valleys(self) -> frozenset[int]:
-        """1-based indices of down steps immediately followed by up steps."""
-        return frozenset(
-            i
-            for i in range(1, len(self.steps))
-            if self.steps[i - 1] == "D" and self.steps[i] == "U"
-        )
-
-    def comaj(self) -> int:
-        """Sum of 2b - i over the valleys."""
-        length = len(self.steps)
-        return sum(length - i for i in self.valleys())
-
-
-def format_path(path: "DyckPath | RbMotzkinPath") -> str:
-    return "".join(path.steps)
-
-
-def _tokenize(text: str) -> tuple[str, ...]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        if text[i] == "H":
-            tokens.append(text[i : i + 2])
-            i += 2
-        else:
-            tokens.append(text[i])
-            i += 1
-    return tuple(tokens)
-
-
-def parse_dyck(text: str) -> DyckPath:
-    return DyckPath(_tokenize(text.strip()))
-
-
-def parse_rbmotz(text: str) -> "RbMotzkinPath":
-    return RbMotzkinPath(_tokenize(text.strip()))
-
-
-def enumerate_dyck(b: int) -> Iterator[DyckPath]:
-    """All Dyck paths of semilength b, in lex order (U before D)."""
-    steps: list[str] = []
-
-    def rec(ups: int, height: int) -> Iterator[DyckPath]:
-        if len(steps) == 2 * b:
-            yield DyckPath(tuple(steps))
-            return
-        if ups < b:
-            steps.append("U")
-            yield from rec(ups + 1, height + 1)
-            steps.pop()
-        if height > 0:
-            steps.append("D")
-            yield from rec(ups, height - 1)
-            steps.pop()
-
-    return rec(0, 0)
-
-
-def catalan_number(b: int) -> int:
-    return math.comb(2 * b, b) // (b + 1)
-
-
-def q_catalan(b: int) -> QPoly:
-    """qbinom(2b, b) / [b+1], an exact polynomial."""
-    return qbinom(2 * b, b).exact_div(qnum(b + 1))
-
-
-def gf_comaj_dyck(b: int) -> QPoly:
-    """Generating function of comaj over Dyck paths of semilength b."""
-    return _from_map(Counter(path.comaj() for path in enumerate_dyck(b))) or QPoly.of([1])
-
-
-# ---------------------------------------------------------------------------
-# two-row tableaux <-> paths
-
-
-def _two_row_layout(poset: Poset) -> tuple[int, list[int]]:
-    """Width b and the element of each (row, col) for a 2 x b rectangle."""
-    if poset.coords is None:
-        raise WrongShape("poset has no box coordinates")
-    coords = set(poset.coords)
-    b = poset.n // 2
-    if coords != {(r, c) for r in (1, 2) for c in range(1, b + 1)}:
-        raise WrongShape("not a two-row rectangle")
-    by_coord = {rc: e for e, rc in enumerate(poset.coords)}
-    order = [by_coord[(r, c)] for r in (1, 2) for c in range(1, b + 1)]
-    return b, order
-
-
-def dyck_from_syt(ext: LinearExtension) -> DyckPath:
-    """U at top-row values, D at bottom-row values; valleys match descents."""
-    _two_row_layout(ext.poset)
-    rows = ext.poset.coords
-    steps = tuple("U" if rows[e][0] == 1 else "D" for e in ext.positions)
-    return DyckPath(steps)
-
-
-def syt_from_dyck(path: DyckPath) -> LinearExtension:
-    """Inverse of ``dyck_from_syt`` onto the 2 x b rectangle."""
-    b = path.semilength
-    poset = build_rectangle(2, b)
-    values = [0] * poset.n
-    seen = {"U": 0, "D": 0}
-    for v, step in enumerate(path.steps, start=1):
-        e = seen[step] if step == "U" else b + seen[step]
-        values[e] = v
-        seen[step] += 1
-    return LinearExtension(poset, tuple(values))
-
-
-# ---------------------------------------------------------------------------
-# restricted bicolored Motzkin paths
+# restricted bicolored Motzkin paths, and Dyck paths among them
 
 
 @dataclass(frozen=True)
@@ -259,6 +121,107 @@ def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPat
             steps.pop()
 
     return rec(0, False, 0)
+
+
+class DyckPath(RbMotzkinPath):
+    """A restricted Motzkin path with no horizontal step: a balanced U/D step
+    sequence that never goes below the axis."""
+
+    def __post_init__(self) -> None:
+        for step in self.steps:
+            if step not in ("U", "D"):
+                raise ValueError(f"step {step!r} is not U or D")
+        super().__post_init__()
+
+    @property
+    def semilength(self) -> int:
+        return len(self.steps) // 2
+
+    def comaj(self) -> int:
+        """Sum of 2b - i over the valleys (``comaj_plus`` with no horizontal step)."""
+        return self.comaj_plus()
+
+
+def enumerate_dyck(b: int) -> Iterator[DyckPath]:
+    """All Dyck paths of semilength b, in lex order (U before D)."""
+    return (DyckPath(p.steps) for p in enumerate_rbmotz(2 * b, k=0))
+
+
+def format_path(path: RbMotzkinPath) -> str:
+    return "".join(path.steps)
+
+
+def _tokenize(text: str) -> tuple[str, ...]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        if text[i] == "H":
+            tokens.append(text[i : i + 2])
+            i += 2
+        else:
+            tokens.append(text[i])
+            i += 1
+    return tuple(tokens)
+
+
+def parse_dyck(text: str) -> DyckPath:
+    return DyckPath(_tokenize(text.strip()))
+
+
+def parse_rbmotz(text: str) -> RbMotzkinPath:
+    return RbMotzkinPath(_tokenize(text.strip()))
+
+
+def catalan_number(b: int) -> int:
+    return math.comb(2 * b, b) // (b + 1)
+
+
+def q_catalan(b: int) -> QPoly:
+    """qbinom(2b, b) / [b+1], an exact polynomial."""
+    return qbinom(2 * b, b).exact_div(qnum(b + 1))
+
+
+def gf_comaj_dyck(b: int) -> QPoly:
+    """Generating function of comaj over Dyck paths of semilength b."""
+    return _from_map(Counter(path.comaj() for path in enumerate_dyck(b))) or QPoly.of([1])
+
+
+# ---------------------------------------------------------------------------
+# two-row tableaux <-> paths
+
+
+def _two_row_layout(poset: Poset) -> tuple[int, list[int]]:
+    """Width b and the element of each (row, col) for a 2 x b rectangle."""
+    if poset.coords is None:
+        raise WrongShape("poset has no box coordinates")
+    coords = set(poset.coords)
+    b = poset.n // 2
+    if coords != {(r, c) for r in (1, 2) for c in range(1, b + 1)}:
+        raise WrongShape("not a two-row rectangle")
+    by_coord = {rc: e for e, rc in enumerate(poset.coords)}
+    order = [by_coord[(r, c)] for r in (1, 2) for c in range(1, b + 1)]
+    return b, order
+
+
+def dyck_from_syt(ext: LinearExtension) -> DyckPath:
+    """U at top-row values, D at bottom-row values; valleys match descents."""
+    _two_row_layout(ext.poset)
+    rows = ext.poset.coords
+    steps = tuple("U" if rows[e][0] == 1 else "D" for e in ext.positions)
+    return DyckPath(steps)
+
+
+def syt_from_dyck(path: DyckPath) -> LinearExtension:
+    """Inverse of ``dyck_from_syt`` onto the 2 x b rectangle."""
+    b = path.semilength
+    poset = build_rectangle(2, b)
+    values = [0] * poset.n
+    seen = {"U": 0, "D": 0}
+    for v, step in enumerate(path.steps, start=1):
+        e = seen[step] if step == "U" else b + seen[step]
+        values[e] = v
+        seen[step] += 1
+    return LinearExtension(poset, tuple(values))
 
 
 # ---------------------------------------------------------------------------

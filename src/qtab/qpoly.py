@@ -65,12 +65,12 @@ class ResidualMismatch(QAlgebraError):
 # the kernel on coefficient lists (index = exponent of q)
 
 
-def _add(acc: list[int], poly: Sequence[int], shift: int = 0) -> None:
-    """``acc += q^shift * poly``, in place."""
-    end = shift + len(poly)
+def _add(acc: list[int], poly: Sequence[int]) -> None:
+    """``acc += poly``, in place."""
+    end = len(poly)
     if len(acc) < end:
         acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = map(add, acc[shift:end], poly)
+    acc[:end] = map(add, acc, poly)
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -760,22 +760,18 @@ def check_solution(
     r = sum_j A_ij y_j - d b_i exceeds N*Y in absolute value.  By Cauchy's
     root bound every root of a nonzero r is then below 1 + N*Y in absolute
     value, so at q = 2^K > 1 + N*Y the residual is zero exactly when its
-    value is, and each row is compared as one integer.  The entries of a
-    toggle system repeat, so each distinct entry object is evaluated once.
+    value is, and each row is compared as one integer.  Only a row's nonzero
+    cells are read, for its 1-norm and for its value.
     """
-    entries = {id(p): p for row in matrix for p in row}
-    entries.update((id(p), p) for p in rhs)
-    norm = {key: _norm(p) for key, p in entries.items()}
     row_norm = max(
-        (sum(map(norm.__getitem__, map(id, row))) + norm[id(b)] for row, b in zip(matrix, rhs)),
+        (sum(_norm(p) for p in row if p.coeffs) + _norm(b) for row, b in zip(matrix, rhs)),
         default=0,
     )
     q0 = 1 << (1 + row_norm * max(map(_norm, (*numerators, denominator)))).bit_length()
-    value = {key: p.evaluate(q0) for key, p in entries.items()}
     ys = [y.evaluate(q0) for y in numerators]
     d = denominator.evaluate(q0)
     for i, (row, target) in enumerate(zip(matrix, rhs)):
-        if sum(map(mul, map(value.__getitem__, map(id, row)), ys)) != d * value[id(target)]:
+        if sum(p.evaluate(q0) * y for p, y in zip(row, ys) if p.coeffs) != d * target.evaluate(q0):
             raise ResidualMismatch(f"solution violates equation {i}")
 
 

@@ -11,7 +11,6 @@ posets the rank-chain distribution predicts the constant independently.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,47 +61,42 @@ class RefinementReport:
         return self.consistent and self.constant == self.expected
 
 
-def build_system(poset: Poset, statistic: Statistic) -> tuple[list[list[QPoly]], list[QPoly]]:
-    """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f."""
+def build_system(
+    poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
+) -> tuple[list[list[QPoly]], list[QPoly]]:
+    """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f.
+
+    With ``q_value`` = a/b every row is specialised at q = a/b and multiplied
+    by s = b^max(1, deg f), which makes every entry an integer constant; one
+    nonzero scale for all rows changes no solution and no zero pattern.
+    """
     if statistic.poset != poset:
         raise PosetMismatch("statistic and system posets differ")
     ideals = order_ideals(poset)
     if len(ideals) > ROW_LIMIT:
         raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {ROW_LIMIT}")
+    rhs = [statistic.values[mask] for mask in ideals]
     # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
     # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
     zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
+    if q_value is not None:
+        q = Fraction(q_value)
+        s = q.denominator ** max(1, *(f.degree for f in rhs))
+        one, minus_q = QPoly.of([s]), QPoly.of([int(-q * s)])
+        rhs = [QPoly.of([int(f.evaluate(q) * s)]) for f in rhs]
     matrix = [[one] + [zero] * poset.n for _ in ideals]
     for p, edges in enumerate(poset.ideal_edges):
         for lower, upper in edges:
             matrix[lower][p + 1] = one
             matrix[upper][p + 1] = minus_q
-    return matrix, [statistic.values[mask] for mask in ideals]
-
-
-def _evaluated_rows(
-    matrix: list[list[QPoly]], rhs: list[QPoly], q_value: int | Fraction
-) -> tuple[list[list[QPoly]], list[QPoly]]:
-    """Specialize q, rescaling each equation to integer coefficients."""
-    out_matrix = []
-    out_rhs = []
-    for row, target in zip(matrix, rhs):
-        values = [entry.evaluate(q_value) for entry in row]
-        values.append(target.evaluate(q_value))
-        scale = math.lcm(*(Fraction(v).denominator for v in values))
-        ints = [int(v * scale) for v in values]
-        out_matrix.append([QPoly.of([v]) for v in ints[:-1]])
-        out_rhs.append(QPoly.of([ints[-1]]))
-    return out_matrix, out_rhs
+    return matrix, rhs
 
 
 def toggle_solve(
     poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
 ) -> ToggleSolveResult:
     """Solve for the forced expectation of the statistic, exactly."""
-    matrix, rhs = build_system(poset, statistic)
-    if q_value is not None:
-        matrix, rhs = _evaluated_rows(matrix, rhs, q_value)
+    matrix, rhs = build_system(poset, statistic, q_value)
     # The n + 1 prefix ideals {0..k-1} (ideals under the natural labeling)
     # give a nonsingular minor.  At q = 0 the -q entries vanish: with the
     # unknown c taken last, row k < n has its leading 1 at the column of

@@ -82,6 +82,21 @@ def test_dyck_validation():
     assert format_path(parse_dyck("UDUD")) == "UDUD"
 
 
+def test_dyck_path_rejects_horizontal_steps():
+    # Both are restricted Motzkin paths, the class DyckPath extends.
+    for steps in (("U", "Hr", "D"), ("U", "D", "Hb")):
+        RbMotzkinPath(steps)
+        with pytest.raises(ValueError):
+            DyckPath(steps)
+
+
+def test_dyck_enumeration_is_lex_order():
+    assert [format_path(p) for p in enumerate_dyck(3)] == [
+        "UUUDDD", "UUDUDD", "UUDDUD", "UDUUDD", "UDUDUD"
+    ]
+    assert list(enumerate_dyck(0)) == [DyckPath(())]
+
+
 @pytest.mark.parametrize("b", range(5))
 def test_dyck_count(b):
     paths = list(enumerate_dyck(b))

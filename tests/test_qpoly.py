@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
 from qtab import qpoly
-from qtab.distributions import statistic_ddeg
+from qtab.distributions import Statistic, statistic_ddeg
 from qtab.posets import build_shape, build_shifted, order_ideals
 from qtab.qpoly import (
     ONE,
@@ -40,7 +40,7 @@ from qtab.qpoly import (
     qt_num,
     solve_linear_system,
 )
-from qtab.solver import _evaluated_rows, build_system, toggle_solve
+from qtab.solver import build_system, toggle_solve
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly.of)
 nonzero_polys = polys.filter(bool)
@@ -303,15 +303,15 @@ def test_list_kernel_mul_matches_double_loop(a, b):
     assert qpoly._mul(tuple(a), tuple(b)) == naive_mul(a, b)
 
 
-@given(coefficient_lists, coefficient_lists, st.integers(0, 4))
-def test_list_kernel_add_is_shifted_sum(a, b, shift):
+@given(coefficient_lists, coefficient_lists)
+def test_list_kernel_add_is_elementwise_sum(a, b):
     acc = list(a)
-    qpoly._add(acc, b, shift)
-    want = [0] * max(len(a), len(b) + shift)
+    qpoly._add(acc, b)
+    want = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         want[i] += x
     for j, y in enumerate(b):
-        want[j + shift] += y
+        want[j] += y
     assert acc == want
 
 
@@ -585,13 +585,35 @@ def test_prefix_ideal_rows_leave_no_free_column(poset):
     assert result.consistent and result.free_columns == ()
 
 
-@settings(max_examples=60, deadline=None)
-@given(_TOGGLE_POSETS, st.sampled_from([None, 1, -1, Fraction(1, 2)]))
-def test_toggle_solve_matches_reference_elimination(poset, q_value):
-    statistic = statistic_ddeg(poset)
+def _specialised_rows(matrix, rhs, q_value):
+    """The system at q = q_value, each equation rescaled by the lcm of its
+    denominators; independent of the one scale ``build_system`` uses."""
+    out_matrix, out_rhs = [], []
+    for row, target in zip(matrix, rhs):
+        values = [entry.evaluate(q_value) for entry in (*row, target)]
+        scale = math.lcm(*(Fraction(v).denominator for v in values))
+        ints = [int(v * scale) for v in values]
+        out_matrix.append([QPoly.of([v]) for v in ints[:-1]])
+        out_rhs.append(QPoly.of([ints[-1]]))
+    return out_matrix, out_rhs
+
+
+def _statistic_quadratic(poset):
+    """1 + |I| q^2: degree 2, so a specialisation at a/b scales by b^2."""
+    return Statistic.from_function(poset, lambda mask: QPoly.of([1, 0, mask.bit_count()]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _TOGGLE_POSETS,
+    st.sampled_from([None, 0, 1, 2, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]),
+    st.sampled_from([statistic_ddeg, _statistic_quadratic]),
+)
+def test_toggle_solve_matches_reference_elimination(poset, q_value, make_statistic):
+    statistic = make_statistic(poset)
     matrix, rhs = build_system(poset, statistic)
     if q_value is not None:
-        matrix, rhs = _evaluated_rows(matrix, rhs, q_value)
+        matrix, rhs = _specialised_rows(matrix, rhs, q_value)
     want = _reference_solve(matrix, rhs)
     got = toggle_solve(poset, statistic, q_value)
     assert got.consistent == want.consistent
@@ -671,6 +693,24 @@ def test_check_solution_bound_counts_the_row_norm():
     # the row 1-norm N = 5 the certificate evaluates at q = 8.
     with pytest.raises(ResidualMismatch, match="equation 0"):
         check_solution([[ONE] * 4], [Q], (ONE,) * 4, ONE)
+
+
+def test_check_solution_bound_counts_the_right_hand_side():
+    # x = 0 against x = 4 - q leaves q - 4.  Without the 1-norm 5 of b the
+    # bound would be N = 1 and Y = 1, so 2^K = 4, a root of the residual.
+    b = QPoly.of([4, -1])
+    with pytest.raises(ResidualMismatch, match="equation 0"):
+        check_solution([[ONE]], [b], (ZERO,), ONE)
+    check_solution([[ONE]], [b], (b,), ONE)
+
+
+def test_check_solution_reads_a_row_without_nonzero_cells():
+    # Row 1 has no nonzero cell, so only its right-hand side is left to
+    # read: 0 = q must fail there, and 0 = 0 must pass.
+    matrix = [[ONE, Q], [ZERO, ZERO]]
+    with pytest.raises(ResidualMismatch, match="equation 1"):
+        check_solution(matrix, [ONE, Q], (ONE, ZERO), ONE)
+    check_solution(matrix, [ONE, ZERO], (ONE, ZERO), ONE)
 
 
 @pytest.mark.parametrize("j", range(8))
