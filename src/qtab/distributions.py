@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping
 from . import engine
 from .extensions import (
     LinearExtension,
-    comaj_at,
     descents,
     enumerate_linear_extensions,
     gf_comaj,
@@ -33,6 +32,7 @@ from .qpoly import (
     QLaurent,
     QPoly,
     RatFunc,
+    _add,
     qbinom,
     qnum,
 )
@@ -172,30 +172,49 @@ def expectation(ensemble: WeightedEnsemble, statistic: Statistic) -> RatFunc:
 
 
 def check_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
-    """Whether every toggle statistic has expectation zero."""
-    return all(
-        expectation(ensemble, statistic_toggle(ensemble.poset, p)) == 0
-        for p in range(ensemble.poset.n)
-    )
+    """Whether every toggle statistic has expectation zero.
+
+    The normalizer is nonzero, so at each element p this is whether the
+    weights of the ideals p can enter sum to q times the weights of the
+    ideals p can leave.
+    """
+    poset = ensemble.poset
+    for p in range(poset.n):
+        into: list[int] = []
+        out: list[int] = []
+        for mask, weight in ensemble.weights:
+            if tin(poset, p, mask):
+                _add(into, weight.coeffs)
+            if tout(poset, p, mask):
+                _add(out, weight.coeffs)
+        if QPoly.of(into) != QPoly.of(out).shift(1):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # weight functions on linear extensions
 
 
+def _theta_exponent(ext: LinearExtension, i: int) -> int:
+    if not 0 <= i <= ext.poset.n:
+        raise ValueError(f"descent position {i} out of range")
+    return ext.theta_exponents[i]
+
+
 def theta(ext: LinearExtension, i: int) -> QPoly:
     """q^(comaj(T, i) + #{descents below i}); summing over i gives
     [n+1] * q^comaj(T)."""
-    offset = sum(1 for j in descents(ext) if j < i)
-    return QPoly.monomial(1, comaj_at(ext, i) + offset)
+    return QPoly.monomial(1, _theta_exponent(ext, i))
 
 
 def theta_m(ext: LinearExtension, i: int, m: int) -> QPoly:
     """theta(T, i) times the bounded-filling multiplicity
     qbinom(m + n - #(Des \\ {i}), n + 1)."""
     n = ext.poset.n
-    others = len(descents(ext) - {i})
-    return theta(ext, i) * qbinom(m + n - others, n + 1)
+    des = descents(ext)
+    others = len(des) - (i in des)
+    return qbinom(m + n - others, n + 1).shift(_theta_exponent(ext, i))
 
 
 def theta_star(ext: LinearExtension, i: int) -> QLaurent:
@@ -231,18 +250,18 @@ def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble
     """
     if m < 1:
         raise ValueError("level bound must be at least 1")
-    acc: dict[int, QPoly] = {}
+    acc: dict[int, QPoly]
     if mode == "direct":
         acc = dict(zip(order_ideals(poset), map(QPoly.of, engine.rpp_weights(poset, m))))
     elif mode == "via_theta_m":
+        sums: dict[int, list[int]] = {}
         for ext in enumerate_linear_extensions(poset):
             mask = 0
             for i in range(poset.n + 1):
                 if i:
                     mask |= 1 << ext.positions[i - 1]
-                weight = theta_m(ext, i, m)
-                if weight:
-                    acc[mask] = acc.get(mask, QPoly.of([])) + weight
+                _add(sums.setdefault(mask, []), theta_m(ext, i, m).coeffs)
+        acc = {mask: QPoly.of(coeffs) for mask, coeffs in sums.items()}
     else:
         raise ValueError(f"unknown mode {mode!r}")
     normalizer = qnum(m) * rpp_size_gf(poset, m)

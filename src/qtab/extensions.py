@@ -63,6 +63,19 @@ class LinearExtension:
             out[v - 1] = e
         return tuple(out)
 
+    @cached_property
+    def _descents(self) -> frozenset[int]:
+        pos = self.positions
+        return frozenset(k for k in range(1, self.poset.n) if pos[k - 1] > pos[k])
+
+    @cached_property
+    def theta_exponents(self) -> tuple[int, ...]:
+        """Per i = 0..n, comaj(T, i) + #{descents below i}, the exponent of
+        theta(T, i)."""
+        n = self.poset.n
+        base = sum(n - k for k in self._descents)
+        return tuple(base + f for f in f_x_permutation(n, self._descents))
+
     def word(self) -> tuple[int, ...]:
         """The label word w_1 .. w_n."""
         return tuple(e + 1 for e in self.positions)
@@ -116,8 +129,7 @@ def enumerate_linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
 
 def descents(ext: LinearExtension) -> frozenset[int]:
     """Positions k with w_k > w_(k+1)."""
-    pos = ext.positions
-    return frozenset(k for k in range(1, ext.poset.n) if pos[k - 1] > pos[k])
+    return ext._descents
 
 
 def maj(ext: LinearExtension) -> int:
@@ -164,9 +176,15 @@ def f_x_permutation(n: int, xset: Sequence[int]) -> tuple[int, ...]:
     xs = set(xset)
     if not all(1 <= x <= n for x in xs):
         raise ValueError("X must lie within 1..n")
-    return tuple(
-        sum(1 for j in xs if j < i) + (0 if i in xs else n - i) for i in range(n + 1)
-    )
+    out = []
+    below = 0  # #{j in X : j < i}
+    for i in range(n + 1):
+        if i in xs:
+            out.append(below)
+            below += 1
+        else:
+            out.append(below + n - i)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ the stored labeling is always the identity.
 
 Each poset builds its lattice J(P) once, on first use: ``order_ideals`` (built
 element by element) and its cover edges ``Poset.ideal_edges``, which the J(P)
-engine, the doubled-cell sum and the toggle system all read.
+engine, the doubled-cell sum and the toggle system all read.  Its order dual
+is likewise built once, on the first call of ``dual``.
 """
 
 from __future__ import annotations
@@ -143,6 +144,12 @@ class Poset:
             out.append(tuple(pairs))
         return tuple(out)
 
+    @cached_property
+    def _dual(self) -> Poset:
+        n = self.n
+        coords = self.coords[::-1] if self.coords is not None else None
+        return Poset(n, ((n - 1 - hi, n - 1 - lo) for lo, hi in self.covers), coords=coords)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -182,10 +189,9 @@ def ideal_members(ideal: int) -> tuple[int, ...]:
 
 
 def dual(poset: Poset) -> Poset:
-    """The order-dual poset, with element e renamed to n-1-e; it keeps e's box."""
-    n = poset.n
-    coords = poset.coords[::-1] if poset.coords is not None else None
-    return Poset(n, ((n - 1 - hi, n - 1 - lo) for lo, hi in poset.covers), coords=coords)
+    """The order-dual poset, with element e renamed to n-1-e; it keeps e's box.
+    Built once per poset."""
+    return poset._dual
 
 
 def rank_data(poset: Poset) -> RankData:

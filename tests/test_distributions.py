@@ -5,8 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import small_poset_corpus, small_shape_corpus
+from conftest import (
+    naturally_labeled_posets,
+    partition_strategy,
+    small_poset_corpus,
+    small_shape_corpus,
+    strict_partition_strategy,
+)
 from qtab.distributions import (
     PosetMismatch,
     WeightedEnsemble,
@@ -29,6 +36,7 @@ from qtab.distributions import (
 )
 from qtab.extensions import (
     comaj,
+    comaj_at,
     descents,
     enumerate_linear_extensions,
     gf_bsv,
@@ -36,8 +44,10 @@ from qtab.extensions import (
 )
 from qtab.posets import (
     NotGraded,
+    build_minuscule,
     build_rectangle,
     build_shape,
+    build_shifted,
     dual,
     ideal_members,
     order_ideals,
@@ -235,6 +245,35 @@ def test_theta_m_total_is_the_normalizer():
             assert total == qnum(m) * rpp_size_gf(poset, m)
 
 
+def _check_cached_theta_data(poset) -> None:
+    n = poset.n
+    for ext in enumerate_linear_extensions(poset):
+        des = descents(ext)
+        assert len(ext.theta_exponents) == n + 1
+        for i in range(n + 1):
+            exponent = comaj_at(ext, i) + sum(1 for j in des if j < i)
+            assert ext.theta_exponents[i] == exponent
+            assert theta(ext, i) == QPoly.monomial(1, exponent)
+            for m in (1, 2, 3):
+                expected = theta(ext, i) * qbinom(m + n - len(des - {i}), n + 1)
+                assert theta_m(ext, i, m) == expected
+        for i in (-1, n + 1):
+            with pytest.raises(ValueError):
+                theta(ext, i)
+            with pytest.raises(ValueError):
+                theta_m(ext, i, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_labeled_posets(max_n=6))
+def test_cached_theta_data_matches_comaj_at(poset):
+    _check_cached_theta_data(poset)
+
+
+def test_cached_theta_data_matches_comaj_at_on_e6():
+    _check_cached_theta_data(build_minuscule("E6"))
+
+
 def test_theta_star_is_theta_of_the_dual():
     for poset in small_shape_corpus(5):
         n = poset.n
@@ -315,6 +354,90 @@ def test_toggle_symmetry_fails_for_a_skewed_weighting():
     assert expectation(skewed, stat) == RatFunc(
         parse_poly("1 - q^2"), normalizer
     )
+
+
+def _reference_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
+    """The definition: every toggle statistic has expectation zero."""
+    return all(
+        expectation(ensemble, statistic_toggle(ensemble.poset, p)) == 0
+        for p in range(ensemble.poset.n)
+    )
+
+
+SYMMETRY_POSETS = st.one_of(
+    partition_strategy(6).map(build_shape),
+    strict_partition_strategy(6).map(build_shifted),
+    naturally_labeled_posets(max_n=6),
+)
+FAMILIES = ("uniform", "lin", "rpp:direct", "rpp:via_theta_m", "rank")
+
+
+def _family(poset, family: str, m: int) -> WeightedEnsemble | None:
+    """One of the four toggle-symmetric families; None for the rank chain of
+    a poset it does not apply to."""
+    if family == "uniform":
+        return ensemble_uniform(poset)
+    if family == "lin":
+        return ensemble_lin(poset)
+    if family.startswith("rpp:"):
+        return ensemble_rpp(poset, m, mode=family[4:])
+    if poset.n == 0:
+        return None
+    try:
+        rank_data(poset)
+    except NotGraded:
+        return None
+    return ensemble_rank(poset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SYMMETRY_POSETS, st.sampled_from(FAMILIES), st.integers(1, 3))
+def test_toggle_symmetry_matches_its_definition_on_the_families(poset, family, m):
+    ensemble = _family(poset, family, m)
+    if ensemble is not None:
+        assert _reference_toggle_symmetry(ensemble)
+        assert check_toggle_symmetry(ensemble)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SYMMETRY_POSETS, st.data())
+def test_toggle_symmetry_matches_its_definition_on_random_weights(poset, data):
+    coeffs = st.lists(st.integers(0, 3), max_size=4)
+    weights = {mask: QPoly.of(data.draw(coeffs)) for mask in order_ideals(poset)}
+    weights[0] = weights[0] + QPoly.of([1])  # a nonzero normalizer
+    normalizer = sum(weights.values(), QPoly.of([]))
+    ensemble = WeightedEnsemble.from_weights(poset, weights, normalizer)
+    assert check_toggle_symmetry(ensemble) == _reference_toggle_symmetry(ensemble)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SYMMETRY_POSETS.filter(lambda poset: poset.n > 0), st.sampled_from(FAMILIES), st.data())
+def test_toggle_symmetry_fails_once_a_family_is_perturbed(poset, family, data):
+    # Every ideal of a nonempty poset has an element to toggle in or out, so
+    # adding c q^k to one weight moves that element's expectation off zero.
+    ensemble = _family(poset, family, data.draw(st.integers(1, 3)))
+    if ensemble is None:
+        ensemble = ensemble_uniform(poset)
+    mask = data.draw(st.sampled_from(order_ideals(poset)))
+    bump = QPoly.monomial(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)))
+    weights = dict(ensemble.weights)
+    weights[mask] = weights[mask] + bump
+    perturbed = WeightedEnsemble.from_weights(
+        poset, weights, ensemble.normalizer + bump
+    )
+    assert not _reference_toggle_symmetry(perturbed)
+    assert not check_toggle_symmetry(perturbed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SYMMETRY_POSETS.filter(lambda poset: poset.n > 0))
+def test_toggle_symmetry_fails_for_the_size_weighting(poset):
+    # q^|I| pairs I with I + p as (1 - q^2) q^|I| at every element p
+    weights = {mask: QPoly.monomial(1, mask.bit_count()) for mask in order_ideals(poset)}
+    normalizer = sum(weights.values(), QPoly.of([]))
+    skewed = WeightedEnsemble.from_weights(poset, weights, normalizer)
+    assert not _reference_toggle_symmetry(skewed)
+    assert not check_toggle_symmetry(skewed)
 
 
 def test_ddeg_expectation_golden_2x2():

@@ -169,10 +169,32 @@ def test_ideal_members():
 # dual and self-duality
 
 
-@given(partitions())
-def test_dual_involution(lam):
-    poset = build_shape(lam)
+DUAL_POSETS = st.one_of(
+    partitions().map(build_shape),
+    strict_partitions().map(build_shifted),
+    naturally_labeled_posets(),
+)
+
+
+@given(DUAL_POSETS)
+@example(Poset(0, []))
+def test_dual_involution(poset):
     assert dual(dual(poset)) == poset
+
+
+@given(DUAL_POSETS)
+@example(Poset(0, []))
+def test_dual_is_built_once_per_poset(poset):
+    n = poset.n
+    star = dual(poset)
+    assert dual(poset) is star
+    coords = poset.coords[::-1] if poset.coords is not None else None
+    fresh = Poset(n, [(n - 1 - hi, n - 1 - lo) for lo, hi in poset.covers], coords=coords)
+    assert star == fresh
+    # e < f in P exactly when n-1-f < n-1-e in the dual
+    for e in range(n):
+        mirrored = sum(1 << (n - 1 - f) for f in range(n) if poset.above_masks[e] >> f & 1)
+        assert star.below_masks[n - 1 - e] == mirrored
 
 
 def test_self_duality_facts():

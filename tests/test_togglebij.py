@@ -1,8 +1,9 @@
 """Toggle bijection: golden cases plus the exhaustive pairing properties."""
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import all_partitions
+from conftest import all_partitions, naturally_labeled_posets
 from qtab.distributions import theta, tin, tout
 from qtab.extensions import (
     LinearExtension,
@@ -11,7 +12,7 @@ from qtab.extensions import (
     format_tableau,
     parse_tableau,
 )
-from qtab.posets import build_propeller, build_rectangle, build_shape, build_shifted
+from qtab.posets import build_propeller, build_rectangle, build_shape, build_shifted, dual
 from qtab.qpoly import QPoly
 from qtab.togglebij import (
     AmbiguousCase,
@@ -147,6 +148,20 @@ def test_dual_extension_involution():
     for ext in enumerate_linear_extensions(poset):
         star = dual_extension(ext)
         assert dual_extension(star).values == ext.values
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_labeled_posets(max_n=6))
+def test_inverse_roundtrips_on_random_posets(poset):
+    n = poset.n
+    star = dual(poset)
+    for ext in enumerate_linear_extensions(poset):
+        assert dual_extension(ext).poset is star
+        for p in range(n):
+            for y in range(n + 1):
+                if tout(poset, p, ext.prefix_ideal(y)):
+                    image, y2 = toggle_bijection(p, ext, y)
+                    assert inverse_toggle_bijection(p, image, y2) == (ext, y)
 
 
 # ---------------------------------------------------------------------------
