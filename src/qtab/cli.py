@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from .distributions import (
     Statistic,
+    WeightedEnsemble,
     check_toggle_symmetry,
     ensemble_lin,
     ensemble_rank,
@@ -186,6 +187,39 @@ def _run_checks(checks: Sequence[Check]) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
+# run-scoped memo
+
+# Filled while ``cmd_verify`` builds and runs its checks, and emptied as soon
+# as they have run.  Until then the suites share one poset per spec, with the
+# J(P), ideal edges and order dual cached on it, and one ensemble per
+# (poset, builder, *args).
+_POSETS: dict[str, Poset] = {}
+_ENSEMBLES: dict[tuple, WeightedEnsemble] = {}
+
+
+def _poset(spec: str) -> Poset:
+    """The poset a spec names, parsed once per run."""
+    poset = _POSETS.get(spec)
+    if poset is None:
+        poset = _POSETS[spec] = parse_poset_spec(spec)
+    return poset
+
+
+def _ensemble(poset: Poset, builder: Callable[..., WeightedEnsemble], *args: object) -> WeightedEnsemble:
+    """``builder(poset, *args)``, built once per run."""
+    key = (poset, builder, *args)
+    ensemble = _ENSEMBLES.get(key)
+    if ensemble is None:
+        ensemble = _ENSEMBLES[key] = builder(poset, *args)
+    return ensemble
+
+
+def _clear_run_memo() -> None:
+    _POSETS.clear()
+    _ENSEMBLES.clear()
+
+
+# ---------------------------------------------------------------------------
 # corpora
 
 
@@ -213,7 +247,7 @@ def _shape_label(lam: Sequence[int]) -> str:
 
 def _members(*specs: str) -> list[tuple[str, Poset]]:
     """Each poset spec with the poset it names; the spec doubles as its label."""
-    return [(spec, parse_poset_spec(spec)) for spec in specs]
+    return [(spec, _poset(spec)) for spec in specs]
 
 
 def _labeled_corpus(max_boxes: int) -> list[tuple[str, Poset]]:
@@ -319,7 +353,7 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
 
 def _check_symmetry(poset: Poset, make_ensemble: Callable, *extra: object) -> tuple[bool, object, object]:
     """``make_ensemble(poset, *extra)`` has toggle expectation zero at every element."""
-    ensemble = make_ensemble(poset, *extra)
+    ensemble = _ensemble(poset, make_ensemble, *extra)
     if check_toggle_symmetry(ensemble):
         return True, None, None
     failures = [_vec(expectation(ensemble, statistic_toggle(poset, p))) for p in range(poset.n)]
@@ -356,8 +390,8 @@ def _suite_toggle_symmetry(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_rpp_modes(poset: Poset, m: int) -> tuple[bool, object, object]:
-    direct = ensemble_rpp(poset, m, mode="direct")
-    via = ensemble_rpp(poset, m, mode="via_theta_m")
+    direct = _ensemble(poset, ensemble_rpp, m, "direct")
+    via = _ensemble(poset, ensemble_rpp, m, "via_theta_m")
     ok = direct.weights == via.weights and direct.normalizer == via.normalizer
     if ok:
         return True, None, None
@@ -562,18 +596,14 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
-    n = poset.n
-    extensions = [
-        (ext, tuple(ext.prefix_ideal(y) for y in range(n + 1)))
-        for ext in enumerate_linear_extensions(poset)
-    ]
-    ensemble = ensemble_lin(poset)
+    extensions = list(enumerate_linear_extensions(poset))
+    ensemble = _ensemble(poset, ensemble_lin)
     q = QPoly.monomial(1, 1)
-    for p in range(n):
+    for p in range(poset.n):
         out_pairs = []
         in_pairs = []
-        for ext, masks in extensions:
-            for y, mask in enumerate(masks):
+        for ext in extensions:
+            for y, mask in enumerate(ext.prefix_masks):
                 if tout(poset, p, mask):
                     out_pairs.append((ext, y))
                 if tin(poset, p, mask):
@@ -777,7 +807,10 @@ def _degree_cap(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite_names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    records = _run_checks([check for name in suite_names for check in SUITES[name](args)])
+    try:
+        records = _run_checks([check for name in suite_names for check in SUITES[name](args)])
+    finally:
+        _clear_run_memo()
     ok = all(record.ok for record in records)
     if args.json:
         payload = {

@@ -256,10 +256,7 @@ def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble
     elif mode == "via_theta_m":
         sums: dict[int, list[int]] = {}
         for ext in enumerate_linear_extensions(poset):
-            mask = 0
-            for i in range(poset.n + 1):
-                if i:
-                    mask |= 1 << ext.positions[i - 1]
+            for i, mask in enumerate(ext.prefix_masks):
                 _add(sums.setdefault(mask, []), theta_m(ext, i, m).coeffs)
         acc = {mask: QPoly.of(coeffs) for mask, coeffs in sums.items()}
     else:
@@ -277,16 +274,17 @@ def ensemble_lin(poset: Poset) -> WeightedEnsemble:
 
 def ensemble_rank(poset: Poset) -> WeightedEnsemble:
     """Rank-chain weighting of a graded poset: the empty ideal and the rank
-    levels carry q^(rank+1), q^rank, ..., q, 1; other ideals weight zero."""
+    levels carry q^(rank+1), q^rank, ..., q, 1; other ideals weight zero.
+    The empty poset has no levels: its one ideal weighs 1."""
     data = rank_data(poset)
-    top = data.rank
-    weights: dict[int, QPoly] = {0: QPoly.monomial(1, top + 1)}
+    levels = data.rank + 1 if poset.n else 0
+    weights: dict[int, QPoly] = {0: QPoly.monomial(1, levels)}
     mask = 0
-    for level in range(top + 1):
+    for level in range(levels):
         mask |= sum(1 << e for e, r in enumerate(data.ranks) if r == level)
-        weights[mask] = QPoly.monomial(1, top - level)
+        weights[mask] = QPoly.monomial(1, levels - 1 - level)
     return WeightedEnsemble.from_weights(
-        poset, weights, qnum(top + 2), "rank-chain"
+        poset, weights, qnum(levels + 1), "rank-chain"
     )
 
 

@@ -80,12 +80,19 @@ class LinearExtension:
         """The label word w_1 .. w_n."""
         return tuple(e + 1 for e in self.positions)
 
+    @cached_property
+    def prefix_masks(self) -> tuple[int, ...]:
+        """Per i = 0..n, the mask of the elements holding values 1..i."""
+        masks = [0]
+        for e in self.positions:
+            masks.append(masks[-1] | 1 << e)
+        return tuple(masks)
+
     def prefix_ideal(self, i: int) -> int:
         """Mask of the elements holding values 1..i."""
-        mask = 0
-        for e in self.positions[:i]:
-            mask |= 1 << e
-        return mask
+        if not 0 <= i <= self.poset.n:
+            raise ValueError(f"prefix length {i} out of range")
+        return self.prefix_masks[i]
 
 
 def _extension_positions(poset: Poset) -> Iterator[tuple[int, ...]]:

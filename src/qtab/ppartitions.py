@@ -18,6 +18,7 @@ by ``engine``; the enumerators are the reference they are tested against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -116,12 +117,24 @@ def rpp_size_series(poset: Poset, cap: int) -> QPoly:
 
 
 def _bracket_ratio_product(pairs: Sequence[tuple[int, int]]) -> QPoly:
-    """prod [num]/[den] over the given pairs, computed exactly."""
+    """prod [num]/[den] over the given pairs, computed exactly.
+
+    Equal q-integers [k], k >= 1, cancel between the two sides before any
+    product is formed; [0] = 0 never cancels, so a zero factor still gives 0
+    or a division by zero.
+    """
+    nums = Counter(num for num, _ in pairs)
+    dens = Counter(den for _, den in pairs)
+    common = nums & dens
+    del common[0]
+    nums -= common
+    dens -= common
     numerator = QPoly.of([1])
     denominator = QPoly.of([1])
-    for num, den in pairs:
-        numerator = numerator * qnum(num)
-        denominator = denominator * qnum(den)
+    for k in nums.elements():
+        numerator = numerator * qnum(k)
+    for k in dens.elements():
+        denominator = denominator * qnum(k)
     return numerator.exact_div(denominator)
 
 

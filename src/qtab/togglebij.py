@@ -119,7 +119,7 @@ def classify(
         raise ValueError(f"prefix length {y} out of range")
     if not 0 <= p < n:
         raise ValueError(f"element {p} out of range")
-    if not tout(poset, p, ext.prefix_ideal(y)):
+    if not tout(poset, p, ext.prefix_masks[y]):
         raise PNotTogglableOut(f"element {p} is not togglable out of the {y}-prefix")
     pos = ext.positions
     x = ext.values[p]
@@ -244,7 +244,7 @@ def inverse_toggle_bijection(
         raise ValueError(f"prefix length {y} out of range")
     if not 0 <= p < n:
         raise ValueError(f"element {p} out of range")
-    if not tin(poset, p, ext.prefix_ideal(y)):
+    if not tin(poset, p, ext.prefix_masks[y]):
         raise PNotTogglableIn(f"element {p} is not togglable into the {y}-prefix")
     star = dual_extension(ext)
     _, dec = classify(star, n - 1 - p, n - y)

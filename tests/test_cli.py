@@ -310,6 +310,80 @@ def test_verify_jobs_deterministic(capsys):
     assert stripped("1") == stripped("4")
 
 
+class _Abort(BaseException):
+    """Escapes ``_run_checks``, which turns only an ``Exception`` into a failure."""
+
+
+def _memo_sizes() -> tuple[int, int]:
+    return len(cli._POSETS), len(cli._ENSEMBLES)
+
+
+def _crash(seen: list, error: BaseException) -> tuple[bool, object, object]:
+    seen.append(_memo_sizes())
+    raise error
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("boom"), _Abort()])
+def test_verify_empties_its_memo(capsys, monkeypatch, error):
+    seen: list[tuple[int, int]] = []
+    cli._clear_run_memo()  # building checks outside a run fills it too
+
+    def suite(args):
+        poset = cli._poset("rect:2x2")
+        return [
+            Check("demo:a", "demo", cli._check_symmetry, (poset, cli.ensemble_uniform)),
+            Check("demo:b", "demo", _crash, (seen, error)),
+        ]
+
+    monkeypatch.setitem(cli.SUITES, "paths", suite)
+    if isinstance(error, Exception):
+        assert run_cli(capsys, "verify", "paths")[0] == 1
+    else:
+        with pytest.raises(_Abort):
+            main(["verify", "paths"])
+    assert seen == [(1, 1)]
+    assert _memo_sizes() == (0, 0)
+
+    assert run_cli(capsys, "verify", "toggle-symmetry", "--max-boxes", "3", "--max-m", "1")[0] == 0
+    assert _memo_sizes() == (0, 0)
+
+
+def test_verify_builds_each_shared_ensemble_once(capsys, monkeypatch):
+    builds: list[tuple] = []
+
+    def counted(builder):
+        def build(poset, *args):
+            builds.append((poset, builder.__name__, *args))
+            return builder(poset, *args)
+
+        return build
+
+    for name in ("ensemble_lin", "ensemble_rpp", "ensemble_uniform", "ensemble_rank"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    monkeypatch.setattr(cli, "SUITE_NAMES", ("appendix", "m-weight", "toggle-symmetry"))
+    corpus = [poset for _, poset in cli._labeled_corpus(4)]
+    assert run_cli(capsys, "verify", "all", "--max-boxes", "4", "--max-m", "2")[0] == 0
+    assert len(builds) == len(set(builds))
+    # appendix and m-weight build these first; toggle-symmetry reads them again
+    for poset in corpus:
+        assert (poset, "ensemble_lin") in builds
+        for m in (1, 2):
+            assert (poset, "ensemble_rpp", m, "direct") in builds
+            assert (poset, "ensemble_rpp", m, "via_theta_m") in builds
+
+
+def test_verify_repeats_in_process(capsys):
+    def report() -> dict:
+        code, out, _ = run_cli(capsys, "verify", "toggle-symmetry", "--max-boxes", "4", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        for check in payload["checks"]:
+            del check["seconds"]
+        return payload
+
+    assert report() == report()
+
+
 def test_run_checks_sorted_by_id():
     order = []
     checks = [

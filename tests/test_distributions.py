@@ -44,6 +44,7 @@ from qtab.extensions import (
 )
 from qtab.posets import (
     NotGraded,
+    Poset,
     build_minuscule,
     build_rectangle,
     build_shape,
@@ -206,6 +207,13 @@ def test_rank_chain_weights():
     assert ensemble.weight(0b000011) == QPoly.of([])
     with pytest.raises(NotGraded):
         ensemble_rank(build_shape((3, 1)))
+
+
+def test_rank_chain_on_the_empty_poset():
+    ensemble = ensemble_rank(Poset(0, []))
+    assert ensemble.weights == ((0, QPoly.of([1])),)
+    assert ensemble.normalizer == QPoly.of([1])
+    assert check_toggle_symmetry(ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +382,13 @@ FAMILIES = ("uniform", "lin", "rpp:direct", "rpp:via_theta_m", "rank")
 
 def _family(poset, family: str, m: int) -> WeightedEnsemble | None:
     """One of the four toggle-symmetric families; None for the rank chain of
-    a poset it does not apply to."""
+    a poset that is not graded."""
     if family == "uniform":
         return ensemble_uniform(poset)
     if family == "lin":
         return ensemble_lin(poset)
     if family.startswith("rpp:"):
         return ensemble_rpp(poset, m, mode=family[4:])
-    if poset.n == 0:
-        return None
     try:
         rank_data(poset)
     except NotGraded:

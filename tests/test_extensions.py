@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    naturally_labeled_posets,
     partition_strategy,
     small_shape_corpus,
     strict_partition_strategy,
@@ -94,6 +95,27 @@ def test_word_and_positions():
     assert ext.word() == (1, 3, 2, 4)
     assert ext.prefix_ideal(2) == 0b0101
     assert ext.prefix_ideal(0) == 0
+    assert ext.prefix_ideal(4) == 0b1111
+
+
+@pytest.mark.parametrize("i", [-1, 5, 9])
+def test_prefix_ideal_rejects_lengths_outside_0_to_n(i):
+    ext = LinearExtension(RECT22, (1, 3, 2, 4))
+    with pytest.raises(ValueError):
+        ext.prefix_ideal(i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(naturally_labeled_posets(max_n=6))
+def test_prefix_masks_are_the_prefix_ideals(poset):
+    for ext in enumerate_linear_extensions(poset):
+        assert len(ext.prefix_masks) == poset.n + 1
+        for i, mask in enumerate(ext.prefix_masks):
+            expected = 0
+            for e in ext.positions[:i]:
+                expected |= 1 << e
+            assert mask == expected
+            assert ext.prefix_ideal(i) == mask
 
 
 def test_enumeration_is_lex_by_word():

@@ -22,6 +22,7 @@ from qtab.posets import (
 from qtab.ppartitions import (
     BsvRpp,
     Rpp,
+    _bracket_ratio_product,
     bender_knuth_gf,
     bsv_rpp_from_triple,
     enumerate_bsv_rpp,
@@ -144,6 +145,41 @@ def test_macmahon_golden():
     assert macmahon_gf(3, 3, 1).evaluate(1) == 20  # ideals of the 3x3 grid
 
 
+def _uncancelled_ratio(pairs):
+    """prod [num] exactly divided by prod [den], or the type of the error."""
+    numerator = QPoly.of([1])
+    denominator = QPoly.of([1])
+    for num, den in pairs:
+        numerator = numerator * qnum(num)
+        denominator = denominator * qnum(den)
+    try:
+        return numerator.exact_div(denominator)
+    except Exception as exc:
+        return type(exc)
+
+
+# [k*d] / [d] is a polynomial, so lists of such pairs divide exactly however
+# their numerators are shuffled; free pairs mostly do not
+_FREE_PAIRS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6)
+_EXACT_PAIRS = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 5)).map(lambda kd: (kd[0] * kd[1], kd[1])),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_FREE_PAIRS, _EXACT_PAIRS), st.randoms(use_true_random=False))
+def test_bracket_ratio_cancellation_is_exact(pairs, rng):
+    nums = [num for num, _ in pairs]
+    rng.shuffle(nums)
+    pairs = [(num, den) for num, (_, den) in zip(nums, pairs)]
+    try:
+        cancelled = _bracket_ratio_product(pairs)
+    except Exception as exc:
+        cancelled = type(exc)
+    assert cancelled == _uncancelled_ratio(pairs)
+
+
 @pytest.mark.parametrize("k,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_bender_knuth_matches_enumeration(k, m):
     staircase = build_shifted(tuple(range(k, 0, -1)))
@@ -159,6 +195,7 @@ def test_bender_knuth_matches_enumeration(k, m):
         build_propeller(3),
         build_shifted((3, 2, 1)),
         build_minuscule("E6"),
+        build_minuscule("E7"),
     ],
     ids=lambda p: repr(p),
 )
