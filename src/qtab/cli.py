@@ -19,11 +19,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .distributions import (
     Statistic,
-    WeightedEnsemble,
     check_toggle_symmetry,
     ensemble_lin,
     ensemble_rank,
@@ -35,7 +34,6 @@ from .distributions import (
     theta,
     theta_m,
     tin,
-    tout,
 )
 from .extensions import (
     LinearExtension,
@@ -56,6 +54,7 @@ from .paths import (
     catalan_sum_check,
     enumerate_rbmotz,
     narayana_check,
+    two_row_tally,
     verify_cor_dyck_gen_fun,
 )
 from .posets import (
@@ -191,10 +190,10 @@ def _run_checks(checks: Sequence[Check]) -> list[CheckRecord]:
 
 # Filled while ``cmd_verify`` builds and runs its checks, and emptied as soon
 # as they have run.  Until then the suites share one poset per spec, with the
-# J(P), ideal edges and order dual cached on it, and one ensemble per
-# (poset, builder, *args).
+# J(P), ideal edges and order dual cached on it, and one ensemble or tableau
+# tally per (builder, *args).
 _POSETS: dict[str, Poset] = {}
-_ENSEMBLES: dict[tuple, WeightedEnsemble] = {}
+_BUILT: dict[tuple, object] = {}
 
 
 def _poset(spec: str) -> Poset:
@@ -205,18 +204,18 @@ def _poset(spec: str) -> Poset:
     return poset
 
 
-def _ensemble(poset: Poset, builder: Callable[..., WeightedEnsemble], *args: object) -> WeightedEnsemble:
-    """``builder(poset, *args)``, built once per run."""
-    key = (poset, builder, *args)
-    ensemble = _ENSEMBLES.get(key)
-    if ensemble is None:
-        ensemble = _ENSEMBLES[key] = builder(poset, *args)
-    return ensemble
+def _built(builder: Callable, *args: object) -> Any:
+    """``builder(*args)``, built once per run."""
+    key = (builder, *args)
+    value = _BUILT.get(key)
+    if value is None:
+        value = _BUILT[key] = builder(*args)
+    return value
 
 
 def _clear_run_memo() -> None:
     _POSETS.clear()
-    _ENSEMBLES.clear()
+    _BUILT.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,7 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
 
 def _check_symmetry(poset: Poset, make_ensemble: Callable, *extra: object) -> tuple[bool, object, object]:
     """``make_ensemble(poset, *extra)`` has toggle expectation zero at every element."""
-    ensemble = _ensemble(poset, make_ensemble, *extra)
+    ensemble = _built(make_ensemble, poset, *extra)
     if check_toggle_symmetry(ensemble):
         return True, None, None
     failures = [_vec(expectation(ensemble, statistic_toggle(poset, p))) for p in range(poset.n)]
@@ -390,10 +389,12 @@ def _suite_toggle_symmetry(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_rpp_modes(poset: Poset, m: int) -> tuple[bool, object, object]:
-    direct = _ensemble(poset, ensemble_rpp, m, "direct")
-    via = _ensemble(poset, ensemble_rpp, m, "via_theta_m")
+    direct = _built(ensemble_rpp, poset, m, "direct")
+    via = _built(ensemble_rpp, poset, m, "via_theta_m")
     ok = direct.weights == via.weights and direct.normalizer == via.normalizer
     if ok:
+        # later via-route checks read the equal direct ensemble; the via one is freed
+        _BUILT[(ensemble_rpp, poset, m, "via_theta_m")] = direct
         return True, None, None
     return False, [_vec(w) for _, w in direct.weights], [_vec(w) for _, w in via.weights]
 
@@ -569,8 +570,9 @@ def _check_rbmotz_count(length: int) -> tuple[bool, object, object]:
     return _eq(count, catalan_number(length - 1))
 
 
-def _check_bool(fn: Callable[[int], bool], value: int) -> tuple[bool, object, object]:
-    return fn(value), None, None
+def _check_bool(fn: Callable[..., bool], value: int, *shared: Callable) -> tuple[bool, object, object]:
+    """``fn(value, *(build(value) for build in shared))``, each build once per run."""
+    return fn(value, *(_built(build, value) for build in shared)), None, None
 
 
 def _suite_paths(args: argparse.Namespace) -> list[Check]:
@@ -585,11 +587,11 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
         for b in range(1, max_b + 1)
     ]
     checks += [
-        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool, (catalan_sum_check, length))
+        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool, (catalan_sum_check, length, two_row_tally))
         for length in range(2, min(max_l, 8) + 1)
     ]
     checks += [
-        Check(f"paths:narayana:l{length}", "tableau-count-narayana-rows", _check_bool, (narayana_check, length))
+        Check(f"paths:narayana:l{length}", "tableau-count-narayana-rows", _check_bool, (narayana_check, length, two_row_tally))
         for length in range(2, min(max_l, 8) + 1)
     ]
     return checks
@@ -597,39 +599,44 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
 
 def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
     extensions = list(enumerate_linear_extensions(poset))
-    ensemble = _ensemble(poset, ensemble_lin)
-    q = QPoly.monomial(1, 1)
+    by_values = {ext.values: ext for ext in extensions}
+    ensemble = _built(ensemble_lin, poset)
+    # one pass sorts every (T, y) into the out- and in-togglable pairs of each p
+    out_pairs: list[list[tuple[LinearExtension, int]]] = [[] for _ in range(poset.n)]
+    in_pairs: list[list[tuple[LinearExtension, int]]] = [[] for _ in range(poset.n)]
+    for ext in extensions:
+        for y, mask in enumerate(ext.prefix_masks):
+            for p in range(poset.n):
+                if mask >> p & 1:
+                    if not poset.up_masks[p] & mask:
+                        out_pairs[p].append((ext, y))
+                elif poset.low_masks[p] & mask == poset.low_masks[p]:
+                    in_pairs[p].append((ext, y))
     for p in range(poset.n):
-        out_pairs = []
-        in_pairs = []
-        for ext in extensions:
-            for y, mask in enumerate(ext.prefix_masks):
-                if tout(poset, p, mask):
-                    out_pairs.append((ext, y))
-                if tin(poset, p, mask):
-                    in_pairs.append((ext, y))
-        images = []
-        for ext, y in out_pairs:
+        images = set()
+        for ext, y in out_pairs[p]:
             image, y2 = toggle_bijection(p, ext, y)
-            if not tin(poset, p, image.prefix_ideal(y2)):
+            # the enumerated twin has its positions, descents and exponents cached
+            twin = by_values[image.values]
+            if not tin(poset, p, twin.prefix_ideal(y2)):
                 return False, f"p={p}: image pair is not in-togglable", None
             # theta(T, y) * q == theta(T', y'), compared as exponents
-            if ext.theta_exponents[y] + 1 != image.theta_exponents[y2]:
+            if ext.theta_exponents[y] + 1 != twin.theta_exponents[y2]:
                 return False, f"p={p}: weight law broken", None
-            if len(descents(ext) - {y}) != len(descents(image) - {y2}):
+            if len(descents(ext) - {y}) != len(descents(twin) - {y2}):
                 return False, f"p={p}: descent count changed", None
-            if inverse_toggle_bijection(p, image, y2) != (ext, y):
+            if inverse_toggle_bijection(p, twin, y2) != (ext, y):
                 return False, f"p={p}: inverse does not roundtrip", None
-            images.append((image, y2))
-        if len(set(images)) != len(out_pairs) or set(images) != set(in_pairs):
+            images.add((image.values, y2))
+        if len(images) != len(out_pairs[p]) or images != {(ext.values, y) for ext, y in in_pairs[p]}:
             return False, f"p={p}: images do not match the in-togglable pairs", None
         # two sums of monomials q^e agree exactly when their exponents agree
         # as multisets
-        lhs_exps = sorted(ext.theta_exponents[y] + 1 for ext, y in out_pairs)
-        rhs_exps = sorted(ext.theta_exponents[y] for ext, y in in_pairs)
+        lhs_exps = sorted(ext.theta_exponents[y] + 1 for ext, y in out_pairs[p])
+        rhs_exps = sorted(ext.theta_exponents[y] for ext, y in in_pairs[p])
         if lhs_exps != rhs_exps:
-            lhs = sum((theta(ext, y) * q for ext, y in out_pairs), QPoly.of([]))
-            rhs = sum((theta(ext, y) for ext, y in in_pairs), QPoly.of([]))
+            lhs = sum((theta(ext, y).shift(1) for ext, y in out_pairs[p]), QPoly.of([]))
+            rhs = sum((theta(ext, y) for ext, y in in_pairs[p]), QPoly.of([]))
             return False, lhs, rhs
         if expectation(ensemble, statistic_toggle(poset, p)) != RatFunc.from_int(0):
             return False, f"p={p}: extension-weight toggle expectation is nonzero", None

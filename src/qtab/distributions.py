@@ -176,20 +176,19 @@ def check_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
 
     The normalizer is nonzero, so at each element p this is whether the
     weights of the ideals p can enter sum to q times the weights of the
-    ideals p can leave.
+    ideals p can leave.  One pass over the ideals sums both for every p.
     """
     poset = ensemble.poset
-    for p in range(poset.n):
-        into: list[int] = []
-        out: list[int] = []
-        for mask, weight in ensemble.weights:
-            if tin(poset, p, mask):
-                _add(into, weight.coeffs)
-            if tout(poset, p, mask):
-                _add(out, weight.coeffs)
-        if QPoly.of(into) != QPoly.of(out).shift(1):
-            return False
-    return True
+    into: list[list[int]] = [[] for _ in range(poset.n)]
+    out: list[list[int]] = [[] for _ in range(poset.n)]
+    for mask, weight in ensemble.weights:
+        for p in range(poset.n):
+            if mask >> p & 1:  # tout: p present and maximal; tin: absent, addable
+                if not poset.up_masks[p] & mask:
+                    _add(out[p], weight.coeffs)
+            elif poset.low_masks[p] & mask == poset.low_masks[p]:
+                _add(into[p], weight.coeffs)
+    return all(QPoly.of(i) == QPoly.of(o).shift(1) for i, o in zip(into, out))
 
 
 # ---------------------------------------------------------------------------

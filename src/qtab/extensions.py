@@ -96,29 +96,34 @@ class LinearExtension:
 
 
 def _extension_positions(poset: Poset) -> Iterator[tuple[int, ...]]:
-    """Positions arrays of all linear extensions, in lex word order."""
+    """Positions arrays of all linear extensions, in lex word order: a
+    depth-first walk in which ``start`` is the next element to try at depth
+    ``len(prefix)``."""
     n = poset.n
     indegree = [len(poset.lower_covers[e]) for e in range(n)]
     placed = [False] * n
     prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
+    start = 0
+    while True:
         if len(prefix) == n:
             yield tuple(prefix)
+        e = start
+        while e < n and (placed[e] or indegree[e]):
+            e += 1
+        if e < n:
+            placed[e] = True
+            for u in poset.upper_covers[e]:
+                indegree[u] -= 1
+            prefix.append(e)
+            start = 0
+        elif prefix:
+            e = prefix.pop()
+            for u in poset.upper_covers[e]:
+                indegree[u] += 1
+            placed[e] = False
+            start = e + 1
+        else:
             return
-        for e in range(n):
-            if not placed[e] and indegree[e] == 0:
-                placed[e] = True
-                for u in poset.upper_covers[e]:
-                    indegree[u] -= 1
-                prefix.append(e)
-                yield from rec()
-                prefix.pop()
-                for u in poset.upper_covers[e]:
-                    indegree[u] += 1
-                placed[e] = False
-
-    return rec()
 
 
 def _from_positions(poset: Poset, pos: Sequence[int]) -> LinearExtension:

@@ -93,34 +93,26 @@ class RbMotzkinPath:
 
 
 def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPath]:
-    """All restricted paths of the given length (k horizontal steps if given)."""
-    steps: list[str] = []
-
-    def rec(height: int, seen_down: bool, hcount: int) -> Iterator[RbMotzkinPath]:
+    """All restricted paths of the given length (k horizontal steps if given),
+    depth first from a stack of (steps, height, seen a down step, horizontal
+    steps) entries, pushed so that they pop as U, D, Hr, Hb."""
+    stack: list[tuple[tuple[str, ...], int, bool, int]] = [((), 0, False, 0)]
+    while stack:
+        steps, height, seen_down, hcount = stack.pop()
         remaining = length - len(steps)
         if height > remaining:
-            return
+            continue
         if k is not None and (hcount > k or hcount + remaining < k):
-            return
+            continue
         if not remaining:
-            yield RbMotzkinPath(tuple(steps))
-            return
-        steps.append("U")
-        yield from rec(height + 1, seen_down, hcount)
-        steps.pop()
-        if height > 0:
-            steps.append("D")
-            yield from rec(height - 1, True, hcount)
-            steps.pop()
-            steps.append("Hr")
-            yield from rec(height, seen_down, hcount + 1)
-            steps.pop()
+            yield RbMotzkinPath(steps)
+            continue
         if seen_down:
-            steps.append("Hb")
-            yield from rec(height, seen_down, hcount + 1)
-            steps.pop()
-
-    return rec(0, False, 0)
+            stack.append((steps + ("Hb",), height, seen_down, hcount + 1))
+        if height > 0:
+            stack.append((steps + ("Hr",), height, seen_down, hcount + 1))
+            stack.append((steps + ("D",), height - 1, True, hcount))
+        stack.append((steps + ("U",), height + 1, seen_down, hcount))
 
 
 class DyckPath(RbMotzkinPath):
@@ -380,13 +372,26 @@ def verify_cor_dyck_gen_fun(b: int) -> bool:
     return lhs == rhs
 
 
-def catalan_sum_check(length: int) -> bool:
-    """Tableau counts over 2b+k = length sum to Cat(length-1), matching the
-    direct path count both in aggregate and per width."""
+def two_row_tally(length: int) -> tuple[Counter, Counter]:
+    """Counts of the two-row set-valued tableaux with 2b+k = length entries,
+    by width b and by number of top-row entries."""
+    by_width: Counter = Counter()
+    by_top: Counter = Counter()
+    for b in range(1, length // 2 + 1):
+        for tableau in enumerate_two_row_set_valued(b, length - 2 * b):
+            by_width[b] += 1
+            by_top[tableau.top_entry_count] += 1
+    return by_width, by_top
+
+
+def catalan_sum_check(length: int, tally: tuple[Counter, Counter] | None = None) -> bool:
+    """Tableau counts over 2b+k = length (``tally``, built when not given)
+    sum to Cat(length-1), matching the direct path count in all and per width."""
+    by_width = (tally or two_row_tally(length))[0]
     total = 0
     for b in range(1, length // 2 + 1):
         k = length - 2 * b
-        tableaux = sum(1 for _ in enumerate_two_row_set_valued(b, k))
+        tableaux = by_width[b]
         paths = sum(1 for _ in enumerate_rbmotz(length, k=k))
         if tableaux != paths:
             return False
@@ -395,13 +400,10 @@ def catalan_sum_check(length: int) -> bool:
     return total == catalan_number(length - 1) == direct
 
 
-def narayana_check(length: int) -> bool:
-    """Refining the tableau count by top-row entries gives the Narayana row."""
-    counts: dict[int, int] = {}
-    for b in range(1, length // 2 + 1):
-        for tableau in enumerate_two_row_set_valued(b, length - 2 * b):
-            j = tableau.top_entry_count
-            counts[j] = counts.get(j, 0) + 1
+def narayana_check(length: int, tally: tuple[Counter, Counter] | None = None) -> bool:
+    """Refining the tableau count (``tally``, built when not given) by
+    top-row entries gives the Narayana row."""
+    counts = (tally or two_row_tally(length))[1]
     m = length - 1
     expected = {
         j: math.comb(m, j) * math.comb(m, j - 1) // m for j in range(1, m + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .distributions import tin, tout
 from .extensions import LinearExtension
-from .posets import dual
+from .posets import Poset, dual
 
 _LEFT_CASES = ("L0", "L1", "L2", "L3a", "L3b")
 _RIGHT_CASES = ("R0", "R1", "R2", "R3a", "R3b")
@@ -121,12 +121,15 @@ def classify(
         raise ValueError(f"element {p} out of range")
     if not tout(poset, p, ext.prefix_masks[y]):
         raise PNotTogglableOut(f"element {p} is not togglable out of the {y}-prefix")
-    pos = ext.positions
-    x = ext.values[p]
+    return _classify(ext.positions, n, ext.values[p], y)
 
+
+def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> tuple[CaseLabel, IntervalDecomposition]:
+    """``classify`` on positions, for the element holding value x, once the
+    caller has checked that it toggles out of the y-prefix."""
     # maximal alternating runs over [x, y]; the run holding y is typed by
-    # comparing y against x
-    kinds = ["U" if _up(pos, n, l, l + 1) else "D" for l in range(x, y)]
+    # comparing y against x (x <= l < y <= n, so l and l+1 lie in range)
+    kinds = ["U" if pos[l - 1] > pos[l] else "D" for l in range(x, y)]
     kinds.append("U" if _up(pos, n, y, x) else "D")
     blocks: list[tuple[str, int, int]] = []
     for offset, kind in enumerate(kinds):
@@ -202,13 +205,20 @@ def escalate(ext: LinearExtension, x: int, z: int) -> LinearExtension:
     n = ext.poset.n
     if z < x or not 1 <= x <= n or not z <= n:
         raise InvalidEscalation(f"bad interval [{x}, {z}]")
-    pos = ext.positions
-    values = list(ext.values)
+    return _extension(ext.poset, _rotate(ext.values, ext.positions, x, z))
+
+
+def _rotate(values: tuple[int, ...], pos: tuple[int, ...], x: int, z: int) -> tuple[int, ...]:
+    out = list(values)
     for v in range(x, z):
-        values[pos[v]] = v
-    values[pos[x - 1]] = z
+        out[pos[v]] = v
+    out[pos[x - 1]] = z
+    return tuple(out)
+
+
+def _extension(poset: Poset, values: tuple[int, ...]) -> LinearExtension:
     try:
-        return LinearExtension(ext.poset, tuple(values))
+        return LinearExtension(poset, values)
     except ValueError as exc:
         raise InvalidEscalation(str(exc)) from exc
 
@@ -222,10 +232,7 @@ def toggle_bijection(
 
 
 def _dual_values(n: int, values: tuple[int, ...]) -> tuple[int, ...]:
-    flipped = [0] * n
-    for e, v in enumerate(values):
-        flipped[n - 1 - e] = n + 1 - v
-    return tuple(flipped)
+    return tuple([n + 1 - v for v in reversed(values)])
 
 
 def dual_extension(ext: LinearExtension) -> LinearExtension:
@@ -246,10 +253,10 @@ def inverse_toggle_bijection(
         raise ValueError(f"element {p} out of range")
     if not tin(poset, p, ext.prefix_masks[y]):
         raise PNotTogglableIn(f"element {p} is not togglable into the {y}-prefix")
-    star = dual_extension(ext)
-    _, dec = classify(star, n - 1 - p, n - y)
-    image = escalate(star, dec.x, dec.z)
-    return (
-        LinearExtension(poset, _dual_values(n, image.values)),
-        n - dec.y_prime,
-    )
+    # the dual extension as tuples (element e -> n-1-e, value v -> n+1-v);
+    # p enters the y-prefix of T exactly when n-1-p leaves its (n-y)-prefix
+    star_pos = tuple(n - 1 - e for e in reversed(ext.positions))
+    star_values = _dual_values(n, ext.values)
+    _, dec = _classify(star_pos, n, star_values[n - 1 - p], n - y)
+    image = _rotate(star_values, star_pos, dec.x, dec.z)
+    return _extension(poset, _dual_values(n, image)), n - dec.y_prime

@@ -25,6 +25,7 @@ from qtab.qpoly import (
     parse_qt_poly,
     qnum,
 )
+from qtab.togglebij import toggle_bijection
 
 RECT22 = build_rectangle(2, 2)
 
@@ -315,7 +316,7 @@ class _Abort(BaseException):
 
 
 def _memo_sizes() -> tuple[int, int]:
-    return len(cli._POSETS), len(cli._ENSEMBLES)
+    return len(cli._POSETS), len(cli._BUILT)
 
 
 def _crash(seen: list, error: BaseException) -> tuple[bool, object, object]:
@@ -427,6 +428,48 @@ def test_verify_caps_must_be_positive(capsys, flag, value):
     err = capsys.readouterr().err
     assert flag in err
     assert "positive integer" in err
+
+
+def test_rpp_modes_leave_one_ensemble_in_the_memo():
+    cli._clear_run_memo()
+    poset = cli._poset("shape:2,1")
+    try:
+        assert cli._check_rpp_modes(poset, 2) == (True, None, None)
+        direct = cli._built(cli.ensemble_rpp, poset, 2, "direct")
+        assert cli._built(cli.ensemble_rpp, poset, 2, "via_theta_m") is direct
+    finally:
+        cli._clear_run_memo()
+
+
+# ---------------------------------------------------------------------------
+# appendix:bijection under broken pairings
+
+
+def _shifted_prefix(shift: int):
+    def pairing(p, ext, y):
+        image, y2 = toggle_bijection(p, ext, y)
+        return image, y2 + shift
+
+    return pairing
+
+
+@pytest.mark.parametrize(
+    "pairing, message",
+    [
+        (_shifted_prefix(1), "p=0: image pair is not in-togglable"),
+        (_shifted_prefix(-1), "ValueError: prefix length -1 out of range"),
+        (lambda p, ext, y: (ext, y), "p=0: image pair is not in-togglable"),
+    ],
+    ids=["y-plus-one", "y-minus-one", "out-togglable-pair"],
+)
+def test_bijection_check_fails_under_a_broken_pairing(monkeypatch, pairing, message):
+    monkeypatch.setattr(cli, "toggle_bijection", pairing)
+    poset = cli._poset("shape:3,2,1")
+    try:
+        [record] = _run_checks([Check("demo", "demo", cli._check_bijection, (poset,))])
+    finally:
+        cli._clear_run_memo()
+    assert (record.ok, record.lhs, record.rhs) == (False, message, None)
 
 
 # ---------------------------------------------------------------------------

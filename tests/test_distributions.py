@@ -435,6 +435,26 @@ def test_toggle_symmetry_fails_once_a_family_is_perturbed(poset, family, data):
     assert not check_toggle_symmetry(perturbed)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_toggle_symmetry_fails_when_only_the_last_element_is_asymmetric(family):
+    # The full ideal of a rectangle can only lose its top corner, the last
+    # element, so a bump there breaks the symmetry at that element alone.
+    poset = build_rectangle(2, 3)
+    ensemble = _family(poset, family, 2)
+    full = (1 << poset.n) - 1
+    weights = dict(ensemble.weights)
+    weights[full] = weights[full] + QPoly.monomial(1, 1)
+    perturbed = WeightedEnsemble.from_weights(
+        poset, weights, ensemble.normalizer + QPoly.monomial(1, 1)
+    )
+    asymmetric = [
+        p for p in range(poset.n)
+        if expectation(perturbed, statistic_toggle(poset, p)) != 0
+    ]
+    assert asymmetric == [poset.n - 1]
+    assert not check_toggle_symmetry(perturbed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(SYMMETRY_POSETS.filter(lambda poset: poset.n > 0))
 def test_toggle_symmetry_fails_for_the_size_weighting(poset):

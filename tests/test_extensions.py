@@ -19,6 +19,7 @@ from qtab.extensions import (
     InvalidTriple,
     LinearExtension,
     UnsupportedRefinement,
+    _from_positions,
     bsv_descents,
     bsv_from_triple,
     comaj,
@@ -39,6 +40,8 @@ from qtab.extensions import (
     triple_from_bsv,
 )
 from qtab.posets import (
+    Poset,
+    build_minuscule,
     build_propeller,
     build_rectangle,
     build_shape,
@@ -123,6 +126,54 @@ def test_enumeration_is_lex_by_word():
         words = [e.word() for e in enumerate_linear_extensions(poset)]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
+
+
+def _recursive_positions(poset):
+    """The recursive enumerator the explicit-stack walk replaced: the
+    reference for its order."""
+    n = poset.n
+    indegree = [len(poset.lower_covers[e]) for e in range(n)]
+    placed = [False] * n
+    prefix: list[int] = []
+
+    def rec():
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for e in range(n):
+            if not placed[e] and indegree[e] == 0:
+                placed[e] = True
+                for u in poset.upper_covers[e]:
+                    indegree[u] -= 1
+                prefix.append(e)
+                yield from rec()
+                prefix.pop()
+                for u in poset.upper_covers[e]:
+                    indegree[u] += 1
+                placed[e] = False
+
+    return rec()
+
+
+def _assert_recursive_order(poset):
+    expected = [_from_positions(poset, pos) for pos in _recursive_positions(poset)]
+    assert list(enumerate_linear_extensions(poset)) == expected
+
+
+def test_enumeration_order_matches_the_recursive_walk():
+    posets = small_shape_corpus(8) + [
+        Poset(0, []),
+        build_shifted((4, 3, 2, 1)),
+        build_minuscule("E6"),
+    ]
+    for poset in posets:
+        _assert_recursive_order(poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(naturally_labeled_posets(max_n=7))
+def test_enumeration_order_matches_the_recursive_walk_on_random_posets(poset):
+    _assert_recursive_order(poset)
 
 
 def test_comaj_at_golden():

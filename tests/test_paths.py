@@ -176,6 +176,48 @@ def test_rbmotz_count_goldens():
     }
 
 
+def _recursive_rbmotz(length, k=None):
+    """The recursive enumerator the explicit-stack walk replaced: the
+    reference for its order."""
+    steps: list[str] = []
+
+    def rec(height, seen_down, hcount):
+        remaining = length - len(steps)
+        if height > remaining:
+            return
+        if k is not None and (hcount > k or hcount + remaining < k):
+            return
+        if not remaining:
+            yield RbMotzkinPath(tuple(steps))
+            return
+        steps.append("U")
+        yield from rec(height + 1, seen_down, hcount)
+        steps.pop()
+        if height > 0:
+            steps.append("D")
+            yield from rec(height - 1, True, hcount)
+            steps.pop()
+            steps.append("Hr")
+            yield from rec(height, seen_down, hcount + 1)
+            steps.pop()
+        if seen_down:
+            steps.append("Hb")
+            yield from rec(height, seen_down, hcount + 1)
+            steps.pop()
+
+    return rec(0, False, 0)
+
+
+def test_rbmotz_order_matches_the_recursive_walk():
+    total = 0
+    for length in range(11):
+        for k in (None, 0, 1, 2, 3):
+            paths = list(enumerate_rbmotz(length, k))
+            assert paths == list(_recursive_rbmotz(length, k))
+            total += len(paths)
+    assert total == 9506
+
+
 @pytest.mark.parametrize("length", range(2, 11))
 def test_rbmotz_catalan_count(length):
     # a single step cannot both leave and return to the axis, so the

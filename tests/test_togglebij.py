@@ -214,3 +214,51 @@ def test_exhaustive_pairing(poset):
         lhs = sum((theta(ext, y) * Q for ext, y in out_pairs), QPoly.of([]))
         rhs = sum((theta(ext, y) for ext, y in in_pairs), QPoly.of([]))
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the inverse on tuples against the route through validated dual extensions
+
+
+def _reference_inverse(p, ext, y):
+    """The inverse through validated extensions: over the dual, classify,
+    escalate, and map back."""
+    n = ext.poset.n
+    star = dual_extension(ext)
+    _, dec = classify(star, n - 1 - p, n - y)
+    image = escalate(star, dec.x, dec.z)
+    return dual_extension(image).values, n - dec.y_prime
+
+
+def _assert_inverse_matches_reference(poset):
+    n = poset.n
+    for ext in enumerate_linear_extensions(poset):
+        for p in range(n):
+            for y in range(n + 1):
+                if tin(poset, p, ext.prefix_ideal(y)):
+                    image, y2 = inverse_toggle_bijection(p, ext, y)
+                    assert image.poset is poset
+                    assert (image.values, y2) == _reference_inverse(p, ext, y)
+                else:
+                    with pytest.raises(PNotTogglableIn):
+                        inverse_toggle_bijection(p, ext, y)
+
+
+@pytest.mark.parametrize(
+    "poset", [p for _, p in _corpus()], ids=[name for name, _ in _corpus()]
+)
+def test_inverse_matches_the_dual_route(poset):
+    _assert_inverse_matches_reference(poset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_labeled_posets(max_n=6))
+def test_inverse_matches_the_dual_route_on_random_posets(poset):
+    _assert_inverse_matches_reference(poset)
+
+
+def test_inverse_rejects_out_of_range_arguments():
+    ext = LinearExtension(build_rectangle(2, 2), (1, 2, 3, 4))
+    for p, y in ((-1, 1), (4, 1), (1, -1), (1, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            inverse_toggle_bijection(p, ext, y)
