@@ -52,8 +52,8 @@ from .extensions import (
 from .paths import (
     catalan_number,
     catalan_sum_check,
-    enumerate_rbmotz,
     narayana_check,
+    rbmotz_counts,
     two_row_tally,
     verify_cor_dyck_gen_fun,
 )
@@ -566,7 +566,7 @@ def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_rbmotz_count(length: int) -> tuple[bool, object, object]:
-    count = sum(1 for _ in enumerate_rbmotz(length))
+    count = sum(_built(rbmotz_counts, length).values())
     return _eq(count, catalan_number(length - 1))
 
 
@@ -587,7 +587,7 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
         for b in range(1, max_b + 1)
     ]
     checks += [
-        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool, (catalan_sum_check, length, two_row_tally))
+        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool, (catalan_sum_check, length, two_row_tally, rbmotz_counts))
         for length in range(2, min(max_l, 8) + 1)
     ]
     checks += [
@@ -974,7 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",), help="which suite")
     verify.add_argument("--json", action="store_true", help="machine-readable report")
-    verify.add_argument("--jobs", type=int, default=1, help="deprecated and ignored; checks run one at a time")
     _add_verify_caps(verify)
     verify.set_defaults(func=cmd_verify)
 

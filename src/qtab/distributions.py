@@ -29,7 +29,6 @@ from .extensions import (
 from .posets import Poset, order_ideals, rank_data
 from .ppartitions import Rpp, rpp_size_gf
 from .qpoly import (
-    QLaurent,
     QPoly,
     RatFunc,
     _add,
@@ -195,9 +194,13 @@ def check_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
 # weight functions on linear extensions
 
 
-def _theta_exponent(ext: LinearExtension, i: int) -> int:
+def _check_position(ext: LinearExtension, i: int) -> None:
     if not 0 <= i <= ext.poset.n:
         raise ValueError(f"descent position {i} out of range")
+
+
+def _theta_exponent(ext: LinearExtension, i: int) -> int:
+    _check_position(ext, i)
     return ext.theta_exponents[i]
 
 
@@ -216,13 +219,13 @@ def theta_m(ext: LinearExtension, i: int, m: int) -> QPoly:
     return qbinom(m + n - others, n + 1).shift(_theta_exponent(ext, i))
 
 
-def theta_star(ext: LinearExtension, i: int) -> QLaurent:
-    """The dual weight q^(-i) * prod q^(-j) [j in Des, j < i]
-    * prod q^(-j-1) [j in Des, j > i]; summing over i gives
-    [n+1] at 1/q times q^(-maj(T))."""
+def theta_star_exponent(ext: LinearExtension, i: int) -> int:
+    """The exponent e <= 0 of the dual weight theta*(T, i) = q^e, with
+    e = -i - sum of j [j in Des, j < i] - sum of j+1 [j in Des, j > i];
+    summing q^e over i gives [n+1] at 1/q times q^(-maj(T))."""
+    _check_position(ext, i)
     des = descents(ext)
-    shift = -i - sum(j for j in des if j < i) - sum(j + 1 for j in des if j > i)
-    return QLaurent.of(shift, QPoly.of([1]))
+    return -i - sum(j for j in des if j < i) - sum(j + 1 for j in des if j > i)
 
 
 # ---------------------------------------------------------------------------

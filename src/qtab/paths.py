@@ -66,7 +66,8 @@ class RbMotzkinPath:
 
     @property
     def horizontal_count(self) -> int:
-        return sum(1 for step in self.steps if step in ("Hr", "Hb"))
+        """Steps that are neither U nor D; a valid path has as many D as U."""
+        return len(self.steps) - 2 * self.steps.count("U")
 
     def hor(self) -> frozenset[int]:
         """1-based indices of the horizontal steps."""
@@ -384,26 +385,30 @@ def two_row_tally(length: int) -> tuple[Counter, Counter]:
     return by_width, by_top
 
 
-def catalan_sum_check(length: int, tally: tuple[Counter, Counter] | None = None) -> bool:
-    """Tableau counts over 2b+k = length (``tally``, built when not given)
-    sum to Cat(length-1), matching the direct path count in all and per width."""
-    by_width = (tally or two_row_tally(length))[0]
+def rbmotz_counts(length: int) -> Counter:
+    """Counts of the restricted paths of the given length by number of
+    horizontal steps, from one walk."""
+    return Counter(path.horizontal_count for path in enumerate_rbmotz(length))
+
+
+def catalan_sum_check(length: int, tally: tuple[Counter, Counter], paths: Counter) -> bool:
+    """Tableau counts over 2b+k = length (``two_row_tally``) sum to
+    Cat(length-1), matching the path counts (``rbmotz_counts``) in all and
+    per width, a width-b tableau against the paths with k horizontal steps."""
+    by_width = tally[0]
     total = 0
     for b in range(1, length // 2 + 1):
-        k = length - 2 * b
         tableaux = by_width[b]
-        paths = sum(1 for _ in enumerate_rbmotz(length, k=k))
-        if tableaux != paths:
+        if tableaux != paths[length - 2 * b]:
             return False
         total += tableaux
-    direct = sum(1 for _ in enumerate_rbmotz(length))
-    return total == catalan_number(length - 1) == direct
+    return total == catalan_number(length - 1) == sum(paths.values())
 
 
-def narayana_check(length: int, tally: tuple[Counter, Counter] | None = None) -> bool:
-    """Refining the tableau count (``tally``, built when not given) by
-    top-row entries gives the Narayana row."""
-    counts = (tally or two_row_tally(length))[1]
+def narayana_check(length: int, tally: tuple[Counter, Counter]) -> bool:
+    """Refining the tableau count (``two_row_tally``) by top-row entries
+    gives the Narayana row."""
+    counts = tally[1]
     m = length - 1
     expected = {
         j: math.comb(m, j) * math.comb(m, j - 1) // m for j in range(1, m + 1)

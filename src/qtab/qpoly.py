@@ -9,9 +9,6 @@ Representations:
 * ``QTPoly`` -- a polynomial in q and t with integer coefficients, stored as
   ``rows``, one ``QPoly`` per power of t: ``rows[k]`` multiplies ``t**k``.
   Canonical form has no trailing zero row, so the zero polynomial is ``()``.
-* ``QLaurent`` -- ``q**shift * poly`` with a possibly negative ``shift``;
-  canonical form has ``poly`` zero (with shift 0) or with nonzero constant
-  term, so equal Laurent polynomials compare equal.
 * ``RatFunc`` -- a reduced fraction of two ``QPoly``.  Canonical form: the
   denominator is nonzero with positive leading coefficient, numerator and
   denominator share no polynomial factor and no integer content, and zero is
@@ -199,7 +196,7 @@ class QPoly:
     def shift(self, k: int) -> QPoly:
         """Multiply by q^k (k >= 0)."""
         if k < 0:
-            raise ValueError("negative shift; use QLaurent")
+            raise ValueError(f"negative shift {k}: a QPoly has no negative powers of q")
         if not self or k == 0:
             return self
         return QPoly((0,) * k + self.coeffs)
@@ -391,56 +388,6 @@ def _embed_qt(x: QTPoly | QPoly | int) -> QTPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# QLaurent
-
-
-@dataclass(frozen=True, slots=True)
-class QLaurent:
-    """A Laurent polynomial q^shift * poly with canonical (shift, poly) split."""
-
-    shift: int
-    poly: QPoly
-
-    @classmethod
-    def of(cls, shift: int, poly: QPoly) -> QLaurent:
-        if not poly:
-            return cls(0, ZERO)
-        low = next(e for e, c in enumerate(poly.coeffs) if c)
-        return cls(shift + low, QPoly(poly.coeffs[low:]))
-
-    @classmethod
-    def from_qpoly(cls, poly: QPoly) -> QLaurent:
-        return cls.of(0, poly)
-
-    def __bool__(self) -> bool:
-        return bool(self.poly)
-
-    def __mul__(self, other: QLaurent) -> QLaurent:
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return QLaurent.of(self.shift + other.shift, self.poly * other.poly)
-
-    def __add__(self, other: QLaurent) -> QLaurent:
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        if not self:
-            return other
-        if not other:
-            return self
-        base = min(self.shift, other.shift)
-        return QLaurent.of(
-            base,
-            self.poly.shift(self.shift - base) + other.poly.shift(other.shift - base),
-        )
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        """Evaluate exactly at a nonzero rational point."""
-        if x == 0:
-            raise DivisionByZero("Laurent evaluation at 0")
-        return Fraction(self.poly.evaluate(x)) * Fraction(x) ** self.shift
-
-
-# ---------------------------------------------------------------------------
 # polynomial gcd (subresultant pseudo-remainder sequence)
 
 
@@ -594,7 +541,6 @@ class RatFunc:
 
 
 RAT_ZERO = RatFunc(ZERO)
-RAT_ONE = RatFunc(ONE)
 
 
 # ---------------------------------------------------------------------------

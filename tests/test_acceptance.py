@@ -38,6 +38,8 @@ from qtab.paths import (
     catalan_sum_check,
     enumerate_rbmotz,
     narayana_check,
+    rbmotz_counts,
+    two_row_tally,
     verify_cor_dyck_gen_fun,
 )
 from qtab.posets import (
@@ -210,8 +212,9 @@ def test_criterion_7_paths():
     for b in range(1, 6):
         assert verify_cor_dyck_gen_fun(b)
     for length in range(2, 9):
-        assert catalan_sum_check(length)
-        assert narayana_check(length)
+        tally = two_row_tally(length)
+        assert catalan_sum_check(length, tally, rbmotz_counts(length))
+        assert narayana_check(length, tally)
     report(7, "path counts, colored generating function, Narayana rows", start)
 
 

@@ -301,14 +301,21 @@ def test_verify_failing_check_exits_one(capsys, monkeypatch):
     assert by_id["demo:equal"]["rhs"] == [1, 1, 1]
 
 
-def test_verify_jobs_deterministic(capsys):
-    def stripped(jobs: str) -> list[str]:
-        code, out, _ = run_cli(capsys, "verify", "paths", "--max-l", "6", "--jobs", jobs)
+def test_verify_jobs_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "paths", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_runs_are_deterministic(capsys):
+    def stripped() -> list[str]:
+        code, out, _ = run_cli(capsys, "verify", "paths", "--max-l", "6")
         assert code == 0
         # Timings differ between runs; ids, statuses, order and counts may not.
         return [re.sub(r"\d+\.\d+s", "", line) for line in out.splitlines()]
 
-    assert stripped("1") == stripped("4")
+    assert stripped() == stripped()
 
 
 class _Abort(BaseException):

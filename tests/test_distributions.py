@@ -29,7 +29,7 @@ from qtab.distributions import (
     statistic_toggle,
     theta,
     theta_m,
-    theta_star,
+    theta_star_exponent,
     tin,
     toggle_statistic_value,
     tout,
@@ -56,7 +56,6 @@ from qtab.posets import (
 )
 from qtab.ppartitions import enumerate_rpp, gf_bsv_rpp, ideal_at_level, rpp_size_gf
 from qtab.qpoly import (
-    QLaurent,
     QPoly,
     RatFunc,
     parse_poly,
@@ -292,21 +291,26 @@ def test_theta_star_is_theta_of_the_dual():
                 dual_values[n - 1 - e] = n + 1 - v
             dual_ext = type(ext)(dual_poset, tuple(dual_values))
             for i in range(n + 1):
-                star = theta_star(ext, i)
-                assert star.poly == QPoly.of([1])
                 mirrored = theta(dual_ext, n - i)
-                assert star.shift == -mirrored.degree
+                assert theta_star_exponent(ext, i) == -mirrored.degree
 
 
 def test_theta_star_sum_identity():
+    """The exponents over i = 0..n are the multiset {-n - maj(T) + j : j = 0..n}."""
     for poset in small_shape_corpus(5):
         n = poset.n
         for ext in enumerate_linear_extensions(poset):
-            total = theta_star(ext, 0)
-            for i in range(1, n + 1):
-                total = total + theta_star(ext, i)
-            expected = QLaurent.of(-n - sum(descents(ext)), qnum(n + 1))
-            assert total == expected
+            exponents = sorted(theta_star_exponent(ext, i) for i in range(n + 1))
+            assert exponents == [-n - sum(descents(ext)) + j for j in range(n + 1)]
+
+
+def test_theta_star_rejects_positions_outside_0_to_n():
+    """The dual weight checks i as theta and theta_m do."""
+    ext = next(enumerate_linear_extensions(RECT22))
+    for i in (-1, 5, 99):
+        for weight in (theta, lambda e, i: theta_m(e, i, 1), theta_star_exponent):
+            with pytest.raises(ValueError, match="out of range"):
+                weight(ext, i)
 
 
 def test_lin_weights_assemble_from_the_dual():
@@ -320,9 +324,8 @@ def test_lin_weights_assemble_from_the_dual():
             for i in range(n + 1):
                 if i:
                     mask |= 1 << ext.positions[i - 1]
-                star = theta_star(ext, i)
                 target = bit_reverse_complement(mask, n)
-                term = QPoly.monomial(1, -star.shift)
+                term = QPoly.monomial(1, -theta_star_exponent(ext, i))
                 acc[target] = acc.get(target, QPoly.of([])) + term
         for mask in order_ideals(expected.poset):
             assert acc.get(mask, QPoly.of([])) == expected.weight(mask)

@@ -1,19 +1,26 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and so is every
+module-level name of the package.
 
-No linter is a test dependency, so this scans the syntax trees itself: a
-name bound by ``import`` or ``from ... import`` (other than ``__future__``)
-must be read somewhere in its module, or be listed in ``__all__``.
+No linter is a test dependency, so this scans the syntax trees itself:
+- a name bound by ``import`` or ``from ... import`` (other than
+  ``__future__``) must be read somewhere in its module, or be listed in
+  ``__all__``;
+- a function, class or variable defined at the top of a package module
+  (dunders aside) must be read, as a name or an attribute, somewhere in the
+  package or its tests, or be listed in ``__all__``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "qtab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "qtab").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -40,6 +47,30 @@ def read_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def read_anywhere(trees: list[ast.Module]) -> set[str]:
+    names = set()
+    for tree in trees:
+        names |= read_names(tree)
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return names
+
+
+@functools.cache
+def package_and_tests_read() -> frozenset[str]:
+    return frozenset(read_anywhere([ast.parse(path.read_text(), filename=str(path)) for path in MODULES]))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -49,3 +80,14 @@ def test_no_unused_imports(path):
 def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b as c, d\nfrom b import e\n__all__ = ['e']\nd()\n")
     assert sorted(imported_names(tree) - read_names(tree)) == ["c", "os"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_unread_module_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(defined_names(tree) - package_and_tests_read()) == []
+
+
+def test_scan_sees_an_unread_module_name():
+    tree = ast.parse("A = 1\nB: int = 2\nC, D = 3, 4\n__all__ = ['D']\ndef f(): pass\nclass K: pass\nx.B\nf()\n")
+    assert sorted(defined_names(tree) - read_anywhere([tree])) == ["A", "C", "K"]

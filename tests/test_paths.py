@@ -35,8 +35,10 @@ from qtab.paths import (
     parse_dyck,
     parse_rbmotz,
     q_catalan,
+    rbmotz_counts,
     set_valued_from_motzkin,
     syt_from_dyck,
+    two_row_tally,
     verify_cor_dyck_gen_fun,
 )
 from qtab.posets import build_rectangle, build_shape
@@ -369,9 +371,22 @@ def test_catalan_sum_goldens():
     assert sum(1 for _ in enumerate_rbmotz(7)) == 132
 
 
+@pytest.mark.parametrize("length", range(2, 11))
+def test_rbmotz_counts_match_the_walk_per_horizontal_count(length):
+    counts = rbmotz_counts(length)
+    assert sum(counts.values()) == catalan_number(length - 1)
+    for k in range(length + 1):
+        assert counts[k] == sum(1 for _ in enumerate_rbmotz(length, k=k))
+
+
 @pytest.mark.parametrize("length", range(2, 9))
 def test_catalan_sum_check(length):
-    assert catalan_sum_check(length)
+    tally, paths = two_row_tally(length), rbmotz_counts(length)
+    assert catalan_sum_check(length, tally, paths)
+    # an extra path with the widest width's k fails the per-width match; one
+    # with a k of the wrong parity, which no width uses, fails the direct total
+    assert not catalan_sum_check(length, tally, paths + Counter({length % 2: 1}))
+    assert not catalan_sum_check(length, tally, paths + Counter({length % 2 + 1: 1}))
 
 
 def test_narayana_golden():
@@ -385,7 +400,7 @@ def test_narayana_golden():
 
 @pytest.mark.parametrize("length", range(2, 9))
 def test_narayana_check(length):
-    assert narayana_check(length)
+    assert narayana_check(length, two_row_tally(length))
 
 
 @pytest.mark.parametrize("b", range(1, 7))

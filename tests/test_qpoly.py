@@ -21,7 +21,6 @@ from qtab.qpoly import (
     DivisionByZero,
     InexactDivision,
     LinearSystemResult,
-    QLaurent,
     QPoly,
     QTPoly,
     RatFunc,
@@ -313,25 +312,6 @@ def test_list_kernel_add_is_elementwise_sum(a, b):
     for j, y in enumerate(b):
         want[j] += y
     assert acc == want
-
-
-# ---------------------------------------------------------------------------
-# QLaurent
-
-
-def test_laurent_normalization():
-    lp = QLaurent.of(-2, QPoly.of([0, 0, 3, 1]))
-    assert lp.shift == 0
-    assert lp.poly == QPoly.of([3, 1])
-    assert QLaurent.of(5, ZERO) == QLaurent.of(0, ZERO)
-
-
-def test_laurent_arithmetic():
-    a = QLaurent.of(-1, qnum(2))
-    b = QLaurent.of(1, ONE)
-    assert a * b == QLaurent.of(0, qnum(2))
-    assert a + b == QLaurent.of(-1, QPoly.of([1, 1, 1]))
-    assert a.evaluate(Fraction(2)) == Fraction(3, 2)
 
 
 # ---------------------------------------------------------------------------
