@@ -395,10 +395,9 @@ def catalan_sum_check(length: int, tally: tuple[Counter, Counter], paths: Counte
     """Tableau counts over 2b+k = length (``two_row_tally``) sum to
     Cat(length-1), matching the path counts (``rbmotz_counts``) in all and
     per width, a width-b tableau against the paths with k horizontal steps."""
-    by_width = tally[0]
     total = 0
     for b in range(1, length // 2 + 1):
-        tableaux = by_width[b]
+        tableaux = tally[0][b]
         if tableaux != paths[length - 2 * b]:
             return False
         total += tableaux
@@ -408,10 +407,9 @@ def catalan_sum_check(length: int, tally: tuple[Counter, Counter], paths: Counte
 def narayana_check(length: int, tally: tuple[Counter, Counter]) -> bool:
     """Refining the tableau count (``two_row_tally``) by top-row entries
     gives the Narayana row."""
-    counts = tally[1]
     m = length - 1
     expected = {
         j: math.comb(m, j) * math.comb(m, j - 1) // m for j in range(1, m + 1)
     }
     expected = {j: c for j, c in expected.items() if c}
-    return counts == expected
+    return tally[1] == expected
