@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from operator import add, attrgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class QAlgebraError(Exception):
@@ -584,19 +584,42 @@ def _norm(p: QPoly) -> int:
     return sum(map(abs, p.coeffs))
 
 
+_coeffs = attrgetter("coeffs")
+
+
+class _PerEntry(dict):
+    """``f`` of each distinct coefficient tuple, computed on its first lookup;
+    the rows of a toggle system share three entries, so each is read once."""
+
+    def __init__(self, f: Callable[[tuple[int, ...]], int]) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, coeffs: tuple[int, ...]) -> int:
+        value = self[coeffs] = self.f(coeffs)
+        return value
+
+
 def solve_linear_system(
-    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], *, basis: Sequence[int] = ()
+    matrix: Sequence[Sequence[QPoly]],
+    rhs: Sequence[QPoly],
+    *,
+    basis: Sequence[int] = (),
+    _columns: Sequence[int] = (),
 ) -> LinearSystemResult:
     """Solve ``matrix @ x = rhs`` over Q(q) exactly.
 
     ``basis`` names rows to try first, for a caller that knows ncols rows
-    forming a nonsingular minor of a tall system.  When those rows eliminate
-    with no free column, their answer is unique; it is returned once it
-    passes the certificate (``check_solution``) on every row.  In every other
-    case -- no basis, a free column, or a failed certificate -- all rows are
-    eliminated, which also gives the witness row of an inconsistent system,
-    and a consistent answer is certified the same way.  The basis can only
-    save time; it never changes an answer.
+    forming a nonsingular minor of a tall system; ``_columns`` is the column
+    order in which those rows are eliminated (the order of the columns
+    as given by default).  When the basis rows eliminate with no free
+    column, their answer is unique; it is permuted back to the given column
+    order and returned once it passes the certificate (``check_solution``)
+    on every row.  In every other case -- no basis, a free column, or a
+    failed certificate -- all rows are eliminated in the given column order,
+    which also gives the witness row of an inconsistent system, and a
+    consistent answer is certified the same way.  The basis and its column
+    order can only save time; they never change an answer.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -606,55 +629,110 @@ def solve_linear_system(
         if len(row) != ncols:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
     if basis:
-        witness, numerators, denominator, free = _eliminate(
-            [matrix[i] for i in basis], [rhs[i] for i in basis], ncols
-        )
-        if witness is None and not free:
-            try:
-                check_solution(matrix, rhs, numerators, denominator)
-            except ResidualMismatch:
-                pass
-            else:
-                return LinearSystemResult(
-                    True, tuple(RatFunc(y, denominator) for y in numerators), (), None
-                )
-    witness, numerators, denominator, free = _eliminate(matrix, rhs, ncols)
+        (result,) = _solve_on_basis(matrix, [rhs], basis, _columns)
+        if result is not None:
+            return result
+    [(witness, numerators)], denominator, free = _eliminate(matrix, [rhs], ncols)
     if witness is not None:
         return LinearSystemResult(False, None, (), witness)
     check_solution(matrix, rhs, numerators, denominator)
-    return LinearSystemResult(
-        True, tuple(RatFunc(y, denominator) for y in numerators), free, None
+    return LinearSystemResult(True, _fractions(numerators, denominator), free, None)
+
+
+def _solve_on_basis(
+    matrix: Sequence[Sequence[QPoly]],
+    rhss: Sequence[Sequence[QPoly]],
+    basis: Sequence[int],
+    columns: Sequence[int],
+) -> list[LinearSystemResult | None]:
+    """The basis step of ``solve_linear_system`` for every right-hand side
+    in ``rhss`` at once: one elimination of the ``basis`` rows of
+    [A | b_1 ... b_s], columns taken in the order ``columns`` (as given
+    when empty).
+
+    Each answer is permuted back to the given column order and certified on
+    every row of its own system.  An answer is None when the basis rows
+    leave a free column or an inconsistent row, or when its certificate
+    fails; the caller then solves that right-hand side on all rows.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    order = list(columns) or list(range(ncols))
+    rows = [matrix[i] for i in basis]
+    answers, denominator, free = _eliminate(
+        [[row[j] for j in order] for row in rows], [[b[i] for i in basis] for b in rhss], ncols
     )
+    results: list[LinearSystemResult | None] = []
+    for b, (witness, ys) in zip(rhss, answers):
+        result = None
+        if witness is None and not free:
+            numerators = [ZERO] * ncols
+            for j, y in zip(order, ys):
+                numerators[j] = y
+            try:
+                check_solution(matrix, b, numerators, denominator)
+            except ResidualMismatch:
+                pass
+            else:
+                result = LinearSystemResult(True, _fractions(numerators, denominator), (), None)
+        results.append(result)
+    return results
 
 
 def _eliminate(
-    matrix: Sequence[Sequence[QPoly]], rhs: Sequence[QPoly], ncols: int
-) -> tuple[int | None, list[QPoly], QPoly, tuple[int, ...]]:
-    """Bareiss one-step division (Math. Comp. 22, 1968) on packed entries.
+    matrix: Sequence[Sequence[QPoly]], rhss: Sequence[Sequence[QPoly]], ncols: int
+) -> tuple[list[tuple[int | None, list[QPoly]]], QPoly, tuple[int, ...]]:
+    """Bareiss one-step division (Math. Comp. 22, 1968) on packed entries,
+    with every right-hand side b_t of ``rhss`` carried as a column of
+    [A | b_1 ... b_s] through the one pass.
 
     Each cell holds the integer P(2^k) of its polynomial P.  Every Bareiss
-    entry is a minor of [A|b] of size at most ncols+1, so its coefficients
-    are bounded by H, the product of the ncols+1 largest row 1-norms.  The
+    entry, the last pivot and every back-substituted value is, up to sign,
+    a minor of one [A|b_t] of size at most ncols+1.  On |q| = 1 each entry
+    is at most its 1-norm in absolute value, so by Hadamard's inequality
+    the minor is at most the product of its rows' 2-norms of entry 1-norms;
+    by Parseval no coefficient of a polynomial exceeds its maximum on
+    |q| = 1.  Hence H, with H^2 the product over the ncols+1 largest rows of
+    sum_j |a_ij|_1^2 + max_t |b_ti|_1^2, bounds every coefficient.  The
     smallest k with 2^(k-1) > H makes balanced base-2^k digits cover every
     coefficient, so evaluation at 2^k is injective on everything the
     elimination meets.  The integer divisions are therefore exact, and an
     entry is zero exactly when its polynomial is.
 
-    Returns ``(witness_row, numerators, denominator, free_columns)``.  An
-    inconsistent system has a witness row and nothing else.  Otherwise, with
-    d the last pivot and the free columns set to zero, the back-substitution
-    stays fraction-free: it finds y = d * x, a vector of Cramer minors of
-    [A|b], so every division is exact again and every y_j unpacks.  The
-    answer is not certified here.
+    A step whose pivot column holds zero in a row only scales that row, by
+    piv / prev, and the scalings of consecutive steps telescope.  So such a
+    row is left as it is, with ``level`` the divisor of the step that last
+    changed it, and is scaled once, by prev / level, when it next has a
+    nonzero entry in a pivot column.  Its zero pattern is the same meanwhile,
+    so the pivot search and the witness test read it as it is.
+
+    Returns ``(answers, denominator, free_columns)`` with one answer
+    ``(witness_row, numerators)`` per right-hand side.  An inconsistent one
+    has a witness row and no numerators.  Otherwise, with d the last pivot
+    (the denominator) and the free columns set to zero, the
+    back-substitution stays fraction-free: it finds y = d * x, a vector of
+    Cramer minors of [A|b_t], so every division is exact again and every
+    y_j unpacks.  No answer is certified here.
     """
     m = len(matrix)
-    norms = sorted(
-        (sum(map(_norm, row)) + _norm(rhs[i]) for i, row in enumerate(matrix)), reverse=True
+    square = _PerEntry(lambda c: sum(map(abs, c)) ** 2).__getitem__
+    weights = sorted(
+        (
+            sum(map(square, map(_coeffs, row))) + max(square(b[i].coeffs) for b in rhss)
+            for i, row in enumerate(matrix)
+        ),
+        reverse=True,
     )
-    k = (2 * math.prod(max(v, 1) for v in norms[: ncols + 1]) + 1).bit_length()
+    bound = math.isqrt(math.prod(max(v, 1) for v in weights[: ncols + 1]))
+    k = (2 * bound + 1).bit_length()
     q0 = 1 << k
-    rows = [[p.evaluate(q0) for p in (*row, rhs[i])] for i, row in enumerate(matrix)]
+    value = _PerEntry(lambda c: QPoly(c).evaluate(q0)).__getitem__
+    rows = [
+        [*map(value, map(_coeffs, row)), *(value(b[i].coeffs) for b in rhss)]
+        for i, row in enumerate(matrix)
+    ]
     origin = list(range(m))
+    level = [1] * m
+    width = ncols + len(rhss)
 
     prev = 1
     pivots: list[tuple[int, int]] = []
@@ -665,32 +743,62 @@ def _eliminate(
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
+        level[r], level[pivot_row] = level[pivot_row], level[r]
+        for i in range(r, m):
+            row = rows[i]
+            if row[c] and level[i] != prev:
+                s = level[i]
+                row[c:] = [v * prev // s for v in row[c:]]
+                level[i] = prev
         top = rows[r]
         piv = top[c]
         for i in range(r + 1, m):
             row = rows[i]
             f = row[c]
-            for j in range(c + 1, ncols + 1):
-                row[j] = (piv * row[j] - f * top[j]) // prev
-            row[c] = 0
+            if f:
+                for j in range(c + 1, width):
+                    row[j] = (piv * row[j] - f * top[j]) // prev
+                row[c] = 0
+                level[i] = piv
         pivots.append((r, c))
         prev = piv
         r += 1
         if r == m:
             break
 
-    for i in range(r, m):
-        if rows[i][ncols]:
-            return origin[i], [], ZERO, ()
-
-    ys = [0] * ncols
-    for pr, pc in reversed(pivots):
-        row = rows[pr]
-        acc = prev * row[ncols] - sum(map(mul, row[pc + 1 : ncols], ys[pc + 1 :]))
-        ys[pc] = acc // row[pc]
+    answers: list[tuple[int | None, list[QPoly]]] = []
+    for col in range(ncols, ncols + len(rhss)):
+        witness = next((origin[i] for i in range(r, m) if rows[i][col]), None)
+        if witness is not None:
+            answers.append((witness, []))
+            continue
+        ys = [0] * ncols
+        for pr, pc in reversed(pivots):
+            row = rows[pr]
+            acc = prev * row[col] - sum(map(mul, row[pc + 1 : ncols], ys[pc + 1 :]))
+            ys[pc] = acc // row[pc]
+        answers.append((None, [_unpack(y, k) for y in ys]))
     pivot_cols = {c for _, c in pivots}
     free = tuple(c for c in range(ncols) if c not in pivot_cols)
-    return None, [_unpack(y, k) for y in ys], _unpack(prev, k), free
+    return answers, _unpack(prev, k), free
+
+
+def _fractions(numerators: Sequence[QPoly], denominator: QPoly) -> tuple[RatFunc, ...]:
+    """The reduced fractions y_j / d.  The factor g that d shares with every
+    y_j is divided out first: g starts at d and becomes gcd(g, y_j) at each
+    y_j it does not divide, so each RatFunc then reduces a smaller pair."""
+    common, quotients = denominator, []
+    for y in numerators:
+        try:
+            quotients.append(y.exact_div(common))
+        except InexactDivision:
+            shared = poly_gcd(common, y)
+            cofactor = common.exact_div(shared)
+            quotients = [x * cofactor for x in quotients]
+            quotients.append(y.exact_div(shared))
+            common = shared
+    rest = denominator.exact_div(common)
+    return tuple(RatFunc(x, rest) for x in quotients)
 
 
 def check_solution(
@@ -706,18 +814,22 @@ def check_solution(
     r = sum_j A_ij y_j - d b_i exceeds N*Y in absolute value.  By Cauchy's
     root bound every root of a nonzero r is then below 1 + N*Y in absolute
     value, so at q = 2^K > 1 + N*Y the residual is zero exactly when its
-    value is, and each row is compared as one integer.  Only a row's nonzero
-    cells are read, for its 1-norm and for its value.
+    value is, and each row is compared as one integer.  Each distinct entry
+    is read once, for its 1-norm and for its value, and only a row's nonzero
+    cells enter its residual.
     """
+    norm = _PerEntry(lambda c: sum(map(abs, c))).__getitem__
     row_norm = max(
-        (sum(_norm(p) for p in row if p.coeffs) + _norm(b) for row, b in zip(matrix, rhs)),
+        (sum(map(norm, map(_coeffs, row))) + norm(b.coeffs) for row, b in zip(matrix, rhs)),
         default=0,
     )
     q0 = 1 << (1 + row_norm * max(map(_norm, (*numerators, denominator)))).bit_length()
+    value = _PerEntry(lambda c: QPoly(c).evaluate(q0))
     ys = [y.evaluate(q0) for y in numerators]
     d = denominator.evaluate(q0)
     for i, (row, target) in enumerate(zip(matrix, rhs)):
-        if sum(p.evaluate(q0) * y for p, y in zip(row, ys) if p.coeffs) != d * target.evaluate(q0):
+        residual = sum(value[c] * y for c, y in zip(map(_coeffs, row), ys) if c)
+        if residual != d * value[target.coeffs]:
             raise ResidualMismatch(f"solution violates equation {i}")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .distributions import (
     PosetMismatch,
@@ -24,7 +25,15 @@ from .distributions import (
     statistic_ddeg,
 )
 from .posets import Poset, order_ideals
-from .qpoly import QPoly, RatFunc, qbinom, qnum, solve_linear_system
+from .qpoly import (
+    LinearSystemResult,
+    QPoly,
+    RatFunc,
+    _solve_on_basis,
+    qbinom,
+    qnum,
+    solve_linear_system,
+)
 
 ROW_LIMIT = 100_000  # most order ideals, hence equations, a system may have
 
@@ -97,21 +106,56 @@ def toggle_solve(
 ) -> ToggleSolveResult:
     """Solve for the forced expectation of the statistic, exactly."""
     matrix, rhs = build_system(poset, statistic, q_value)
-    # The n + 1 prefix ideals {0..k-1} (ideals under the natural labeling)
-    # give a nonsingular minor.  At q = 0 the -q entries vanish: with the
-    # unknown c taken last, row k < n has its leading 1 at the column of
-    # element k, which {0..k-1} can always add, and the full ideal's row is
-    # a single 1 at c.  The minor is unit upper triangular there, so its
-    # determinant is +-1 at q = 0 and is not the zero polynomial.  A given
-    # q_value can still make it singular; then all rows are eliminated.
     ideals = order_ideals(poset)
-    basis = [bisect_left(ideals, (1 << k) - 1) for k in range(poset.n + 1)]
-    result = solve_linear_system(matrix, rhs, basis=basis)
+    result = solve_linear_system(
+        matrix, rhs, basis=_prefix_rows(poset, ideals), _columns=_c_last(poset.n)
+    )
+    return _toggle_result(result, ideals)
+
+
+def _prefix_rows(poset: Poset, ideals: tuple[int, ...]) -> list[int]:
+    """Rows of the n + 1 prefix ideals {0..k-1}, a nonsingular minor of A.
+
+    Under the natural labeling every prefix is an order ideal.  At q = 0 the
+    -q entries vanish: with the unknown c taken last (``_c_last``), row k < n
+    has its leading 1 at the column of element k, which {0..k-1} can always
+    add, and the full ideal's row is a single 1 at c.  The minor is unit
+    upper triangular there, so its determinant is +-1 at q = 0 and is not
+    the zero polynomial.  A given q_value can still make it singular; then
+    all rows are eliminated.
+    """
+    return [bisect_left(ideals, (1 << k) - 1) for k in range(poset.n + 1)]
+
+
+def _c_last(n: int) -> list[int]:
+    """The columns of the elements in order, then the column of c."""
+    return [*range(1, n + 1), 0]
+
+
+def _toggle_result(result: LinearSystemResult, ideals: tuple[int, ...]) -> ToggleSolveResult:
     if not result.consistent:
-        witness = ideals[result.witness_row]
-        return ToggleSolveResult(False, None, None, witness)
+        return ToggleSolveResult(False, None, None, ideals[result.witness_row])
     solution = result.solution
     return ToggleSolveResult(True, solution[0], tuple(solution[1:]), None)
+
+
+def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[ToggleSolveResult]:
+    """``toggle_solve`` for several statistics of one poset: the matrix A is
+    built once and its prefix rows are eliminated once, with every
+    statistic's right-hand side attached.  A statistic whose answer from
+    those rows is not certified on every row is solved on all rows alone."""
+    matrix, _ = build_system(poset, statistics[0])
+    ideals = order_ideals(poset)
+    rhss = []
+    for statistic in statistics:
+        if statistic.poset != poset:
+            raise PosetMismatch("statistic and system posets differ")
+        rhss.append([statistic.values[mask] for mask in ideals])
+    answers = _solve_on_basis(matrix, rhss, _prefix_rows(poset, ideals), _c_last(poset.n))
+    return [
+        _toggle_result(answer or solve_linear_system(matrix, rhs), ideals)
+        for rhs, answer in zip(rhss, answers)
+    ]
 
 
 def predict_constant(poset: Poset) -> RatFunc:
@@ -183,10 +227,8 @@ def verify_refinements(poset: Poset) -> tuple[RefinementReport, ...]:
         ]
     else:
         raise UnsupportedPoset("refinements cover rectangles and staircases only")
-    reports = []
-    for statistic, expected in pairs:
-        result = toggle_solve(poset, statistic)
-        reports.append(
-            RefinementReport(statistic.label, result.consistent, result.constant, expected)
-        )
-    return tuple(reports)
+    results = _toggle_solve_all(poset, [statistic for statistic, _ in pairs])
+    return tuple(
+        RefinementReport(statistic.label, result.consistent, result.constant, expected)
+        for (statistic, expected), result in zip(pairs, results)
+    )

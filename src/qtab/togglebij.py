@@ -24,6 +24,12 @@ from .posets import Poset, dual
 _LEFT_CASES = ("L0", "L1", "L2", "L3a", "L3b")
 _RIGHT_CASES = ("R0", "R1", "R2", "R3a", "R3b")
 
+# (left, right, blocks, f, e, g, h, y', z): the fields of CaseLabel and
+# IntervalDecomposition, unvalidated
+_Case = tuple[
+    str, str, list[tuple[str, int, int]], int, int | None, int | None, int | None, int, int
+]
+
 
 class PNotTogglableOut(Exception):
     """The element cannot be toggled out of the prefix ideal."""
@@ -113,6 +119,16 @@ def classify(
     ext: LinearExtension, p: int, y: int
 ) -> tuple[CaseLabel, IntervalDecomposition]:
     """Resolve the left/right rules for a pair where p toggles out of I_y."""
+    left, right, blocks, f, e, g, h, y_prime, z = _out_case(ext, p, y)
+    x = ext.values[p]
+    return CaseLabel(left, right), IntervalDecomposition(
+        x=x, y=y, blocks=tuple(blocks), f=f, e=e, g=g, h=h, y_prime=y_prime, z=z
+    )
+
+
+def _out_case(ext: LinearExtension, p: int, y: int) -> _Case:
+    """``_classify`` for p at the y-prefix of ``ext``, once p is checked to
+    toggle out of it."""
     poset = ext.poset
     n = poset.n
     if not 0 <= y <= n:
@@ -124,9 +140,10 @@ def classify(
     return _classify(ext.positions, n, ext.values[p], y)
 
 
-def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> tuple[CaseLabel, IntervalDecomposition]:
-    """``classify`` on positions, for the element holding value x, once the
-    caller has checked that it toggles out of the y-prefix."""
+def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> _Case:
+    """The case data of ``classify`` on positions, for the element holding
+    value x, once the caller has checked that it toggles out of the
+    y-prefix; the bijections read only y' and z of it."""
     # maximal alternating runs over [x, y]; the run holding y is typed by
     # comparing y against x (x <= l < y <= n, so l and l+1 lie in range)
     kinds = ["U" if pos[l - 1] > pos[l] else "D" for l in range(x, y)]
@@ -184,17 +201,7 @@ def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> tuple[CaseLabel, 
         g = size - h
         right, z = "R3b", y - h - 1
 
-    return CaseLabel(left, right), IntervalDecomposition(
-        x=x,
-        y=y,
-        blocks=tuple(blocks),
-        f=f,
-        e=e,
-        g=g,
-        h=h,
-        y_prime=y_prime,
-        z=z,
-    )
+    return left, right, blocks, f, e, g, h, y_prime, z
 
 
 def escalate(ext: LinearExtension, x: int, z: int) -> LinearExtension:
@@ -227,8 +234,8 @@ def toggle_bijection(
     p: int, ext: LinearExtension, y: int
 ) -> tuple[LinearExtension, int]:
     """Map an out-togglable pair (T, y) to its in-togglable partner (T', y')."""
-    _, dec = classify(ext, p, y)
-    return escalate(ext, dec.x, dec.z), dec.y_prime
+    *_, y_prime, z = _out_case(ext, p, y)
+    return escalate(ext, ext.values[p], z), y_prime
 
 
 def _dual_values(n: int, values: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,6 +264,7 @@ def inverse_toggle_bijection(
     # p enters the y-prefix of T exactly when n-1-p leaves its (n-y)-prefix
     star_pos = tuple(n - 1 - e for e in reversed(ext.positions))
     star_values = _dual_values(n, ext.values)
-    _, dec = _classify(star_pos, n, star_values[n - 1 - p], n - y)
-    image = _rotate(star_values, star_pos, dec.x, dec.z)
-    return _extension(poset, _dual_values(n, image)), n - dec.y_prime
+    x = star_values[n - 1 - p]
+    *_, y_prime, z = _classify(star_pos, n, x, n - y)
+    image = _rotate(star_values, star_pos, x, z)
+    return _extension(poset, _dual_values(n, image)), n - y_prime

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
 from qtab import qpoly
-from qtab.distributions import Statistic, statistic_ddeg
+from qtab.distributions import Statistic, _maximal_count, statistic_ddeg, statistic_toggle
 from qtab.posets import build_shape, build_shifted, order_ideals
 from qtab.qpoly import (
     ONE,
@@ -39,7 +39,7 @@ from qtab.qpoly import (
     qt_num,
     solve_linear_system,
 )
-from qtab.solver import build_system, toggle_solve
+from qtab.solver import _toggle_solve_all, build_system, toggle_solve
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly.of)
 nonzero_polys = polys.filter(bool)
@@ -603,6 +603,84 @@ def test_toggle_solve_matches_reference_elimination(poset, q_value, make_statist
         assert got.witness_mask == order_ideals(poset)[want.witness_row]
 
 
+@st.composite
+def _statistic_mixes(draw):
+    """One poset and one to four statistics of it: ddeg, the maximal count of
+    a random subset of elements, the quadratic 1 + |I| q^2, or a signed
+    toggle statistic, which is always consistent (c = 0)."""
+    poset = draw(_TOGGLE_POSETS)
+    kinds = ["ddeg", "subset", "quadratic"] + (["toggle"] if poset.n else [])
+    statistics = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "ddeg":
+            statistics.append(statistic_ddeg(poset))
+        elif kind == "subset":
+            members = draw(st.sets(st.integers(0, max(poset.n - 1, 0)))) if poset.n else set()
+            statistics.append(_maximal_count(poset, sorted(members), "subset"))
+        elif kind == "quadratic":
+            statistics.append(_statistic_quadratic(poset))
+        else:
+            statistics.append(statistic_toggle(poset, draw(st.integers(0, poset.n - 1))))
+    return poset, statistics
+
+
+def _hook_mix():
+    poset = build_shape((2, 1))
+    return poset, [statistic_ddeg(poset), statistic_toggle(poset, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_statistic_mixes())
+# ddeg is inconsistent on shape 2,1 and the toggle statistic consistent, so
+# only ddeg leaves the shared elimination for the full path.
+@example(_hook_mix())
+def test_several_statistics_share_one_elimination(mix):
+    # At generic q the prefix minor is nonsingular, so every consistent
+    # statistic is answered by the one shared elimination, and only each
+    # inconsistent one eliminates all rows again.
+    poset, statistics = mix
+    calls = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhss, ncols):
+        calls.append(len(rhss))
+        return eliminate(matrix, rhss, ncols)
+
+    qpoly._eliminate = spy
+    try:
+        results = _toggle_solve_all(poset, statistics)
+    finally:
+        qpoly._eliminate = eliminate
+    assert len(results) == len(statistics)
+    assert calls == [len(statistics)] + [1] * sum(not r.consistent for r in results)
+    for statistic, got in zip(statistics, results):
+        assert got == toggle_solve(poset, statistic)
+        want = _reference_solve(*build_system(poset, statistic))
+        assert got.consistent == want.consistent
+        if want.consistent:
+            assert (got.constant, got.coefficients) == (want.solution[0], want.solution[1:])
+        else:
+            assert got.witness_mask == order_ideals(poset)[want.witness_row]
+
+
+def test_only_the_failing_statistic_takes_the_full_path(monkeypatch):
+    # The prefix rows of shape 2,1 are eliminated once for both statistics;
+    # ddeg fails its certificate there and alone eliminates all 5 rows.
+    poset = build_shape((2, 1))
+    seen = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhss, ncols):
+        seen.append((len(matrix), len(rhss)))
+        return eliminate(matrix, rhss, ncols)
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    ddeg, toggle = _toggle_solve_all(poset, [statistic_ddeg(poset), statistic_toggle(poset, 1)])
+    assert seen == [(poset.n + 1, 2), (len(order_ideals(poset)), 1)]
+    assert (ddeg.consistent, ddeg.witness_mask) == (False, 7)
+    assert toggle.consistent and toggle.constant == RAT_ZERO
+
+
 @pytest.mark.parametrize(
     "lam,coefficients", [((2, 2), (0, 1, 0, 1)), ((2, 2, 1, 1), (0, 0, 1, 1, 0, 1))]
 )
@@ -613,9 +691,9 @@ def test_singular_prefix_minor_falls_back(monkeypatch, lam, coefficients):
     seen = []
     eliminate = qpoly._eliminate
 
-    def spy(matrix, rhs, ncols):
+    def spy(matrix, rhss, ncols):
         seen.append(len(matrix))
-        return eliminate(matrix, rhs, ncols)
+        return eliminate(matrix, rhss, ncols)
 
     monkeypatch.setattr(qpoly, "_eliminate", spy)
     result = toggle_solve(poset, statistic_ddeg(poset), q_value=-1)
@@ -638,9 +716,10 @@ def test_solver_vandermonde_stress():
 
 
 def test_solver_packing_bound_is_attained():
-    # Rows N*q^2 x = 0 and q^3 y = M*q: the bound is H = N*(M+1), so k = 61,
-    # and the pivot row (0, N*q^5, N*M*q^3) holds N*M >= 2^59.  Balanced
-    # digits of one bit fewer stop below 2^59 and would decode it wrongly.
+    # Rows N*q^2 x = 0 and q^3 y = M*q: H^2 = N^2 * (1 + M^2), so H = N*M
+    # (rounded down) and k = 61, and the pivot row (0, N*q^5, N*M*q^3) holds
+    # N*M >= 2^59.  Balanced digits of one bit fewer stop below 2^59 and
+    # would decode it wrongly.
     n_coef, m_coef = 999_983, 10**12 + 39
     matrix = [[QPoly.monomial(n_coef, 2), ZERO], [ZERO, QPoly.monomial(1, 3)]]
     rhs = [ZERO, QPoly.monomial(m_coef, 1)]
@@ -648,10 +727,38 @@ def test_solver_packing_bound_is_attained():
     assert result == _reference_solve(matrix, rhs)
     assert result.solution == (RAT_ZERO, RatFunc(QPoly.of([m_coef]), QPoly.monomial(1, 2)))
     # 4x = q and x = 4 leave the witness entry 16 - q, a 2x2 minor of [A|b].
-    # A bound over ncols = 1 rows (H = 5, k = 4) would pack it as 16 - 2^4 = 0.
+    # A bound over ncols = 1 rows (H = 4, k = 4) would pack it as 16 - 2^4 = 0.
     witness = solve_linear_system([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
     assert witness == _reference_solve([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
     assert witness.witness_row == 1
+
+
+def test_solver_packing_meets_hadamards_bound(monkeypatch):
+    # The Sylvester matrix of order 4 (entries +-1, orthogonal rows) scaled
+    # by q^(i+j) has determinant 16 q^12, whose value on |q| = 1 is the
+    # product of its row 2-norms.  With b = (1, 0, 0, 0) the rows of [A|b]
+    # give H^2 = 5 * 4^3 = 320, so H = 17 and k = 6: the last pivot 16 q^12
+    # decodes, while balanced digits of 5 bits stop below 16.
+    sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    matrix = [
+        [QPoly.monomial(h, i + j) for j, h in enumerate(row)] for i, row in enumerate(sylvester)
+    ]
+    rhs = [ONE, ZERO, ZERO, ZERO]
+    unpacked = []
+    unpack = qpoly._unpack
+
+    def spy(x, k):
+        unpacked.append((k, unpack(x, k)))
+        return unpacked[-1][1]
+
+    monkeypatch.setattr(qpoly, "_unpack", spy)
+    result = solve_linear_system(matrix, rhs)
+    assert result == _reference_solve(matrix, rhs)
+    assert result.solution == tuple(RatFunc(ONE, QPoly.monomial(4, j)) for j in range(4))
+    k, denominator = unpacked[-1]
+    assert {width for width, _ in unpacked} == {6}
+    assert denominator == QPoly.monomial(16, 12)
+    assert unpack(denominator.evaluate(1 << (k - 1)), k - 1) != denominator
 
 
 def test_check_solution_rejects_planted_error():

@@ -183,9 +183,9 @@ def test_elimination_sees_a_row_basis(monkeypatch, poset, rows):
     seen = []
     eliminate = qpoly._eliminate
 
-    def spy(matrix, rhs, ncols):
+    def spy(matrix, rhss, ncols):
         seen.append(len(matrix))
-        return eliminate(matrix, rhs, ncols)
+        return eliminate(matrix, rhss, ncols)
 
     monkeypatch.setattr(qpoly, "_eliminate", spy)
     toggle_solve(poset, statistic_ddeg(poset))
