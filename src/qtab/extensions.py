@@ -127,10 +127,15 @@ def _extension_positions(poset: Poset) -> Iterator[tuple[int, ...]]:
 
 
 def _from_positions(poset: Poset, pos: Sequence[int]) -> LinearExtension:
+    """The extension whose element at value k+1 is ``pos[k]``.  The walk
+    yields only linear extensions, so it is built without the check of
+    ``__post_init__``, with ``positions`` already cached."""
     values = [0] * poset.n
     for k, e in enumerate(pos):
         values[e] = k + 1
-    return LinearExtension(poset, tuple(values))
+    ext = object.__new__(LinearExtension)
+    vars(ext).update(poset=poset, values=tuple(values), positions=tuple(pos))
+    return ext
 
 
 def enumerate_linear_extensions(poset: Poset) -> Iterator[LinearExtension]:

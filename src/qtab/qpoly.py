@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -388,7 +388,7 @@ def _embed_qt(x: QTPoly | QPoly | int) -> QTPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd (subresultant pseudo-remainder sequence)
+# polynomial gcd (an evaluation pre-test, then the subresultant sequence)
 
 
 def _primitive(p: QPoly) -> QPoly:
@@ -424,7 +424,29 @@ def _exact_scalar_div(p: QPoly, d: int) -> QPoly:
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Greatest common divisor in Z[q], with positive leading coefficient."""
+    """Greatest common divisor in Z[q], with positive leading coefficient.
+
+    Most coprime pairs of positive degree are recognised by one integer gcd
+    before the subresultant sequence runs.  Put M = min(|a|_inf, |b|_inf)
+    and x = 2^k > M + 3.  A common factor h of positive degree in Z[q] has
+    only roots of a and of b, and by Cauchy's bound every root of a lies
+    within 1 + |a|_inf of 0 (as |lc a| >= 1), and likewise for b, so within
+    1 + M.  Each factor x - z of h(x) = lc(h) * prod (x - z) then exceeds 2
+    in absolute value, so |h(x)| >= 2, and h(x) divides both a(x) and b(x).
+    A common integer content divides both values too.  Hence
+    gcd(a(x), b(x)) = 1 proves gcd(a, b) = 1; any other value leaves the
+    answer to the subresultant sequence.
+    """
+    if a.degree > 0 and b.degree > 0:
+        bound = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
+        x = 1 << (bound + 3).bit_length()
+        if math.gcd(a.evaluate(x), b.evaluate(x)) == 1:
+            return ONE
+    return _subresultant_gcd(a, b)
+
+
+def _subresultant_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """``poly_gcd`` by the subresultant pseudo-remainder sequence."""
     if not a:
         return _primitive(b) * b.content() if b else ZERO
     if not b:
@@ -579,17 +601,20 @@ def _unpack(x: int, k: int) -> QPoly:
     return QPoly(tuple(coeffs))
 
 
-def _norm(p: QPoly) -> int:
+def _norm(coeffs: tuple[int, ...]) -> int:
     """The 1-norm, the sum of the absolute coefficients."""
-    return sum(map(abs, p.coeffs))
+    return sum(map(abs, coeffs))
 
 
 _coeffs = attrgetter("coeffs")
 
+Row = dict[int, QPoly]
+"""A sparse row of a linear system: its nonzero cells, {column: entry}."""
+
 
 class _PerEntry(dict):
     """``f`` of each distinct coefficient tuple, computed on its first lookup;
-    the rows of a toggle system share three entries, so each is read once."""
+    the rows of a toggle system share two entries, so each is read once."""
 
     def __init__(self, f: Callable[[tuple[int, ...]], int]) -> None:
         super().__init__()
@@ -601,13 +626,19 @@ class _PerEntry(dict):
 
 
 def solve_linear_system(
-    matrix: Sequence[Sequence[QPoly]],
+    matrix: Sequence[Sequence[QPoly]] | Sequence[Row],
     rhs: Sequence[QPoly],
     *,
     basis: Sequence[int] = (),
     _columns: Sequence[int] = (),
 ) -> LinearSystemResult:
     """Solve ``matrix @ x = rhs`` over Q(q) exactly.
+
+    ``matrix`` is a list of dense rows of equal length.  Inside the package
+    it may instead be a list of sparse rows (``Row``), as ``build_system``
+    returns them; the columns are then 0 up to the largest one named.
+    Dense rows are made sparse here, once, and everything below reads only
+    the nonzero cells.
 
     ``basis`` names rows to try first, for a caller that knows ncols rows
     forming a nonsingular minor of a tall system; ``_columns`` is the column
@@ -624,52 +655,57 @@ def solve_linear_system(
     m = len(matrix)
     if len(rhs) != m:
         raise DimensionMismatch(f"{m} rows but {len(rhs)} right-hand sides")
-    ncols = len(matrix[0]) if m else 0
-    for i, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
+    if m and isinstance(matrix[0], dict):
+        rows = matrix
+        ncols = max(map(max, filter(None, rows)), default=-1) + 1
+    else:
+        ncols = len(matrix[0]) if m else 0
+        for i, row in enumerate(matrix):
+            if len(row) != ncols:
+                raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
+        rows = [{j: entry for j, entry in enumerate(row) if entry} for row in matrix]
     if basis:
-        (result,) = _solve_on_basis(matrix, [rhs], basis, _columns)
+        (result,) = _solve_on_basis(rows, [rhs], basis, list(_columns) or range(ncols))
         if result is not None:
             return result
-    [(witness, numerators)], denominator, free = _eliminate(matrix, [rhs], ncols)
+    [(witness, numerators)], denominator, free = _eliminate(rows, [rhs], ncols)
     if witness is not None:
         return LinearSystemResult(False, None, (), witness)
-    check_solution(matrix, rhs, numerators, denominator)
+    check_solution(rows, rhs, numerators, denominator)
     return LinearSystemResult(True, _fractions(numerators, denominator), free, None)
 
 
 def _solve_on_basis(
-    matrix: Sequence[Sequence[QPoly]],
+    rows: Sequence[Row],
     rhss: Sequence[Sequence[QPoly]],
     basis: Sequence[int],
     columns: Sequence[int],
 ) -> list[LinearSystemResult | None]:
     """The basis step of ``solve_linear_system`` for every right-hand side
     in ``rhss`` at once: one elimination of the ``basis`` rows of
-    [A | b_1 ... b_s], columns taken in the order ``columns`` (as given
-    when empty).
+    [A | b_1 ... b_s], with every column of A taken in the order ``columns``.
 
     Each answer is permuted back to the given column order and certified on
     every row of its own system.  An answer is None when the basis rows
     leave a free column or an inconsistent row, or when its certificate
     fails; the caller then solves that right-hand side on all rows.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    order = list(columns) or list(range(ncols))
-    rows = [matrix[i] for i in basis]
+    ncols = len(columns)
+    place = {j: t for t, j in enumerate(columns)}
     answers, denominator, free = _eliminate(
-        [[row[j] for j in order] for row in rows], [[b[i] for i in basis] for b in rhss], ncols
+        [{place[j]: entry for j, entry in rows[i].items()} for i in basis],
+        [[b[i] for i in basis] for b in rhss],
+        ncols,
     )
     results: list[LinearSystemResult | None] = []
     for b, (witness, ys) in zip(rhss, answers):
         result = None
         if witness is None and not free:
             numerators = [ZERO] * ncols
-            for j, y in zip(order, ys):
+            for j, y in zip(columns, ys):
                 numerators[j] = y
             try:
-                check_solution(matrix, b, numerators, denominator)
+                check_solution(rows, b, numerators, denominator)
             except ResidualMismatch:
                 pass
             else:
@@ -679,11 +715,12 @@ def _solve_on_basis(
 
 
 def _eliminate(
-    matrix: Sequence[Sequence[QPoly]], rhss: Sequence[Sequence[QPoly]], ncols: int
+    matrix: Sequence[Row], rhss: Sequence[Sequence[QPoly]], ncols: int
 ) -> tuple[list[tuple[int | None, list[QPoly]]], QPoly, tuple[int, ...]]:
     """Bareiss one-step division (Math. Comp. 22, 1968) on packed entries,
     with every right-hand side b_t of ``rhss`` carried as a column of
-    [A | b_1 ... b_s] through the one pass.
+    [A | b_1 ... b_s] through the one pass.  Only the sparse rows of
+    ``matrix`` are expanded, into dense rows of packed cells.
 
     Each cell holds the integer P(2^k) of its polynomial P.  Every Bareiss
     entry, the last pivot and every back-substituted value is, up to sign,
@@ -714,10 +751,10 @@ def _eliminate(
     y_j unpacks.  No answer is certified here.
     """
     m = len(matrix)
-    square = _PerEntry(lambda c: sum(map(abs, c)) ** 2).__getitem__
+    square = _PerEntry(lambda c: _norm(c) ** 2).__getitem__
     weights = sorted(
         (
-            sum(map(square, map(_coeffs, row))) + max(square(b[i].coeffs) for b in rhss)
+            sum(map(square, map(_coeffs, row.values()))) + max(square(b[i].coeffs) for b in rhss)
             for i, row in enumerate(matrix)
         ),
         reverse=True,
@@ -726,10 +763,13 @@ def _eliminate(
     k = (2 * bound + 1).bit_length()
     q0 = 1 << k
     value = _PerEntry(lambda c: QPoly(c).evaluate(q0)).__getitem__
-    rows = [
-        [*map(value, map(_coeffs, row)), *(value(b[i].coeffs) for b in rhss)]
-        for i, row in enumerate(matrix)
-    ]
+    rows = []
+    for i, row in enumerate(matrix):
+        cells = [0] * ncols
+        for j, entry in row.items():
+            cells[j] = value(entry.coeffs)
+        cells += [value(b[i].coeffs) for b in rhss]
+        rows.append(cells)
     origin = list(range(m))
     level = [1] * m
     width = ncols + len(rhss)
@@ -802,34 +842,38 @@ def _fractions(numerators: Sequence[QPoly], denominator: QPoly) -> tuple[RatFunc
 
 
 def check_solution(
-    matrix: Sequence[Sequence[QPoly]],
+    matrix: Sequence[Row],
     rhs: Sequence[QPoly],
     numerators: Sequence[QPoly],
     denominator: QPoly,
 ) -> None:
     """Raise ResidualMismatch unless ``matrix @ numerators == denominator * rhs``.
 
-    With N the largest row 1-norm of [A|b] and Y the largest 1-norm among
-    the numerators and the denominator, no coefficient of a row's residual
-    r = sum_j A_ij y_j - d b_i exceeds N*Y in absolute value.  By Cauchy's
-    root bound every root of a nonzero r is then below 1 + N*Y in absolute
-    value, so at q = 2^K > 1 + N*Y the residual is zero exactly when its
-    value is, and each row is compared as one integer.  Each distinct entry
-    is read once, for its 1-norm and for its value, and only a row's nonzero
-    cells enter its residual.
+    No row of [A|b] has a 1-norm above N = (the most cells in a row) * (the
+    largest entry 1-norm) + (the largest 1-norm in b).  With Y the largest
+    1-norm among the numerators and the denominator, no coefficient of a
+    row's residual r = sum_j A_ij y_j - d b_i then exceeds N*Y in absolute
+    value.  By Cauchy's root bound every root of a nonzero r is below
+    1 + N*Y in absolute value, so at q = 2^K > 1 + N*Y the residual is zero
+    exactly when its value is, and each row is compared as one integer.
+    The rows are sparse (``Row``), so only nonzero cells are read.  The
+    product of an entry's value with y_j is computed once per distinct
+    entry of column j, and d times b_i once per distinct b_i, so a row
+    costs only additions and one comparison.
     """
-    norm = _PerEntry(lambda c: sum(map(abs, c))).__getitem__
-    row_norm = max(
-        (sum(map(norm, map(_coeffs, row))) + norm(b.coeffs) for row, b in zip(matrix, rhs)),
-        default=0,
-    )
-    q0 = 1 << (1 + row_norm * max(map(_norm, (*numerators, denominator)))).bit_length()
-    value = _PerEntry(lambda c: QPoly(c).evaluate(q0))
-    ys = [y.evaluate(q0) for y in numerators]
+    entries = set(map(_coeffs, chain.from_iterable(map(dict.values, matrix))))
+    entry_norm = max(map(_norm, entries), default=0)
+    b_norm = max(map(_norm, set(map(_coeffs, rhs))), default=0)
+    row_norm = max(map(len, matrix), default=0) * entry_norm + b_norm
+    y_norm = max(map(_norm, map(_coeffs, (*numerators, denominator))))
+    q0 = 1 << (1 + row_norm * y_norm).bit_length()
+    value = _PerEntry(lambda c: QPoly(c).evaluate(q0)).__getitem__
     d = denominator.evaluate(q0)
+    ys = [y.evaluate(q0) for y in numerators]
+    products = [_PerEntry(lambda c, y=y: value(c) * y).__getitem__ for y in ys]
+    targets = _PerEntry(lambda c: d * value(c)).__getitem__
     for i, (row, target) in enumerate(zip(matrix, rhs)):
-        residual = sum(value[c] * y for c, y in zip(map(_coeffs, row), ys) if c)
-        if residual != d * value[target.coeffs]:
+        if sum([products[j](entry.coeffs) for j, entry in row.items()]) != targets(target.coeffs):
             raise ResidualMismatch(f"solution violates equation {i}")
 
 

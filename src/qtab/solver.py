@@ -29,6 +29,7 @@ from .qpoly import (
     LinearSystemResult,
     QPoly,
     RatFunc,
+    Row,
     _solve_on_basis,
     qbinom,
     qnum,
@@ -72,12 +73,14 @@ class RefinementReport:
 
 def build_system(
     poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
-) -> tuple[list[list[QPoly]], list[QPoly]]:
+) -> tuple[list[Row], list[QPoly]]:
     """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f.
 
-    With ``q_value`` = a/b every row is specialised at q = a/b and multiplied
-    by s = b^max(1, deg f), which makes every entry an integer constant; one
-    nonzero scale for all rows changes no solution and no zero pattern.
+    Each row is sparse (``Row``): its nonzero cells, c in column 0 and the
+    coefficient a_p in column p + 1.  With ``q_value`` = a/b every row is
+    specialised at q = a/b and multiplied by s = b^max(1, deg f), which
+    makes every entry an integer constant; one nonzero scale for all rows
+    changes no solution and no zero pattern.
     """
     if statistic.poset != poset:
         raise PosetMismatch("statistic and system posets differ")
@@ -87,28 +90,30 @@ def build_system(
     rhs = [statistic.values[mask] for mask in ideals]
     # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
     # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
-    zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
+    one, minus_q = QPoly.of([1]), QPoly.of([0, -1])
     if q_value is not None:
         q = Fraction(q_value)
         s = q.denominator ** max(1, *(f.degree for f in rhs))
         one, minus_q = QPoly.of([s]), QPoly.of([int(-q * s)])
         rhs = [QPoly.of([int(f.evaluate(q) * s)]) for f in rhs]
-    matrix = [[one] + [zero] * poset.n for _ in ideals]
-    for p, edges in enumerate(poset.ideal_edges):
+    rows = [{0: one} for _ in ideals]
+    for column, edges in enumerate(poset.ideal_edges, 1):
         for lower, upper in edges:
-            matrix[lower][p + 1] = one
-            matrix[upper][p + 1] = minus_q
-    return matrix, rhs
+            rows[lower][column] = one
+            rows[upper][column] = minus_q
+    if not minus_q:  # q = 0 leaves the tout cells zero
+        rows = [{j: entry for j, entry in row.items() if entry} for row in rows]
+    return rows, rhs
 
 
 def toggle_solve(
     poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
 ) -> ToggleSolveResult:
     """Solve for the forced expectation of the statistic, exactly."""
-    matrix, rhs = build_system(poset, statistic, q_value)
+    rows, rhs = build_system(poset, statistic, q_value)
     ideals = order_ideals(poset)
     result = solve_linear_system(
-        matrix, rhs, basis=_prefix_rows(poset, ideals), _columns=_c_last(poset.n)
+        rows, rhs, basis=_prefix_rows(poset, ideals), _columns=_c_last(poset.n)
     )
     return _toggle_result(result, ideals)
 
@@ -144,16 +149,16 @@ def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[Tog
     built once and its prefix rows are eliminated once, with every
     statistic's right-hand side attached.  A statistic whose answer from
     those rows is not certified on every row is solved on all rows alone."""
-    matrix, _ = build_system(poset, statistics[0])
+    rows, _ = build_system(poset, statistics[0])
     ideals = order_ideals(poset)
     rhss = []
     for statistic in statistics:
         if statistic.poset != poset:
             raise PosetMismatch("statistic and system posets differ")
         rhss.append([statistic.values[mask] for mask in ideals])
-    answers = _solve_on_basis(matrix, rhss, _prefix_rows(poset, ideals), _c_last(poset.n))
+    answers = _solve_on_basis(rows, rhss, _prefix_rows(poset, ideals), _c_last(poset.n))
     return [
-        _toggle_result(answer or solve_linear_system(matrix, rhs), ideals)
+        _toggle_result(answer or solve_linear_system(rows, rhs), ideals)
         for rhs, answer in zip(rhss, answers)
     ]
 

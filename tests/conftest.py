@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from qtab.posets import Poset, build_propeller, build_rectangle, build_shape, build_shifted
+from qtab.qpoly import ZERO
 
 
 def all_partitions(max_boxes: int, min_boxes: int = 1) -> list[tuple[int, ...]]:
@@ -33,6 +34,12 @@ def strict_partitions(max_boxes: int, min_boxes: int = 1) -> list[tuple[int, ...
 
     rec(max_boxes, max_boxes, ())
     return sorted(set(out))
+
+
+def densify(rows: list[dict], ncols: int) -> list[list]:
+    """Sparse rows {column: entry}, as ``build_system`` returns them, written
+    out as dense rows of ``ncols`` cells."""
+    return [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
 
 
 def partition_strategy(max_boxes: int = 8) -> st.SearchStrategy[tuple[int, ...]]:

@@ -176,6 +176,20 @@ def test_enumeration_order_matches_the_recursive_walk_on_random_posets(poset):
     _assert_recursive_order(poset)
 
 
+@settings(max_examples=60, deadline=None)
+@given(naturally_labeled_posets(max_n=7))
+def test_walked_extensions_equal_validated_ones(poset):
+    # The walk builds each extension without the check of __post_init__ and
+    # presets its positions; the checked constructor must accept each one
+    # and agree on every field, the positions and the hash.
+    for ext in enumerate_linear_extensions(poset):
+        checked = LinearExtension(poset, ext.values)
+        assert ext == checked and hash(ext) == hash(checked)
+        assert (ext.poset, ext.values) == (checked.poset, checked.values)
+        assert ext.positions == checked.positions
+        assert ext.prefix_masks == checked.prefix_masks
+
+
 def test_comaj_at_golden():
     ext = parse_tableau("1,3,6\n2,5,8\n4,7,9", build_rectangle(3, 3))
     assert isinstance(ext, LinearExtension)

@@ -8,10 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
+from conftest import (
+    densify,
+    naturally_labeled_posets,
+    partition_strategy,
+    strict_partition_strategy,
+)
 from qtab import qpoly
 from qtab.distributions import Statistic, _maximal_count, statistic_ddeg, statistic_toggle
-from qtab.posets import build_shape, build_shifted, order_ideals
+from qtab.posets import build_rectangle, build_shape, build_shifted, order_ideals
 from qtab.qpoly import (
     ONE,
     Q,
@@ -323,6 +328,13 @@ def test_gcd_golden():
     assert poly_gcd(2 * qnum(2), 4 * (qnum(2) * qnum(2))) == 2 * qnum(2)
     assert poly_gcd(ZERO, QPoly.of([0, -2])) == QPoly.of([0, 2])
     assert poly_gcd(qnum(4), qnum(6)) == qnum(2)
+    # constants, content alone (1 + q and 1 + q^2 are coprime) and content
+    # with a factor, and negative leading coefficients
+    assert poly_gcd(QPoly.of([6]), QPoly.of([-4])) == QPoly.of([2])
+    assert poly_gcd(QPoly.of([6]), QPoly.of([4, 4])) == QPoly.of([2])
+    assert poly_gcd(QPoly.of([6, 6]), QPoly.of([4, 0, 4])) == QPoly.of([2])
+    assert poly_gcd(QPoly.of([-6, -6]), QPoly.of([-4, 0, -4])) == QPoly.of([2])
+    assert poly_gcd(QPoly.of([6, 6]), QPoly.of([4, 4])) == QPoly.of([2, 2])
 
 
 @given(polys, polys, nonzero_polys)
@@ -334,11 +346,83 @@ def test_gcd_divides_common_multiples(a, b, c):
         g.exact_div(poly_gcd(c, g))  # c divides the gcd
 
 
+def _pretest_point(a, b):
+    """The point x = 2^k > min(|a|_inf, |b|_inf) + 3 of the coprimality test."""
+    return 1 << (min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 3).bit_length()
+
+
+def _assert_canonical(r, num, den):
+    """r is num / den in canonical form: reduced, content-free, den.lc > 0."""
+    assert r.num * den == r.den * num
+    assert r.den.lc > 0
+    if r.num:
+        assert qpoly._subresultant_gcd(r.num, r.den) == ONE
+    else:
+        assert r.den == ONE
+
+
+wide_polys = st.lists(st.integers(-(10**6), 10**6), max_size=5).map(QPoly.of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polys, wide_polys), st.one_of(polys, wide_polys), st.one_of(polys, wide_polys))
+# content only: 1 + q and 1 + q^2 are coprime, so the gcd is 2
+@example(QPoly.of([6, 6]), QPoly.of([4, 0, 4]), ONE)
+# content and a factor: both are multiples of 2 + 2q
+@example(QPoly.of([6, 6]), QPoly.of([4, 4]), ONE)
+# constants and negative leading coefficients
+@example(QPoly.of([6]), QPoly.of([-4, -4]), QPoly.of([-3]))
+@example(QPoly.of([1, -1]), QPoly.of([-1, 0, 1]), QPoly.of([2, -5]))
+# the shared factor q - t has its root t at or next to a power of two
+@example(QPoly.of([-7, 1]), QPoly.of([-8, 1]), QPoly.of([-9, 1]))
+@example(QPoly.of([1, 1]), QPoly.of([-15, 0, 1]), QPoly.of([-16, 1]))
+def test_gcd_matches_the_subresultant_route(a, b, c):
+    for x, y in ((a, b), (a * c, b * c), (-(a * c), b * c)):
+        assert poly_gcd(x, y) == qpoly._subresultant_gcd(x, y)
+        if y:
+            _assert_canonical(RatFunc(x, y), x, y)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("shared", [True, False])
+def test_gcd_with_a_root_at_the_test_point(delta, shared):
+    # b = (q + 1)(q + 2) has the smaller norm, 3, so the test point is x = 8.
+    # a = (q - 8 - delta) times (q + 1) or (q + 3): at delta = 0 a vanishes
+    # at x, the values have gcd b(x) > 1, and the subresultant sequence
+    # decides.
+    b = QPoly.of([2, 3, 1])
+    x = 8
+    a = QPoly.of([-(x + delta), 1]) * QPoly.of([1 if shared else 3, 1])
+    assert _pretest_point(a, b) == x
+    want = QPoly.of([1, 1]) if shared else ONE
+    assert poly_gcd(a, b) == poly_gcd(b, a) == want
+    assert qpoly._subresultant_gcd(a, b) == want
+    _assert_canonical(RatFunc(a, b), a, b)
+    _assert_canonical(RatFunc(-b, a), -b, a)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+def test_gcd_finds_a_shared_root_near_a_power_of_two(t):
+    # (q - t)(q + 1) against (q - t)(q^2 + 2): the norms are at least t, so
+    # the test point lies past t + 3 and the values share the factor x - t.
+    shared = QPoly.of([-t, 1])
+    a, b = shared * QPoly.of([1, 1]), shared * QPoly.of([2, 0, 1])
+    assert math.gcd(a.evaluate(_pretest_point(a, b)), b.evaluate(_pretest_point(a, b))) > 1
+    assert poly_gcd(a, b) == poly_gcd(-a, b) == shared
+    r = RatFunc(a, -b)
+    _assert_canonical(r, a, -b)
+    assert (r.num, r.den) == (QPoly.of([-1, -1]), QPoly.of([2, 0, 1]))
+
+
 def test_ratfunc_canonical():
     assert RatFunc(QPoly.of([-1, 0, 1]), QPoly.of([-1, 1])) == RatFunc(QPoly.of([1, 1]))
     assert RatFunc(qnum(2) * qnum(2), qnum(4)) == RatFunc(qnum(2), QPoly.of([1, 0, 1]))
     assert RatFunc(2 * ONE, 4 * ONE) == RatFunc(ONE, 2 * ONE)
     assert RatFunc(ZERO, qnum(5)) == RAT_ZERO
+    r = RatFunc(QPoly.of([6, 6]), QPoly.of([4, 0, 4]))
+    assert (r.num, r.den) == (QPoly.of([3, 3]), QPoly.of([2, 0, 2]))
+    r = RatFunc(QPoly.of([6, 6]), QPoly.of([-4, -4]))
+    assert (r.num, r.den) == (QPoly.of([-3]), QPoly.of([2]))
     with pytest.raises(DivisionByZero):
         RatFunc(ONE, ZERO)
 
@@ -559,7 +643,8 @@ _TOGGLE_POSETS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_TOGGLE_POSETS)
 def test_prefix_ideal_rows_leave_no_free_column(poset):
-    matrix, rhs = build_system(poset, statistic_ddeg(poset))
+    sparse, rhs = build_system(poset, statistic_ddeg(poset))
+    matrix = densify(sparse, poset.n + 1)
     rows = _prefix_rows(poset)
     result = solve_linear_system([matrix[i] for i in rows], [rhs[i] for i in rows])
     assert result.consistent and result.free_columns == ()
@@ -591,7 +676,8 @@ def _statistic_quadratic(poset):
 )
 def test_toggle_solve_matches_reference_elimination(poset, q_value, make_statistic):
     statistic = make_statistic(poset)
-    matrix, rhs = build_system(poset, statistic)
+    sparse, rhs = build_system(poset, statistic)
+    matrix = densify(sparse, poset.n + 1)
     if q_value is not None:
         matrix, rhs = _specialised_rows(matrix, rhs, q_value)
     want = _reference_solve(matrix, rhs)
@@ -655,7 +741,8 @@ def test_several_statistics_share_one_elimination(mix):
     assert calls == [len(statistics)] + [1] * sum(not r.consistent for r in results)
     for statistic, got in zip(statistics, results):
         assert got == toggle_solve(poset, statistic)
-        want = _reference_solve(*build_system(poset, statistic))
+        sparse, rhs = build_system(poset, statistic)
+        want = _reference_solve(densify(sparse, poset.n + 1), rhs)
         assert got.consistent == want.consistent
         if want.consistent:
             assert (got.constant, got.coefficients) == (want.solution[0], want.solution[1:])
@@ -763,7 +850,7 @@ def test_solver_packing_meets_hadamards_bound(monkeypatch):
 
 def test_check_solution_rejects_planted_error():
     # (1+q) x + q y = (1+q)^2 and x = y hold for x = y = (1+q)^2 / (1+2q).
-    matrix = [[qnum(2), Q], [ONE, -ONE]]
+    matrix = [{0: qnum(2), 1: Q}, {0: ONE, 1: -ONE}]
     rhs = [QPoly.of([1, 2, 1]), ZERO]
     y, d = QPoly.of([1, 2, 1]), QPoly.of([1, 2])
     check_solution(matrix, rhs, (y, y), d)
@@ -779,7 +866,7 @@ def test_check_solution_bound_counts_the_row_norm():
     # the 1-norms of the y_j alone (Y = 1, so 2^K = 4) would miss it; with
     # the row 1-norm N = 5 the certificate evaluates at q = 8.
     with pytest.raises(ResidualMismatch, match="equation 0"):
-        check_solution([[ONE] * 4], [Q], (ONE,) * 4, ONE)
+        check_solution([{j: ONE for j in range(4)}], [Q], (ONE,) * 4, ONE)
 
 
 def test_check_solution_bound_counts_the_right_hand_side():
@@ -787,14 +874,14 @@ def test_check_solution_bound_counts_the_right_hand_side():
     # bound would be N = 1 and Y = 1, so 2^K = 4, a root of the residual.
     b = QPoly.of([4, -1])
     with pytest.raises(ResidualMismatch, match="equation 0"):
-        check_solution([[ONE]], [b], (ZERO,), ONE)
-    check_solution([[ONE]], [b], (b,), ONE)
+        check_solution([{0: ONE}], [b], (ZERO,), ONE)
+    check_solution([{0: ONE}], [b], (b,), ONE)
 
 
 def test_check_solution_reads_a_row_without_nonzero_cells():
     # Row 1 has no nonzero cell, so only its right-hand side is left to
     # read: 0 = q must fail there, and 0 = 0 must pass.
-    matrix = [[ONE, Q], [ZERO, ZERO]]
+    matrix = [{0: ONE, 1: Q}, {}]
     with pytest.raises(ResidualMismatch, match="equation 1"):
         check_solution(matrix, [ONE, Q], (ONE, ZERO), ONE)
     check_solution(matrix, [ONE, ZERO], (ONE, ZERO), ONE)
@@ -804,11 +891,43 @@ def test_check_solution_reads_a_row_without_nonzero_cells():
 def test_check_solution_rejects_residual_vanishing_at_a_power_of_two(j):
     # x = 2^j against x = q leaves the residual 2^j - q, zero at q = 2^j.
     with pytest.raises(ResidualMismatch, match="equation 0"):
-        check_solution([[ONE]], [Q], (QPoly.of([2**j]),), ONE)
+        check_solution([{0: ONE}], [Q], (QPoly.of([2**j]),), ONE)
     # The same residual scaled by the denominator: d * x = 2^j * d.
     with pytest.raises(ResidualMismatch, match="equation 0"):
-        check_solution([[ONE]], [Q], (QPoly.of([2**j]) * qnum(3),), qnum(3))
-    check_solution([[ONE]], [QPoly.of([2**j])], (QPoly.of([2**j]),), ONE)
+        check_solution([{0: ONE}], [Q], (QPoly.of([2**j]) * qnum(3),), qnum(3))
+    check_solution([{0: ONE}], [QPoly.of([2**j])], (QPoly.of([2**j]),), ONE)
+
+
+def test_check_solution_rejects_residual_vanishing_at_one_and_two():
+    # Cells 1 and 3 give q^2 + 2 - 3q = (q - 1)(q - 2), zero at q = 1 and
+    # q = 2 only.  Columns 0 and 2 hold no cell, so their large numerators
+    # must not enter the residual.
+    row = {1: ONE, 3: -Q}
+    ys = (QPoly.of([10**9]), QPoly.of([2, 0, 1]), QPoly.of([-(10**9), 7]), QPoly.of([3]))
+    with pytest.raises(ResidualMismatch, match="equation 0"):
+        check_solution([row], [ZERO], ys, ONE)
+    check_solution([row], [QPoly.of([2, -3, 1])], ys, ONE)
+
+
+@pytest.mark.parametrize("q_value", [0, None])
+def test_check_solution_rejects_an_error_in_the_full_ideals_row(q_value):
+    # At q = 0 the full ideal's row of rect 2x3 is a single cell, c; at
+    # generic q it also holds -q at the one maximal element.  An error
+    # planted in that row's right-hand side or in its cell of c is found
+    # there, and in no other row.
+    poset = build_rectangle(2, 3)
+    rows, rhs = build_system(poset, statistic_ddeg(poset), q_value)
+    full = len(rows) - 1
+    assert order_ideals(poset)[full] == (1 << poset.n) - 1
+    assert len(rows[full]) == (1 if q_value == 0 else 2)
+    [(witness, ys)], d, free = qpoly._eliminate(rows, [rhs], poset.n + 1)
+    assert witness is None and free == ()
+    check_solution(rows, rhs, ys, d)
+    with pytest.raises(ResidualMismatch, match=f"equation {full}$"):
+        check_solution(rows, [*rhs[:full], rhs[full] + ONE], ys, d)
+    planted = [*rows[:full], {**rows[full], 0: rows[full][0] * 2}]
+    with pytest.raises(ResidualMismatch, match=f"equation {full}$"):
+        check_solution(planted, rhs, ys, d)
 
 
 def test_solver_certifies_its_answer(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     all_partitions,
+    densify,
     naturally_labeled_posets,
     partition_strategy,
     strict_partition_strategy,
@@ -53,10 +54,12 @@ def test_singleton_golden():
 
 def test_build_system_shape(monkeypatch):
     poset = build_rectangle(2, 2)
-    matrix, rhs = build_system(poset, statistic_ddeg(poset))
-    assert len(matrix) == 6 and len(rhs) == 6
-    assert all(len(row) == 5 for row in matrix)
-    assert matrix[0][0] == QPoly.of([1])
+    rows, rhs = build_system(poset, statistic_ddeg(poset))
+    assert len(rows) == 6 and len(rhs) == 6
+    # Sparse rows: only nonzero cells, in the 5 columns, and every column used.
+    assert all(set(row) <= set(range(5)) and all(row.values()) for row in rows)
+    assert set().union(*rows) == set(range(5))
+    assert rows[0][0] == QPoly.of([1])
     monkeypatch.setattr(solver, "ROW_LIMIT", 3)
     with pytest.raises(ValueError):
         build_system(poset, statistic_ddeg(poset))
@@ -101,7 +104,9 @@ def reference_system(poset, statistic):
 @given(st.one_of(naturally_labeled_posets(), partition_strategy(8).map(build_shape)))
 def test_build_system_matches_toggle_statistics(poset):
     statistic = statistic_ddeg(poset)
-    assert build_system(poset, statistic) == reference_system(poset, statistic)
+    rows, rhs = build_system(poset, statistic)
+    assert all(set(row) <= set(range(poset.n + 1)) and all(row.values()) for row in rows)
+    assert (densify(rows, poset.n + 1), rhs) == reference_system(poset, statistic)
 
 
 @pytest.mark.parametrize(
