@@ -37,7 +37,6 @@ from .distributions import (
 )
 from .extensions import (
     LinearExtension,
-    UnsupportedRefinement,
     d_star,
     descents,
     enumerate_bsv,
@@ -61,6 +60,7 @@ from .posets import (
     NotGraded,
     Poset,
     PosetSpecError,
+    UnsupportedPoset,
     build_minuscule,
     build_rectangle,
     build_shape,
@@ -93,7 +93,6 @@ from .qpoly import (
 )
 from .solver import (
     RowLimitExceeded,
-    UnsupportedPoset,
     statistic_diagonal,
     statistic_row,
     toggle_solve,
@@ -906,20 +905,21 @@ def cmd_bijection_trace(args: argparse.Namespace) -> int:
             image, y2 = inverse_toggle_bijection(args.p, ext, args.y)
             print(f"inverse image: y = {y2}")
         else:
-            label, dec = classify(ext, args.p, args.y)
-            image = escalate(ext, dec.x, dec.z)
-            y2 = dec.y_prime
-            blocks = " ".join(f"{kind}[{lo},{hi}]" for kind, lo, hi in dec.blocks)
-            print(f"case: {label.left}/{label.right}")
-            print(f"x = {dec.x}  y = {dec.y}")
+            case = classify(ext, args.p, args.y)
+            x = ext.values[args.p]
+            image = escalate(ext, x, case.z)
+            y2 = case.y_prime
+            blocks = " ".join(f"{kind}[{lo},{hi}]" for kind, lo, hi in case.blocks)
+            print(f"case: {case.left}/{case.right}")
+            print(f"x = {x}  y = {args.y}")
             print(f"blocks: {blocks}")
-            parts = [f"f = {dec.f}"]
+            parts = [f"f = {case.f}"]
             for name in ("e", "g", "h"):
-                value = getattr(dec, name)
+                value = getattr(case, name)
                 if value is not None:
                     parts.append(f"{name} = {value}")
             print("  ".join(parts))
-            print(f"y' = {dec.y_prime}  z = {dec.z}")
+            print(f"y' = {case.y_prime}  z = {case.z}")
     except (PNotTogglableOut, PNotTogglableIn, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     print("before:")
@@ -1014,7 +1014,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, PosetSpecError, RowLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedRefinement, UnsupportedPoset) as exc:
+    except UnsupportedPoset as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

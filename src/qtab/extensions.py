@@ -28,16 +28,12 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import engine
-from .posets import Poset
+from .posets import Poset, box_coords
 from .qpoly import QPoly, QTPoly, _qt_rows, qfact, qnum
 
 
 class InvalidTriple(Exception):
     """A (T, i, p) triple that does not define a barely set-valued filling."""
-
-
-class UnsupportedRefinement(Exception):
-    """A row/diagonal refinement was requested on a poset without coordinates."""
 
 
 @dataclass(frozen=True)
@@ -290,16 +286,12 @@ def comaj_plus(bsv: BsvLinearExtension) -> int:
 
 def r_star(bsv: BsvLinearExtension) -> int:
     """Row of the doubled cell (1-based)."""
-    if bsv.poset.coords is None:
-        raise UnsupportedRefinement("poset has no box coordinates")
-    return bsv.poset.coords[bsv.p_star][0]
+    return box_coords(bsv.poset)[bsv.p_star][0]
 
 
 def d_star(bsv: BsvLinearExtension) -> int:
     """1 when the doubled cell lies on the main diagonal, else 0."""
-    if bsv.poset.coords is None:
-        raise UnsupportedRefinement("poset has no box coordinates")
-    row, col = bsv.poset.coords[bsv.p_star]
+    row, col = box_coords(bsv.poset)[bsv.p_star]
     return int(row == col)
 
 
@@ -323,8 +315,8 @@ def gf_bsv(poset: Poset, refined: bool = False) -> QTPoly:
     extension is a triple (T, i, p) with p maximal in the prefix ideal I of
     size i, weighing theta(T, i), so the sum runs over the ideals of P.
     """
-    if refined and poset.coords is None:
-        raise UnsupportedRefinement("poset has no box coordinates")
+    if refined:
+        box_coords(poset)
     return _qt_rows(QPoly.of(row) for row in engine.bsv_rows(poset))
 
 
@@ -333,10 +325,8 @@ def gf_bsv(poset: Poset, refined: bool = False) -> QTPoly:
 
 
 def _row_layout(poset: Poset) -> list[list[int]]:
-    if poset.coords is None:
-        raise UnsupportedRefinement("poset has no box coordinates")
     by_row: dict[int, list[tuple[int, int]]] = {}
-    for e, (r, c) in enumerate(poset.coords):
+    for e, (r, c) in enumerate(box_coords(poset)):
         by_row.setdefault(r, []).append((c, e))
     return [[e for _, e in sorted(cells)] for _, cells in sorted(by_row.items())]
 

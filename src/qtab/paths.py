@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .extensions import BsvLinearExtension, LinearExtension
-from .posets import Poset, build_rectangle
+from .posets import Poset, UnsupportedPoset, box_coords, build_rectangle
 from .qpoly import QPoly, QTPoly, _from_map, qbinom, qnum, qt_num
-
-
-class WrongShape(Exception):
-    """A path/tableau conversion was applied to an unsupported shape."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +181,11 @@ def gf_comaj_dyck(b: int) -> QPoly:
 
 def _two_row_layout(poset: Poset) -> tuple[int, list[int]]:
     """Width b and the element of each (row, col) for a 2 x b rectangle."""
-    if poset.coords is None:
-        raise WrongShape("poset has no box coordinates")
-    coords = set(poset.coords)
+    coords = box_coords(poset)
     b = poset.n // 2
-    if coords != {(r, c) for r in (1, 2) for c in range(1, b + 1)}:
-        raise WrongShape("not a two-row rectangle")
-    by_coord = {rc: e for e, rc in enumerate(poset.coords)}
+    if set(coords) != {(r, c) for r in (1, 2) for c in range(1, b + 1)}:
+        raise UnsupportedPoset("not a two-row rectangle")
+    by_coord = {rc: e for e, rc in enumerate(coords)}
     order = [by_coord[(r, c)] for r in (1, 2) for c in range(1, b + 1)]
     return b, order
 

@@ -8,7 +8,8 @@ masks with bit ``e`` for element ``e``.
 Builders create the posets of Young-diagram shapes (box (row, col) covered by
 its right and lower neighbors, row-major element order), shifted shapes, and
 the standard minuscule families.  ``coords`` holds the 1-based (row, col) of
-each element for shape-like posets and is ``None`` otherwise.
+each element, no two alike, for shape-like posets and is ``None`` otherwise;
+``box_coords`` reads it and raises ``UnsupportedPoset`` when it is ``None``.
 
 JSON exchange format::
 
@@ -41,6 +42,10 @@ class PosetSpecError(ValueError):
     """A poset specification string or JSON document is malformed."""
 
 
+class UnsupportedPoset(Exception):
+    """The poset lacks the box structure a computation needs."""
+
+
 class Poset:
     """Immutable poset on ``0..n-1`` given by its cover relations."""
 
@@ -66,6 +71,8 @@ class Poset:
             for rc in self.coords:
                 if len(rc) != 2 or any(not isinstance(x, int) or x < 1 for x in rc):
                     raise ValueError(f"coords entry {rc!r} is not a 1-based (row, col)")
+            if len(set(self.coords)) != n:
+                raise ValueError("two elements share a box")
         self._check_covers_irredundant()
 
     def _check_covers_irredundant(self) -> None:
@@ -176,6 +183,13 @@ def order_ideals(poset: Poset) -> tuple[int, ...]:
     return poset._ideals
 
 
+def box_coords(poset: Poset) -> tuple[tuple[int, int], ...]:
+    """The (row, col) of each element; raises UnsupportedPoset without them."""
+    if poset.coords is None:
+        raise UnsupportedPoset("poset has no box coordinates")
+    return poset.coords
+
+
 def ideal_members(ideal: int) -> tuple[int, ...]:
     """Elements of an ideal mask, ascending."""
     out = []
@@ -234,41 +248,22 @@ def relabel(poset: Poset, new_order: Sequence[int]) -> Poset:
 # isomorphism and self-duality
 
 
-def _joint_signatures(a: Poset, b: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Structural element signatures comparable across the two posets."""
-    posets = (a, b)
-    sig: list[list[object]] = [
-        [
-            (len(p.lower_covers[e]), len(p.upper_covers[e]),
-             p.below_masks[e].bit_count(), p.above_masks[e].bit_count())
-            for e in range(p.n)
-        ]
-        for p in posets
+def _signatures(poset: Poset) -> list[tuple[int, int, int, int]]:
+    """Per element: its lower-cover and upper-cover counts, and the sizes of
+    its down-set and up-set; an isomorphism keeps all four."""
+    return [
+        (len(lows), len(ups), below.bit_count(), above.bit_count())
+        for lows, ups, below, above in zip(
+            poset.lower_covers, poset.upper_covers, poset.below_masks, poset.above_masks
+        )
     ]
-    for _ in range(max(a.n, b.n).bit_length() + 1):
-        codes: dict[object, int] = {}
-        sig = [
-            [
-                codes.setdefault(
-                    (
-                        sig[i][e],
-                        tuple(sorted(sig[i][x] for x in p.lower_covers[e])),
-                        tuple(sorted(sig[i][x] for x in p.upper_covers[e])),
-                    ),
-                    len(codes),
-                )
-                for e in range(p.n)
-            ]
-            for i, p in enumerate(posets)
-        ]
-    return tuple(sig[0]), tuple(sig[1])
 
 
 def find_isomorphism(a: Poset, b: Poset) -> tuple[int, ...] | None:
     """An element map a -> b preserving covers both ways, or None."""
     if a.n != b.n or len(a.covers) != len(b.covers):
         return None
-    sig_a, sig_b = _joint_signatures(a, b)
+    sig_a, sig_b = _signatures(a), _signatures(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     candidates = [
@@ -477,7 +472,7 @@ def from_json(text: str) -> Poset:
         labeling = [int(x) for x in doc.get("labeling") or range(1, n + 1)]
         coords = doc.get("coords")
         origin = doc.get("origin")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PosetSpecError(f"malformed poset JSON: {exc}") from exc
     if n < 0:
         raise PosetSpecError(f"n must be nonnegative, got {n}")
@@ -540,5 +535,5 @@ def parse_poset_spec(spec: str) -> Poset:
     try:
         with open(spec, encoding="utf-8") as handle:
             return from_json(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PosetSpecError(f"cannot read poset file {spec!r}: {exc}") from exc

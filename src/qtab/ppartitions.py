@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import engine
-from .extensions import InvalidTriple, UnsupportedRefinement
-from .posets import Poset, hook_lengths, rank_data
+from .extensions import InvalidTriple
+from .posets import Poset, box_coords, hook_lengths, rank_data
 from .qpoly import QPoly, QTPoly, _qt_rows, qnum
 
 
@@ -254,6 +254,6 @@ def gf_bsv_rpp(poset: Poset, m: int, refined: bool = False) -> QTPoly:
     weighs q^(size(pi) + i) and p is maximal in the level-i ideal of pi, so the
     sum runs over the ideals of P with the weights of ``ensemble_rpp``.
     """
-    if refined and poset.coords is None:
-        raise UnsupportedRefinement("poset has no box coordinates")
+    if refined:
+        box_coords(poset)
     return _qt_rows(QPoly.of(row) for row in engine.bsv_rpp_rows(poset, m))

@@ -24,7 +24,7 @@ from .distributions import (
     expectation,
     statistic_ddeg,
 )
-from .posets import Poset, order_ideals
+from .posets import Poset, UnsupportedPoset, box_coords, order_ideals
 from .qpoly import (
     LinearSystemResult,
     QPoly,
@@ -37,10 +37,6 @@ from .qpoly import (
 )
 
 ROW_LIMIT = 100_000  # most order ideals, hence equations, a system may have
-
-
-class UnsupportedPoset(Exception):
-    """A refinement check was requested for a poset without the needed shape."""
 
 
 class RowLimitExceeded(ValueError):
@@ -172,16 +168,9 @@ def predict_constant(poset: Poset) -> RatFunc:
 # refinement statistics for box shapes
 
 
-def _coord_set(poset: Poset) -> set[tuple[int, int]]:
-    if poset.coords is None:
-        raise UnsupportedPoset("poset has no box coordinates")
-    return set(poset.coords)
-
-
 def statistic_row(poset: Poset, row: int) -> Statistic:
     """Number of maximal elements of the ideal lying in the given row."""
-    _coord_set(poset)
-    members = [e for e, (r, _) in enumerate(poset.coords) if r == row]
+    members = [e for e, (r, _) in enumerate(box_coords(poset)) if r == row]
     if not members:
         raise ValueError(f"no row {row} in this shape")
     return _maximal_count(poset, members, f"row:{row}")
@@ -189,12 +178,7 @@ def statistic_row(poset: Poset, row: int) -> Statistic:
 
 def statistic_diagonal(poset: Poset, on_diagonal: bool = True) -> Statistic:
     """Number of maximal elements on (or off) the main diagonal."""
-    _coord_set(poset)
-    members = [
-        e
-        for e, (r, c) in enumerate(poset.coords)
-        if (r == c) == on_diagonal
-    ]
+    members = [e for e, (r, c) in enumerate(box_coords(poset)) if (r == c) == on_diagonal]
     return _maximal_count(poset, members, "diagonal" if on_diagonal else "off-diagonal")
 
 
@@ -218,7 +202,7 @@ def verify_refinements(poset: Poset) -> tuple[RefinementReport, ...]:
     constant q^(a-i) [b] / [a+b]; staircases split it across the diagonal,
     with constants [k]_(q^2) / [2k] on and q * qbinom(k, 2) / [2k] off.
     """
-    coords = _coord_set(poset)
+    coords = set(box_coords(poset))
     if (sides := _rectangle_sides(coords)) is not None:
         a, b = sides
         pairs = [

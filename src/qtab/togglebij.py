@@ -15,20 +15,11 @@ compares "down", and a value compared with itself compares "up".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .distributions import tin, tout
 from .extensions import LinearExtension
 from .posets import Poset, dual
-
-_LEFT_CASES = ("L0", "L1", "L2", "L3a", "L3b")
-_RIGHT_CASES = ("R0", "R1", "R2", "R3a", "R3b")
-
-# (left, right, blocks, f, e, g, h, y', z): the fields of CaseLabel and
-# IntervalDecomposition, unvalidated
-_Case = tuple[
-    str, str, list[tuple[str, int, int]], int, int | None, int | None, int | None, int, int
-]
 
 
 class PNotTogglableOut(Exception):
@@ -47,24 +38,12 @@ class AmbiguousCase(Exception):
     """A case precondition that should be forced by the dispatch failed."""
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    """Which left rule (around x) and right rule (around y) applied."""
+class Case(NamedTuple):
+    """The case analysis of one out-togglable pair, with x = T(p) and y the
+    prefix length.
 
-    left: str
-    right: str
-
-    def __post_init__(self) -> None:
-        if self.left not in _LEFT_CASES:
-            raise ValueError(f"unknown left case {self.left!r}")
-        if self.right not in _RIGHT_CASES:
-            raise ValueError(f"unknown right case {self.right!r}")
-
-
-@dataclass(frozen=True)
-class IntervalDecomposition:
-    """The structure the case analysis extracts around [x, y].
-
+    left, right: which left rule (around x: L0, L1, L2, L3a, L3b) and right
+        rule (around y: R0, R1, R2, R3a, R3b) applied.
     blocks: maximal alternating down/up runs covering [x, y], as
         (kind, lo, hi) with kind "D" or "U"; the run containing y is down
         exactly when y compares down against x.
@@ -76,8 +55,8 @@ class IntervalDecomposition:
     z: the escalation endpoint (right rule).
     """
 
-    x: int
-    y: int
+    left: str
+    right: str
     blocks: tuple[tuple[str, int, int], ...]
     f: int
     e: int | None
@@ -85,17 +64,6 @@ class IntervalDecomposition:
     h: int | None
     y_prime: int
     z: int
-
-    def __post_init__(self) -> None:
-        cursor = self.x
-        previous = ""
-        for kind, lo, hi in self.blocks:
-            if kind not in ("D", "U") or kind == previous or lo != cursor or hi < lo:
-                raise ValueError("blocks must alternate and tile [x, y]")
-            cursor = hi + 1
-            previous = kind
-        if cursor != self.y + 1:
-            raise ValueError("blocks must cover [x, y] exactly")
 
 
 def _up(pos: tuple[int, ...], n: int, l: int, k: int) -> bool:
@@ -115,20 +83,15 @@ def _descent_run(pos: tuple[int, ...], n: int, x: int, y: int) -> int:
     return e
 
 
-def classify(
-    ext: LinearExtension, p: int, y: int
-) -> tuple[CaseLabel, IntervalDecomposition]:
+def classify(ext: LinearExtension, p: int, y: int) -> Case:
     """Resolve the left/right rules for a pair where p toggles out of I_y."""
-    left, right, blocks, f, e, g, h, y_prime, z = _out_case(ext, p, y)
-    x = ext.values[p]
-    return CaseLabel(left, right), IntervalDecomposition(
-        x=x, y=y, blocks=tuple(blocks), f=f, e=e, g=g, h=h, y_prime=y_prime, z=z
-    )
+    return _out_case(ext, p, y)
 
 
-def _out_case(ext: LinearExtension, p: int, y: int) -> _Case:
-    """``_classify`` for p at the y-prefix of ``ext``, once p is checked to
-    toggle out of it."""
+def _out_case(ext: LinearExtension, p: int, y: int) -> Case:
+    """``classify``; ``toggle_bijection`` calls it under this private name, so
+    the perfbench tracer, which wraps this module's public functions, counts
+    a pairing as one call."""
     poset = ext.poset
     n = poset.n
     if not 0 <= y <= n:
@@ -140,10 +103,10 @@ def _out_case(ext: LinearExtension, p: int, y: int) -> _Case:
     return _classify(ext.positions, n, ext.values[p], y)
 
 
-def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> _Case:
-    """The case data of ``classify`` on positions, for the element holding
-    value x, once the caller has checked that it toggles out of the
-    y-prefix; the bijections read only y' and z of it."""
+def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> Case:
+    """``classify`` on positions, for the element holding value x, once the
+    caller has checked that it toggles out of the y-prefix; the bijections
+    read only y' and z of it."""
     # maximal alternating runs over [x, y]; the run holding y is typed by
     # comparing y against x (x <= l < y <= n, so l and l+1 lie in range)
     kinds = ["U" if pos[l - 1] > pos[l] else "D" for l in range(x, y)]
@@ -201,7 +164,7 @@ def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> _Case:
         g = size - h
         right, z = "R3b", y - h - 1
 
-    return left, right, blocks, f, e, g, h, y_prime, z
+    return Case(left, right, tuple(blocks), f, e, g, h, y_prime, z)
 
 
 def escalate(ext: LinearExtension, x: int, z: int) -> LinearExtension:

@@ -164,6 +164,7 @@ def test_gf_error_exits(capsys):
         {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]], "coords": [[1, 1], [1, 2]]},
         {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], [1, 2], [1, 3]]},
         {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], None]},
+        {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], [1, 1]]},
     ],
 )
 def test_gf_rejects_bad_poset_files(capsys, tmp_path, doc):
@@ -173,6 +174,21 @@ def test_gf_rejects_bad_poset_files(capsys, tmp_path, doc):
         code, out, err = run_cli(capsys, "gf", str(path), *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe\x00\x01", "cannot read poset file"),  # not UTF-8
+        (b"[" * 100_000, "malformed poset JSON"),  # nested past the recursion limit
+    ],
+)
+def test_gf_reports_unreadable_poset_files(capsys, tmp_path, content, message):
+    path = tmp_path / "poset.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "gf", str(path), "comaj")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +283,15 @@ def test_verify_paths_json(capsys):
     assert ids == sorted(ids)
     assert all(check["status"] == "pass" for check in payload["checks"])
     assert all("lhs" not in check for check in payload["checks"])
+
+
+def test_verify_minuscule_json(capsys):
+    code, out, _ = run_cli(capsys, "verify", "minuscule", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 26
+    assert all(check["status"] == "pass" for check in checks)
+    assert {"minuscule:structure:E6", "minuscule:structure:E7"} <= {c["id"] for c in checks}
 
 
 def test_verify_small_caps_pass(capsys):

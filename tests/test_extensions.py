@@ -18,7 +18,6 @@ from qtab.extensions import (
     BsvLinearExtension,
     InvalidTriple,
     LinearExtension,
-    UnsupportedRefinement,
     _from_positions,
     bsv_descents,
     bsv_from_triple,
@@ -41,6 +40,7 @@ from qtab.extensions import (
 )
 from qtab.posets import (
     Poset,
+    UnsupportedPoset,
     build_minuscule,
     build_propeller,
     build_rectangle,
@@ -415,12 +415,12 @@ def test_gf_bsv_matches_object_level_sum():
 def test_gf_bsv_refinement_requires_coordinates():
     propeller = build_propeller(2)
     assert gf_bsv(propeller).t_degree <= 0
-    with pytest.raises(UnsupportedRefinement):
+    with pytest.raises(UnsupportedPoset):
         gf_bsv(propeller, refined=True)
     bsv = next(enumerate_bsv(propeller))
-    with pytest.raises(UnsupportedRefinement):
+    with pytest.raises(UnsupportedPoset):
         r_star(bsv)
-    with pytest.raises(UnsupportedRefinement):
+    with pytest.raises(UnsupportedPoset):
         d_star(bsv)
 
 
@@ -492,5 +492,5 @@ def test_parse_errors():
         parse_tableau("1,2,3\n4,5", RECT22)
     with pytest.raises(ValueError):
         parse_tableau("1,2|3\n4|5,6", RECT22)
-    with pytest.raises(UnsupportedRefinement):
+    with pytest.raises(UnsupportedPoset):
         parse_tableau("1,2,3,4,5", build_propeller(2))

@@ -19,7 +19,6 @@ from qtab.paths import (
     DyckPath,
     RbMotzkinPath,
     TwoRowSetValued,
-    WrongShape,
     bsv_from_motzkin,
     catalan_number,
     catalan_sum_check,
@@ -41,7 +40,7 @@ from qtab.paths import (
     two_row_tally,
     verify_cor_dyck_gen_fun,
 )
-from qtab.posets import build_rectangle, build_shape
+from qtab.posets import UnsupportedPoset, build_rectangle, build_shape
 from qtab.qpoly import QPoly, QTPoly, qbinom, qnum, qt_num
 
 
@@ -124,11 +123,11 @@ def test_valleys_match_descents(b):
 
 def test_wrong_shape():
     hook = build_shape((2, 1))
-    with pytest.raises(WrongShape):
+    with pytest.raises(UnsupportedPoset):
         dyck_from_syt(LinearExtension(hook, (1, 2, 3)))
-    with pytest.raises(WrongShape):
+    with pytest.raises(UnsupportedPoset):
         dyck_from_syt(next(enumerate_linear_extensions(build_rectangle(3, 2))))
-    with pytest.raises(WrongShape):
+    with pytest.raises(UnsupportedPoset):
         motzkin_from_bsv(next(enumerate_bsv(hook)))
 
 

@@ -13,6 +13,7 @@ from qtab.posets import (
     NotGraded,
     Poset,
     PosetSpecError,
+    _signatures,
     build_minuscule,
     build_propeller,
     build_rectangle,
@@ -105,6 +106,8 @@ def test_cover_validation():
         Poset(3, [(1, 0)])
     with pytest.raises(ValueError):
         Poset(3, [(0, 1), (1, 2), (0, 2)])  # (0, 2) is transitive, not a cover
+    with pytest.raises(ValueError, match="two elements share a box"):
+        Poset(2, [(0, 1)], coords=[(1, 1), (1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,10 @@ def test_self_duality_facts():
     assert is_self_dual(build_shifted((3, 2, 1)))
     assert not is_self_dual(build_shape((2, 1)))
     assert not is_self_dual(build_shape((2, 2, 1, 1)))
+    # the element signatures agree with the dual's, so only the search rejects it
+    p = Poset(7, [(0, 1), (0, 4), (1, 6), (2, 5), (3, 5), (3, 6)])
+    assert sorted(_signatures(p)) == sorted(_signatures(dual(p)))
+    assert is_self_dual(p) is False
 
 
 @given(partitions(max_rows=3, max_cols=3))

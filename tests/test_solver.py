@@ -19,6 +19,7 @@ from qtab.distributions import PosetMismatch, ddeg, statistic_ddeg, tin, tout
 from qtab.posets import (
     NotGraded,
     Poset,
+    UnsupportedPoset,
     build_minuscule,
     build_propeller,
     build_rectangle,
@@ -29,7 +30,6 @@ from qtab.posets import (
 from qtab.qpoly import QPoly, RatFunc, parse_poly, qbinom, qnum
 from qtab.solver import (
     RefinementReport,
-    UnsupportedPoset,
     build_system,
     predict_constant,
     statistic_diagonal,

@@ -16,7 +16,6 @@ from qtab.posets import build_propeller, build_rectangle, build_shape, build_shi
 from qtab.qpoly import QPoly
 from qtab.togglebij import (
     AmbiguousCase,
-    CaseLabel,
     InvalidEscalation,
     PNotTogglableIn,
     PNotTogglableOut,
@@ -40,12 +39,12 @@ def test_case_l0_r0_golden():
         "1,2,3,4,9\n5,6,7,8,18\n10,11,13,15,19\n12,14,16,17,20", poset
     )
     p = before.positions[7]  # the element holding value 8
-    label, dec = classify(before, p, 13)
-    assert (label.left, label.right) == ("L0", "R0")
-    assert dec.blocks == (("U", 8, 8), ("D", 9, 11), ("U", 12, 13))
-    assert dec.f == 0
-    assert dec.y_prime == 7
-    assert dec.z == 13
+    case = classify(before, p, 13)
+    assert (case.left, case.right) == ("L0", "R0")
+    assert case.blocks == (("U", 8, 8), ("D", 9, 11), ("U", 12, 13))
+    assert case.f == 0
+    assert case.y_prime == 7
+    assert case.z == 13
     after, y2 = toggle_bijection(p, before, 13)
     assert y2 == 7
     assert (
@@ -59,13 +58,13 @@ def test_case_l2_r1_golden():
     poset = build_shape((6, 4, 3, 3))
     before = parse_tableau("1,2,3,4,12,15\n5,6,8,11\n7,10,14\n9,13,16", poset)
     p = before.positions[10]  # the element holding value 11
-    label, dec = classify(before, p, 14)
-    assert (label.left, label.right) == ("L2", "R1")
-    assert dec.f == 2  # ascent run {9, 10} below x = 11
-    assert dec.blocks == (("U", 11, 11), ("D", 12, 12), ("U", 13, 14))
-    assert dec.e == 1
-    assert dec.y_prime == 8
-    assert dec.z == 15
+    case = classify(before, p, 14)
+    assert (case.left, case.right) == ("L2", "R1")
+    assert case.f == 2  # ascent run {9, 10} below x = 11
+    assert case.blocks == (("U", 11, 11), ("D", 12, 12), ("U", 13, 14))
+    assert case.e == 1
+    assert case.y_prime == 8
+    assert case.z == 15
     after, y2 = toggle_bijection(p, before, 14)
     assert y2 == 8
     assert format_tableau(after) == "1,2,3,4,11,14\n5,6,8,15\n7,10,13\n9,12,16"
@@ -76,12 +75,12 @@ def test_case_l3b_r3a_golden():
     poset = build_shape((6, 4, 3, 3, 1))
     before = parse_tableau("1,2,3,4,15,16\n5,6,8,11\n7,10,14\n9,12,17\n13", poset)
     p = before.positions[10]  # the element holding value 11
-    label, dec = classify(before, p, 16)
-    assert (label.left, label.right) == ("L3b", "R3a")
-    assert dec.f == 2
-    assert dec.blocks == (("D", 11, 12), ("U", 13, 14), ("D", 15, 16))
-    assert dec.y_prime == 8
-    assert dec.z == 15
+    case = classify(before, p, 16)
+    assert (case.left, case.right) == ("L3b", "R3a")
+    assert case.f == 2
+    assert case.blocks == (("D", 11, 12), ("U", 13, 14), ("D", 15, 16))
+    assert case.y_prime == 8
+    assert case.z == 15
     after, y2 = toggle_bijection(p, before, 16)
     assert y2 == 8
     assert format_tableau(after) == "1,2,3,4,14,16\n5,6,8,15\n7,10,13\n9,11,17\n12"
@@ -104,11 +103,11 @@ def test_r3b_split_tiebreak():
     poset = build_shape((3, 2, 1))
     ext = LinearExtension(poset, (1, 2, 6, 3, 5, 4))
     p = 4  # the (2,2) cell, holding value 5
-    label, dec = classify(ext, p, 6)
-    assert (label.left, label.right) == ("L2", "R3b")
-    assert (dec.g, dec.h) == (1, 0)
-    assert dec.z == 5  # escalation collapses to the identity
-    assert dec.y_prime == 3
+    case = classify(ext, p, 6)
+    assert (case.left, case.right) == ("L2", "R3b")
+    assert (case.g, case.h) == (1, 0)
+    assert case.z == 5  # escalation collapses to the identity
+    assert case.y_prime == 3
     after, y2 = toggle_bijection(p, ext, 6)
     assert after == ext and y2 == 3
     assert theta(ext, 6) * Q == theta(ext, 3)
@@ -137,10 +136,28 @@ def test_error_cases():
         inverse_toggle_bijection(0, ext, 1)  # already in the ideal
     with pytest.raises(ValueError):
         classify(ext, 0, 5)
-    with pytest.raises(ValueError):
-        CaseLabel("L5", "R0")
-    with pytest.raises(ValueError):
-        CaseLabel("L0", "Rx")
+
+
+def test_case_invariants_on_small_shapes():
+    """Every out-togglable (T, y, p) of the shapes up to 6 boxes gets one
+    left and one right rule, and blocks that alternate and tile [x, y]."""
+    for part in all_partitions(6):
+        poset = build_shape(part)
+        for ext in enumerate_linear_extensions(poset):
+            for p in range(poset.n):
+                x = ext.values[p]
+                for y in range(poset.n + 1):
+                    if not tout(poset, p, ext.prefix_masks[y]):
+                        continue
+                    case = classify(ext, p, y)
+                    assert case.left in ("L0", "L1", "L2", "L3a", "L3b")
+                    assert case.right in ("R0", "R1", "R2", "R3a", "R3b")
+                    cursor, previous = x, ""
+                    for kind, lo, hi in case.blocks:
+                        assert kind in ("D", "U") and kind != previous
+                        assert lo == cursor <= hi
+                        cursor, previous = hi + 1, kind
+                    assert cursor == y + 1
 
 
 def test_dual_extension_involution():
@@ -225,9 +242,9 @@ def _reference_inverse(p, ext, y):
     escalate, and map back."""
     n = ext.poset.n
     star = dual_extension(ext)
-    _, dec = classify(star, n - 1 - p, n - y)
-    image = escalate(star, dec.x, dec.z)
-    return dual_extension(image).values, n - dec.y_prime
+    case = classify(star, n - 1 - p, n - y)
+    image = escalate(star, star.values[n - 1 - p], case.z)
+    return dual_extension(image).values, n - case.y_prime
 
 
 def _assert_inverse_matches_reference(poset):
