@@ -19,6 +19,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Any, Callable, Sequence
 
 from .distributions import (
@@ -62,9 +64,7 @@ from .posets import (
     PosetSpecError,
     UnsupportedPoset,
     build_minuscule,
-    build_rectangle,
     build_shape,
-    build_shifted,
     ideal_members,
     is_self_dual,
     order_ideals,
@@ -261,91 +261,85 @@ def _cap(value: int | None, default: int) -> int:
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# Most product-formula checks are rows of one check, ``_check_product``.  The
+# suites build their rows when they run, so a tracer that has swapped module
+# functions for wrappers by then sees the wrapped calls.
 
 
-def _rect_lin_sides(args: argparse.Namespace) -> list[tuple[int, int]]:
-    max_a = _cap(args.max_a, 16)
-    max_b = _cap(args.max_b, 16)
-    max_boxes = _cap(args.max_boxes, 16)
-    return [
-        (a, b)
-        for a in range(1, max_a + 1)
-        for b in range(a, max_b + 1)
-        if a * b <= max_boxes
-    ]
+def _check_product(lhs: tuple, rhs: tuple) -> tuple[bool, object, object]:
+    """Each side's factors, multiplied from left to right, give equal products.
+
+    A factor is a polynomial, used as it is, or a call ``(fn, *args)`` made
+    when the check runs.
+    """
+    return _eq(reduce(mul, map(_factor, lhs)), reduce(mul, map(_factor, rhs)))
 
 
-def _check_rect_lin(a: int, b: int) -> tuple[bool, object, object]:
-    rect = build_rectangle(a, b)
-    lhs = gf_bsv(rect) * qnum(a + b)
-    rhs = qt_num(a) * qnum(b) * qnum(a * b + 1) * gf_comaj(rect)
-    return _eq(lhs, rhs)
+def _factor(factor: object) -> object:
+    return factor[0](*factor[1:]) if isinstance(factor, tuple) else factor
 
 
-def _check_hooks(lam: tuple[int, ...], shifted: bool) -> tuple[bool, object, object]:
-    poset = build_shifted(lam) if shifted else build_shape(lam)
-    return _eq(gf_comaj(poset), gf_comaj_hook_formula(lam, shifted=shifted))
+def _at_t1(fn: Callable, *args: object) -> QPoly:
+    """``fn(*args)`` at t = 1, as a call factor."""
+    return fn(*args).at_t1()
+
+
+def _row(check_id: str, anchor: str, lhs: tuple, rhs: tuple) -> Check:
+    return Check(check_id, anchor, _check_product, (lhs, rhs))
+
+
+def _rect_lin_row(check_id: str, a: int, b: int) -> Check:
+    rect = _poset(f"rect:{a}x{b}")
+    return _row(
+        check_id, "rectangle-row-refined-identity",
+        ((gf_bsv, rect), qnum(a + b)), (qt_num(a), qnum(b), qnum(a * b + 1), (gf_comaj, rect)),
+    )
+
+
+def _staircase(k: int) -> str:
+    """The spec of the shifted staircase with k rows."""
+    return "shifted:" + ",".join(str(part) for part in range(k, 0, -1))
 
 
 def _suite_thm_syt(args: argparse.Namespace) -> list[Check]:
+    max_boxes = _cap(args.max_boxes, 16)
     checks = [
-        Check(f"thm-syt:rect:{a}x{b}", "rectangle-row-refined-identity", _check_rect_lin, (a, b))
-        for a, b in _rect_lin_sides(args)
+        _rect_lin_row(f"thm-syt:rect:{a}x{b}", a, b)
+        for a in range(1, _cap(args.max_a, 16) + 1)
+        for b in range(a, _cap(args.max_b, 16) + 1)
+        if a * b <= max_boxes
     ]
-    for lam in _partitions(min(_cap(args.max_boxes, 16), 8)):
-        checks.append(
-            Check(
-                f"thm-syt:hooks:{_shape_label(lam)}",
-                "hook-product-q-count",
-                _check_hooks,
-                (lam, False),
-            )
-        )
+    for lam in _partitions(min(max_boxes, 8)):
+        label = _shape_label(lam)
+        checks.append(_row(
+            f"thm-syt:hooks:{label}", "hook-product-q-count",
+            ((gf_comaj, _poset(label)),), ((gf_comaj_hook_formula, lam, False),),
+        ))
     return checks
 
 
-def _check_rect_rpp(a: int, b: int, m: int, refined: bool) -> tuple[bool, object, object]:
-    full = gf_bsv_rpp(build_rectangle(a, b), m)
-    lhs = (full if refined else full.at_t1()) * qnum(a + b)
-    rhs = (qt_num(a) if refined else qnum(a)) * qnum(b) * qnum(m) * macmahon_gf(a, b, m)
-    return _eq(lhs, rhs)
-
-
 def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
-    max_a = _cap(args.max_a, 3)
-    max_b = _cap(args.max_b, 3)
     max_m = _cap(args.max_m, 4)
     checks = []
-    for a in range(1, max_a + 1):
-        for b in range(a, max_b + 1):
-            checks.append(
-                Check(
-                    f"thm-pp:refined-lin:rect:{a}x{b}",
-                    "rectangle-row-refined-identity",
-                    _check_rect_lin,
-                    (a, b),
-                )
-            )
+    for a in range(1, _cap(args.max_a, 3) + 1):
+        for b in range(a, _cap(args.max_b, 3) + 1):
+            rect = _poset(f"rect:{a}x{b}")
+            checks.append(_rect_lin_row(f"thm-pp:refined-lin:rect:{a}x{b}", a, b))
             for m in range(1, max_m + 1):
-                checks.append(
-                    Check(
-                        f"thm-pp:bounded:rect:{a}x{b}:m{m}",
-                        "rectangle-bounded-identity",
-                        _check_rect_rpp,
-                        (a, b, m, False),
-                    )
-                )
-    for a in range(1, min(max_a, 2) + 1):
-        for b in range(a, min(max_b, 2) + 1):
+                checks.append(_row(
+                    f"thm-pp:bounded:rect:{a}x{b}:m{m}", "rectangle-bounded-identity",
+                    ((_at_t1, gf_bsv_rpp, rect, m), qnum(a + b)),
+                    (qnum(a), qnum(b), qnum(m), (macmahon_gf, a, b, m)),
+                ))
+            if b > 2:  # the row-refined bounded rows stop at 2x2
+                continue
             for m in range(1, min(max_m, 3) + 1):
-                checks.append(
-                    Check(
-                        f"thm-pp:refined-rpp:rect:{a}x{b}:m{m}",
-                        "rectangle-bounded-row-refined-identity",
-                        _check_rect_rpp,
-                        (a, b, m, True),
-                    )
-                )
+                checks.append(_row(
+                    f"thm-pp:refined-rpp:rect:{a}x{b}:m{m}", "rectangle-bounded-row-refined-identity",
+                    ((gf_bsv_rpp, rect, m), qnum(a + b)),
+                    (qt_num(a), qnum(b), qnum(m), (macmahon_gf, a, b, m)),
+                ))
     return checks
 
 
@@ -440,13 +434,6 @@ def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
     return checks
 
 
-def _check_staircase_lin(k: int) -> tuple[bool, object, object]:
-    poset = build_minuscule("shifted_staircase", k)
-    lhs = gf_bsv(poset).at_t1() * qnum(2 * k)
-    rhs = qbinom(k + 1, 2) * qnum(poset.n + 1) * gf_comaj(poset)
-    return _eq(lhs, rhs)
-
-
 def _check_staircase_diag(k: int) -> tuple[bool, object, object]:
     poset = build_minuscule("shifted_staircase", k)
     acc: dict[tuple[int, int], int] = {}
@@ -462,59 +449,34 @@ def _check_staircase_diag(k: int) -> tuple[bool, object, object]:
     return _eq(lhs, rhs)
 
 
-def _check_staircase_rpp(k: int, m: int) -> tuple[bool, object, object]:
-    poset = build_minuscule("shifted_staircase", k)
-    lhs = gf_bsv_rpp(poset, m).at_t1() * qnum(2 * k)
-    rhs = qbinom(k + 1, 2) * qnum(m) * bender_knuth_gf(k, m)
-    return _eq(lhs, rhs)
-
-
-def _check_bounded_product(poset: Poset, m: int, product: QPoly) -> tuple[bool, object, object]:
-    return _eq(rpp_size_gf(poset, m), product)
-
-
 def _suite_shifted(args: argparse.Namespace) -> list[Check]:
-    max_m = _cap(args.max_m, 3)
     checks = []
     for k in (2, 3):
-        checks.append(
-            Check(f"shifted:lin-identity:k{k}", "staircase-product-identity", _check_staircase_lin, (k,))
-        )
-        checks.append(
-            Check(
-                f"shifted:diag-refinement:k{k}",
-                "staircase-diagonal-refined-identity",
-                _check_staircase_diag,
-                (k,),
-            )
-        )
-        for m in range(1, max_m + 1):
-            checks.append(
-                Check(
-                    f"shifted:rpp-identity:k{k}:m{m}",
-                    "staircase-bounded-identity",
-                    _check_staircase_rpp,
-                    (k, m),
-                )
-            )
-            checks.append(
-                Check(
-                    f"shifted:bounded-count:k{k}:m{m}",
-                    "staircase-bounded-product-formula",
-                    _check_bounded_product,
-                    (build_minuscule("shifted_staircase", k), m, bender_knuth_gf(k, m)),
-                )
-            )
+        staircase = _poset(_staircase(k))
+        checks.append(_row(
+            f"shifted:lin-identity:k{k}", "staircase-product-identity",
+            ((_at_t1, gf_bsv, staircase), qnum(2 * k)),
+            (qbinom(k + 1, 2), qnum(staircase.n + 1), (gf_comaj, staircase)),
+        ))
+        checks.append(Check(
+            f"shifted:diag-refinement:k{k}", "staircase-diagonal-refined-identity", _check_staircase_diag, (k,)
+        ))
+        for m in range(1, _cap(args.max_m, 3) + 1):
+            checks.append(_row(
+                f"shifted:rpp-identity:k{k}:m{m}", "staircase-bounded-identity",
+                ((_at_t1, gf_bsv_rpp, staircase, m), qnum(2 * k)),
+                (qbinom(k + 1, 2), qnum(m), (bender_knuth_gf, k, m)),
+            ))
+            checks.append(_row(
+                f"shifted:bounded-count:k{k}:m{m}", "staircase-bounded-product-formula",
+                ((rpp_size_gf, staircase, m),), ((bender_knuth_gf, k, m),),
+            ))
     for lam in _partitions(_cap(args.max_boxes, 8), strict=True):
-        label = ",".join(str(part) for part in lam)
-        checks.append(
-            Check(
-                f"shifted:hooks:shifted:{label}",
-                "shifted-hook-product-q-count",
-                _check_hooks,
-                (lam, True),
-            )
-        )
+        label = "shifted:" + ",".join(str(part) for part in lam)
+        checks.append(_row(
+            f"shifted:hooks:{label}", "shifted-hook-product-q-count",
+            ((gf_comaj, _poset(label)),), ((gf_comaj_hook_formula, lam, True),),
+        ))
     return checks
 
 
@@ -537,10 +499,6 @@ def _check_minuscule_structure(name: str, ideals: int) -> tuple[bool, object, ob
     return ok, len(order_ideals(poset)), ideals
 
 
-def _check_minuscule_gf(poset: Poset, m: int) -> tuple[bool, object, object]:
-    return _eq(minuscule_gf(poset, m), rpp_size_gf(poset, m))
-
-
 def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
     max_m = _cap(args.max_m, 3)
     checks = [
@@ -553,14 +511,10 @@ def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
     )
     for label, poset in members:
         for m in range(1, max_m + 1):
-            checks.append(
-                Check(
-                    f"minuscule:gf:{label}:m{m}",
-                    "rank-product-bounded-count",
-                    _check_minuscule_gf,
-                    (poset, m),
-                )
-            )
+            checks.append(_row(
+                f"minuscule:gf:{label}:m{m}", "rank-product-bounded-count",
+                ((minuscule_gf, poset, m),), ((rpp_size_gf, poset, m),),
+            ))
     return checks
 
 
@@ -669,23 +623,11 @@ def _check_refinements(poset: Poset) -> tuple[bool, object, object]:
     return True, None, None
 
 
-def _check_staircase_solve(k: int) -> tuple[bool, object, object]:
-    poset = build_minuscule("shifted_staircase", k)
+def _check_constant(poset: Poset, expected: RatFunc) -> tuple[bool, object, object]:
+    """``toggle_solve(poset, ddeg)`` is consistent with the constant ``expected``."""
     result = toggle_solve(poset, statistic_ddeg(poset))
     if not result.consistent:
-        return False, "inconsistent", None
-    return _eq(result.constant, RatFunc(qbinom(k + 1, 2), qnum(2 * k)))
-
-
-def _check_rank_constant(poset: Poset) -> tuple[bool, object, object]:
-    rd = rank_data(poset)
-    coeffs = [0] * (rd.rank + 1)
-    for r in rd.ranks:
-        coeffs[r] += 1
-    expected = RatFunc(QPoly.of(coeffs), qnum(rd.rank + 2))
-    result = toggle_solve(poset, statistic_ddeg(poset))
-    if not result.consistent:
-        return False, "inconsistent", _vec(expected)
+        return False, "inconsistent", expected
     return _eq(result.constant, expected)
 
 
@@ -707,30 +649,20 @@ def _suite_solver(args: argparse.Namespace) -> list[Check]:
     ]
     for a in range(1, 4):
         for b in range(a, 4):
-            checks.append(
-                Check(
-                    f"solver:rows:rect:{a}x{b}",
-                    "row-refined-constants",
-                    _check_refinements,
-                    (build_rectangle(a, b),),
-                )
-            )
+            rect = _poset(f"rect:{a}x{b}")
+            checks.append(Check(f"solver:rows:rect:{a}x{b}", "row-refined-constants", _check_refinements, (rect,)))
     for k in (2, 3):
-        checks.append(
-            Check(f"solver:staircase:k{k}", "staircase-constant", _check_staircase_solve, (k,))
-        )
-        checks.append(
-            Check(
-                f"solver:diagonal:k{k}",
-                "diagonal-refined-constants",
-                _check_refinements,
-                (build_minuscule("shifted_staircase", k),),
-            )
-        )
+        staircase = _poset(_staircase(k))
+        constant = RatFunc(qbinom(k + 1, 2), qnum(2 * k))
+        checks.append(Check(f"solver:staircase:k{k}", "staircase-constant", _check_constant, (staircase, constant)))
+        checks.append(Check(f"solver:diagonal:k{k}", "diagonal-refined-constants", _check_refinements, (staircase,)))
     for label, poset in _members("minuscule:propeller:2", "minuscule:propeller:3", "minuscule:E6"):
-        checks.append(
-            Check(f"solver:rank-constant:{label}", "rank-polynomial-constant", _check_rank_constant, (poset,))
-        )
+        rd = rank_data(poset)
+        rank_sizes = QPoly.of([rd.ranks.count(r) for r in range(rd.rank + 1)])
+        checks.append(Check(
+            f"solver:rank-constant:{label}", "rank-polynomial-constant",
+            _check_constant, (poset, RatFunc(rank_sizes, qnum(rd.rank + 2))),
+        ))
     checks.append(Check("solver:q1:shape:2,1", "hook-shape-at-one", _check_hook_at_one))
     return checks
 

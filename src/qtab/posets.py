@@ -469,14 +469,24 @@ def from_json(text: str) -> Poset:
         doc = json.loads(text)
         n = int(doc["n"])
         covers = [(int(lo), int(hi)) for lo, hi in doc["covers"]]
-        labeling = [int(x) for x in doc.get("labeling") or range(1, n + 1)]
+        labeling = [int(x) for x in doc.get("labeling") or ()]
         coords = doc.get("coords")
         origin = doc.get("origin")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PosetSpecError(f"malformed poset JSON: {exc}") from exc
     if n < 0:
         raise PosetSpecError(f"n must be nonnegative, got {n}")
-    if sorted(labeling) != list(range(1, n + 1)):
+    # Nothing of size n is built before this test: n elements joined by c
+    # covers form at least n - c components, so J(P) has at least 2^(n - c)
+    # order ideals, more than any command can list.
+    if n - len(covers) > 64:
+        raise PosetSpecError(
+            f"n = {n} with {len(covers)} covers: the cover graph has at least "
+            f"{n - len(covers)} components, so J(P) has at least 2^{n - len(covers)} "
+            "order ideals; n may exceed the number of covers by at most 64"
+        )
+    labeling = labeling or list(range(1, n + 1))
+    if len(labeling) != n or sorted(labeling) != list(range(1, n + 1)):
         raise PosetSpecError("labeling must be a bijection onto 1..n")
     position = [labeling[e] - 1 for e in range(n)]
     try:

@@ -259,17 +259,26 @@ def qfact(n: int) -> QPoly:
     """The q-factorial [n]! = [1][2]...[n]."""
     if n < 0:
         raise ValueError("q-factorial of a negative number")
-    if n == 0:
-        return ONE
-    return qfact(n - 1) * qnum(n)
+    out = ONE
+    for k in range(2, n + 1):
+        out = out * qnum(k)
+    return out
 
 
 @lru_cache(maxsize=None)
 def qbinom(n: int, k: int) -> QPoly:
-    """The q-binomial coefficient [n choose k]; zero when k < 0 or k > n."""
+    """The q-binomial coefficient [n choose k]; zero when k < 0 or k > n.
+
+    Built as [n-k+1]/[1] * ... * [n]/[k], one exact division per step: after
+    step j the running value is [n-k+j choose j].
+    """
     if k < 0 or k > n:
         return ZERO
-    return qfact(n).exact_div(qfact(k) * qfact(n - k))
+    k = min(k, n - k)
+    out = ONE
+    for j in range(1, k + 1):
+        out = (out * qnum(n - k + j)).exact_div(qnum(j))
+    return out
 
 
 def qt_num(k: int) -> QTPoly:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -15,7 +16,8 @@ import pytest
 
 from qtab import cli, solver
 from qtab.cli import Check, _run_checks, main
-from qtab.posets import build_rectangle
+from qtab.extensions import gf_bsv, gf_comaj
+from qtab.posets import build_rectangle, build_shape
 from qtab.ppartitions import rpp_size_series
 from qtab.qpoly import (
     QPoly,
@@ -24,6 +26,8 @@ from qtab.qpoly import (
     parse_poly,
     parse_qt_poly,
     qnum,
+    qt_coeff_vector,
+    qt_num,
 )
 from qtab.togglebij import toggle_bijection
 
@@ -326,6 +330,31 @@ def test_verify_failing_check_exits_one(capsys, monkeypatch):
     assert by_id["demo:equal"]["rhs"] == [1, 1, 1]
 
 
+def test_wrong_product_row_reports_both_sides(capsys, monkeypatch):
+    # [a*b + 1] = [5] replaced by [4]: a QTPoly engine side against a product
+    lhs = ((gf_bsv, RECT22), qnum(4))
+    rhs = (qt_num(2), qnum(2), qnum(4), (gf_comaj, RECT22))
+    [record] = _run_checks([cli._row("demo:product", "demo", lhs, rhs)])
+    assert not record.ok
+    assert record.lhs == gf_bsv(RECT22) * qnum(4)
+    assert record.rhs == qt_num(2) * qnum(2) * qnum(4) * gf_comaj(RECT22)
+
+    wrong_constant = RatFunc(qnum(2), qnum(3))
+    failing = [
+        cli._row("demo:product", "demo", lhs, rhs),
+        Check("demo:constant", "demo", cli._check_constant, (build_shape((2, 1)), wrong_constant)),
+    ]
+    monkeypatch.setitem(cli.SUITES, "paths", lambda args: failing)
+    code, out, _ = run_cli(capsys, "verify", "paths", "--json")
+    assert code == 1
+    by_id = {check["id"]: check for check in json.loads(out)["checks"]}
+    assert by_id["demo:product"]["lhs"] == qt_coeff_vector(record.lhs)
+    assert by_id["demo:product"]["rhs"] == qt_coeff_vector(record.rhs)
+    # shape 2,1 has no toggle constant; the expected one is still reported
+    assert by_id["demo:constant"]["lhs"] == "inconsistent"
+    assert by_id["demo:constant"]["rhs"] == {"num": [1, 1], "den": [1, 1, 1]}
+
+
 def test_verify_jobs_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "paths", "--jobs", "2"])
@@ -444,11 +473,28 @@ def test_check_inventory_pinned():
     assert digest == "dbde283c2df29d0a22dd1d10a01f08195de30b7c0d0308b6d29d2217ad615f5c"
 
 
+def _callables(value: object):
+    """Every callable in ``value``, searched through nested tuples."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _callables(item)
+    elif callable(value):
+        yield value
+
+
 def test_checks_are_data():
-    for check in all_checks():
-        assert check.fn.__closure__ is None, check.id
-        assert "<locals>" not in check.fn.__qualname__, check.id
+    # product rows hold functions in their params too, so all are inspected
+    checks = all_checks()
+    found = 0
+    for check in checks:
         assert isinstance(check.params, tuple), check.id
+        for fn in _callables((check.fn, check.params)):
+            found += 1
+            assert inspect.isfunction(fn), (check.id, fn)
+            assert fn.__closure__ is None, (check.id, fn)
+            assert "<locals>" not in fn.__qualname__, (check.id, fn)
+            assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, (check.id, fn)
+    assert found > len(checks)  # more than one per check: the search reaches into params
 
 
 @pytest.mark.parametrize("flag", ["--max-a", "--max-b", "--max-m", "--max-boxes", "--max-l"])
@@ -587,6 +633,31 @@ def test_console_script_installed():
             [*command, "gf", "nonsense:1", "comaj"], capture_output=True, text=True, env=command_env
         )
         assert bad.returncode == 2, bad.stderr
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"n": 10**9, "covers": []}, {"n": 10**9, "covers": [], "labeling": [1]}],
+    ids=["default-labeling", "short-labeling"],
+)
+def test_huge_json_poset_is_refused_before_it_is_built(tmp_path, doc):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+
+    def limit_memory():
+        # 10^9 labels take tens of GB: a regression ends in MemoryError, not swap
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "qtab.cli", "gf", str(path), "comaj"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: n = 1000000000 with 0 covers: ")
+    assert "2^1000000000 order ideals" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_closed_stdout_exits_quietly():

@@ -370,6 +370,18 @@ def test_json_rejects_bad_documents():
     for n, covers in ((-1, []), (-1, [[0, 1]])):
         with pytest.raises(PosetSpecError):
             from_json(json.dumps({"n": n, "covers": covers}))
+    with pytest.raises(PosetSpecError, match="bijection"):
+        from_json(json.dumps({"n": 3, "covers": [], "labeling": [1]}))
+
+
+def test_json_refuses_more_than_64_elements_past_the_covers():
+    # n - c elements past c covers are at least n - c components of the
+    # cover graph, so J(P) has at least 2^(n - c) ideals
+    assert from_json(json.dumps({"n": 64, "covers": []})).n == 64
+    assert from_json(json.dumps({"n": 66, "covers": [[0, 1], [1, 2]]})).n == 66
+    for doc in ({"n": 65, "covers": []}, {"n": 10**9, "covers": [], "labeling": [1]}):
+        with pytest.raises(PosetSpecError, match="at least 2\\^"):
+            from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(

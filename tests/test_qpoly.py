@@ -94,6 +94,26 @@ def test_qbinom_palindromic(n, k):
         assert p.reverse() == p
 
 
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_qbinom_matches_the_factorial_formula(n, k):
+    # the oracle is the quotient of q-factorials qbinom was first defined by
+    expected = qfact(n).exact_div(qfact(k) * qfact(n - k)) if k <= n else ZERO
+    assert qbinom(n, k) == expected
+
+
+@given(st.integers(1, 30))
+def test_qfact_steps_by_one_q_integer(n):
+    assert qfact(n) == qfact(n - 1) * qnum(n)
+    assert qfact(n).evaluate(1) == math.factorial(n)
+
+
+def test_qbinom_of_a_large_n_needs_no_large_factorial():
+    # [800 choose 2] through [800]! took minutes and passed the recursion limit
+    p = qbinom(800, 2)
+    assert p.evaluate(1) == math.comb(800, 2)
+    assert p.degree == 1596
+
+
 # ---------------------------------------------------------------------------
 # QPoly arithmetic
 
