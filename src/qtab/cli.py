@@ -63,7 +63,6 @@ from .posets import (
     Poset,
     PosetSpecError,
     UnsupportedPoset,
-    build_minuscule,
     build_shape,
     ideal_members,
     is_self_dual,
@@ -83,6 +82,7 @@ from .qpoly import (
     QPoly,
     QTPoly,
     RatFunc,
+    _add,
     coeff_vector,
     format_poly,
     format_qt_poly,
@@ -189,8 +189,8 @@ def _run_checks(checks: Sequence[Check]) -> list[CheckRecord]:
 
 # Filled while ``cmd_verify`` builds and runs its checks, and emptied as soon
 # as they have run.  Until then the suites share one poset per spec, with the
-# J(P), ideal edges and order dual cached on it, and one ensemble or tableau
-# tally per (builder, *args).
+# J(P), ideal edges and order dual cached on it, one list of linear extensions
+# per poset, and one ensemble or tableau tally per (builder, *args).
 _POSETS: dict[str, Poset] = {}
 _BUILT: dict[tuple, object] = {}
 
@@ -210,6 +210,15 @@ def _built(builder: Callable, *args: object) -> Any:
     if value is None:
         value = _BUILT[key] = builder(*args)
     return value
+
+
+def _extension_list(poset: Poset) -> list[LinearExtension]:
+    """The poset's linear extensions, enumerated once per run."""
+    return _built(_extensions, poset)
+
+
+def _extensions(poset: Poset) -> list[LinearExtension]:
+    return list(enumerate_linear_extensions(poset))
 
 
 def _clear_run_memo() -> None:
@@ -394,16 +403,16 @@ def _check_rpp_modes(poset: Poset, m: int) -> tuple[bool, object, object]:
 
 def _check_theta_m_factorization(poset: Poset, m: int) -> tuple[bool, object, object]:
     n = poset.n
-    total = QPoly.of([])
-    for ext in enumerate_linear_extensions(poset):
+    total: list[int] = []
+    for ext in _extension_list(poset):
         des = descents(ext)
         for i in range(n + 1):
             value = theta_m(ext, i, m)
             product = theta(ext, i) * qbinom(m + n - len(des - {i}), n + 1)
             if value != product:
                 return False, value, product
-            total = total + value
-    return _eq(total, qnum(m) * rpp_size_gf(poset, m))
+            _add(total, value.coeffs)
+    return _eq(QPoly.of(total), qnum(m) * rpp_size_gf(poset, m))
 
 
 def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
@@ -435,7 +444,7 @@ def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_staircase_diag(k: int) -> tuple[bool, object, object]:
-    poset = build_minuscule("shifted_staircase", k)
+    poset = _poset(_staircase(k))
     acc: dict[tuple[int, int], int] = {}
     for bsv in enumerate_bsv(poset):
         key = (comaj_plus(bsv), d_star(bsv))
@@ -481,7 +490,7 @@ def _suite_shifted(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_minuscule_structure(name: str, ideals: int) -> tuple[bool, object, object]:
-    poset = build_minuscule(name)
+    poset = _poset(f"minuscule:{name}")
     rd = rank_data(poset)
     sizes = [rd.ranks.count(r) for r in range(rd.rank + 1)]
     num = 1
@@ -551,7 +560,7 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
-    extensions = list(enumerate_linear_extensions(poset))
+    extensions = _extension_list(poset)
     by_values = {ext.values: ext for ext in extensions}
     ensemble = _built(ensemble_lin, poset)
     # one pass sorts every (T, y) into the out- and in-togglable pairs of each p
@@ -619,7 +628,7 @@ def _check_refinements(poset: Poset) -> tuple[bool, object, object]:
     reports = verify_refinements(poset)
     bad = [report for report in reports if not report.ok]
     if bad:
-        return False, [report.label for report in bad], [_vec(report.expected) for report in bad]
+        return False, [report.label for report in bad], [report.expected for report in bad]
     return True, None, None
 
 

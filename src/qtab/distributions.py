@@ -29,9 +29,12 @@ from .extensions import (
 from .posets import Poset, order_ideals, rank_data
 from .ppartitions import Rpp, rpp_size_gf
 from .qpoly import (
+    ONE,
+    ZERO,
     QPoly,
     RatFunc,
     _add,
+    _mul,
     qbinom,
     qnum,
 )
@@ -154,20 +157,33 @@ def statistic_ddeg(poset: Poset) -> Statistic:
     return _maximal_count(poset, range(poset.n), "ddeg")
 
 
+_MINUS_Q = QPoly.of([0, -1])
+
+
 def statistic_toggle(poset: Poset, p: int) -> Statistic:
-    return Statistic.from_function(
-        poset, lambda mask: toggle_statistic_value(poset, p, mask), f"toggle:{p}"
-    )
+    """The toggle statistic tin - q * tout at p, read off J(P)'s edges: each
+    edge I -> I + p puts 1 at I (p can enter) and -q at I + p (p can leave);
+    every other ideal gets zero.  The three values are shared constants."""
+    ideals = order_ideals(poset)
+    values = dict.fromkeys(ideals, ZERO)
+    for lower, upper in poset.ideal_edges[p]:
+        values[ideals[lower]] = ONE
+        values[ideals[upper]] = _MINUS_Q
+    return Statistic(poset, values, f"toggle:{p}")
 
 
 def expectation(ensemble: WeightedEnsemble, statistic: Statistic) -> RatFunc:
-    """Exact expected value of the statistic under the ensemble."""
+    """Exact expected value of the statistic under the ensemble; ideals where
+    the statistic is zero add nothing and are skipped."""
     if ensemble.poset != statistic.poset:
         raise PosetMismatch("ensemble and statistic posets differ")
-    numerator = QPoly.of([])
+    values = statistic.values
+    numerator: list[int] = []
     for mask, weight in ensemble.weights:
-        numerator = numerator + weight * statistic.values[mask]
-    return RatFunc(numerator, ensemble.normalizer)
+        value = values[mask]
+        if value:
+            _add(numerator, _mul(weight.coeffs, value.coeffs))
+    return RatFunc(QPoly.of(numerator), ensemble.normalizer)
 
 
 def check_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
@@ -175,19 +191,20 @@ def check_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
 
     The normalizer is nonzero, so at each element p this is whether the
     weights of the ideals p can enter sum to q times the weights of the
-    ideals p can leave.  One pass over the ideals sums both for every p.
+    ideals p can leave.  Those are the lower and the upper ends of the edges
+    I -> I + p of J(P), so both sums run over ``ideal_edges[p]``, whose
+    indices are those of ``ensemble.weights``.
     """
-    poset = ensemble.poset
-    into: list[list[int]] = [[] for _ in range(poset.n)]
-    out: list[list[int]] = [[] for _ in range(poset.n)]
-    for mask, weight in ensemble.weights:
-        for p in range(poset.n):
-            if mask >> p & 1:  # tout: p present and maximal; tin: absent, addable
-                if not poset.up_masks[p] & mask:
-                    _add(out[p], weight.coeffs)
-            elif poset.low_masks[p] & mask == poset.low_masks[p]:
-                _add(into[p], weight.coeffs)
-    return all(QPoly.of(i) == QPoly.of(o).shift(1) for i, o in zip(into, out))
+    weights = ensemble.weights
+    for edges in ensemble.poset.ideal_edges:
+        into: list[int] = []
+        out: list[int] = []
+        for lower, upper in edges:
+            _add(into, weights[lower][1].coeffs)
+            _add(out, weights[upper][1].coeffs)
+        if QPoly.of(into) != QPoly.of(out).shift(1):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ entry becomes a horizontal step, red on top and blue on bottom.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .extensions import BsvLinearExtension, LinearExtension
 from .posets import Poset, UnsupportedPoset, box_coords, build_rectangle
@@ -92,7 +91,9 @@ class RbMotzkinPath:
 def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPath]:
     """All restricted paths of the given length (k horizontal steps if given),
     depth first from a stack of (steps, height, seen a down step, horizontal
-    steps) entries, pushed so that they pop as U, D, Hr, Hb."""
+    steps) entries, pushed so that they pop as U, D, Hr, Hb.  The walk takes
+    only allowed steps, so its paths are built without the check of
+    ``__post_init__``."""
     stack: list[tuple[tuple[str, ...], int, bool, int]] = [((), 0, False, 0)]
     while stack:
         steps, height, seen_down, hcount = stack.pop()
@@ -102,7 +103,7 @@ def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPat
         if k is not None and (hcount > k or hcount + remaining < k):
             continue
         if not remaining:
-            yield RbMotzkinPath(steps)
+            yield _unchecked(RbMotzkinPath, steps=steps)
             continue
         if seen_down:
             stack.append((steps + ("Hb",), height, seen_down, hcount + 1))
@@ -110,6 +111,14 @@ def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPat
             stack.append((steps + ("Hr",), height, seen_down, hcount + 1))
             stack.append((steps + ("D",), height - 1, True, hcount))
         stack.append((steps + ("U",), height + 1, seen_down, hcount))
+
+
+def _unchecked(cls: type, **fields: object) -> object:
+    """An instance of a frozen dataclass with the given fields, built without
+    ``__post_init__``, for walks that yield only valid objects."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 class DyckPath(RbMotzkinPath):
@@ -254,41 +263,35 @@ class TwoRowSetValued:
 
 
 def enumerate_two_row_set_valued(b: int, k: int) -> Iterator[TwoRowSetValued]:
-    """All tableaux of width b with k extra entries, enumerated directly.
+    """All tableaux of width b with k extra entries, by placing the values
+    1..2b+k in order, depth first.
 
-    Cells of a row are consecutive intervals of the row's sorted values, so
-    the tableaux are exactly the (top set, interval splits) choices passing
-    the column comparisons.
+    A value opens a top cell while the top row has fewer than b cells.  It
+    joins the last top cell, or opens a bottom cell, while the bottom row is
+    shorter than the top row, so no column is closed below a larger top
+    entry.  It joins the last bottom cell whenever there is one.  Each value
+    of a tableau is placed by exactly one of these moves, so the walk yields
+    every tableau once and nothing else, built without the check of
+    ``__post_init__``.
     """
     if b < 1 or k < 0:
         return
     total = 2 * b + k
-    values = range(1, total + 1)
-    for top_size in range(b, b + k + 1):
-        bottom_size = total - top_size
-        if bottom_size < b:
+    stack: list[tuple[int, tuple, tuple]] = [(1, (), ())]
+    while stack:
+        v, top, bottom = stack.pop()
+        if 2 * b - len(top) - len(bottom) > total + 1 - v:
+            continue  # too few values left to open the missing cells
+        if v > total:
+            yield _unchecked(TwoRowSetValued, rows=(top, bottom))
             continue
-        for top_set in itertools.combinations(values, top_size):
-            bottom_set = tuple(sorted(set(values) - set(top_set)))
-            for top_cells in _interval_splits(top_set, b):
-                for bottom_cells in _interval_splits(bottom_set, b):
-                    if all(
-                        upper[-1] < lower[0]
-                        for upper, lower in zip(top_cells, bottom_cells)
-                    ):
-                        yield TwoRowSetValued((top_cells, bottom_cells))
-
-
-def _interval_splits(
-    sorted_values: Sequence[int], parts: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Splits of a sorted sequence into the given number of nonempty runs."""
-    m = len(sorted_values)
-    for cuts in itertools.combinations(range(1, m), parts - 1):
-        bounds = (0, *cuts, m)
-        yield tuple(
-            tuple(sorted_values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-        )
+        if bottom:
+            stack.append((v + 1, top, (*bottom[:-1], (*bottom[-1], v))))
+        if len(bottom) < len(top):
+            stack.append((v + 1, top, (*bottom, (v,))))
+            stack.append((v + 1, (*top[:-1], (*top[-1], v)), bottom))
+        if len(top) < b:
+            stack.append((v + 1, (*top, (v,)), bottom))
 
 
 def motzkin_from_set_valued(tableau: TwoRowSetValued) -> RbMotzkinPath:

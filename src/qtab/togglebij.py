@@ -85,11 +85,14 @@ def _descent_run(pos: tuple[int, ...], n: int, x: int, y: int) -> int:
 
 def classify(ext: LinearExtension, p: int, y: int) -> Case:
     """Resolve the left/right rules for a pair where p toggles out of I_y."""
-    return _out_case(ext, p, y)
+    left, right, f, e, g, h, y_prime, z = _out_case(ext, p, y)
+    blocks = _blocks(ext.positions, ext.poset.n, ext.values[p], y)
+    return Case(left, right, blocks, f, e, g, h, y_prime, z)
 
 
-def _out_case(ext: LinearExtension, p: int, y: int) -> Case:
-    """``classify``; ``toggle_bijection`` calls it under this private name, so
+def _out_case(ext: LinearExtension, p: int, y: int) -> tuple:
+    """``_rules`` for an out-togglable pair, after checking it.  Both
+    ``classify`` and ``toggle_bijection`` call it under this private name, so
     the perfbench tracer, which wraps this module's public functions, counts
     a pairing as one call."""
     poset = ext.poset
@@ -100,15 +103,13 @@ def _out_case(ext: LinearExtension, p: int, y: int) -> Case:
         raise ValueError(f"element {p} out of range")
     if not tout(poset, p, ext.prefix_masks[y]):
         raise PNotTogglableOut(f"element {p} is not togglable out of the {y}-prefix")
-    return _classify(ext.positions, n, ext.values[p], y)
+    return _rules(ext.positions, n, ext.values[p], y)
 
 
-def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> Case:
-    """``classify`` on positions, for the element holding value x, once the
-    caller has checked that it toggles out of the y-prefix; the bijections
-    read only y' and z of it."""
-    # maximal alternating runs over [x, y]; the run holding y is typed by
-    # comparing y against x (x <= l < y <= n, so l and l+1 lie in range)
+def _blocks(pos: tuple[int, ...], n: int, x: int, y: int) -> tuple[tuple[str, int, int], ...]:
+    """The maximal alternating runs over [x, y] of ``Case.blocks``; the run
+    holding y is typed by comparing y against x (x <= l < y <= n, so l and
+    l+1 lie in range)."""
     kinds = ["U" if pos[l - 1] > pos[l] else "D" for l in range(x, y)]
     kinds.append("U" if _up(pos, n, y, x) else "D")
     blocks: list[tuple[str, int, int]] = []
@@ -118,26 +119,41 @@ def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> Case:
             blocks[-1] = (kind, blocks[-1][1], v)
         else:
             blocks.append((kind, v, v))
+    return tuple(blocks)
 
+
+def _rules(pos: tuple[int, ...], n: int, x: int, y: int) -> tuple:
+    """The rule path: ``(left, right, f, e, g, h, y_prime, z)`` of ``Case``
+    for the element holding value x, once the caller has checked that it
+    toggles out of the y-prefix.  It scans only the runs the rules read, the
+    leading down run from x and the up run ending at y - 1, and never builds
+    ``blocks``; the bijections read only y' and z of it."""
     f = 0
     while _up(pos, n, x - f - 1, x - f):
         f += 1
-    d0 = blocks[0][2] - blocks[0][1] + 1 if blocks[0][0] == "D" else 0
 
     below_up = _up(pos, n, x - 1, x)
     above_up = _up(pos, n, x, x + 1)
     if not below_up and above_up:
         left, y_prime = "L0", x - 1
-    elif not below_up and not above_up:
-        left, y_prime = "L1", x + d0 - 1
     elif below_up and above_up:
         left, y_prime = "L2", x - f - 1
-    elif d0 > 0 and _up(pos, n, x - 1, x + 1):
-        left, y_prime = "L3a", x + d0 - 1
     else:
-        # when y == x the leading down run inside [x, y] is empty, which
-        # voids the L3a formula; the weight law forces the L3b value there
-        left, y_prime = "L3b", x - f - 1
+        # d0: the length of the down run of ``blocks`` starting at x, zero
+        # when that run is up.  It never holds y: positions increase along a
+        # down run, so a run from x through y - 1 places y after x, and y is up
+        v = x
+        while v < y and pos[v - 1] < pos[v]:
+            v += 1
+        d0 = v - x
+        if not below_up:
+            left, y_prime = "L1", x + d0 - 1
+        elif d0 > 0 and _up(pos, n, x - 1, x + 1):
+            left, y_prime = "L3a", x + d0 - 1
+        else:
+            # when y == x the leading down run inside [x, y] is empty, which
+            # voids the L3a formula; the weight law forces the L3b value there
+            left, y_prime = "L3b", x - f - 1
 
     e: int | None = None
     g: int | None = None
@@ -155,16 +171,18 @@ def _classify(pos: tuple[int, ...], n: int, x: int, y: int) -> Case:
         right, z = "R3a", y - 1
     else:
         # the run before the final {y} is up and ends at y-1, so positions
-        # strictly decrease along it; split it as [y-g-h, y-h-1] + [y-h, y-1]
-        # where the trailing h values are the ones placed below x, and end
-        # the escalation just before that trailing part
-        _kind, w, _last = blocks[-2]
-        size = y - w
+        # strictly decrease along it; it starts at w, found scanning down
+        # from y-1.  Split it as [w, y-h-1] + [y-h, y-1] where the trailing h
+        # values are the ones placed below x, and end the escalation just
+        # before that trailing part
+        w = y - 1
+        while w > x and pos[w - 2] > pos[w - 1]:
+            w -= 1
         h = sum(1 for v in range(w, y) if pos[v - 1] < pos[x - 1])
-        g = size - h
+        g = y - w - h
         right, z = "R3b", y - h - 1
 
-    return Case(left, right, tuple(blocks), f, e, g, h, y_prime, z)
+    return left, right, f, e, g, h, y_prime, z
 
 
 def escalate(ext: LinearExtension, x: int, z: int) -> LinearExtension:
@@ -228,6 +246,6 @@ def inverse_toggle_bijection(
     star_pos = tuple(n - 1 - e for e in reversed(ext.positions))
     star_values = _dual_values(n, ext.values)
     x = star_values[n - 1 - p]
-    *_, y_prime, z = _classify(star_pos, n, x, n - y)
+    *_, y_prime, z = _rules(star_pos, n, x, n - y)
     image = _rotate(star_values, star_pos, x, z)
     return _extension(poset, _dual_values(n, image)), n - y_prime

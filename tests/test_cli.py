@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -14,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from qtab import cli, solver
+from qtab import cli, posets, solver
 from qtab.cli import Check, _run_checks, main
 from qtab.extensions import gf_bsv, gf_comaj
-from qtab.posets import build_rectangle, build_shape
+from qtab.posets import build_minuscule, build_rectangle, build_shape
 from qtab.ppartitions import rpp_size_series
 from qtab.qpoly import (
     QPoly,
@@ -517,6 +518,87 @@ def test_rpp_modes_leave_one_ensemble_in_the_memo():
         assert cli._built(cli.ensemble_rpp, poset, 2, "via_theta_m") is direct
     finally:
         cli._clear_run_memo()
+
+
+def test_verify_lists_each_posets_extensions_once(capsys, monkeypatch):
+    cli._clear_run_memo()  # building checks outside a run fills it too
+    corpus = [poset for _, poset in cli._labeled_corpus(7)]
+    cli._clear_run_memo()
+    listed: list = []
+    held: list[tuple[int, int]] = []
+    enumerate_linear_extensions, clear_run_memo = cli.enumerate_linear_extensions, cli._clear_run_memo
+
+    def counted(poset):
+        listed.append(poset)
+        return enumerate_linear_extensions(poset)
+
+    def lists_in_memo() -> int:
+        return sum(isinstance(value, list) for value in cli._BUILT.values())
+
+    def clear_counted():
+        before = lists_in_memo()
+        clear_run_memo()
+        held.append((before, lists_in_memo()))
+
+    monkeypatch.setattr(cli, "enumerate_linear_extensions", counted)
+    monkeypatch.setattr(cli, "_clear_run_memo", clear_counted)
+    assert run_cli(capsys, "verify", "all")[0] == 0
+    # appendix:bijection and m-weight:factorization share one list per poset
+    assert sorted(map(repr, listed)) == sorted(map(repr, corpus))
+    assert len(set(listed)) == len(listed) == len(corpus)
+    assert held == [(len(corpus), 0)]
+
+
+def test_verify_takes_minuscule_posets_from_the_run_memo(capsys, monkeypatch):
+    # the memo's posets are the ones build_minuscule gives, covers and boxes too
+    for k in (2, 3):
+        memo, built = cli._poset(cli._staircase(k)), build_minuscule("shifted_staircase", k)
+        assert (memo.n, memo.covers, memo.coords) == (built.n, built.covers, built.coords)
+    for name in ("E6", "E7"):
+        memo, built = cli._poset(f"minuscule:{name}"), build_minuscule(name)
+        assert (memo.n, memo.covers, memo.coords) == (built.n, built.covers, built.coords)
+    cli._clear_run_memo()
+
+    direct: list[tuple] = []
+    built_args: list[tuple] = []
+
+    def spy(*args):
+        direct.append(args)
+        return build_minuscule(*args)
+
+    def counted(*args):
+        built_args.append(args)
+        return build_minuscule(*args)
+
+    monkeypatch.setattr(cli, "build_minuscule", spy, raising=False)
+    monkeypatch.setattr(posets, "build_minuscule", counted)
+    assert run_cli(capsys, "verify", "all")[0] == 0
+    assert direct == []
+    # E6 and E7 come from parsing their specs, once each per run
+    assert built_args.count(("E6",)) == built_args.count(("E7",)) == 1
+    assert len(built_args) == len(set(built_args))
+
+
+def test_failing_refinements_report_expected_constants_as_objects(capsys, monkeypatch):
+    def failing_on_rect22(poset):
+        reports = solver.verify_refinements(poset)
+        if poset != RECT22:
+            return reports
+        return tuple(dataclasses.replace(report, consistent=False) for report in reports)
+
+    monkeypatch.setattr(cli, "verify_refinements", failing_on_rect22)
+    code, out, _ = run_cli(capsys, "verify", "solver", "--max-boxes", "2", "--json")
+    assert code == 1
+    by_id = {check["id"]: check for check in json.loads(out)["checks"]}
+    assert [check_id for check_id, check in by_id.items() if check["status"] == "fail"] == [
+        "solver:rows:rect:2x2"
+    ]
+    failed = by_id["solver:rows:rect:2x2"]
+    expected = [report.expected for report in solver.verify_refinements(RECT22)]
+    assert failed["lhs"] == ["row:1", "row:2"]
+    assert failed["rhs"] == [
+        {"num": coeff_vector(constant.num), "den": coeff_vector(constant.den)} for constant in expected
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    all_partitions,
     naturally_labeled_posets,
     partition_strategy,
     small_poset_corpus,
@@ -16,6 +17,7 @@ from conftest import (
 )
 from qtab.distributions import (
     PosetMismatch,
+    Statistic,
     WeightedEnsemble,
     check_toggle_symmetry,
     ddeg,
@@ -367,12 +369,83 @@ def test_toggle_symmetry_fails_for_a_skewed_weighting():
     )
 
 
+def _reference_statistic_toggle(poset, p: int) -> Statistic:
+    """tin - q * tout at p, evaluated at every ideal."""
+    return Statistic.from_function(poset, lambda mask: toggle_statistic_value(poset, p, mask))
+
+
+def _reference_expectation(ensemble: WeightedEnsemble, statistic: Statistic) -> RatFunc:
+    """The definition: the sum of weight times value over every ideal, in
+    ``QPoly`` arithmetic, over the normalizer."""
+    numerator = QPoly.of([])
+    for mask, weight in ensemble.weights:
+        numerator = numerator + weight * statistic.values[mask]
+    return RatFunc(numerator, ensemble.normalizer)
+
+
 def _reference_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
     """The definition: every toggle statistic has expectation zero."""
+    poset = ensemble.poset
     return all(
-        expectation(ensemble, statistic_toggle(ensemble.poset, p)) == 0
-        for p in range(ensemble.poset.n)
+        _reference_expectation(ensemble, _reference_statistic_toggle(poset, p)) == 0
+        for p in range(poset.n)
     )
+
+
+def _assert_toggle_statistics_match_their_values(poset):
+    for p in range(poset.n):
+        statistic = statistic_toggle(poset, p)
+        assert statistic.values == _reference_statistic_toggle(poset, p).values
+        assert statistic.label == f"toggle:{p}"
+
+
+@pytest.mark.parametrize("part", all_partitions(7), ids=str)
+def test_statistic_toggle_matches_the_toggle_values_on_shapes(part):
+    _assert_toggle_statistics_match_their_values(build_shape(part))
+
+
+@settings(max_examples=60, deadline=None)
+@given(naturally_labeled_posets(max_n=8))
+def test_statistic_toggle_matches_the_toggle_values_on_random_posets(poset):
+    _assert_toggle_statistics_match_their_values(poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(naturally_labeled_posets(max_n=6), st.data())
+def test_expectation_matches_its_definition(poset, data):
+    # random weights and a random statistic, zero at some ideals
+    coeffs = st.lists(st.integers(-3, 3), max_size=4)
+    ideals = order_ideals(poset)
+    weights = {mask: QPoly.of([abs(c) for c in data.draw(coeffs)]) for mask in ideals}
+    weights[0] = weights[0] + QPoly.of([1])  # a nonzero normalizer
+    ensemble = WeightedEnsemble.from_weights(poset, weights, sum(weights.values(), QPoly.of([])))
+    statistic = Statistic(poset, {mask: QPoly.of(data.draw(coeffs)) for mask in ideals})
+    assert expectation(ensemble, statistic) == _reference_expectation(ensemble, statistic)
+    for p in range(poset.n):
+        toggle = statistic_toggle(poset, p)
+        assert expectation(ensemble, toggle) == _reference_expectation(ensemble, toggle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_labeled_posets(max_n=7).filter(lambda poset: poset.n > 0), st.data())
+def test_asymmetric_ensemble_has_nonzero_toggle_expectation(poset, data):
+    # uniform weights, made heavier by c q^k at the lower end I of an edge
+    # I -> I + p: each element's expectation moves by c q^k times its toggle
+    # value at I, which is 1 at p
+    p = data.draw(st.integers(0, poset.n - 1))
+    lower, _ = data.draw(st.sampled_from(poset.ideal_edges[p]))
+    mask = order_ideals(poset)[lower]
+    uniform = ensemble_uniform(poset)
+    extra = QPoly.monomial(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+    weights = dict(uniform.weights)
+    weights[mask] = weights[mask] + extra
+    skewed = WeightedEnsemble.from_weights(poset, weights, uniform.normalizer + extra)
+    assert not check_toggle_symmetry(skewed)
+    for element in range(poset.n):
+        value = expectation(skewed, statistic_toggle(poset, element))
+        assert value == _reference_expectation(skewed, _reference_statistic_toggle(poset, element))
+        assert value == RatFunc(extra * toggle_statistic_value(poset, element, mask), skewed.normalizer)
+    assert expectation(skewed, statistic_toggle(poset, p)) == RatFunc(extra, skewed.normalizer) != 0
 
 
 SYMMETRY_POSETS = st.one_of(

@@ -1,6 +1,8 @@
 """Dyck/Motzkin path bijections, q-Catalan identities, and counting checks."""
 
+import itertools
 from collections import Counter
+from operator import lt
 
 import pytest
 
@@ -333,6 +335,42 @@ def test_set_valued_path_bijection(b, k):
 
 # ---------------------------------------------------------------------------
 # generating-function and counting identities
+
+
+def _interval_splits(sorted_values, parts):
+    """Splits of a sorted sequence into the given number of nonempty runs."""
+    m = len(sorted_values)
+    for cuts in itertools.combinations(range(1, m), parts - 1):
+        bounds = (0, *cuts, m)
+        yield tuple(tuple(sorted_values[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _interval_split_rows(b, k):
+    """The rows of every tableau of width b with k extra entries, as the
+    (top set, interval splits) choices passing the column comparisons: cells
+    of a row are consecutive runs of its sorted values.  The value 1 opens
+    the top row and 2b+k closes the bottom row, so only those top sets are
+    tried."""
+    total = 2 * b + k
+    inner = range(2, total)
+    for top_size in range(b, b + k + 1):
+        for rest in itertools.combinations(inner, top_size - 1):
+            bottom_set = [v for v in inner if v not in rest] + [total]
+            bottoms = [
+                (cells, [cell[0] for cell in cells]) for cells in _interval_splits(bottom_set, b)
+            ]
+            for top_cells in _interval_splits((1, *rest), b):
+                maxes = [cell[-1] for cell in top_cells]
+                for bottom_cells, mins in bottoms:
+                    if all(map(lt, maxes, mins)):
+                        yield top_cells, bottom_cells
+
+
+@pytest.mark.parametrize("b,k", [(b, k) for b in range(1, 6) for k in range(5)])
+def test_set_valued_walk_matches_the_interval_splits(b, k):
+    rows = [tableau.rows for tableau in enumerate_two_row_set_valued(b, k)]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(_interval_split_rows(b, k))
 
 
 def test_cor_dyck_gen_fun_b1_golden():

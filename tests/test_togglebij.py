@@ -279,3 +279,95 @@ def test_inverse_rejects_out_of_range_arguments():
     for p, y in ((-1, 1), (4, 1), (1, -1), (1, 5)):
         with pytest.raises(ValueError, match="out of range"):
             inverse_toggle_bijection(p, ext, y)
+
+
+# ---------------------------------------------------------------------------
+# the rule path against the case analysis read off the blocks
+
+
+def _up_ref(pos, n, l, k):
+    if not (1 <= l <= n and 1 <= k <= n):
+        return False
+    return l == k or pos[l - 1] > pos[k - 1]
+
+
+def _reference_case(pos, n, x, y):
+    """The case analysis as first written: build the alternating runs over
+    [x, y], then take d0 from the first run and the R3b run from the one
+    before the last."""
+    kinds = ["U" if _up_ref(pos, n, l, l + 1) else "D" for l in range(x, y)]
+    kinds.append("U" if _up_ref(pos, n, y, x) else "D")
+    blocks = []
+    for v, kind in enumerate(kinds, start=x):
+        if blocks and blocks[-1][0] == kind:
+            blocks[-1] = (kind, blocks[-1][1], v)
+        else:
+            blocks.append((kind, v, v))
+
+    def descent_run():
+        e = 1
+        while y + e + 1 <= n and pos[y + e - 1] < pos[y + e] < pos[x - 1]:
+            e += 1
+        return e
+
+    f = 0
+    while _up_ref(pos, n, x - f - 1, x - f):
+        f += 1
+    d0 = blocks[0][2] - blocks[0][1] + 1 if blocks[0][0] == "D" else 0
+    below_up, above_up = _up_ref(pos, n, x - 1, x), _up_ref(pos, n, x, x + 1)
+    if not below_up and above_up:
+        left, y_prime = "L0", x - 1
+    elif not below_up:
+        left, y_prime = "L1", x + d0 - 1
+    elif above_up:
+        left, y_prime = "L2", x - f - 1
+    elif d0 > 0 and _up_ref(pos, n, x - 1, x + 1):
+        left, y_prime = "L3a", x + d0 - 1
+    else:
+        left, y_prime = "L3b", x - f - 1
+    e = g = h = None
+    if _up_ref(pos, n, y, x):
+        if not _up_ref(pos, n, x, y + 1):
+            right, z = "R0", y
+        else:
+            e = descent_run()
+            right, z = "R1", y + e
+    elif _up_ref(pos, n, y, y + 1):
+        e = descent_run()
+        right, z = "R2", y + e
+    elif not _up_ref(pos, n, y - 1, y):
+        right, z = "R3a", y - 1
+    else:
+        _, w, _ = blocks[-2]
+        h = sum(1 for v in range(w, y) if pos[v - 1] < pos[x - 1])
+        g = y - w - h
+        right, z = "R3b", y - h - 1
+    return (left, right, tuple(blocks), f, e, g, h, y_prime, z)
+
+
+def _assert_rules_match_reference(poset):
+    n = poset.n
+    for ext in enumerate_linear_extensions(poset):
+        for p in range(n):
+            for y in range(n + 1):
+                if not tout(poset, p, ext.prefix_masks[y]):
+                    continue
+                reference = _reference_case(ext.positions, n, ext.values[p], y)
+                case = classify(ext, p, y)
+                assert tuple(case) == reference
+                assert (case.y_prime, case.z) == reference[-2:]
+                # the bijection reads the rule path alone
+                image, y2 = toggle_bijection(p, ext, y)
+                assert y2 == case.y_prime
+                assert image.values == escalate(ext, ext.values[p], case.z).values
+
+
+@pytest.mark.parametrize("part", all_partitions(7), ids=str)
+def test_rule_path_matches_the_block_analysis_on_shapes(part):
+    _assert_rules_match_reference(build_shape(part))
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_labeled_posets(max_n=6))
+def test_rule_path_matches_the_block_analysis_on_random_posets(poset):
+    _assert_rules_match_reference(poset)
