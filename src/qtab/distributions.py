@@ -89,11 +89,12 @@ class WeightedEnsemble:
         masks = tuple(mask for mask, _ in self.weights)
         if masks != order_ideals(self.poset):
             raise ValueError("weights must cover exactly the order ideals")
+        total: list[int] = []
         for mask, weight in self.weights:
-            if any(c < 0 for c in weight.coeffs):
+            if weight and min(weight.coeffs) < 0:
                 raise ValueError(f"negative weight at ideal {mask:#x}")
-        total = sum((weight for _, weight in self.weights), QPoly.of([]))
-        if total != self.normalizer:
+            _add(total, weight.coeffs)
+        if QPoly.of(total) != self.normalizer:
             raise ValueError("weights do not sum to the normalizer")
         if not self.normalizer:
             raise ValueError("normalizer must be nonzero")
@@ -273,10 +274,21 @@ def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble
     if mode == "direct":
         acc = dict(zip(order_ideals(poset), map(QPoly.of, engine.rpp_weights(poset, m))))
     elif mode == "via_theta_m":
-        sums: dict[int, list[int]] = {}
+        # theta_m(T, i) is q^theta(T, i) times a q-binomial that depends only
+        # on d = #(Des \ {i}): tally the theta exponents per (prefix, d) and
+        # multiply each class by its q-binomial once
+        tally: dict[tuple[int, int], list[int]] = {}
         for ext in enumerate_linear_extensions(poset):
-            for i, mask in enumerate(ext.prefix_masks):
-                _add(sums.setdefault(mask, []), theta_m(ext, i, m).coeffs)
+            des = descents(ext)
+            for i, (mask, e) in enumerate(zip(ext.prefix_masks, ext.theta_exponents)):
+                row = tally.setdefault((mask, len(des) - (i in des)), [])
+                if len(row) <= e:
+                    row.extend([0] * (e + 1 - len(row)))
+                row[e] += 1
+        sums: dict[int, list[int]] = {}
+        while tally:  # popping frees each class once it is added
+            (mask, d), row = tally.popitem()
+            _add(sums.setdefault(mask, []), _mul(row, qbinom(m + poset.n - d, poset.n + 1).coeffs))
         acc = {mask: QPoly.of(coeffs) for mask, coeffs in sums.items()}
     else:
         raise ValueError(f"unknown mode {mode!r}")

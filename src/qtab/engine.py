@@ -19,15 +19,20 @@ multiplies and a mask of the low k*(c+1) bits truncates above degree c.
 Int arithmetic is exact for every k; k matters where digits are read.  No
 coefficient is negative, so none exceeds the polynomial's value at q = 1,
 and once 2^k is larger than those values the base-2^k digits are the
-coefficients: ``_exact`` runs each DP at k = 0 first, where every shift is
-0, for the values at q = 1.  Results are coefficient lists (index = exponent
-of q), per-ideal values in ``order_ideals`` order.
+coefficients.  ``_exact`` gets the values at q = 1 from the same DP at
+k = 0, where every shift is 0: the path DP is then a plain path count and
+the multichain weights are the bare counts.  It reads digits of 1, 2, 4 or
+8 bytes by a buffer cast.  The path DP walks J(P) level by level and keeps
+the prefix sums of two levels only.  Results are coefficient lists (index =
+exponent of q), per-ideal values in ``order_ideals`` order.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .posets import Poset, order_ideals
 
@@ -40,6 +45,35 @@ class _Lattice:
         self.sizes = [mask.bit_count() for mask in order_ideals(poset)]
         # by_element[e]: (lower, upper) index pairs of the edges adding e
         self.by_element = poset.ideal_edges
+
+    @cached_property
+    def levels(self) -> list[list[int]]:
+        """``levels[s]``: the indices of the ideals with s elements."""
+        out: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for j, size in enumerate(self.sizes):
+            out[size].append(j)
+        return out
+
+    @cached_property
+    def into(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per ideal, the edges into it: the elements they add and their
+        lower ends, elements ascending."""
+        return self._steps(1)
+
+    @cached_property
+    def out_of(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per ideal, the edges out of it: the elements they add and their
+        upper ends, elements ascending."""
+        return self._steps(0)
+
+    def _steps(self, at: int) -> tuple[list[list[int]], list[list[int]]]:
+        es: list[list[int]] = [[] for _ in self.sizes]
+        ends: list[list[int]] = [[] for _ in self.sizes]
+        for e, edges in enumerate(self.by_element):
+            for edge in edges:
+                es[edge[at]].append(e)
+                ends[edge[at]].append(edge[1 - at])
+        return es, ends
 
     def sum_below(self, values: list[int]) -> list[int]:
         """``out[I] = sum of values[J] over ideals J <= I``, one addition per
@@ -62,9 +96,26 @@ class _Lattice:
 
     def complement_weights(self, values: list[int], k: int, cap: int | None = None) -> list[int]:
         """``q^(n - |I|) * values[I]``, truncated above degree cap if given and
-        k > 0: at k = 0 the whole sums bound every digit the mask reads."""
+        k > 0: at k = 0 every factor is 1 and the whole sums bound every digit
+        the mask reads, so the values come back as they are."""
+        if not k:
+            return values
         out = [v << k * (self.n - size) for size, v in zip(self.sizes, values)]
-        return out if cap is None or not k else [v & (1 << k * (cap + 1)) - 1 for v in out]
+        return out if cap is None else [v & (1 << k * (cap + 1)) - 1 for v in out]
+
+
+# the format of a native unsigned int, per size in bytes
+_CASTS = {memoryview(bytes(8)).cast(fmt).itemsize: fmt for fmt in "BHIQ"}
+
+
+def _digits(value: int, step: int) -> list[int]:
+    """The base-2^(8*step) digits of value, least significant first."""
+    size = -(-value.bit_length() // (8 * step)) * step
+    fmt = _CASTS.get(step)
+    if fmt is not None:
+        return memoryview(value.to_bytes(size, sys.byteorder)).cast(fmt).tolist()
+    raw = value.to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, size, step)]
 
 
 def _exact(poset: Poset, dp: Callable[[_Lattice, int], list[int]]) -> list[list[int]]:
@@ -72,56 +123,81 @@ def _exact(poset: Poset, dp: Callable[[_Lattice, int], list[int]]) -> list[list[
     with k the bit length of their values at q = 1 plus one, in whole bytes."""
     lat = _Lattice(poset)
     step = max(dp(lat, 0), default=0).bit_length() // 8 + 1  # bytes per digit
-    raws = [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in dp(lat, 8 * step)]
-    return [[int.from_bytes(r[i : i + step], "little") for i in range(0, len(r), step)] for r in raws]
+    return [_digits(v, step) for v in dp(lat, 8 * step)]
 
 
 # ---------------------------------------------------------------------------
 # linear extensions
 
 
-def _paths(lat: _Lattice, k: int, forward: bool) -> list[int]:
-    """Forward: paths 0 -> I, a descent at step i < |I| weighing
-    q^(n + 1 - i).  Backward: paths I -> P, a descent at i > |I| weighing
-    q^(n - i), leaving out the descent at |I|, which also needs the last
-    element before I."""
+def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """Per level of J(P), away from the start: its ideals and their paths.
+    Forward: paths 0 -> I, a descent at step i < |I| weighing q^(n + 1 - i).
+    Backward: paths I -> P, a descent at i > |I| weighing q^(n - i), leaving
+    out the descent at |I|, which also needs the last element before I."""
+    es, ends = lat.into if forward else lat.out_of
+    levels = lat.levels if forward else lat.levels[::-1]
+    yield levels[0], [1]
+    if not k:
+        # every shift is 0 and the descents cancel: a plain path count
+        counts = [1] * len(es)
+        for level in levels[1:]:
+            totals = [sum([counts[other] for other in ends[j]]) for j in level]
+            for j, total in zip(level, totals):
+                counts[j] = total
+            yield level, totals
+        return
     # sums[j][i]: paths to (from) ideal j whose last (first) step adds one of
-    # keys[j][:i].  A step adding e after (before) them makes a descent with
-    # the keys above (below) e, found by bisection of the ascending keys; the
-    # empty path's key -1 (n) makes none.
-    # steps[j]: (e, other) per edge adding e into (out of) ideal j, e ascending
-    steps: list[list[tuple[int, int]]] = [[] for _ in lat.sizes]
-    for e, edges in enumerate(lat.by_element):
-        for lower, upper in edges:
-            if forward:
-                steps[upper].append((e, lower))
-            else:
-                steps[lower].append((e, upper))
-    keys = [[e for e, _ in edges] for edges in steps]
-    order = list(range(len(lat.sizes)))[:: 1 if forward else -1]
-    keys[order[0]], sums = [-1 if forward else lat.n], {order[0]: [0, 1]}
-    for j in order[1:]:
-        shift = k * (lat.n + 2 - lat.sizes[j] if forward else lat.n - 1 - lat.sizes[j])
-        acc, pre = 0, [0]
-        for e, other in steps[j]:
-            paths = sums[other]
-            below = paths[bisect(keys[other], e)]
-            descents = paths[-1] - below if forward else below
-            acc += paths[-1] + (descents << shift) - descents
-            pre.append(acc)
-        sums[j] = pre
-    return [sums[j][-1] for j in range(len(lat.sizes))]
+    # keys[j][:i] = es[j][:i], for j in the last two levels.  A step adding e
+    # after (before) them makes a descent with the keys above (below) e, found
+    # by bisection of the ascending keys; the empty path's key -1 (n) makes
+    # none.
+    sums: list[list[int] | None] = [None] * len(es)
+    (start,) = levels[0]
+    keys = list(es)
+    sums[start], keys[start] = [0, 1], [-1 if forward else lat.n]
+    for done, level in zip(levels, levels[1:]):
+        size = lat.sizes[level[0]]
+        shift = k * (lat.n + 2 - size if forward else lat.n - 1 - size)
+        totals = []
+        for j in level:
+            acc, pre = 0, [0]
+            for e, other in zip(es[j], ends[j]):
+                paths = sums[other]
+                below = paths[bisect(keys[other], e)]
+                descents = paths[-1] - below if forward else below
+                acc += paths[-1] + (descents << shift) - descents
+                pre.append(acc)
+            sums[j] = pre
+            totals.append(acc)
+        for j in done:
+            sums[j] = None
+        yield level, totals
 
 
 def _lin(lat: _Lattice, k: int) -> list[int]:
     """``q^(n - |I|) * forward[I] * backward[I]``."""
-    pairs = zip(lat.sizes, _paths(lat, k, True), _paths(lat, k, False))
-    return [f * b << k * (lat.n - size) for size, f, b in pairs]
+    out = [0] * len(lat.sizes)
+    for level, totals in _paths(lat, k, True):
+        for j, f in zip(level, totals):
+            out[j] = f
+    for level, totals in _paths(lat, k, False):
+        shift = k * (lat.n - lat.sizes[level[0]])
+        for j, b in zip(level, totals):
+            out[j] = out[j] * b << shift
+    return out
+
+
+def _comaj(lat: _Lattice, k: int) -> list[int]:
+    """The backward paths from the empty ideal, the walk's last level."""
+    for _, totals in _paths(lat, k, False):
+        pass
+    return totals
 
 
 def comaj_gf(poset: Poset) -> list[int]:
     """Sum of q^comaj over all linear extensions."""
-    return _exact(poset, lambda lat, k: _paths(lat, k, False)[:1])[0]
+    return _exact(poset, _comaj)[0]
 
 
 def lin_weights(poset: Poset) -> list[list[int]]:
@@ -133,13 +209,20 @@ def lin_weights(poset: Poset) -> list[list[int]]:
 # multichains
 
 
-def _chains_ending(lat: _Lattice, m: int, k: int, cap: int | None = None) -> list[list[int]]:
+def _chains_ending(lat: _Lattice, m: int, k: int, cap: int | None = None) -> Iterator[list[int]]:
     """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1."""
-    level, out = [1] + [0] * (len(lat.sizes) - 1), []
+    level = [1] + [0] * (len(lat.sizes) - 1)
     for _ in range(m):
         level = lat.complement_weights(lat.sum_below(level), k, cap)
-        out.append(level)
-    return out
+        yield level
+
+
+def _fillings(lat: _Lattice, m: int, k: int, cap: int | None = None) -> list[int]:
+    """The sum of ``F[m-1]``, holding one level at a time; 1 when m = 0."""
+    level = [1]
+    for level in _chains_ending(lat, m, k, cap):
+        pass
+    return [sum(level)]
 
 
 def filling_gf(poset: Poset, m: int, cap: int | None = None) -> list[int]:
@@ -148,7 +231,7 @@ def filling_gf(poset: Poset, m: int, cap: int | None = None) -> list[int]:
     repeated, so the number of fillings bounds every F[k][I] at q = 1."""
     if m < 0:
         raise ValueError("entry bound must be nonnegative")
-    return _exact(poset, lambda lat, k: [sum(_chains_ending(lat, m, k, cap)[-1]) if m else 1])[0]
+    return _exact(poset, lambda lat, k: _fillings(lat, m, k, cap))[0]
 
 
 def _rpp(lat: _Lattice, m: int, k: int) -> list[int]:

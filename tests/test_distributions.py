@@ -116,14 +116,20 @@ def test_ensemble_validation():
     ideals = order_ideals(RECT22)
     good = {mask: QPoly.of([1]) for mask in ideals}
     WeightedEnsemble.from_weights(RECT22, good, QPoly.of([6]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights do not sum to the normalizer$"):
         WeightedEnsemble.from_weights(RECT22, good, QPoly.of([5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative weight at ideal 0x3$"):
         bad = dict(good)
-        bad[0] = QPoly.of([-1, 2])
-        WeightedEnsemble.from_weights(RECT22, bad, QPoly.of([4, 2]))
-    with pytest.raises(ValueError):
+        bad[3] = QPoly.of([2, -1])
+        WeightedEnsemble.from_weights(RECT22, bad, QPoly.of([7, -1]))
+    with pytest.raises(ValueError, match="^weights must cover exactly the order ideals$"):
         WeightedEnsemble(RECT22, ((0, QPoly.of([1])),), QPoly.of([1]))
+    with pytest.raises(ValueError, match="^normalizer must be nonzero$"):
+        WeightedEnsemble.from_weights(RECT22, {}, QPoly.of([]))
+    # zero weights add nothing; the sum is a list sum, not a QPoly sum
+    sparse = {0: QPoly.of([0, 0, 1]), 0b1111: QPoly.of([3])}
+    ensemble = WeightedEnsemble.from_weights(RECT22, sparse, QPoly.of([3, 0, 1]))
+    assert ensemble.weight(0b0011) == QPoly.of([])
 
 
 def test_probability_and_mismatch():
@@ -180,6 +186,24 @@ def test_rpp_modes_agree():
         ensemble_rpp(RECT22, 1, mode="other")
     with pytest.raises(ValueError):
         ensemble_rpp(RECT22, 0)
+
+
+def _theta_m_pair_sum(poset, m: int) -> dict[int, QPoly]:
+    """The via_theta_m weights as one ``theta_m`` term per (extension, i)."""
+    acc = {mask: QPoly.of([]) for mask in order_ideals(poset)}
+    for ext in enumerate_linear_extensions(poset):
+        for i in range(poset.n + 1):
+            mask = ext.prefix_ideal(i)
+            acc[mask] = acc[mask] + theta_m(ext, i, m)
+    return acc
+
+
+@given(naturally_labeled_posets(max_n=7), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_theta_m_tally_matches_the_pair_sum(poset, m):
+    """The class tally of ``mode="via_theta_m"`` against the per-pair sum."""
+    via = ensemble_rpp(poset, m, mode="via_theta_m")
+    assert dict(via.weights) == _theta_m_pair_sum(poset, m)
 
 
 def test_lin_weights_golden_2x2():

@@ -4,12 +4,14 @@ enumeration oracles, on random naturally labeled posets and on shapes."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
+from qtab import engine
 from qtab.distributions import ensemble_lin, ensemble_rpp, ensemble_uniform, theta
 from qtab.extensions import (
     comaj,
@@ -167,3 +169,72 @@ def test_bsv_rpp_on_rectangles(a, b, m):
 
 def test_size_series_past_the_fillings_oracle():
     assert rpp_size_series(build_rectangle(3, 3), 40) == gansner_series((3, 3, 3), 40)
+
+
+# The digit width: the DPs at k = 0 give each polynomial's value at q = 1,
+# the number of objects it counts, and ``_exact`` reads the packed ints in
+# base 2^(8 * step) with step = that value's bit length // 8 + 1 bytes.
+
+
+def divmod_digits(value: int, bits: int) -> list[int]:
+    """The base-2^bits digits of value, least significant first."""
+    out = []
+    while value:
+        value, digit = divmod(value, 1 << bits)
+        out.append(digit)
+    return out
+
+
+# two disjoint 30-element chains: binomial(60, 30) extensions, 57 bits
+TWO_CHAINS = Poset(60, [(i, i + 1) for i in range(59) if i != 29])
+
+
+def fillings_dp(m: int):
+    return lambda lat, k: engine._fillings(lat, m, k)
+
+
+@given(naturally_labeled_posets(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_width_pass_counts_the_objects(poset, m):
+    extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
+    fillings = at_most(enumerate_rpp(poset, m), FILLING_LIMIT)
+    assume(extensions is not None or fillings is not None)
+    lat = engine._Lattice(poset)
+    if extensions is not None:
+        assert engine._comaj(lat, 0) == [len(extensions)]
+        # forward times backward paths: the extensions with prefix I
+        prefixes = [ext.prefix_ideal(size) for ext in extensions for size in range(poset.n + 1)]
+        assert engine._lin(lat, 0) == [prefixes.count(mask) for mask in order_ideals(poset)]
+    if fillings is not None:
+        assert fillings_dp(m)(lat, 0) == [len(fillings)]
+        # each filling has one level-k ideal for every k < m
+        assert sum(engine._rpp(lat, m, 0)) == m * len(fillings)
+
+
+@pytest.mark.parametrize(
+    "step,poset,dp",
+    [
+        (1, build_rectangle(2, 2), engine._comaj),
+        (2, build_rectangle(3, 4), engine._comaj),
+        (3, build_rectangle(4, 5), engine._comaj),
+        (4, build_rectangle(5, 5), engine._comaj),
+        (5, build_rectangle(3, 3), fillings_dp(30)),
+        (8, TWO_CHAINS, engine._comaj),
+        (10, build_rectangle(7, 7), engine._comaj),
+        (3, build_rectangle(4, 5), engine._lin),
+    ],
+)
+def test_digits_at_every_width(step, poset, dp):
+    """Byte casts (1, 2, 4, 8) and slices (3, 5, 10) against divmod."""
+    lat = engine._Lattice(poset)
+    assert max(dp(lat, 0)).bit_length() // 8 + 1 == step
+    expected = [divmod_digits(v, 8 * step) for v in dp(lat, 8 * step)]
+    assert engine._exact(poset, dp) == expected
+
+
+@pytest.mark.parametrize("step", range(1, 18))
+def test_digit_reader_on_random_ints(step):
+    rng = random.Random(step)
+    for bits in (0, 1, 8 * step - 1, 8 * step, 8 * step + 1, 1000):
+        value = rng.getrandbits(bits) | (1 << bits >> 1)
+        assert engine._digits(value, step) == divmod_digits(value, 8 * step)
