@@ -85,7 +85,6 @@ from .qpoly import (
     _add,
     coeff_vector,
     format_poly,
-    format_qt_poly,
     qbinom,
     qnum,
     qt_coeff_vector,
@@ -398,7 +397,7 @@ def _check_rpp_modes(poset: Poset, m: int) -> tuple[bool, object, object]:
         # later via-route checks read the equal direct ensemble; the via one is freed
         _BUILT[(ensemble_rpp, poset, m, "via_theta_m")] = direct
         return True, None, None
-    return False, [_vec(w) for _, w in direct.weights], [_vec(w) for _, w in via.weights]
+    return False, _vec(direct.weights), _vec(via.weights)
 
 
 def _check_theta_m_factorization(poset: Poset, m: int) -> tuple[bool, object, object]:
@@ -722,17 +721,11 @@ def cmd_gf(args: argparse.Namespace) -> int:
         full = gf_bsv_rpp(poset, args.m, refined=args.refined)
         poly = full if args.refined else full.at_t1()
 
-    if isinstance(poly, QTPoly):
-        text = format_qt_poly(poly)
-        coeffs: object = qt_coeff_vector(poly)
-    else:
-        text = format_poly(poly)
-        coeffs = coeff_vector(poly)
     if args.json:
-        print(json.dumps({"report_version": REPORT_VERSION, "poly": text, "coefficients": coeffs}))
+        print(json.dumps({"report_version": REPORT_VERSION, "poly": str(poly), "coefficients": _vec(poly)}))
     else:
-        print(text)
-        print(f"coefficients: {coeffs}")
+        print(poly)
+        print(f"coefficients: {_vec(poly)}")
     return 0
 
 

@@ -2,8 +2,9 @@
 statistics, and the weight functions behind them.
 
 A distribution is stored as a ``WeightedEnsemble``: one polynomial weight per
-order ideal plus a polynomial normalizer equal to their sum, so every
-probability is an exact rational function.  The toggle statistic at p is
+order ideal, in ``order_ideals`` order, plus a polynomial normalizer equal to
+their sum, so every probability is an exact rational function.  A
+``Statistic`` holds its values in the same order.  The toggle statistic at p is
 ``tin - q * tout`` where tin marks ideals to which p can be added and tout
 marks ideals from which p can be removed; a distribution is toggle-symmetric
 when this statistic has expectation zero at every element.
@@ -15,7 +16,8 @@ of linear extensions, and the rank-chain weighting of a graded poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -78,19 +80,24 @@ def ddeg(poset: Poset, mask: int) -> int:
 
 @dataclass(frozen=True)
 class WeightedEnsemble:
-    """Polynomial ideal weights summing to a polynomial normalizer."""
+    """Polynomial ideal weights summing to a polynomial normalizer.
+
+    ``weights[j]`` is the weight of the ideal ``order_ideals(poset)[j]``: one
+    entry per order ideal, in the order of the engine's outputs and of the
+    indices in ``Poset.ideal_edges``.  ``from_weights`` builds an ensemble
+    from weights keyed by ideal mask, and ``weight(mask)`` reads one back.
+    """
 
     poset: Poset
-    weights: tuple[tuple[int, QPoly], ...]
+    weights: tuple[QPoly, ...]
     normalizer: QPoly
-    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        masks = tuple(mask for mask, _ in self.weights)
-        if masks != order_ideals(self.poset):
+        ideals = order_ideals(self.poset)
+        if len(self.weights) != len(ideals):
             raise ValueError("weights must cover exactly the order ideals")
         total: list[int] = []
-        for mask, weight in self.weights:
+        for mask, weight in zip(ideals, self.weights):
             if weight and min(weight.coeffs) < 0:
                 raise ValueError(f"negative weight at ideal {mask:#x}")
             _add(total, weight.coeffs)
@@ -101,20 +108,18 @@ class WeightedEnsemble:
 
     @classmethod
     def from_weights(
-        cls,
-        poset: Poset,
-        weights: Mapping[int, QPoly],
-        normalizer: QPoly,
-        label: str = "",
+        cls, poset: Poset, weights: Mapping[int, QPoly], normalizer: QPoly
     ) -> "WeightedEnsemble":
-        ordered = tuple(
-            (mask, weights.get(mask, QPoly.of([]))) for mask in order_ideals(poset)
-        )
-        return cls(poset, ordered, normalizer, label)
+        """The ensemble weighing each ideal mask as ``weights`` does; an ideal
+        without a key weighs zero, and a key that is no ideal is an error."""
+        ideals = order_ideals(poset)
+        if strays := sorted(set(weights).difference(ideals)):
+            raise ValueError("not order ideals: " + ", ".join(f"{mask:#x}" for mask in strays))
+        return cls(poset, tuple(weights.get(mask, ZERO) for mask in ideals), normalizer)
 
     @cached_property
     def _by_mask(self) -> dict[int, QPoly]:
-        return dict(self.weights)
+        return dict(zip(order_ideals(self.poset), self.weights))
 
     def weight(self, mask: int) -> QPoly:
         return self._by_mask[mask]
@@ -125,33 +130,35 @@ class WeightedEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class Statistic:
-    """An exact polynomial-valued function of the order ideals."""
+    """An exact polynomial-valued function of the order ideals: ``values[j]``
+    is its value at ``order_ideals(poset)[j]``, in the layout of
+    ``WeightedEnsemble.weights``."""
 
     poset: Poset
-    values: Mapping[int, QPoly]
+    values: tuple[QPoly, ...]
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if len(self.values) != len(order_ideals(self.poset)):
+            raise ValueError("values must cover exactly the order ideals")
 
     @classmethod
     def from_function(
         cls, poset: Poset, fn: Callable[[int], QPoly | int], label: str = ""
     ) -> "Statistic":
-        values = {}
-        for mask in order_ideals(poset):
-            value = fn(mask)
-            values[mask] = value if isinstance(value, QPoly) else QPoly.of([value])
-        return cls(poset, values, label)
+        values = [fn(mask) for mask in order_ideals(poset)]
+        return cls(poset, tuple(v if isinstance(v, QPoly) else QPoly.of([v]) for v in values), label)
 
 
 def _maximal_count(poset: Poset, members: Iterable[int], label: str) -> Statistic:
     """Per ideal, how many of ``members`` are maximal in it; p is maximal in I
     exactly when the edge I - p -> I of J(P) adds p."""
-    ideals = order_ideals(poset)
-    counts = [0] * len(ideals)
+    counts = [0] * len(order_ideals(poset))
     for p in members:
         for _, upper in poset.ideal_edges[p]:
             counts[upper] += 1
     shared = [QPoly.of([k]) for k in range(max(counts) + 1)]
-    return Statistic(poset, {mask: shared[k] for mask, k in zip(ideals, counts)}, label)
+    return Statistic(poset, tuple(shared[k] for k in counts), label)
 
 
 def statistic_ddeg(poset: Poset) -> Statistic:
@@ -165,12 +172,11 @@ def statistic_toggle(poset: Poset, p: int) -> Statistic:
     """The toggle statistic tin - q * tout at p, read off J(P)'s edges: each
     edge I -> I + p puts 1 at I (p can enter) and -q at I + p (p can leave);
     every other ideal gets zero.  The three values are shared constants."""
-    ideals = order_ideals(poset)
-    values = dict.fromkeys(ideals, ZERO)
+    values = [ZERO] * len(order_ideals(poset))
     for lower, upper in poset.ideal_edges[p]:
-        values[ideals[lower]] = ONE
-        values[ideals[upper]] = _MINUS_Q
-    return Statistic(poset, values, f"toggle:{p}")
+        values[lower] = ONE
+        values[upper] = _MINUS_Q
+    return Statistic(poset, tuple(values), f"toggle:{p}")
 
 
 def expectation(ensemble: WeightedEnsemble, statistic: Statistic) -> RatFunc:
@@ -178,10 +184,8 @@ def expectation(ensemble: WeightedEnsemble, statistic: Statistic) -> RatFunc:
     the statistic is zero add nothing and are skipped."""
     if ensemble.poset != statistic.poset:
         raise PosetMismatch("ensemble and statistic posets differ")
-    values = statistic.values
     numerator: list[int] = []
-    for mask, weight in ensemble.weights:
-        value = values[mask]
+    for weight, value in zip(ensemble.weights, statistic.values):
         if value:
             _add(numerator, _mul(weight.coeffs, value.coeffs))
     return RatFunc(QPoly.of(numerator), ensemble.normalizer)
@@ -194,15 +198,15 @@ def check_toggle_symmetry(ensemble: WeightedEnsemble) -> bool:
     weights of the ideals p can enter sum to q times the weights of the
     ideals p can leave.  Those are the lower and the upper ends of the edges
     I -> I + p of J(P), so both sums run over ``ideal_edges[p]``, whose
-    indices are those of ``ensemble.weights``.
+    indices are the positions in ``ensemble.weights``.
     """
     weights = ensemble.weights
     for edges in ensemble.poset.ideal_edges:
         into: list[int] = []
         out: list[int] = []
         for lower, upper in edges:
-            _add(into, weights[lower][1].coeffs)
-            _add(out, weights[upper][1].coeffs)
+            _add(into, weights[lower].coeffs)
+            _add(out, weights[upper].coeffs)
         if QPoly.of(into) != QPoly.of(out).shift(1):
             return False
     return True
@@ -253,12 +257,8 @@ def theta_star_exponent(ext: LinearExtension, i: int) -> int:
 def ensemble_uniform(poset: Poset) -> WeightedEnsemble:
     """Weight q^(size of complement); the bounded-filling weighting at m=1."""
     n = poset.n
-    weights = {
-        mask: QPoly.monomial(1, n - mask.bit_count()) for mask in order_ideals(poset)
-    }
-    return WeightedEnsemble.from_weights(
-        poset, weights, rpp_size_gf(poset, 1), "uniform"
-    )
+    weights = tuple(QPoly.monomial(1, n - mask.bit_count()) for mask in order_ideals(poset))
+    return WeightedEnsemble(poset, weights, rpp_size_gf(poset, 1))
 
 
 def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble:
@@ -270,37 +270,35 @@ def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble
     """
     if m < 1:
         raise ValueError("level bound must be at least 1")
-    acc: dict[int, QPoly]
     if mode == "direct":
-        acc = dict(zip(order_ideals(poset), map(QPoly.of, engine.rpp_weights(poset, m))))
+        weights = engine.rpp_weights(poset, m)
     elif mode == "via_theta_m":
         # theta_m(T, i) is q^theta(T, i) times a q-binomial that depends only
         # on d = #(Des \ {i}): tally the theta exponents per (prefix, d) and
         # multiply each class by its q-binomial once
+        ideals = order_ideals(poset)
         tally: dict[tuple[int, int], list[int]] = {}
         for ext in enumerate_linear_extensions(poset):
             des = descents(ext)
             for i, (mask, e) in enumerate(zip(ext.prefix_masks, ext.theta_exponents)):
-                row = tally.setdefault((mask, len(des) - (i in des)), [])
+                row = tally.setdefault((bisect_left(ideals, mask), len(des) - (i in des)), [])
                 if len(row) <= e:
                     row.extend([0] * (e + 1 - len(row)))
                 row[e] += 1
-        sums: dict[int, list[int]] = {}
+        weights = [[] for _ in ideals]
         while tally:  # popping frees each class once it is added
-            (mask, d), row = tally.popitem()
-            _add(sums.setdefault(mask, []), _mul(row, qbinom(m + poset.n - d, poset.n + 1).coeffs))
-        acc = {mask: QPoly.of(coeffs) for mask, coeffs in sums.items()}
+            (j, d), row = tally.popitem()
+            _add(weights[j], _mul(row, qbinom(m + poset.n - d, poset.n + 1).coeffs))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     normalizer = qnum(m) * rpp_size_gf(poset, m)
-    return WeightedEnsemble.from_weights(poset, acc, normalizer, f"rpp:m={m}")
+    return WeightedEnsemble(poset, tuple(map(QPoly.of, weights)), normalizer)
 
 
 def ensemble_lin(poset: Poset) -> WeightedEnsemble:
     """Weight of I: sum of theta(T, |I|) over extensions whose prefix is I."""
-    acc = dict(zip(order_ideals(poset), map(QPoly.of, engine.lin_weights(poset))))
-    normalizer = qnum(poset.n + 1) * gf_comaj(poset)
-    return WeightedEnsemble.from_weights(poset, acc, normalizer, "lin")
+    weights = tuple(map(QPoly.of, engine.lin_weights(poset)))
+    return WeightedEnsemble(poset, weights, qnum(poset.n + 1) * gf_comaj(poset))
 
 
 def ensemble_rank(poset: Poset) -> WeightedEnsemble:
@@ -314,9 +312,7 @@ def ensemble_rank(poset: Poset) -> WeightedEnsemble:
     for level in range(levels):
         mask |= sum(1 << e for e, r in enumerate(data.ranks) if r == level)
         weights[mask] = QPoly.monomial(1, levels - 1 - level)
-    return WeightedEnsemble.from_weights(
-        poset, weights, qnum(levels + 1), "rank-chain"
-    )
+    return WeightedEnsemble.from_weights(poset, weights, qnum(levels + 1))
 
 
 # ---------------------------------------------------------------------------

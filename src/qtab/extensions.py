@@ -215,6 +215,11 @@ class BsvLinearExtension:
 
     def __post_init__(self) -> None:
         n = self.poset.n
+        if len(self.entries) != n:
+            raise ValueError("one cell per element required")
+        for cell in self.entries:
+            if len(cell) not in (1, 2) or list(cell) != sorted(set(cell)):
+                raise ValueError("cells must be sorted 1- or 2-element sets")
         flat = sorted(v for cell in self.entries for v in cell)
         if flat != list(range(1, n + 2)):
             raise ValueError("entries must partition 1..n+1")
@@ -355,7 +360,10 @@ def parse_tableau(text: str, poset: Poset) -> LinearExtension | BsvLinearExtensi
         if len(parts) != len(row):
             raise ValueError(f"row length mismatch: {line!r}")
         for e, part in zip(row, parts):
-            cells[e] = tuple(sorted(int(x) for x in part.split("|")))
+            values = part.split("|")
+            if len(values) > 2:
+                raise ValueError(f"cell {part!r} holds more than two values")
+            cells[e] = tuple(sorted(int(x) for x in values))
     filled = [cell for cell in cells if cell is not None]
     if len(filled) != poset.n:
         raise ValueError("incomplete tableau")

@@ -83,7 +83,7 @@ def build_system(
     ideals = order_ideals(poset)
     if len(ideals) > ROW_LIMIT:
         raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {ROW_LIMIT}")
-    rhs = [statistic.values[mask] for mask in ideals]
+    rhs = list(statistic.values)
     # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
     # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
     one, minus_q = QPoly.of([1]), QPoly.of([0, -1])
@@ -146,12 +146,10 @@ def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[Tog
     statistic's right-hand side attached.  A statistic whose answer from
     those rows is not certified on every row is solved on all rows alone."""
     rows, _ = build_system(poset, statistics[0])
+    if any(statistic.poset != poset for statistic in statistics):
+        raise PosetMismatch("statistic and system posets differ")
+    rhss = [list(statistic.values) for statistic in statistics]
     ideals = order_ideals(poset)
-    rhss = []
-    for statistic in statistics:
-        if statistic.poset != poset:
-            raise PosetMismatch("statistic and system posets differ")
-        rhss.append([statistic.values[mask] for mask in ideals])
     answers = _solve_on_basis(rows, rhss, _prefix_rows(poset, ideals), _c_last(poset.n))
     return [
         _toggle_result(answer or solve_linear_system(rows, rhs), ideals)

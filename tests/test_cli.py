@@ -675,6 +675,10 @@ def test_bijection_trace_errors(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "doubled cell" in err
+    code, out, err = run_cli(
+        capsys, "bijection", "trace", "rect:2x2", "--tableau", "1|8|9,2/3,4", "--p", "1", "--y", "2"
+    )
+    assert (code, out, err) == (2, "", "error: cell '1|8|9' holds more than two values\n")
     for argv in (("--p", "4", "--inverse"), ("--p", "-1"), ("--p", "4")):
         code, out, err = run_cli(
             capsys, "bijection", "trace", "rect:2x2", "--tableau", "1,2/3,4", "--y", "1", *argv

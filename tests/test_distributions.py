@@ -123,7 +123,15 @@ def test_ensemble_validation():
         bad[3] = QPoly.of([2, -1])
         WeightedEnsemble.from_weights(RECT22, bad, QPoly.of([7, -1]))
     with pytest.raises(ValueError, match="^weights must cover exactly the order ideals$"):
-        WeightedEnsemble(RECT22, ((0, QPoly.of([1])),), QPoly.of([1]))
+        WeightedEnsemble(RECT22, (QPoly.of([1]),), QPoly.of([1]))
+    with pytest.raises(ValueError, match="^values must cover exactly the order ideals$"):
+        Statistic(RECT22, (QPoly.of([1]),) * 5)
+    # a key that is no order ideal is named, whatever its weight
+    with pytest.raises(ValueError, match="^not order ideals: 0x2$"):
+        WeightedEnsemble.from_weights(RECT22, {**good, 0b0010: QPoly.of([])}, QPoly.of([6]))
+    with pytest.raises(ValueError, match="^not order ideals: 0x2, 0x10$"):
+        strays = {0b0010: QPoly.of([1]), 0b10000: QPoly.of([1])}
+        WeightedEnsemble.from_weights(RECT22, {**good, **strays}, QPoly.of([8]))
     with pytest.raises(ValueError, match="^normalizer must be nonzero$"):
         WeightedEnsemble.from_weights(RECT22, {}, QPoly.of([]))
     # zero weights add nothing; the sum is a list sum, not a QPoly sum
@@ -144,8 +152,10 @@ def test_probability_and_mismatch():
 
 def test_statistic_from_function_coerces_ints():
     stat = statistic_ddeg(RECT22)
-    assert stat.values[0b0111] == QPoly.of([2])
+    assert stat.values[order_ideals(RECT22).index(0b0111)] == QPoly.of([2])
     assert stat.label == "ddeg"
+    coerced = Statistic.from_function(RECT22, lambda mask: ddeg(RECT22, mask))
+    assert coerced.values == stat.values
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +198,15 @@ def test_rpp_modes_agree():
         ensemble_rpp(RECT22, 0)
 
 
-def _theta_m_pair_sum(poset, m: int) -> dict[int, QPoly]:
-    """The via_theta_m weights as one ``theta_m`` term per (extension, i)."""
+def _theta_m_pair_sum(poset, m: int) -> tuple[QPoly, ...]:
+    """The via_theta_m weights as one ``theta_m`` term per (extension, i), in
+    ``order_ideals`` order."""
     acc = {mask: QPoly.of([]) for mask in order_ideals(poset)}
     for ext in enumerate_linear_extensions(poset):
         for i in range(poset.n + 1):
             mask = ext.prefix_ideal(i)
             acc[mask] = acc[mask] + theta_m(ext, i, m)
-    return acc
+    return tuple(acc.values())
 
 
 @given(naturally_labeled_posets(max_n=7), st.integers(1, 4))
@@ -203,7 +214,7 @@ def _theta_m_pair_sum(poset, m: int) -> dict[int, QPoly]:
 def test_theta_m_tally_matches_the_pair_sum(poset, m):
     """The class tally of ``mode="via_theta_m"`` against the per-pair sum."""
     via = ensemble_rpp(poset, m, mode="via_theta_m")
-    assert dict(via.weights) == _theta_m_pair_sum(poset, m)
+    assert via.weights == _theta_m_pair_sum(poset, m)
 
 
 def test_lin_weights_golden_2x2():
@@ -236,7 +247,7 @@ def test_rank_chain_weights():
 
 def test_rank_chain_on_the_empty_poset():
     ensemble = ensemble_rank(Poset(0, []))
-    assert ensemble.weights == ((0, QPoly.of([1])),)
+    assert ensemble.weights == (QPoly.of([1]),)
     assert ensemble.normalizer == QPoly.of([1])
     assert check_toggle_symmetry(ensemble)
 
@@ -402,8 +413,8 @@ def _reference_expectation(ensemble: WeightedEnsemble, statistic: Statistic) -> 
     """The definition: the sum of weight times value over every ideal, in
     ``QPoly`` arithmetic, over the normalizer."""
     numerator = QPoly.of([])
-    for mask, weight in ensemble.weights:
-        numerator = numerator + weight * statistic.values[mask]
+    for weight, value in zip(ensemble.weights, statistic.values, strict=True):
+        numerator = numerator + weight * value
     return RatFunc(numerator, ensemble.normalizer)
 
 
@@ -443,7 +454,7 @@ def test_expectation_matches_its_definition(poset, data):
     weights = {mask: QPoly.of([abs(c) for c in data.draw(coeffs)]) for mask in ideals}
     weights[0] = weights[0] + QPoly.of([1])  # a nonzero normalizer
     ensemble = WeightedEnsemble.from_weights(poset, weights, sum(weights.values(), QPoly.of([])))
-    statistic = Statistic(poset, {mask: QPoly.of(data.draw(coeffs)) for mask in ideals})
+    statistic = Statistic(poset, tuple(QPoly.of(data.draw(coeffs)) for _ in ideals))
     assert expectation(ensemble, statistic) == _reference_expectation(ensemble, statistic)
     for p in range(poset.n):
         toggle = statistic_toggle(poset, p)
@@ -461,9 +472,9 @@ def test_asymmetric_ensemble_has_nonzero_toggle_expectation(poset, data):
     mask = order_ideals(poset)[lower]
     uniform = ensemble_uniform(poset)
     extra = QPoly.monomial(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
-    weights = dict(uniform.weights)
-    weights[mask] = weights[mask] + extra
-    skewed = WeightedEnsemble.from_weights(poset, weights, uniform.normalizer + extra)
+    weights = list(uniform.weights)
+    weights[lower] = weights[lower] + extra
+    skewed = WeightedEnsemble(poset, tuple(weights), uniform.normalizer + extra)
     assert not check_toggle_symmetry(skewed)
     for element in range(poset.n):
         value = expectation(skewed, statistic_toggle(poset, element))
@@ -524,13 +535,11 @@ def test_toggle_symmetry_fails_once_a_family_is_perturbed(poset, family, data):
     ensemble = _family(poset, family, data.draw(st.integers(1, 3)))
     if ensemble is None:
         ensemble = ensemble_uniform(poset)
-    mask = data.draw(st.sampled_from(order_ideals(poset)))
+    j = data.draw(st.integers(0, len(order_ideals(poset)) - 1))
     bump = QPoly.monomial(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)))
-    weights = dict(ensemble.weights)
-    weights[mask] = weights[mask] + bump
-    perturbed = WeightedEnsemble.from_weights(
-        poset, weights, ensemble.normalizer + bump
-    )
+    weights = list(ensemble.weights)
+    weights[j] = weights[j] + bump
+    perturbed = WeightedEnsemble(poset, tuple(weights), ensemble.normalizer + bump)
     assert not _reference_toggle_symmetry(perturbed)
     assert not check_toggle_symmetry(perturbed)
 
@@ -541,12 +550,10 @@ def test_toggle_symmetry_fails_when_only_the_last_element_is_asymmetric(family):
     # element, so a bump there breaks the symmetry at that element alone.
     poset = build_rectangle(2, 3)
     ensemble = _family(poset, family, 2)
-    full = (1 << poset.n) - 1
-    weights = dict(ensemble.weights)
+    full = order_ideals(poset).index((1 << poset.n) - 1)
+    weights = list(ensemble.weights)
     weights[full] = weights[full] + QPoly.monomial(1, 1)
-    perturbed = WeightedEnsemble.from_weights(
-        poset, weights, ensemble.normalizer + QPoly.monomial(1, 1)
-    )
+    perturbed = WeightedEnsemble(poset, tuple(weights), ensemble.normalizer + QPoly.monomial(1, 1))
     asymmetric = [
         p for p in range(poset.n)
         if expectation(perturbed, statistic_toggle(poset, p)) != 0

@@ -63,12 +63,13 @@ def row(poset: Poset, p: int) -> int:
     return poset.coords[p][0] - 1 if poset.coords is not None else 0
 
 
-def weights_by_ideal(poset: Poset, terms) -> tuple[tuple[int, QPoly], ...]:
-    """Ideal weights of an ensemble from (mask, monomial or QPoly) terms."""
+def weights_by_ideal(poset: Poset, terms) -> tuple[QPoly, ...]:
+    """Ideal weights of an ensemble, in ``order_ideals`` order, from (mask,
+    monomial or QPoly) terms."""
     acc = {mask: QPoly.of([]) for mask in order_ideals(poset)}
     for mask, term in terms:
         acc[mask] = acc[mask] + term
-    return tuple(acc.items())
+    return tuple(acc.values())
 
 
 def check_extension_sums(poset: Poset, extensions: list) -> None:

@@ -341,6 +341,23 @@ def test_bsv_validation():
         BsvLinearExtension(RECT22, ((1,), (2, 3), (4,), (5,)), 1, 2)
 
 
+def test_bsv_cells_hold_one_or_two_sorted_values():
+    # every entries tuple below partitions 1..6 and doubles only element 0
+    # with larger entry 2, so the cell checks alone reject them
+    antichain = Poset(5, [])
+    bsv = BsvLinearExtension(antichain, ((1, 2), (3,), (4,), (5,), (6,)), 0, 2)
+    assert triple_from_bsv(bsv) == (LinearExtension(antichain, (1, 2, 3, 4, 5)), 1, 0)
+    for entries in (
+        ((1, 2), (3, 4, 5), (), (), (6,)),  # a cell of three values, two empty
+        ((1, 2), (3, 4, 5), (6,), (), ()),
+        ((1, 2), (5, 4), (3,), (), (6,)),  # an unsorted doubled cell
+    ):
+        with pytest.raises(ValueError, match="^cells must be sorted 1- or 2-element sets$"):
+            BsvLinearExtension(antichain, entries, 0, 2)
+    with pytest.raises(ValueError, match="^one cell per element required$"):
+        BsvLinearExtension(antichain, ((1, 2), (3,), (4,), (5,), (6,), ()), 0, 2)
+
+
 def test_triple_golden():
     rect33 = build_rectangle(3, 3)
     bsv = parse_tableau("1,2,5\n3,4|6,8\n7,9,10", rect33)
@@ -494,3 +511,13 @@ def test_parse_errors():
         parse_tableau("1,2|3\n4|5,6", RECT22)
     with pytest.raises(UnsupportedPoset):
         parse_tableau("1,2,3,4,5", build_propeller(2))
+
+
+def test_parse_rejects_cells_of_more_than_two_values():
+    # with no doubled cell, a cell of three values once parsed as its smallest
+    with pytest.raises(ValueError, match=r"^cell '1\|8\|9' holds more than two values$"):
+        parse_tableau("1|8|9,2\n3,4", RECT22)
+    with pytest.raises(ValueError, match=r"^cell '1\|2\|3' holds more than two values$"):
+        parse_tableau("1|2|3,4|5\n6,7", RECT22)
+    with pytest.raises(ValueError, match="^cells must be sorted 1- or 2-element sets$"):
+        parse_tableau("1|1,2\n3,4", RECT22)

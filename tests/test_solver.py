@@ -90,14 +90,14 @@ def reference_system(poset, statistic):
     zero, one, minus_q = QPoly.of([]), QPoly.of([1]), QPoly.of([0, -1])
     matrix = []
     rhs = []
-    for mask in order_ideals(poset):
+    for mask, value in zip(order_ideals(poset), statistic.values, strict=True):
         row = [one]
         row.extend(
             one if tin(poset, p, mask) else minus_q if tout(poset, p, mask) else zero
             for p in range(poset.n)
         )
         matrix.append(row)
-        rhs.append(statistic.values[mask])
+        rhs.append(value)
     return matrix, rhs
 
 
@@ -220,11 +220,12 @@ def test_predict_constant_requires_grading():
 
 
 def maximal_counts(poset, members):
-    """Per ideal, the number of members that tout marks maximal."""
-    return {
-        mask: QPoly.of([sum(tout(poset, p, mask) for p in members)])
+    """Per ideal, in ``order_ideals`` order, the number of members that tout
+    marks maximal."""
+    return tuple(
+        QPoly.of([sum(tout(poset, p, mask) for p in members)])
         for mask in order_ideals(poset)
-    }
+    )
 
 
 @given(naturally_labeled_posets())
@@ -251,8 +252,8 @@ def test_box_statistics_count_maximal_elements(poset):
 def test_row_statistics_sum_to_ddeg():
     rect = build_rectangle(2, 3)
     rows = [statistic_row(rect, i) for i in (1, 2)]
-    for mask in order_ideals(rect):
-        total = sum((stat.values[mask] for stat in rows), QPoly.of([]))
+    for j, mask in enumerate(order_ideals(rect)):
+        total = sum((stat.values[j] for stat in rows), QPoly.of([]))
         assert total == QPoly.of([ddeg(rect, mask)])
     with pytest.raises(ValueError):
         statistic_row(rect, 3)
@@ -264,8 +265,8 @@ def test_diagonal_statistics_split_ddeg():
     poset = staircase(3)
     on = statistic_diagonal(poset)
     off = statistic_diagonal(poset, on_diagonal=False)
-    for mask in order_ideals(poset):
-        total = on.values[mask] + off.values[mask]
+    for j, mask in enumerate(order_ideals(poset)):
+        total = on.values[j] + off.values[j]
         assert total == QPoly.of([ddeg(poset, mask)])
 
 
