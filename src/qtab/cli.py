@@ -18,8 +18,10 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from operator import mul
 from typing import Any, Callable, Sequence
 
@@ -52,18 +54,18 @@ from .extensions import (
 )
 from .paths import (
     catalan_number,
-    catalan_sum_check,
-    narayana_check,
+    gf_rbmotz,
+    narayana_row,
+    q_catalan,
     rbmotz_counts,
     two_row_tally,
-    verify_cor_dyck_gen_fun,
 )
 from .posets import (
     NotGraded,
     Poset,
     PosetSpecError,
     UnsupportedPoset,
-    build_shape,
+    box_coords,
     ideal_members,
     is_self_dual,
     order_ideals,
@@ -190,16 +192,12 @@ def _run_checks(checks: Sequence[Check]) -> list[CheckRecord]:
 # as they have run.  Until then the suites share one poset per spec, with the
 # J(P), ideal edges and order dual cached on it, one list of linear extensions
 # per poset, and one ensemble or tableau tally per (builder, *args).
-_POSETS: dict[str, Poset] = {}
 _BUILT: dict[tuple, object] = {}
 
 
 def _poset(spec: str) -> Poset:
     """The poset a spec names, parsed once per run."""
-    poset = _POSETS.get(spec)
-    if poset is None:
-        poset = _POSETS[spec] = parse_poset_spec(spec)
-    return poset
+    return _built(parse_poset_spec, spec)
 
 
 def _built(builder: Callable, *args: object) -> Any:
@@ -221,7 +219,6 @@ def _extensions(poset: Poset) -> list[LinearExtension]:
 
 
 def _clear_run_memo() -> None:
-    _POSETS.clear()
     _BUILT.clear()
 
 
@@ -278,8 +275,9 @@ def _cap(value: int | None, default: int) -> int:
 def _check_product(lhs: tuple, rhs: tuple) -> tuple[bool, object, object]:
     """Each side's factors, multiplied from left to right, give equal products.
 
-    A factor is a polynomial, used as it is, or a call ``(fn, *args)`` made
-    when the check runs.
+    A factor is a polynomial or count, used as it is, or a call ``(fn, *args)``
+    made when the check runs.  A side of one factor is that factor's value, so
+    a row also compares counts, lists and tallies.
     """
     return _eq(reduce(mul, map(_factor, lhs)), reduce(mul, map(_factor, rhs)))
 
@@ -442,19 +440,9 @@ def _suite_m_weight(args: argparse.Namespace) -> list[Check]:
     return checks
 
 
-def _check_staircase_diag(k: int) -> tuple[bool, object, object]:
-    poset = _poset(_staircase(k))
-    acc: dict[tuple[int, int], int] = {}
-    for bsv in enumerate_bsv(poset):
-        key = (comaj_plus(bsv), d_star(bsv))
-        acc[key] = acc.get(key, 0) + 1
-    lhs = QTPoly.of(acc) * qnum(2 * k)
-    bracket_k_q2 = qnum(k).substitute(2)
-    split = QTPoly.from_qpoly(qbinom(k, 2).shift(1)) + QTPoly.of(
-        {(e, 1): c for e, c in enumerate(bracket_k_q2.coeffs) if c}
-    )
-    rhs = split * qnum(poset.n + 1) * gf_comaj(poset)
-    return _eq(lhs, rhs)
+def _diag_gf(poset: Poset) -> QTPoly:
+    """Sum of q^comaj+ t^d* over the barely set-valued extensions."""
+    return QTPoly.of(Counter((comaj_plus(bsv), d_star(bsv)) for bsv in enumerate_bsv(poset)))
 
 
 def _suite_shifted(args: argparse.Namespace) -> list[Check]:
@@ -466,8 +454,11 @@ def _suite_shifted(args: argparse.Namespace) -> list[Check]:
             ((_at_t1, gf_bsv, staircase), qnum(2 * k)),
             (qbinom(k + 1, 2), qnum(staircase.n + 1), (gf_comaj, staircase)),
         ))
-        checks.append(Check(
-            f"shifted:diag-refinement:k{k}", "staircase-diagonal-refined-identity", _check_staircase_diag, (k,)
+        # q [k choose 2] + t [k]_(q^2) splits [k+1 choose 2] by the diagonal
+        split = QTPoly.from_qpoly(qbinom(k, 2).shift(1)) + QTPoly.from_qpoly(qnum(k).substitute(2), 1)
+        checks.append(_row(
+            f"shifted:diag-refinement:k{k}", "staircase-diagonal-refined-identity",
+            ((_diag_gf, staircase), qnum(2 * k)), (split, qnum(staircase.n + 1), (gf_comaj, staircase)),
         ))
         for m in range(1, _cap(args.max_m, 3) + 1):
             checks.append(_row(
@@ -489,22 +480,15 @@ def _suite_shifted(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_minuscule_structure(name: str, ideals: int) -> tuple[bool, object, object]:
+    """|J(P)|, self-duality, rank symmetry and the product of (r+2)/(r+1)
+    over the elements' ranks r, with its denominator cleared."""
     poset = _poset(f"minuscule:{name}")
     rd = rank_data(poset)
     sizes = [rd.ranks.count(r) for r in range(rd.rank + 1)]
-    num = 1
-    den = 1
-    for r in rd.ranks:
-        num *= r + 2
-        den *= r + 1
-    ok = (
-        len(order_ideals(poset)) == ideals
-        and is_self_dual(poset)
-        and sizes == sizes[::-1]
-        and num % den == 0
-        and num // den == ideals
+    return _eq(
+        (len(order_ideals(poset)), is_self_dual(poset), sizes, prod(r + 2 for r in rd.ranks)),
+        (ideals, True, sizes[::-1], ideals * prod(r + 1 for r in rd.ranks)),
     )
-    return ok, len(order_ideals(poset)), ideals
 
 
 def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
@@ -526,35 +510,58 @@ def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
     return checks
 
 
-def _check_rbmotz_count(length: int) -> tuple[bool, object, object]:
-    count = sum(_built(rbmotz_counts, length).values())
-    return _eq(count, catalan_number(length - 1))
+# The path tallies are shared, built once per run: all restricted paths of a
+# length by horizontal steps, and the two-row tableaux by width and top row.
 
 
-def _check_bool(fn: Callable[..., bool], value: int, *shared: Callable) -> tuple[bool, object, object]:
-    """``fn(value, *(build(value) for build in shared))``, each build once per run."""
-    return fn(value, *(_built(build, value) for build in shared)), None, None
+def _path_total(length: int) -> int:
+    return sum(_built(rbmotz_counts, length).values())
+
+
+def _tableau_counts(length: int) -> tuple[list[int], int, int]:
+    """Tableaux with ``length`` entries of each width b, their total and Cat(length - 1)."""
+    by_width = _built(two_row_tally, length)[0]
+    counts = [by_width[b] for b in range(1, length // 2 + 1)]
+    return counts, sum(counts), catalan_number(length - 1)
+
+
+def _path_counts(length: int) -> tuple[list[int], int, int]:
+    """Paths with length - 2b horizontal steps for each width b, Cat(length - 1) and all paths."""
+    paths = _built(rbmotz_counts, length)
+    counts = [paths[length - 2 * b] for b in range(1, length // 2 + 1)]
+    return counts, catalan_number(length - 1), sum(paths.values())
+
+
+def _tableaux_by_top(length: int) -> dict[int, int]:
+    return dict(sorted(_built(two_row_tally, length)[1].items()))
 
 
 def _suite_paths(args: argparse.Namespace) -> list[Check]:
     max_l = _cap(args.max_l, 10)
     max_b = _cap(args.max_b, 5)
     checks = [
-        Check(f"paths:rbmotz-count:l{length}", "path-count-catalan", _check_rbmotz_count, (length,))
+        _row(
+            f"paths:rbmotz-count:l{length}", "path-count-catalan",
+            ((_path_total, length),), (catalan_number(length - 1),),
+        )
         for length in range(2, max_l + 1)
     ]
     checks += [
-        Check(f"paths:gen-fun:b{b}", "colored-path-generating-function", _check_bool, (verify_cor_dyck_gen_fun, b))
+        _row(
+            f"paths:gen-fun:b{b}", "colored-path-generating-function",
+            ((gf_rbmotz, b), qnum(b + 2)), (qt_num(2), qnum(b), qnum(2 * b + 1), (q_catalan, b)),
+        )
         for b in range(1, max_b + 1)
     ]
-    checks += [
-        Check(f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum", _check_bool, (catalan_sum_check, length, two_row_tally, rbmotz_counts))
-        for length in range(2, min(max_l, 8) + 1)
-    ]
-    checks += [
-        Check(f"paths:narayana:l{length}", "tableau-count-narayana-rows", _check_bool, (narayana_check, length, two_row_tally))
-        for length in range(2, min(max_l, 8) + 1)
-    ]
+    for length in range(2, min(max_l, 8) + 1):
+        checks.append(_row(
+            f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum",
+            ((_tableau_counts, length),), ((_path_counts, length),),
+        ))
+        checks.append(_row(
+            f"paths:narayana:l{length}", "tableau-count-narayana-rows",
+            ((_tableaux_by_top, length),), ((narayana_row, length - 1),),
+        ))
     return checks
 
 
@@ -612,7 +619,7 @@ def _suite_appendix(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_shape_solve(lam: tuple[int, ...]) -> tuple[bool, object, object]:
-    poset = build_shape(lam)
+    poset = _poset(_shape_label(lam))
     result = toggle_solve(poset, statistic_ddeg(poset))
     is_rectangle = len(set(lam)) == 1
     if result.consistent != is_rectangle:
@@ -640,7 +647,7 @@ def _check_constant(poset: Poset, expected: RatFunc) -> tuple[bool, object, obje
 
 
 def _check_hook_at_one() -> tuple[bool, object, object]:
-    poset = build_shape((2, 1))
+    poset = _poset("shape:2,1")
     generic = toggle_solve(poset, statistic_ddeg(poset))
     if generic.consistent:
         return False, "consistent at generic q", None
@@ -704,21 +711,21 @@ def cmd_gf(args: argparse.Namespace) -> int:
     if args.degree_cap is not None and (args.kind != "rpp" or args.m is not None):
         raise UsageError("--degree-cap applies only to kind 'rpp' without --m")
 
+    if args.kind == "bsv-rpp" and args.m is None:
+        raise UsageError("kind bsv-rpp requires --m")
+    if args.refined:
+        box_coords(poset)  # t marks rows, so a refined count needs box coordinates
+
     poly: QPoly | QTPoly
     if args.kind == "comaj":
         poly = gf_comaj(poset)
-    elif args.kind == "bsv-comaj":
-        full = gf_bsv(poset, refined=args.refined)
-        poly = full if args.refined else full.at_t1()
     elif args.kind == "rpp":
         if args.m is None:
             poly = rpp_size_series(poset, _degree_cap(args))
         else:
             poly = rpp_size_gf(poset, args.m)
     else:
-        if args.m is None:
-            raise UsageError("kind bsv-rpp requires --m")
-        full = gf_bsv_rpp(poset, args.m, refined=args.refined)
+        full = gf_bsv(poset) if args.kind == "bsv-comaj" else gf_bsv_rpp(poset, args.m)
         poly = full if args.refined else full.at_t1()
 
     if args.json:

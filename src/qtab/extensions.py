@@ -312,16 +312,14 @@ def enumerate_bsv(poset: Poset) -> Iterator[BsvLinearExtension]:
                 yield bsv_from_triple(ext, i, p)
 
 
-def gf_bsv(poset: Poset, refined: bool = False) -> QTPoly:
+def gf_bsv(poset: Poset) -> QTPoly:
     """Generating function q^(comaj+1) * t^(row of doubled cell - 1).
 
     The t exponent is tracked when the poset carries box coordinates and is 0
-    otherwise; ``refined=True`` insists on coordinates.  A barely set-valued
-    extension is a triple (T, i, p) with p maximal in the prefix ideal I of
-    size i, weighing theta(T, i), so the sum runs over the ideals of P.
+    otherwise.  A barely set-valued extension is a triple (T, i, p) with p
+    maximal in the prefix ideal I of size i, weighing theta(T, i), so the sum
+    runs over the ideals of P.
     """
-    if refined:
-        box_coords(poset)
     return _qt_rows(QPoly.of(row) for row in engine.bsv_rows(poset))
 
 

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .extensions import BsvLinearExtension, LinearExtension
 from .posets import Poset, UnsupportedPoset, box_coords, build_rectangle
-from .qpoly import QPoly, QTPoly, _from_map, qbinom, qnum, qt_num
+from .qpoly import QPoly, QTPoly, _from_map, qbinom, qnum
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +358,11 @@ def bsv_from_motzkin(path: RbMotzkinPath) -> BsvLinearExtension:
 # identities
 
 
-def verify_cor_dyck_gen_fun(b: int) -> bool:
-    """q^comaj+1 t^color over RBMotz(2b+1; 1) equals
-    (t+q) [b] [2b+1] q-Catalan(b) / [b+2], checked with denominators cleared."""
-    acc: dict[tuple[int, int], int] = {}
-    for path in enumerate_rbmotz(2 * b + 1, k=1):
-        key = (path.comaj_plus(), path.blue_count())
-        acc[key] = acc.get(key, 0) + 1
-    lhs = QTPoly.of(acc) * qnum(b + 2)
-    rhs = qt_num(2) * qnum(b) * qnum(2 * b + 1) * q_catalan(b)
-    return lhs == rhs
+def gf_rbmotz(b: int) -> QTPoly:
+    """Sum of q^comaj+ t^color over RBMotz(2b+1; 1), the paths of length 2b+1
+    with one horizontal step."""
+    paths = enumerate_rbmotz(2 * b + 1, k=1)
+    return QTPoly.of(Counter((path.comaj_plus(), path.blue_count()) for path in paths))
 
 
 def two_row_tally(length: int) -> tuple[Counter, Counter]:
@@ -388,25 +383,6 @@ def rbmotz_counts(length: int) -> Counter:
     return Counter(path.horizontal_count for path in enumerate_rbmotz(length))
 
 
-def catalan_sum_check(length: int, tally: tuple[Counter, Counter], paths: Counter) -> bool:
-    """Tableau counts over 2b+k = length (``two_row_tally``) sum to
-    Cat(length-1), matching the path counts (``rbmotz_counts``) in all and
-    per width, a width-b tableau against the paths with k horizontal steps."""
-    total = 0
-    for b in range(1, length // 2 + 1):
-        tableaux = tally[0][b]
-        if tableaux != paths[length - 2 * b]:
-            return False
-        total += tableaux
-    return total == catalan_number(length - 1) == sum(paths.values())
-
-
-def narayana_check(length: int, tally: tuple[Counter, Counter]) -> bool:
-    """Refining the tableau count (``two_row_tally``) by top-row entries
-    gives the Narayana row."""
-    m = length - 1
-    expected = {
-        j: math.comb(m, j) * math.comb(m, j - 1) // m for j in range(1, m + 1)
-    }
-    expected = {j: c for j, c in expected.items() if c}
-    return tally[1] == expected
+def narayana_row(m: int) -> dict[int, int]:
+    """The Narayana numbers N(m, j) = C(m, j) C(m, j-1) / m for j = 1..m."""
+    return {j: math.comb(m, j) * math.comb(m, j - 1) // m for j in range(1, m + 1)}

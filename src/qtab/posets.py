@@ -467,13 +467,19 @@ def to_json(poset: Poset) -> str:
 def from_json(text: str) -> Poset:
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
-        covers = [(int(lo), int(hi)) for lo, hi in doc["covers"]]
-        labeling = [int(x) for x in doc.get("labeling") or ()]
+        n = doc["n"]
+        covers = [(lo, hi) for lo, hi in doc["covers"]]
+        labeling = list(doc.get("labeling") or ())
         coords = doc.get("coords")
         origin = doc.get("origin")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PosetSpecError(f"malformed poset JSON: {exc}") from exc
+    # JSON integers only: int() would turn 2.5, "3" or true into a quiet answer
+    endpoints = [x for cover in covers for x in cover]
+    for what, values in (("n", (n,)), ("cover endpoint", endpoints), ("labeling entry", labeling)):
+        for x in values:
+            if type(x) is not int:
+                raise PosetSpecError(f"{what} {x!r} is not a JSON integer")
     if n < 0:
         raise PosetSpecError(f"n must be nonnegative, got {n}")
     # Nothing of size n is built before this test: n elements joined by c

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from . import engine
 from .extensions import InvalidTriple
-from .posets import Poset, box_coords, hook_lengths, rank_data
+from .posets import Poset, hook_lengths, rank_data
 from .qpoly import QPoly, QTPoly, _qt_rows, qnum
 
 
@@ -246,14 +246,12 @@ def enumerate_bsv_rpp(poset: Poset, m: int) -> Iterator[BsvRpp]:
                     yield bsv_rpp_from_triple(rpp, i, p)
 
 
-def gf_bsv_rpp(poset: Poset, m: int, refined: bool = False) -> QTPoly:
+def gf_bsv_rpp(poset: Poset, m: int) -> QTPoly:
     """Generating function q^(size - 1) * t^(row of doubled cell - 1).
 
     The t exponent is tracked when the poset carries box coordinates and is 0
-    otherwise; ``refined=True`` insists on coordinates.  A triple (pi, i, p)
-    weighs q^(size(pi) + i) and p is maximal in the level-i ideal of pi, so the
-    sum runs over the ideals of P with the weights of ``ensemble_rpp``.
+    otherwise.  A triple (pi, i, p) weighs q^(size(pi) + i) and p is maximal in
+    the level-i ideal of pi, so the sum runs over the ideals of P with the
+    weights of ``ensemble_rpp``.
     """
-    if refined:
-        box_coords(poset)
     return _qt_rows(QPoly.of(row) for row in engine.bsv_rpp_rows(poset, m))

@@ -35,12 +35,12 @@ from qtab.extensions import (
 )
 from qtab.paths import (
     catalan_number,
-    catalan_sum_check,
     enumerate_rbmotz,
-    narayana_check,
+    gf_rbmotz,
+    narayana_row,
+    q_catalan,
     rbmotz_counts,
     two_row_tally,
-    verify_cor_dyck_gen_fun,
 )
 from qtab.posets import (
     NotGraded,
@@ -210,11 +210,14 @@ def test_criterion_7_paths():
     for length in range(2, 11):
         assert sum(1 for _ in enumerate_rbmotz(length)) == catalan_number(length - 1)
     for b in range(1, 6):
-        assert verify_cor_dyck_gen_fun(b)
+        assert gf_rbmotz(b) * qnum(b + 2) == qt_num(2) * qnum(b) * qnum(2 * b + 1) * q_catalan(b)
     for length in range(2, 9):
-        tally = two_row_tally(length)
-        assert catalan_sum_check(length, tally, rbmotz_counts(length))
-        assert narayana_check(length, tally)
+        by_width, by_top = two_row_tally(length)
+        paths = rbmotz_counts(length)
+        tableaux = [by_width[b] for b in range(1, length // 2 + 1)]
+        assert tableaux == [paths[length - 2 * b] for b in range(1, length // 2 + 1)]
+        assert sum(tableaux) == catalan_number(length - 1) == sum(paths.values())
+        assert dict(by_top) == narayana_row(length - 1)
     report(7, "path counts, colored generating function, Narayana rows", start)
 
 

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from qtab import cli, posets, solver
 from qtab.cli import Check, _run_checks, main
 from qtab.extensions import gf_bsv, gf_comaj
+from qtab.paths import gf_rbmotz, narayana_row, rbmotz_counts, two_row_tally
 from qtab.posets import build_minuscule, build_rectangle, build_shape
 from qtab.ppartitions import rpp_size_series
 from qtab.qpoly import (
@@ -170,6 +172,13 @@ def test_gf_error_exits(capsys):
         {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], [1, 2], [1, 3]]},
         {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], None]},
         {"n": 2, "covers": [[0, 1]], "coords": [[1, 1], [1, 1]]},
+        # numbers must be JSON integers, not values int() would coerce
+        {"n": 2.5, "covers": []},
+        {"n": 2, "covers": [[0.9, 1.7]]},
+        {"n": "3", "covers": []},
+        {"n": True, "covers": []},
+        {"n": 2, "covers": [[0, 1]], "labeling": [1.0, 2]},
+        {"n": 2, "covers": [[0, True]]},
     ],
 )
 def test_gf_rejects_bad_poset_files(capsys, tmp_path, doc):
@@ -356,6 +365,48 @@ def test_wrong_product_row_reports_both_sides(capsys, monkeypatch):
     assert by_id["demo:constant"]["rhs"] == {"num": [1, 1], "den": [1, 1, 1]}
 
 
+def _wider_tally(length: int) -> tuple[Counter, Counter]:
+    by_width, by_top = two_row_tally(length)
+    return by_width + Counter({1: 1}), by_top
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, family",
+    [
+        # a path with a horizontal-step count of the wrong parity for its length
+        ("paths", "rbmotz_counts", lambda length: rbmotz_counts(length) + Counter({length % 2 + 1: 1}),
+         "paths:rbmotz-count:"),
+        ("paths", "gf_rbmotz", lambda b: gf_rbmotz(b) + 1, "paths:gen-fun:"),
+        ("paths", "two_row_tally", _wider_tally, "paths:catalan-sum:"),
+        ("paths", "narayana_row", lambda m: {**narayana_row(m), m + 1: 1}, "paths:narayana:"),
+        ("shifted", "d_star", lambda bsv: 0, "shifted:diag-refinement:"),
+    ],
+)
+def test_failing_identity_rows_report_both_sides(capsys, monkeypatch, suite, name, wrong, family):
+    monkeypatch.setattr(cli, name, wrong)
+    caps = ("--max-l", "6", "--max-b", "2", "--max-m", "1", "--max-boxes", "3")
+    code, out, _ = run_cli(capsys, "verify", suite, *caps, "--json")
+    assert code == 1
+    checks = [check for check in json.loads(out)["checks"] if check["id"].startswith(family)]
+    assert checks
+    for check in checks:
+        assert check["status"] == "fail", check["id"]
+        assert check["lhs"] is not None and check["rhs"] is not None
+        assert check["lhs"] != check["rhs"]
+
+
+def test_failing_minuscule_structure_reports_both_sides(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_self_dual", lambda poset: False)
+    code, out, _ = run_cli(capsys, "verify", "minuscule", "--max-m", "1", "--json")
+    assert code == 1
+    by_id = {check["id"]: check for check in json.loads(out)["checks"]}
+    for name, ideals in (("E6", 27), ("E7", 56)):
+        check = by_id[f"minuscule:structure:{name}"]
+        assert check["status"] == "fail"
+        assert check["lhs"] != check["rhs"]
+        assert check["lhs"][:2] == [ideals, False] and check["rhs"][:2] == [ideals, True]
+
+
 def test_verify_jobs_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "paths", "--jobs", "2"])
@@ -377,18 +428,14 @@ class _Abort(BaseException):
     """Escapes ``_run_checks``, which turns only an ``Exception`` into a failure."""
 
 
-def _memo_sizes() -> tuple[int, int]:
-    return len(cli._POSETS), len(cli._BUILT)
-
-
 def _crash(seen: list, error: BaseException) -> tuple[bool, object, object]:
-    seen.append(_memo_sizes())
+    seen.append(len(cli._BUILT))
     raise error
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError("boom"), _Abort()])
 def test_verify_empties_its_memo(capsys, monkeypatch, error):
-    seen: list[tuple[int, int]] = []
+    seen: list[int] = []
     cli._clear_run_memo()  # building checks outside a run fills it too
 
     def suite(args):
@@ -404,11 +451,11 @@ def test_verify_empties_its_memo(capsys, monkeypatch, error):
     else:
         with pytest.raises(_Abort):
             main(["verify", "paths"])
-    assert seen == [(1, 1)]
-    assert _memo_sizes() == (0, 0)
+    assert seen == [2]  # the poset and its ensemble
+    assert not cli._BUILT
 
     assert run_cli(capsys, "verify", "toggle-symmetry", "--max-boxes", "3", "--max-m", "1")[0] == 0
-    assert _memo_sizes() == (0, 0)
+    assert not cli._BUILT
 
 
 def test_verify_builds_each_shared_ensemble_once(capsys, monkeypatch):

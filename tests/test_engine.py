@@ -157,14 +157,14 @@ def test_comaj_on_large_rectangles(a):
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(a, 37) if a * b <= 36])
 def test_bsv_on_rectangles(a, b):
-    lhs = gf_bsv(build_rectangle(a, b), refined=True) * qnum(a + b)
+    lhs = gf_bsv(build_rectangle(a, b)) * qnum(a + b)
     assert lhs == qt_num(a) * qnum(b) * qnum(a * b + 1) * gf_comaj_hook_formula((b,) * a)
 
 
 @pytest.mark.parametrize("a,b", [(3, 3), (3, 4)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_bsv_rpp_on_rectangles(a, b, m):
-    lhs = gf_bsv_rpp(build_rectangle(a, b), m, refined=True) * qnum(a + b)
+    lhs = gf_bsv_rpp(build_rectangle(a, b), m) * qnum(a + b)
     assert lhs == qt_num(a) * qnum(b) * qnum(m) * macmahon_gf(a, b, m)
 
 

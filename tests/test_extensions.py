@@ -432,8 +432,6 @@ def test_gf_bsv_matches_object_level_sum():
 def test_gf_bsv_refinement_requires_coordinates():
     propeller = build_propeller(2)
     assert gf_bsv(propeller).t_degree <= 0
-    with pytest.raises(UnsupportedPoset):
-        gf_bsv(propeller, refined=True)
     bsv = next(enumerate_bsv(propeller))
     with pytest.raises(UnsupportedPoset):
         r_star(bsv)

@@ -23,16 +23,16 @@ from qtab.paths import (
     TwoRowSetValued,
     bsv_from_motzkin,
     catalan_number,
-    catalan_sum_check,
     dyck_from_syt,
     enumerate_dyck,
     enumerate_rbmotz,
     enumerate_two_row_set_valued,
     format_path,
     gf_comaj_dyck,
+    gf_rbmotz,
     motzkin_from_bsv,
     motzkin_from_set_valued,
-    narayana_check,
+    narayana_row,
     parse_dyck,
     parse_rbmotz,
     q_catalan,
@@ -40,7 +40,6 @@ from qtab.paths import (
     set_valued_from_motzkin,
     syt_from_dyck,
     two_row_tally,
-    verify_cor_dyck_gen_fun,
 )
 from qtab.posets import UnsupportedPoset, build_rectangle, build_shape
 from qtab.qpoly import QPoly, QTPoly, qbinom, qnum, qt_num
@@ -387,7 +386,8 @@ def test_cor_dyck_gen_fun_b2_golden():
 
 @pytest.mark.parametrize("b", range(1, 5))
 def test_cor_dyck_gen_fun(b):
-    assert verify_cor_dyck_gen_fun(b)
+    assert gf_rbmotz(b) == _cor_lhs(b)
+    assert gf_rbmotz(b) * qnum(b + 2) == qt_num(2) * qnum(b) * qnum(2 * b + 1) * q_catalan(b)
 
 
 @pytest.mark.parametrize("b", range(1, 5))
@@ -416,14 +416,29 @@ def test_rbmotz_counts_match_the_walk_per_horizontal_count(length):
         assert counts[k] == sum(1 for _ in enumerate_rbmotz(length, k=k))
 
 
+def _catalan_sides(length: int, tally: tuple[Counter, Counter], paths: Counter) -> tuple[tuple, tuple]:
+    """The two sides of ``verify``'s catalan-sum row: tableau counts by width,
+    their total and Cat(length - 1), against the path counts with
+    length - 2b horizontal steps, Cat(length - 1) and all paths."""
+    widths = range(1, length // 2 + 1)
+    tableaux = [tally[0][b] for b in widths]
+    return (
+        (tableaux, sum(tableaux), catalan_number(length - 1)),
+        ([paths[length - 2 * b] for b in widths], catalan_number(length - 1), sum(paths.values())),
+    )
+
+
 @pytest.mark.parametrize("length", range(2, 9))
 def test_catalan_sum_check(length):
     tally, paths = two_row_tally(length), rbmotz_counts(length)
-    assert catalan_sum_check(length, tally, paths)
+    lhs, rhs = _catalan_sides(length, tally, paths)
+    assert lhs == rhs
     # an extra path with the widest width's k fails the per-width match; one
     # with a k of the wrong parity, which no width uses, fails the direct total
-    assert not catalan_sum_check(length, tally, paths + Counter({length % 2: 1}))
-    assert not catalan_sum_check(length, tally, paths + Counter({length % 2 + 1: 1}))
+    lhs, rhs = _catalan_sides(length, tally, paths + Counter({length % 2: 1}))
+    assert lhs[0] != rhs[0]
+    lhs, rhs = _catalan_sides(length, tally, paths + Counter({length % 2 + 1: 1}))
+    assert lhs[0] == rhs[0] and lhs != rhs
 
 
 def test_narayana_golden():
@@ -437,7 +452,7 @@ def test_narayana_golden():
 
 @pytest.mark.parametrize("length", range(2, 9))
 def test_narayana_check(length):
-    assert narayana_check(length, two_row_tally(length))
+    assert dict(two_row_tally(length)[1]) == narayana_row(length - 1)
 
 
 @pytest.mark.parametrize("b", range(1, 7))

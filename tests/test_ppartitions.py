@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import partition_strategy, small_shape_corpus
 from qtab.extensions import InvalidTriple, gf_comaj, r_star
 from qtab.posets import (
-    UnsupportedPoset,
     build_minuscule,
     build_propeller,
     build_rectangle,
@@ -315,8 +314,6 @@ def test_gf_bsv_rpp_matches_object_level_sum():
 def test_gf_bsv_rpp_refinement_requires_coordinates():
     propeller = build_propeller(2)
     assert gf_bsv_rpp(propeller, 2).t_degree <= 0
-    with pytest.raises(UnsupportedPoset):
-        gf_bsv_rpp(propeller, 2, refined=True)
 
 
 @pytest.mark.parametrize("a,b,m", [(1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 3, 2)])
