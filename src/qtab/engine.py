@@ -13,27 +13,23 @@ Combinatorics I* (ch. 3 and 4):
 
 The work is a few int operations per edge of J(P), not per extension or
 filling.  Inside the DPs a polynomial is one int, its value at q = 2^k
-(Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, 8.4): ``+`` adds, ``<< k*s`` multiplies by q^s, an int product
-multiplies and a mask of the low k*(c+1) bits truncates above degree c.
-Int arithmetic is exact for every k; k matters where digits are read.  No
-coefficient is negative, so none exceeds the polynomial's value at q = 1,
-and once 2^k is larger than those values the base-2^k digits are the
-coefficients.  ``_exact`` gets the values at q = 1 from the same DP at
-k = 0, where every shift is 0: the path DP is then a plain path count and
-the multichain weights are the bare counts.  It reads digits of 1, 2, 4 or
-8 bytes by a buffer cast.  The path DP walks J(P) level by level and keeps
-the prefix sums of two levels only.  Results are coefficient lists (index =
-exponent of q), per-ideal values in ``order_ideals`` order.
+(``kronecker``).  No coefficient is negative, so none exceeds the
+polynomial's value at q = 1.  ``_exact`` gets those values from the same DP
+at k = 0, where every shift is 0: the path DP is then a plain path count and
+the multichain weights are the bare counts.  It then runs the DP at the
+width ``step_above`` gives for the largest of them and reads the unsigned
+digits.  The path DP walks J(P) level by level and keeps the prefix sums of
+two levels only.  Results are coefficient lists (index = exponent of q),
+per-ideal values in ``order_ideals`` order.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect
 from functools import cached_property
 from typing import Callable, Iterator
 
+from .kronecker import digits, step_above
 from .posets import Poset, order_ideals
 
 
@@ -104,26 +100,12 @@ class _Lattice:
         return out if cap is None else [v & (1 << k * (cap + 1)) - 1 for v in out]
 
 
-# the format of a native unsigned int, per size in bytes
-_CASTS = {memoryview(bytes(8)).cast(fmt).itemsize: fmt for fmt in "BHIQ"}
-
-
-def _digits(value: int, step: int) -> list[int]:
-    """The base-2^(8*step) digits of value, least significant first."""
-    size = -(-value.bit_length() // (8 * step)) * step
-    fmt = _CASTS.get(step)
-    if fmt is not None:
-        return memoryview(value.to_bytes(size, sys.byteorder)).cast(fmt).tolist()
-    raw = value.to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, size, step)]
-
-
 def _exact(poset: Poset, dp: Callable[[_Lattice, int], list[int]]) -> list[list[int]]:
-    """The polynomials ``dp(lattice, k)`` returns, read as base-2^k digits
-    with k the bit length of their values at q = 1 plus one, in whole bytes."""
+    """The polynomials ``dp(lattice, k)`` returns, read as unsigned digits
+    of whole bytes above their values at q = 1."""
     lat = _Lattice(poset)
-    step = max(dp(lat, 0), default=0).bit_length() // 8 + 1  # bytes per digit
-    return [_digits(v, step) for v in dp(lat, 8 * step)]
+    step = step_above(max(dp(lat, 0), default=0))
+    return [digits(v, step) for v in dp(lat, 8 * step)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ JSON exchange format::
      "labeling": [1, 2, 3, 4], "origin": "rect:2x2",
      "coords": [[1, 1], [1, 2], [2, 1], [2, 2]]}
 
-``labeling`` may be any natural labeling on input; elements are renumbered so
-the stored labeling is always the identity.
+``labeling`` may be any natural labeling on input, given as a list; absent or
+``null`` it is the identity.  Elements are renumbered so the stored labeling
+is always the identity.
 
 Each poset builds its lattice J(P) once, on first use: ``order_ideals`` (built
 element by element) and its cover edges ``Poset.ideal_edges``, which the J(P)
@@ -469,14 +470,16 @@ def from_json(text: str) -> Poset:
         doc = json.loads(text)
         n = doc["n"]
         covers = [(lo, hi) for lo, hi in doc["covers"]]
-        labeling = list(doc.get("labeling") or ())
+        labeling = doc.get("labeling")
         coords = doc.get("coords")
         origin = doc.get("origin")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PosetSpecError(f"malformed poset JSON: {exc}") from exc
+    if labeling is not None and not isinstance(labeling, list):
+        raise PosetSpecError(f"labeling must be a list, got {labeling!r}")
     # JSON integers only: int() would turn 2.5, "3" or true into a quiet answer
     endpoints = [x for cover in covers for x in cover]
-    for what, values in (("n", (n,)), ("cover endpoint", endpoints), ("labeling entry", labeling)):
+    for what, values in (("n", (n,)), ("cover endpoint", endpoints), ("labeling entry", labeling or ())):
         for x in values:
             if type(x) is not int:
                 raise PosetSpecError(f"{what} {x!r} is not a JSON integer")
@@ -491,7 +494,8 @@ def from_json(text: str) -> Poset:
             f"{n - len(covers)} components, so J(P) has at least 2^{n - len(covers)} "
             "order ideals; n may exceed the number of covers by at most 64"
         )
-    labeling = labeling or list(range(1, n + 1))
+    if labeling is None:
+        labeling = list(range(1, n + 1))
     if len(labeling) != n or sorted(labeling) != list(range(1, n + 1)):
         raise PosetSpecError("labeling must be a bijection onto 1..n")
     position = [labeling[e] - 1 for e in range(n)]

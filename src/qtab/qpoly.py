@@ -14,10 +14,11 @@ Representations:
   denominator share no polynomial factor and no integer content, and zero is
   ``0/1``.  Equal rational functions therefore compare equal with ``==``.
 
-Every division is exact or raises; nothing here rounds.  All polynomial
-products go through one kernel on integer coefficient lists, ``_add`` and
-``_mul``; ``QTPoly`` reaches it through ``QPoly``.  The J(P) engine does not
-use it: its polynomials are packed into ints (see ``engine``).
+Every division is exact or raises; nothing here rounds.  ``QPoly`` products
+go through the schoolbook kernel ``_mul`` on coefficient lists, and
+``QTPoly`` reaches it through ``QPoly``.  The linear solver packs each
+polynomial into one int instead (``kronecker``), as the J(P) engine does:
+its elimination, its certificate and the gcd pre-test are int arithmetic.
 
 Text format for q-polynomials: terms in ascending exponent order joined with
 `` + `` / `` - ``, e.g. ``"1 + 2*q + q^2"``.  The parser also accepts ``2q``,
@@ -36,6 +37,8 @@ from functools import lru_cache
 from itertools import chain, zip_longest
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .kronecker import balanced, pack, step_above
 
 
 class QAlgebraError(Exception):
@@ -437,19 +440,20 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
     Most coprime pairs of positive degree are recognised by one integer gcd
     before the subresultant sequence runs.  Put M = min(|a|_inf, |b|_inf)
-    and x = 2^k > M + 3.  A common factor h of positive degree in Z[q] has
-    only roots of a and of b, and by Cauchy's bound every root of a lies
-    within 1 + |a|_inf of 0 (as |lc a| >= 1), and likewise for b, so within
-    1 + M.  Each factor x - z of h(x) = lc(h) * prod (x - z) then exceeds 2
-    in absolute value, so |h(x)| >= 2, and h(x) divides both a(x) and b(x).
-    A common integer content divides both values too.  Hence
-    gcd(a(x), b(x)) = 1 proves gcd(a, b) = 1; any other value leaves the
-    answer to the subresultant sequence.
+    and x = 2^(8*step) > M + 3 (``step_above``).  A common factor h of
+    positive degree in Z[q] has only roots of a and of b, and by Cauchy's
+    bound every root of a lies within 1 + |a|_inf of 0 (as |lc a| >= 1), and
+    likewise for b, so within 1 + M.  Each factor x - z of
+    h(x) = lc(h) * prod (x - z) then exceeds 2 in absolute value, so
+    |h(x)| >= 2, and h(x) divides both a(x) and b(x).  A common integer
+    content divides both values too.  Hence gcd(a(x), b(x)) = 1 proves
+    gcd(a, b) = 1; any other value leaves the answer to the subresultant
+    sequence.
     """
     if a.degree > 0 and b.degree > 0:
         bound = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
-        x = 1 << (bound + 3).bit_length()
-        if math.gcd(a.evaluate(x), b.evaluate(x)) == 1:
+        step = step_above(bound + 3)
+        if math.gcd(pack(a.coeffs, step), pack(b.coeffs, step)) == 1:
             return ONE
     return _subresultant_gcd(a, b)
 
@@ -594,22 +598,6 @@ class LinearSystemResult:
     witness_row: int | None
 
 
-def _unpack(x: int, k: int) -> QPoly:
-    """Invert evaluation at q = 2^k by balanced base-2^k digits.
-
-    Exact for polynomials whose coefficients lie in [-2^(k-1), 2^(k-1)).
-    """
-    base, half = 1 << k, 1 << (k - 1)
-    coeffs = []
-    while x:
-        d = x & (base - 1)
-        if d >= half:
-            d -= base
-        coeffs.append(d)
-        x = (x - d) >> k
-    return QPoly(tuple(coeffs))
-
-
 def _norm(coeffs: tuple[int, ...]) -> int:
     """The 1-norm, the sum of the absolute coefficients."""
     return sum(map(abs, coeffs))
@@ -731,16 +719,17 @@ def _eliminate(
     [A | b_1 ... b_s] through the one pass.  Only the sparse rows of
     ``matrix`` are expanded, into dense rows of packed cells.
 
-    Each cell holds the integer P(2^k) of its polynomial P.  Every Bareiss
-    entry, the last pivot and every back-substituted value is, up to sign,
+    Each cell holds the integer P(2^k) of its polynomial P (``kronecker``),
+    with k = 8 * step a whole number of bytes.  Every Bareiss entry, the
+    last pivot and every back-substituted value is, up to sign,
     a minor of one [A|b_t] of size at most ncols+1.  On |q| = 1 each entry
     is at most its 1-norm in absolute value, so by Hadamard's inequality
     the minor is at most the product of its rows' 2-norms of entry 1-norms;
     by Parseval no coefficient of a polynomial exceeds its maximum on
     |q| = 1.  Hence H, with H^2 the product over the ncols+1 largest rows of
-    sum_j |a_ij|_1^2 + max_t |b_ti|_1^2, bounds every coefficient.  The
-    smallest k with 2^(k-1) > H makes balanced base-2^k digits cover every
-    coefficient, so evaluation at 2^k is injective on everything the
+    sum_j |a_ij|_1^2 + max_t |b_ti|_1^2, bounds every coefficient.  With
+    step = step_above(2H), 2^(k-1) > H, so balanced base-2^k digits cover
+    every coefficient and evaluation at 2^k is injective on everything the
     elimination meets.  The integer divisions are therefore exact, and an
     entry is zero exactly when its polynomial is.
 
@@ -769,9 +758,8 @@ def _eliminate(
         reverse=True,
     )
     bound = math.isqrt(math.prod(max(v, 1) for v in weights[: ncols + 1]))
-    k = (2 * bound + 1).bit_length()
-    q0 = 1 << k
-    value = _PerEntry(lambda c: QPoly(c).evaluate(q0)).__getitem__
+    step = step_above(2 * bound)
+    value = _PerEntry(lambda c: pack(c, step)).__getitem__
     rows = []
     for i, row in enumerate(matrix):
         cells = [0] * ncols
@@ -826,10 +814,10 @@ def _eliminate(
             row = rows[pr]
             acc = prev * row[col] - sum(map(mul, row[pc + 1 : ncols], ys[pc + 1 :]))
             ys[pc] = acc // row[pc]
-        answers.append((None, [_unpack(y, k) for y in ys]))
+        answers.append((None, [QPoly.of(balanced(y, step)) for y in ys]))
     pivot_cols = {c for _, c in pivots}
     free = tuple(c for c in range(ncols) if c not in pivot_cols)
-    return answers, _unpack(prev, k), free
+    return answers, QPoly.of(balanced(prev, step)), free
 
 
 def _fractions(numerators: Sequence[QPoly], denominator: QPoly) -> tuple[RatFunc, ...]:
@@ -863,8 +851,9 @@ def check_solution(
     1-norm among the numerators and the denominator, no coefficient of a
     row's residual r = sum_j A_ij y_j - d b_i then exceeds N*Y in absolute
     value.  By Cauchy's root bound every root of a nonzero r is below
-    1 + N*Y in absolute value, so at q = 2^K > 1 + N*Y the residual is zero
-    exactly when its value is, and each row is compared as one integer.
+    1 + N*Y in absolute value, so at q = 2^(8*step) > 1 + N*Y
+    (``step_above``) the residual is zero exactly when its value is, and
+    each row is compared as one integer.
     The rows are sparse (``Row``), so only nonzero cells are read.  The
     product of an entry's value with y_j is computed once per distinct
     entry of column j, and d times b_i once per distinct b_i, so a row
@@ -875,10 +864,10 @@ def check_solution(
     b_norm = max(map(_norm, set(map(_coeffs, rhs))), default=0)
     row_norm = max(map(len, matrix), default=0) * entry_norm + b_norm
     y_norm = max(map(_norm, map(_coeffs, (*numerators, denominator))))
-    q0 = 1 << (1 + row_norm * y_norm).bit_length()
-    value = _PerEntry(lambda c: QPoly(c).evaluate(q0)).__getitem__
-    d = denominator.evaluate(q0)
-    ys = [y.evaluate(q0) for y in numerators]
+    step = step_above(1 + row_norm * y_norm)
+    value = _PerEntry(lambda c: pack(c, step)).__getitem__
+    d = pack(denominator.coeffs, step)
+    ys = [pack(y.coeffs, step) for y in numerators]
     products = [_PerEntry(lambda c, y=y: value(c) * y).__getitem__ for y in ys]
     targets = _PerEntry(lambda c: d * value(c)).__getitem__
     for i, (row, target) in enumerate(zip(matrix, rhs)):

@@ -42,6 +42,25 @@ def densify(rows: list[dict], ncols: int) -> list[list]:
     return [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
 
 
+def divmod_digits(value: int, bits: int) -> list[int]:
+    """The base-2^bits digits of value >= 0, least significant first."""
+    out = []
+    while value:
+        value, digit = divmod(value, 1 << bits)
+        out.append(digit)
+    return out
+
+
+def balanced_divmod_digits(value: int, bits: int) -> list[int]:
+    """The digits in [-2^(bits-1), 2^(bits-1)) of value, least significant
+    first, with no zero at the end."""
+    half, out = 1 << bits - 1, []
+    while value:
+        value, digit = divmod(value + half, 1 << bits)
+        out.append(digit - half)
+    return out
+
+
 def partition_strategy(max_boxes: int = 8) -> st.SearchStrategy[tuple[int, ...]]:
     return st.sampled_from(all_partitions(max_boxes))
 

@@ -18,9 +18,10 @@ import pytest
 
 from qtab import cli, posets, solver
 from qtab.cli import Check, _run_checks, main
+from qtab.distributions import WeightedEnsemble
 from qtab.extensions import gf_bsv, gf_comaj
 from qtab.paths import gf_rbmotz, narayana_row, rbmotz_counts, two_row_tally
-from qtab.posets import build_minuscule, build_rectangle, build_shape
+from qtab.posets import Poset, build_minuscule, build_rectangle, build_shape
 from qtab.ppartitions import rpp_size_series
 from qtab.qpoly import (
     QPoly,
@@ -179,6 +180,11 @@ def test_gf_error_exits(capsys):
         {"n": True, "covers": []},
         {"n": 2, "covers": [[0, 1]], "labeling": [1.0, 2]},
         {"n": 2, "covers": [[0, True]]},
+        # a labeling is absent, null or a list
+        {"n": 2, "covers": [[0, 1]], "labeling": 0},
+        {"n": 2, "covers": [[0, 1]], "labeling": False},
+        {"n": 2, "covers": [[0, 1]], "labeling": ""},
+        {"n": 2, "covers": [[0, 1]], "labeling": {}},
     ],
 )
 def test_gf_rejects_bad_poset_files(capsys, tmp_path, doc):
@@ -626,6 +632,57 @@ def test_verify_takes_minuscule_posets_from_the_run_memo(capsys, monkeypatch):
     assert len(built_args) == len(set(built_args))
 
 
+def test_failing_symmetry_reports_each_expectation_against_zero():
+    # all weight on the empty ideal of the 2-chain: 0 can be toggled in there,
+    # 1 cannot, so the toggle expectations are 1 and 0
+    chain = Poset(2, [(0, 1)])
+
+    def point_mass(poset):
+        return WeightedEnsemble.from_weights(poset, {0: QPoly.of([1])}, QPoly.of([1]))
+
+    try:
+        ok, lhs, rhs = cli._check_symmetry(chain, point_mass)
+    finally:
+        cli._clear_run_memo()
+    assert (ok, lhs, rhs) == (False, [RatFunc.from_int(1), RatFunc.from_int(0)], [RatFunc.from_int(0)] * 2)
+
+
+def _answered(**fields):
+    """``toggle_solve`` with these fields of its answer replaced."""
+    return lambda *args, **kwargs: dataclasses.replace(solver.toggle_solve(*args, **kwargs), **fields)
+
+
+@pytest.mark.parametrize(
+    "fields, check, sides",
+    [
+        ({"witness_mask": 0b110}, (cli._check_shape_solve, (2, 1)), ((False, False), (False, True))),
+        (
+            {"consistent": True, "witness_mask": None},
+            (cli._check_shape_solve, (2, 1)),
+            ((True, False), (False, True)),
+        ),
+        (
+            {"consistent": True},
+            (cli._check_hook_at_one,),
+            ((True, True, RatFunc.from_int(1)), (False, True, RatFunc.from_int(1))),
+        ),
+        (
+            {"consistent": False, "constant": None},
+            (cli._check_hook_at_one,),
+            ((False, False, None), (False, True, RatFunc.from_int(1))),
+        ),
+    ],
+    ids=["witness-outside-J(P)", "consistent-non-rectangle", "consistent-generic", "inconsistent-at-one"],
+)
+def test_failing_solver_answers_report_both_sides(monkeypatch, fields, check, sides):
+    monkeypatch.setattr(cli, "toggle_solve", _answered(**fields))
+    fn, *params = check
+    try:
+        assert fn(*params) == (False, *sides)
+    finally:
+        cli._clear_run_memo()
+
+
 def test_failing_refinements_report_expected_constants_as_objects(capsys, monkeypatch):
     def failing_on_rect22(poset):
         reports = solver.verify_refinements(poset)
@@ -660,23 +717,27 @@ def _shifted_prefix(shift: int):
     return pairing
 
 
+_IN_TOGGLABLE = (("p=0: image pair is in-togglable", False), ("p=0: image pair is in-togglable", True))
+
+
 @pytest.mark.parametrize(
-    "pairing, message",
+    "pairing, sides",
     [
-        (_shifted_prefix(1), "p=0: image pair is not in-togglable"),
-        (_shifted_prefix(-1), "ValueError: prefix length -1 out of range"),
-        (lambda p, ext, y: (ext, y), "p=0: image pair is not in-togglable"),
+        (_shifted_prefix(1), _IN_TOGGLABLE),
+        (_shifted_prefix(-1), ("ValueError: prefix length -1 out of range", None)),
+        (lambda p, ext, y: (ext, y), _IN_TOGGLABLE),
     ],
     ids=["y-plus-one", "y-minus-one", "out-togglable-pair"],
 )
-def test_bijection_check_fails_under_a_broken_pairing(monkeypatch, pairing, message):
+def test_bijection_check_fails_under_a_broken_pairing(monkeypatch, pairing, sides):
+    """A broken step reports the two values it compared; a crash, its error."""
     monkeypatch.setattr(cli, "toggle_bijection", pairing)
     poset = cli._poset("shape:3,2,1")
     try:
         [record] = _run_checks([Check("demo", "demo", cli._check_bijection, (poset,))])
     finally:
         cli._clear_run_memo()
-    assert (record.ok, record.lhs, record.rhs) == (False, message, None)
+    assert (record.ok, record.lhs, record.rhs) == (False, *sides)
 
 
 # ---------------------------------------------------------------------------

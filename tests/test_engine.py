@@ -10,8 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import naturally_labeled_posets, partition_strategy, strict_partition_strategy
-from qtab import engine
+from conftest import (
+    balanced_divmod_digits,
+    divmod_digits,
+    naturally_labeled_posets,
+    partition_strategy,
+    strict_partition_strategy,
+)
+from qtab import engine, kronecker
 from qtab.distributions import ensemble_lin, ensemble_rpp, ensemble_uniform, theta
 from qtab.extensions import (
     comaj,
@@ -174,16 +180,7 @@ def test_size_series_past_the_fillings_oracle():
 
 # The digit width: the DPs at k = 0 give each polynomial's value at q = 1,
 # the number of objects it counts, and ``_exact`` reads the packed ints in
-# base 2^(8 * step) with step = that value's bit length // 8 + 1 bytes.
-
-
-def divmod_digits(value: int, bits: int) -> list[int]:
-    """The base-2^bits digits of value, least significant first."""
-    out = []
-    while value:
-        value, digit = divmod(value, 1 << bits)
-        out.append(digit)
-    return out
+# base 2^(8 * step) with step the fewest bytes above that value.
 
 
 # two disjoint 30-element chains: binomial(60, 30) extensions, 57 bits
@@ -233,9 +230,51 @@ def test_digits_at_every_width(step, poset, dp):
     assert engine._exact(poset, dp) == expected
 
 
+# ---------------------------------------------------------------------------
+# the packed format: casts up to 8 bytes per digit (3, 5, 6 and 7 padded to
+# a native word), struct reads past 8
+
+
 @pytest.mark.parametrize("step", range(1, 18))
 def test_digit_reader_on_random_ints(step):
     rng = random.Random(step)
     for bits in (0, 1, 8 * step - 1, 8 * step, 8 * step + 1, 1000):
         value = rng.getrandbits(bits) | (1 << bits >> 1)
-        assert engine._digits(value, step) == divmod_digits(value, 8 * step)
+        assert kronecker.digits(value, step) == divmod_digits(value, 8 * step)
+
+
+def edge_coefficients(step: int) -> st.SearchStrategy[int]:
+    """Signed coefficients, the balanced range's ends and -1 drawn often."""
+    half = 1 << 8 * step - 1
+    return st.one_of(st.sampled_from([-half, half - 1, half, -1, 0, 1]), st.integers(-half, half))
+
+
+def trimmed(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+@pytest.mark.parametrize("step", range(1, 18))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packing_round_trip(step, data):
+    """``pack`` is evaluation at 2^(8*step) for any coefficients; within
+    [-2^(8*step-1), 2^(8*step-1)) ``balanced`` reads them back, and within
+    [0, 2^(8*step)) so does ``digits``.  2^(8*step-1) itself is outside the
+    balanced range: it reads back as -2^(8*step-1) plus a carry."""
+    bits, half = 8 * step, 1 << 8 * step - 1
+    coeffs = data.draw(st.lists(edge_coefficients(step), max_size=12))
+    value = sum(c << bits * e for e, c in enumerate(coeffs))
+    assert kronecker.pack(coeffs, step) == value
+    assert trimmed(kronecker.balanced(value, step)) == balanced_divmod_digits(value, bits)
+    if all(-half <= c < half for c in coeffs):
+        assert balanced_divmod_digits(value, bits) == trimmed(coeffs)
+    unsigned = [c % (1 << bits) for c in coeffs]
+    value = sum(c << bits * e for e, c in enumerate(unsigned))
+    assert kronecker.pack(unsigned, step) == value
+    assert kronecker.digits(value, step) == divmod_digits(value, bits) == trimmed(unsigned)
+
+
+def test_step_above_is_the_fewest_bytes():
+    assert [kronecker.step_above(b) for b in (0, 1, 255, 256, 2**64 - 1, 2**64)] == [1, 1, 1, 2, 8, 9]

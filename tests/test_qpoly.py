@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    balanced_divmod_digits,
     densify,
     naturally_labeled_posets,
     partition_strategy,
@@ -844,28 +845,31 @@ def test_solver_packing_meets_hadamards_bound(monkeypatch):
     # The Sylvester matrix of order 4 (entries +-1, orthogonal rows) scaled
     # by q^(i+j) has determinant 16 q^12, whose value on |q| = 1 is the
     # product of its row 2-norms.  With b = (1, 0, 0, 0) the rows of [A|b]
-    # give H^2 = 5 * 4^3 = 320, so H = 17 and k = 6: the last pivot 16 q^12
-    # decodes, while balanced digits of 5 bits stop below 16.
+    # give H^2 = 5 * 4^3 = 320, so H = 17 and the elimination packs at
+    # step_above(2H): the last pivot 16 q^12 decodes, while balanced digits
+    # of 5 bits, one short of the smallest k with 2^(k-1) > H, stop below 16.
     sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
     matrix = [
         [QPoly.monomial(h, i + j) for j, h in enumerate(row)] for i, row in enumerate(sylvester)
     ]
     rhs = [ONE, ZERO, ZERO, ZERO]
-    unpacked = []
-    unpack = qpoly._unpack
+    bounds = []
+    step_above = qpoly.step_above
 
-    def spy(x, k):
-        unpacked.append((k, unpack(x, k)))
-        return unpacked[-1][1]
+    def spy(bound):
+        bounds.append(bound)
+        return step_above(bound)
 
-    monkeypatch.setattr(qpoly, "_unpack", spy)
+    monkeypatch.setattr(qpoly, "step_above", spy)
     result = solve_linear_system(matrix, rhs)
     assert result == _reference_solve(matrix, rhs)
     assert result.solution == tuple(RatFunc(ONE, QPoly.monomial(4, j)) for j in range(4))
-    k, denominator = unpacked[-1]
-    assert {width for width, _ in unpacked} == {6}
+    # the elimination sizes its cells first, then the certificate its rows
+    assert bounds[0] == 2 * 17
+    denominator = qpoly._eliminate([dict(enumerate(row)) for row in matrix], [rhs], 4)[1]
     assert denominator == QPoly.monomial(16, 12)
-    assert unpack(denominator.evaluate(1 << (k - 1)), k - 1) != denominator
+    assert balanced_divmod_digits(16 << 5 * 12, 5) != list(denominator.coeffs)
+    assert balanced_divmod_digits(16 << 6 * 12, 6) == list(denominator.coeffs)
 
 
 def test_check_solution_rejects_planted_error():
@@ -951,7 +955,12 @@ def test_check_solution_rejects_an_error_in_the_full_ideals_row(q_value):
 
 
 def test_solver_certifies_its_answer(monkeypatch):
-    unpack = qpoly._unpack
-    monkeypatch.setattr(qpoly, "_unpack", lambda x, k: unpack(x, k) + ONE)
+    balanced = qpoly.balanced
+
+    def plus_one(value, step):
+        first, *rest = balanced(value, step)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(qpoly, "balanced", plus_one)
     with pytest.raises(ResidualMismatch):
         solve_linear_system([[qnum(2), Q], [ONE, -ONE]], [QPoly.of([1, 2, 1]), ZERO])
