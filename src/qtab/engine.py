@@ -130,14 +130,14 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[list[int], li
             yield level, totals
         return
     # sums[j][i]: paths to (from) ideal j whose last (first) step adds one of
-    # keys[j][:i] = es[j][:i], for j in the last two levels.  A step adding e
-    # after (before) them makes a descent with the keys above (below) e, found
-    # by bisection of the ascending keys; the empty path's key -1 (n) makes
-    # none.
+    # es[j][:i], for j in the last two levels.  A step adding e after (before)
+    # them makes a descent with the elements above (below) e, found by
+    # bisection of the ascending es[j].  The start adds nothing, so its sums
+    # [1] ([0, 1]) count the empty path as below (not below) every e: no
+    # descent.
     sums: list[list[int] | None] = [None] * len(es)
     (start,) = levels[0]
-    keys = list(es)
-    sums[start], keys[start] = [0, 1], [-1 if forward else lat.n]
+    sums[start] = [1] if forward else [0, 1]
     for done, level in zip(levels, levels[1:]):
         size = lat.sizes[level[0]]
         shift = k * (lat.n + 2 - size if forward else lat.n - 1 - size)
@@ -146,7 +146,7 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[list[int], li
             acc, pre = 0, [0]
             for e, other in zip(es[j], ends[j]):
                 paths = sums[other]
-                below = paths[bisect(keys[other], e)]
+                below = paths[bisect(es[other], e)]
                 descents = paths[-1] - below if forward else below
                 acc += paths[-1] + (descents << shift) - descents
                 pre.append(acc)

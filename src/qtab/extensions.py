@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from . import engine
 from .posets import Poset, box_coords
-from .qpoly import QPoly, QTPoly, _qt_rows, qfact, qnum
+from .qpoly import QPoly, QTPoly, _qt_rows, bracket_ratio
 
 
 class InvalidTriple(Exception):
@@ -168,15 +168,11 @@ def gf_comaj(poset: Poset) -> QPoly:
 
 
 def gf_comaj_hook_formula(partition: Sequence[int], shifted: bool = False) -> QPoly:
-    """The q-hook-length product [n]! / prod [h(u)] for a (shifted) shape."""
+    """The q-hook-length product [1]...[n] / prod [h(u)] for a (shifted) shape."""
     from .posets import hook_lengths, shifted_hook_lengths
 
     hooks = (shifted_hook_lengths if shifted else hook_lengths)(partition)
-    n = len(hooks)
-    denominator = QPoly.of([1])
-    for h in hooks.values():
-        denominator = denominator * qnum(h)
-    return qfact(n).exact_div(denominator)
+    return bracket_ratio(range(1, len(hooks) + 1), hooks.values())
 
 
 def f_x_permutation(n: int, xset: Sequence[int]) -> tuple[int, ...]:

@@ -18,14 +18,13 @@ by ``engine``; the enumerators are the reference they are tested against.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import engine
 from .extensions import InvalidTriple
 from .posets import Poset, hook_lengths, rank_data
-from .qpoly import QPoly, QTPoly, _qt_rows, qnum
+from .qpoly import QPoly, QTPoly, _qt_rows, bracket_ratio
 
 
 @dataclass(frozen=True)
@@ -116,52 +115,24 @@ def rpp_size_series(poset: Poset, cap: int) -> QPoly:
 # product formulas
 
 
-def _bracket_ratio_product(pairs: Sequence[tuple[int, int]]) -> QPoly:
-    """prod [num]/[den] over the given pairs, computed exactly.
-
-    Equal q-integers [k], k >= 1, cancel between the two sides before any
-    product is formed; [0] = 0 never cancels, so a zero factor still gives 0
-    or a division by zero.
-    """
-    nums = Counter(num for num, _ in pairs)
-    dens = Counter(den for _, den in pairs)
-    common = nums & dens
-    del common[0]
-    nums -= common
-    dens -= common
-    numerator = QPoly.of([1])
-    denominator = QPoly.of([1])
-    for k in nums.elements():
-        numerator = numerator * qnum(k)
-    for k in dens.elements():
-        denominator = denominator * qnum(k)
-    return numerator.exact_div(denominator)
-
-
 def macmahon_gf(a: int, b: int, m: int) -> QPoly:
     """Size generating function of a*b box fillings bounded by m:
     prod [i+j+m-1]/[i+j-1]."""
-    return _bracket_ratio_product(
-        [
-            (i + j + m - 1, i + j - 1)
-            for i in range(1, a + 1)
-            for j in range(1, b + 1)
-        ]
-    )
+    dens = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    return bracket_ratio([d + m for d in dens], dens)
 
 
 def bender_knuth_gf(k: int, m: int) -> QPoly:
     """Size generating function for the shifted staircase with k rows:
     prod over 1 <= i <= j <= k of [i+j+m-1]/[i+j-1]."""
-    return _bracket_ratio_product(
-        [(i + j + m - 1, i + j - 1) for i in range(1, k + 1) for j in range(i, k + 1)]
-    )
+    dens = [i + j - 1 for i in range(1, k + 1) for j in range(i, k + 1)]
+    return bracket_ratio([d + m for d in dens], dens)
 
 
 def minuscule_gf(poset: Poset, m: int) -> QPoly:
     """Size generating function via ranks: prod [rk(p)+m+1]/[rk(p)+1]."""
     ranks = rank_data(poset).ranks
-    return _bracket_ratio_product([(r + m + 1, r + 1) for r in ranks])
+    return bracket_ratio([r + m + 1 for r in ranks], [r + 1 for r in ranks])
 
 
 def gansner_series(partition: Sequence[int], cap: int) -> QPoly:

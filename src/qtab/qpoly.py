@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -282,6 +283,24 @@ def qbinom(n: int, k: int) -> QPoly:
     for j in range(1, k + 1):
         out = (out * qnum(n - k + j)).exact_div(qnum(j))
     return out
+
+
+def bracket_ratio(nums: Iterable[int], dens: Iterable[int]) -> QPoly:
+    """prod [k] over ``nums`` divided exactly by prod [k] over ``dens``.
+
+    Equal q-integers [k], k >= 1, cancel between the two sides before any
+    product is formed; [0] = 0 never cancels, so a zero factor still gives 0
+    or a division by zero.  Each side is read once.
+    """
+    top, bottom = Counter(nums), Counter(dens)
+    common = top & bottom
+    del common[0]
+    numerator = denominator = ONE
+    for k in (top - common).elements():
+        numerator = numerator * qnum(k)
+    for k in (bottom - common).elements():
+        denominator = denominator * qnum(k)
+    return numerator.exact_div(denominator)
 
 
 def qt_num(k: int) -> QTPoly:

@@ -179,13 +179,24 @@ def test_criterion_6_toggle_solver():
             assert result.witness_mask in order_ideals(poset), lam
     for a in range(1, 4):
         for b in range(a, 4):
-            assert all(report_.ok for report_ in verify_refinements(build_rectangle(a, b)))
+            # row i: q^(a-i) [b] / [a+b]
+            rows = [(f"row:{i}", True, RatFunc(qnum(b).shift(a - i), qnum(a + b))) for i in range(1, a + 1)]
+            reports = verify_refinements(build_rectangle(a, b))
+            assert [(r.label, r.consistent, r.constant) for r in reports] == rows
     for k in (1, 2, 3):
         poset = staircase(k)
         result = toggle_solve(poset, statistic_ddeg(poset))
         assert result.consistent
         assert result.constant == RatFunc(qbinom(k + 1, 2), qnum(2 * k))
-        assert all(report_.ok for report_ in verify_refinements(poset))
+        # [k]_(q^2) / [2k] on the diagonal, q [k choose 2] / [2k] off it; the
+        # one-box staircase is the 1x1 rectangle, split by rows
+        split = [
+            ("diagonal", True, RatFunc(qnum(k).substitute(2), qnum(2 * k))),
+            ("off-diagonal", True, RatFunc(qbinom(k, 2).shift(1), qnum(2 * k))),
+        ]
+        if k == 1:
+            split = [("row:1", True, RatFunc(qnum(1), qnum(2)))]
+        assert [(r.label, r.consistent, r.constant) for r in verify_refinements(poset)] == split
         diag = toggle_solve(poset, statistic_diagonal(poset, True))
         assert diag.consistent
         assert diag.constant == RatFunc(qnum(k).substitute(2), qnum(2 * k))

@@ -358,7 +358,7 @@ def test_wrong_product_row_reports_both_sides(capsys, monkeypatch):
     wrong_constant = RatFunc(qnum(2), qnum(3))
     failing = [
         cli._row("demo:product", "demo", lhs, rhs),
-        Check("demo:constant", "demo", cli._check_constant, (build_shape((2, 1)), wrong_constant)),
+        cli._row("demo:constant", "demo", ((cli._ddeg_constant, build_shape((2, 1))),), (wrong_constant,)),
     ]
     monkeypatch.setitem(cli.SUITES, "paths", lambda args: failing)
     code, out, _ = run_cli(capsys, "verify", "paths", "--json")
@@ -399,6 +399,15 @@ def test_failing_identity_rows_report_both_sides(capsys, monkeypatch, suite, nam
         assert check["status"] == "fail", check["id"]
         assert check["lhs"] is not None and check["rhs"] is not None
         assert check["lhs"] != check["rhs"]
+
+
+def test_failing_tally_row_reports_json_objects(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "narayana_row", lambda m: {**narayana_row(m), m + 1: 1})
+    code, out, _ = run_cli(capsys, "verify", "paths", "--max-l", "4", "--json")
+    assert code == 1
+    by_id = {check["id"]: check for check in json.loads(out)["checks"]}
+    assert by_id["paths:narayana:l2"]["lhs"] == {"1": 1}
+    assert by_id["paths:narayana:l2"]["rhs"] == {"1": 1, "2": 1}
 
 
 def test_failing_minuscule_structure_reports_both_sides(capsys, monkeypatch):
@@ -698,11 +707,40 @@ def test_failing_refinements_report_expected_constants_as_objects(capsys, monkey
         "solver:rows:rect:2x2"
     ]
     failed = by_id["solver:rows:rect:2x2"]
-    expected = [report.expected for report in solver.verify_refinements(RECT22)]
-    assert failed["lhs"] == ["row:1", "row:2"]
+    # row i of the 2x2 rectangle: q^(2-i) [2] / [4]
+    expected = [RatFunc(QPoly.monomial(1, 2 - i) * qnum(2), qnum(4)) for i in (1, 2)]
+    assert failed["lhs"] == [["row:1", "inconsistent"], ["row:2", "inconsistent"]]
     assert failed["rhs"] == [
-        {"num": coeff_vector(constant.num), "den": coeff_vector(constant.den)} for constant in expected
+        [f"row:{i}", {"num": coeff_vector(constant.num), "den": coeff_vector(constant.den)}]
+        for i, constant in enumerate(expected, 1)
     ]
+
+
+def test_wrong_solver_constants_fail_every_constant_row(capsys, monkeypatch):
+    def first_wrong(poset):
+        first, *rest = solver.verify_refinements(poset)
+        return (dataclasses.replace(first, constant=RatFunc.from_int(7)), *rest)
+
+    monkeypatch.setattr(cli, "verify_refinements", first_wrong)
+    monkeypatch.setattr(cli, "toggle_solve", _answered(constant=RatFunc.from_int(7)))
+    code, out, _ = run_cli(capsys, "verify", "solver", "--max-boxes", "2", "--json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    for family in ("solver:rows:", "solver:diagonal:", "solver:staircase:", "solver:rank-constant:"):
+        rows = [check for check in checks if check["id"].startswith(family)]
+        assert rows, family
+        for check in rows:
+            assert check["status"] == "fail", check["id"]
+            assert check["lhs"] is not None and check["rhs"] is not None
+            assert check["lhs"] != check["rhs"]
+
+
+def test_solver_rows_follow_the_rectangle_caps(capsys):
+    code, out, _ = run_cli(capsys, "verify", "solver", "--max-a", "4", "--max-b", "5", "--max-boxes", "1", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    rows = {check["id"]: check["status"] for check in checks if check["id"].startswith("solver:rows:")}
+    assert rows == {f"solver:rows:rect:{a}x{b}": "pass" for a in range(1, 5) for b in range(a, 6)}
 
 
 # ---------------------------------------------------------------------------

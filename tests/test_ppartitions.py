@@ -22,7 +22,6 @@ from qtab.posets import (
 from qtab.ppartitions import (
     BsvRpp,
     Rpp,
-    _bracket_ratio_product,
     bender_knuth_gf,
     bsv_rpp_from_triple,
     enumerate_bsv_rpp,
@@ -38,7 +37,7 @@ from qtab.ppartitions import (
     triple_from_bsv_rpp,
     w_decompose,
 )
-from qtab.qpoly import QPoly, QTPoly, parse_poly, qbinom, qnum, qt_num
+from qtab.qpoly import QPoly, QTPoly, bracket_ratio, parse_poly, qbinom, qnum, qt_num
 
 RECT22 = build_rectangle(2, 2)
 RECT33 = build_rectangle(3, 3)
@@ -174,10 +173,26 @@ def test_bracket_ratio_cancellation_is_exact(pairs, rng):
     rng.shuffle(nums)
     pairs = [(num, den) for num, (_, den) in zip(nums, pairs)]
     try:
-        cancelled = _bracket_ratio_product(pairs)
+        cancelled = bracket_ratio(nums, [den for _, den in pairs])
     except Exception as exc:
         cancelled = type(exc)
     assert cancelled == _uncancelled_ratio(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), max_size=6),
+    st.lists(st.integers(0, 9), max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_bracket_ratio_over_its_own_denominators(dens, extras, rng):
+    # [0] among the extras makes the product 0
+    nums = dens + extras
+    rng.shuffle(nums)
+    plain = QPoly.of([1])
+    for k in extras:
+        plain = plain * qnum(k)
+    assert bracket_ratio(iter(nums), iter(dens)) == plain
 
 
 @pytest.mark.parametrize("k,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])

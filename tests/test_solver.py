@@ -29,7 +29,6 @@ from qtab.posets import (
 )
 from qtab.qpoly import QPoly, RatFunc, parse_poly, qbinom, qnum
 from qtab.solver import (
-    RefinementReport,
     build_system,
     predict_constant,
     statistic_diagonal,
@@ -273,8 +272,10 @@ def test_diagonal_statistics_split_ddeg():
 @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (3, 3)])
 def test_rectangle_row_refinements(a, b):
     reports = verify_refinements(build_rectangle(a, b))
-    assert [r.label for r in reports] == [f"row:{i}" for i in range(1, a + 1)]
-    assert all(r.ok for r in reports)
+    # row i: q^(a-i) [b] / [a+b]
+    assert [(r.label, r.consistent, r.constant) for r in reports] == [
+        (f"row:{i}", True, RatFunc(QPoly.monomial(1, a - i) * qnum(b), qnum(a + b))) for i in range(1, a + 1)
+    ]
     total = sum(
         (r.constant for r in reports), RatFunc(QPoly.of([]), QPoly.of([1]))
     )
@@ -284,8 +285,11 @@ def test_rectangle_row_refinements(a, b):
 @pytest.mark.parametrize("k", [2, 3])
 def test_staircase_diagonal_refinements(k):
     reports = verify_refinements(staircase(k))
-    assert [r.label for r in reports] == ["diagonal", "off-diagonal"]
-    assert all(r.ok for r in reports)
+    # [k]_(q^2) / [2k] on the diagonal, q [k choose 2] / [2k] off it
+    assert [(r.label, r.consistent, r.constant) for r in reports] == [
+        ("diagonal", True, RatFunc(qnum(k).substitute(2), qnum(2 * k))),
+        ("off-diagonal", True, RatFunc(qbinom(k, 2).shift(1), qnum(2 * k))),
+    ]
     total = sum(
         (r.constant for r in reports), RatFunc(QPoly.of([]), QPoly.of([1]))
     )
@@ -298,9 +302,3 @@ def test_refinements_reject_other_posets():
     with pytest.raises(UnsupportedPoset):
         verify_refinements(build_propeller(2))
 
-
-def test_report_ok_semantics():
-    bad = RefinementReport("x", False, None, RatFunc.from_int(1))
-    assert not bad.ok
-    good = RefinementReport("x", True, RatFunc.from_int(1), RatFunc.from_int(1))
-    assert good.ok
