@@ -278,15 +278,23 @@ def _cap(value: int | None, default: int) -> int:
 def _check_product(lhs: tuple, rhs: tuple) -> tuple[bool, object, object]:
     """Each side's factors, multiplied from left to right, give equal products.
 
-    A factor is a polynomial or count, used as it is, or a call ``(fn, *args)``
-    made when the check runs.  A side of one factor is that factor's value, so
-    a row also compares counts, lists and tallies.
+    A factor is a call ``_Call(fn, *args)``, made when the check runs, or any
+    other value, used as it is.  A side of one factor is that factor's value,
+    so a row also compares counts, tuples, lists and tallies.
     """
     return _eq(reduce(mul, map(_factor, lhs)), reduce(mul, map(_factor, rhs)))
 
 
+class _Call(tuple):
+    """A call factor ``(fn, *args)`` of a product row: ``fn(*args)`` is made
+    when the check runs."""
+
+    def __new__(cls, fn: Callable, *args: object) -> _Call:
+        return super().__new__(cls, (fn, *args))
+
+
 def _factor(factor: object) -> object:
-    return factor[0](*factor[1:]) if isinstance(factor, tuple) else factor
+    return factor[0](*factor[1:]) if isinstance(factor, _Call) else factor
 
 
 def _at_t1(fn: Callable, *args: object) -> QPoly:
@@ -302,7 +310,8 @@ def _rect_lin_row(check_id: str, a: int, b: int) -> Check:
     rect = _poset(f"rect:{a}x{b}")
     return _row(
         check_id, "rectangle-row-refined-identity",
-        ((gf_bsv, rect), qnum(a + b)), (qt_num(a), qnum(b), qnum(a * b + 1), (gf_comaj, rect)),
+        (_Call(gf_bsv, rect), qnum(a + b)),
+        (qt_num(a), qnum(b), qnum(a * b + 1), _Call(gf_comaj, rect)),
     )
 
 
@@ -323,7 +332,7 @@ def _suite_thm_syt(args: argparse.Namespace) -> list[Check]:
         label = _shape_label(lam)
         checks.append(_row(
             f"thm-syt:hooks:{label}", "hook-product-q-count",
-            ((gf_comaj, _poset(label)),), ((gf_comaj_hook_formula, lam, False),),
+            (_Call(gf_comaj, _poset(label)),), (_Call(gf_comaj_hook_formula, lam, False),),
         ))
     return checks
 
@@ -338,16 +347,16 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
             for m in range(1, max_m + 1):
                 checks.append(_row(
                     f"thm-pp:bounded:rect:{a}x{b}:m{m}", "rectangle-bounded-identity",
-                    ((_at_t1, gf_bsv_rpp, rect, m), qnum(a + b)),
-                    (qnum(a), qnum(b), qnum(m), (macmahon_gf, a, b, m)),
+                    (_Call(_at_t1, gf_bsv_rpp, rect, m), qnum(a + b)),
+                    (qnum(a), qnum(b), qnum(m), _Call(macmahon_gf, a, b, m)),
                 ))
             if b > 2:  # the row-refined bounded rows stop at 2x2
                 continue
             for m in range(1, min(max_m, 3) + 1):
                 checks.append(_row(
                     f"thm-pp:refined-rpp:rect:{a}x{b}:m{m}", "rectangle-bounded-row-refined-identity",
-                    ((gf_bsv_rpp, rect, m), qnum(a + b)),
-                    (qt_num(a), qnum(b), qnum(m), (macmahon_gf, a, b, m)),
+                    (_Call(gf_bsv_rpp, rect, m), qnum(a + b)),
+                    (qt_num(a), qnum(b), qnum(m), _Call(macmahon_gf, a, b, m)),
                 ))
     return checks
 
@@ -454,30 +463,31 @@ def _suite_shifted(args: argparse.Namespace) -> list[Check]:
         staircase = _poset(_staircase(k))
         checks.append(_row(
             f"shifted:lin-identity:k{k}", "staircase-product-identity",
-            ((_at_t1, gf_bsv, staircase), qnum(2 * k)),
-            (qbinom(k + 1, 2), qnum(staircase.n + 1), (gf_comaj, staircase)),
+            (_Call(_at_t1, gf_bsv, staircase), qnum(2 * k)),
+            (qbinom(k + 1, 2), qnum(staircase.n + 1), _Call(gf_comaj, staircase)),
         ))
         # q [k choose 2] + t [k]_(q^2) splits [k+1 choose 2] by the diagonal
         split = QTPoly.from_qpoly(qbinom(k, 2).shift(1)) + QTPoly.from_qpoly(qnum(k).substitute(2), 1)
         checks.append(_row(
             f"shifted:diag-refinement:k{k}", "staircase-diagonal-refined-identity",
-            ((_diag_gf, staircase), qnum(2 * k)), (split, qnum(staircase.n + 1), (gf_comaj, staircase)),
+            (_Call(_diag_gf, staircase), qnum(2 * k)),
+            (split, qnum(staircase.n + 1), _Call(gf_comaj, staircase)),
         ))
         for m in range(1, _cap(args.max_m, 3) + 1):
             checks.append(_row(
                 f"shifted:rpp-identity:k{k}:m{m}", "staircase-bounded-identity",
-                ((_at_t1, gf_bsv_rpp, staircase, m), qnum(2 * k)),
-                (qbinom(k + 1, 2), qnum(m), (bender_knuth_gf, k, m)),
+                (_Call(_at_t1, gf_bsv_rpp, staircase, m), qnum(2 * k)),
+                (qbinom(k + 1, 2), qnum(m), _Call(bender_knuth_gf, k, m)),
             ))
             checks.append(_row(
                 f"shifted:bounded-count:k{k}:m{m}", "staircase-bounded-product-formula",
-                ((rpp_size_gf, staircase, m),), ((bender_knuth_gf, k, m),),
+                (_Call(rpp_size_gf, staircase, m),), (_Call(bender_knuth_gf, k, m),),
             ))
     for lam in _partitions(_cap(args.max_boxes, 8), strict=True):
         label = "shifted:" + ",".join(str(part) for part in lam)
         checks.append(_row(
             f"shifted:hooks:{label}", "shifted-hook-product-q-count",
-            ((gf_comaj, _poset(label)),), ((gf_comaj_hook_formula, lam, True),),
+            (_Call(gf_comaj, _poset(label)),), (_Call(gf_comaj_hook_formula, lam, True),),
         ))
     return checks
 
@@ -508,7 +518,7 @@ def _suite_minuscule(args: argparse.Namespace) -> list[Check]:
         for m in range(1, max_m + 1):
             checks.append(_row(
                 f"minuscule:gf:{label}:m{m}", "rank-product-bounded-count",
-                ((minuscule_gf, poset, m),), ((rpp_size_gf, poset, m),),
+                (_Call(minuscule_gf, poset, m),), (_Call(rpp_size_gf, poset, m),),
             ))
     return checks
 
@@ -545,25 +555,26 @@ def _suite_paths(args: argparse.Namespace) -> list[Check]:
     checks = [
         _row(
             f"paths:rbmotz-count:l{length}", "path-count-catalan",
-            ((_path_total, length),), (catalan_number(length - 1),),
+            (_Call(_path_total, length),), (catalan_number(length - 1),),
         )
         for length in range(2, max_l + 1)
     ]
     checks += [
         _row(
             f"paths:gen-fun:b{b}", "colored-path-generating-function",
-            ((gf_rbmotz, b), qnum(b + 2)), (qt_num(2), qnum(b), qnum(2 * b + 1), (q_catalan, b)),
+            (_Call(gf_rbmotz, b), qnum(b + 2)),
+            (qt_num(2), qnum(b), qnum(2 * b + 1), _Call(q_catalan, b)),
         )
         for b in range(1, max_b + 1)
     ]
     for length in range(2, min(max_l, 8) + 1):
         checks.append(_row(
             f"paths:catalan-sum:l{length}", "tableau-count-catalan-sum",
-            ((_tableau_counts, length),), ((_path_counts, length),),
+            (_Call(_tableau_counts, length),), (_Call(_path_counts, length),),
         ))
         checks.append(_row(
             f"paths:narayana:l{length}", "tableau-count-narayana-rows",
-            ((_tableaux_by_top, length),), ((narayana_row, length - 1),),
+            (_Call(_tableaux_by_top, length),), (_Call(narayana_row, length - 1),),
         ))
     return checks
 
@@ -677,13 +688,13 @@ def _suite_solver(args: argparse.Namespace) -> list[Check]:
             rows = [(f"row:{i}", RatFunc(qnum(b).shift(a - i), qnum(a + b))) for i in range(1, a + 1)]
             checks.append(_row(
                 f"solver:rows:rect:{a}x{b}", "row-refined-constants",
-                ((_refinement_constants, _poset(f"rect:{a}x{b}")),), (rows,),
+                (_Call(_refinement_constants, _poset(f"rect:{a}x{b}")),), (rows,),
             ))
     for k in (2, 3):
         staircase = _poset(_staircase(k))
         checks.append(_row(
             f"solver:staircase:k{k}", "staircase-constant",
-            ((_ddeg_constant, staircase),), (RatFunc(qbinom(k + 1, 2), qnum(2 * k)),),
+            (_Call(_ddeg_constant, staircase),), (RatFunc(qbinom(k + 1, 2), qnum(2 * k)),),
         ))
         # [k]_(q^2) / [2k] on the diagonal, q [k choose 2] / [2k] off it
         split = [
@@ -692,14 +703,14 @@ def _suite_solver(args: argparse.Namespace) -> list[Check]:
         ]
         checks.append(_row(
             f"solver:diagonal:k{k}", "diagonal-refined-constants",
-            ((_refinement_constants, staircase),), (split,),
+            (_Call(_refinement_constants, staircase),), (split,),
         ))
     for label, poset in _members("minuscule:propeller:2", "minuscule:propeller:3", "minuscule:E6"):
         rd = rank_data(poset)
         rank_sizes = QPoly.of([rd.ranks.count(r) for r in range(rd.rank + 1)])
         checks.append(_row(
             f"solver:rank-constant:{label}", "rank-polynomial-constant",
-            ((_ddeg_constant, poset),), (RatFunc(rank_sizes, qnum(rd.rank + 2)),),
+            (_Call(_ddeg_constant, poset),), (RatFunc(rank_sizes, qnum(rd.rank + 2)),),
         ))
     checks.append(Check("solver:q1:shape:2,1", "hook-shape-at-one", _check_hook_at_one))
     return checks

@@ -34,7 +34,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, zip_longest
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -605,16 +605,27 @@ RAT_ZERO = RatFunc(ZERO)
 class LinearSystemResult:
     """Outcome of a fraction-free solve.
 
-    When ``consistent``, ``solution`` assigns a RatFunc to every column with
-    free columns set to zero (listed in ``free_columns``).  Otherwise
-    ``witness_row`` is the input index of an equation that cannot be
-    satisfied.
+    When ``consistent``, the certified answer is kept as the elimination
+    gives it: ``numerators`` y = d * x, one QPoly per column with free
+    columns (listed in ``free_columns``) set to zero, over the one
+    ``denominator`` d, the last Bareiss pivot; A y = d b holds on every row.
+    ``solution`` reduces each y_j / d to a RatFunc when it is first read.
+    Otherwise ``witness_row`` is the input index of an equation that cannot
+    be satisfied, and the other fields are None.
     """
 
     consistent: bool
-    solution: tuple[RatFunc, ...] | None
+    numerators: tuple[QPoly, ...] | None
+    denominator: QPoly | None
     free_columns: tuple[int, ...]
     witness_row: int | None
+
+    @cached_property
+    def solution(self) -> tuple[RatFunc, ...] | None:
+        """The reduced fractions y_j / d, None for an inconsistent system."""
+        if not self.consistent:
+            return None
+        return _fractions(self.numerators, self.denominator)
 
 
 def _norm(coeffs: tuple[int, ...]) -> int:
@@ -666,7 +677,10 @@ def solve_linear_system(
     failed certificate -- all rows are eliminated in the given column order,
     which also gives the witness row of an inconsistent system, and a
     consistent answer is certified the same way.  The basis and its column
-    order can only save time; they never change an answer.
+    order can only save time; they never change the solution x = y / d,
+    though y and d themselves depend on the rows eliminated.  No fraction
+    y_j / d is reduced here: a caller that reads ``solution`` pays for the
+    gcds.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -686,9 +700,9 @@ def solve_linear_system(
             return result
     [(witness, numerators)], denominator, free = _eliminate(rows, [rhs], ncols)
     if witness is not None:
-        return LinearSystemResult(False, None, (), witness)
+        return LinearSystemResult(False, None, None, (), witness)
     check_solution(rows, rhs, numerators, denominator)
-    return LinearSystemResult(True, _fractions(numerators, denominator), free, None)
+    return LinearSystemResult(True, tuple(numerators), denominator, free, None)
 
 
 def _solve_on_basis(
@@ -725,7 +739,7 @@ def _solve_on_basis(
             except ResidualMismatch:
                 pass
             else:
-                result = LinearSystemResult(True, _fractions(numerators, denominator), (), None)
+                result = LinearSystemResult(True, tuple(numerators), denominator, (), None)
         results.append(result)
     return results
 

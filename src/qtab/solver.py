@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .distributions import (
@@ -30,6 +31,7 @@ from .qpoly import (
     QPoly,
     RatFunc,
     Row,
+    _fractions,
     _solve_on_basis,
     solve_linear_system,
 )
@@ -43,12 +45,27 @@ class RowLimitExceeded(ValueError):
 
 @dataclass(frozen=True)
 class ToggleSolveResult:
-    """Outcome of the toggle-constant system for one statistic."""
+    """Outcome of the toggle-constant system for one statistic.
+
+    A consistent answer keeps the certified ``numerators`` y = d * (c, a_0,
+    ..., a_(n-1)) over the ``denominator`` d, as ``solve_linear_system``
+    gives them.  ``constant`` is c = y_0 / d, reduced; ``coefficients``, the
+    a_p = y_(p+1) / d, are reduced when first read.  An inconsistent answer
+    has only ``witness_mask``, an order ideal whose equation cannot hold.
+    """
 
     consistent: bool
     constant: RatFunc | None
-    coefficients: tuple[RatFunc, ...] | None
+    numerators: tuple[QPoly, ...] | None
+    denominator: QPoly | None
     witness_mask: int | None
+
+    @cached_property
+    def coefficients(self) -> tuple[RatFunc, ...] | None:
+        """The reduced a_p, one per element; None when inconsistent."""
+        if not self.consistent:
+            return None
+        return _fractions(self.numerators[1:], self.denominator)
 
 
 @dataclass(frozen=True)
@@ -128,9 +145,9 @@ def _c_last(n: int) -> list[int]:
 
 def _toggle_result(result: LinearSystemResult, ideals: tuple[int, ...]) -> ToggleSolveResult:
     if not result.consistent:
-        return ToggleSolveResult(False, None, None, ideals[result.witness_row])
-    solution = result.solution
-    return ToggleSolveResult(True, solution[0], tuple(solution[1:]), None)
+        return ToggleSolveResult(False, None, None, None, ideals[result.witness_row])
+    ys, d = result.numerators, result.denominator
+    return ToggleSolveResult(True, RatFunc(ys[0], d), ys, d, None)
 
 
 def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[ToggleSolveResult]:

@@ -348,8 +348,8 @@ def test_verify_failing_check_exits_one(capsys, monkeypatch):
 
 def test_wrong_product_row_reports_both_sides(capsys, monkeypatch):
     # [a*b + 1] = [5] replaced by [4]: a QTPoly engine side against a product
-    lhs = ((gf_bsv, RECT22), qnum(4))
-    rhs = (qt_num(2), qnum(2), qnum(4), (gf_comaj, RECT22))
+    lhs = (cli._Call(gf_bsv, RECT22), qnum(4))
+    rhs = (qt_num(2), qnum(2), qnum(4), cli._Call(gf_comaj, RECT22))
     [record] = _run_checks([cli._row("demo:product", "demo", lhs, rhs)])
     assert not record.ok
     assert record.lhs == gf_bsv(RECT22) * qnum(4)
@@ -358,7 +358,9 @@ def test_wrong_product_row_reports_both_sides(capsys, monkeypatch):
     wrong_constant = RatFunc(qnum(2), qnum(3))
     failing = [
         cli._row("demo:product", "demo", lhs, rhs),
-        cli._row("demo:constant", "demo", ((cli._ddeg_constant, build_shape((2, 1))),), (wrong_constant,)),
+        cli._row(
+            "demo:constant", "demo", (cli._Call(cli._ddeg_constant, build_shape((2, 1))),), (wrong_constant,)
+        ),
     ]
     monkeypatch.setitem(cli.SUITES, "paths", lambda args: failing)
     code, out, _ = run_cli(capsys, "verify", "paths", "--json")
@@ -369,6 +371,24 @@ def test_wrong_product_row_reports_both_sides(capsys, monkeypatch):
     # shape 2,1 has no toggle constant; the expected one is still reported
     assert by_id["demo:constant"]["lhs"] == "inconsistent"
     assert by_id["demo:constant"]["rhs"] == {"num": [1, 1], "den": [1, 1, 1]}
+
+
+def test_tuple_factors_are_values(capsys, monkeypatch):
+    # Only a ``_Call`` is called; a tuple, nested or not, is compared as it is.
+    pairs = (("row:1", RatFunc(qnum(2), qnum(3))),)
+    passing = cli._row("demo:same", "demo", (((1, 2),),), (((1, 2),),))
+    failing = cli._row("demo:pairs", "demo", (pairs,), ((("row:1", RatFunc(QPoly.of([1]), qnum(3))),),))
+    [differ, same] = _run_checks([passing, failing])  # in id order
+    assert (same.ok, differ.ok) == (True, False)
+    assert differ.lhs == pairs
+    assert differ.rhs == (("row:1", RatFunc(QPoly.of([1]), qnum(3))),)
+    monkeypatch.setitem(cli.SUITES, "paths", lambda args: [passing, failing])
+    code, out, _ = run_cli(capsys, "verify", "paths", "--json")
+    assert code == 1
+    by_id = {check["id"]: check for check in json.loads(out)["checks"]}
+    assert by_id["demo:same"]["status"] == "pass"
+    assert by_id["demo:pairs"]["lhs"] == [["row:1", {"num": [1, 1], "den": [1, 1, 1]}]]
+    assert by_id["demo:pairs"]["rhs"] == [["row:1", {"num": [1], "den": [1, 1, 1]}]]
 
 
 def _wider_tally(length: int) -> tuple[Counter, Counter]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,6 @@ from qtab.qpoly import (
     DimensionMismatch,
     DivisionByZero,
     InexactDivision,
-    LinearSystemResult,
     QPoly,
     QTPoly,
     RatFunc,
@@ -533,6 +533,27 @@ def test_solver_with_polynomial_entries():
     assert x == RatFunc(QPoly.of([1, 2, 1]), QPoly.of([1, 2]))
 
 
+class Answer(NamedTuple):
+    """What a solve answers, with the solution as reduced fractions."""
+
+    consistent: bool
+    solution: tuple[RatFunc, ...] | None
+    free_columns: tuple[int, ...]
+    witness_row: int | None
+
+
+def _answer(result):
+    """The ``Answer`` of a ``LinearSystemResult``, after checking that its
+    reduced solution is its certified y_j / d, one column at a time."""
+    if result.consistent:
+        assert len(result.numerators) == len(result.solution)
+        for y, x in zip(result.numerators, result.solution):
+            assert RatFunc(y, result.denominator) == x
+    else:
+        assert (result.numerators, result.denominator, result.solution) == (None, None, None)
+    return Answer(result.consistent, result.solution, result.free_columns, result.witness_row)
+
+
 def _reference_solve(matrix, rhs):
     """The Bareiss elimination on QPoly cells that the packed solver replaced."""
     m = len(matrix)
@@ -563,7 +584,7 @@ def _reference_solve(matrix, rhs):
 
     for i in range(r, m):
         if rows[i][ncols]:
-            return LinearSystemResult(False, None, (), origin[i])
+            return Answer(False, None, (), origin[i])
 
     xs = [RAT_ZERO] * ncols
     pivot_cols = {c for _, c in pivots}
@@ -574,7 +595,7 @@ def _reference_solve(matrix, rhs):
                 acc = acc - RatFunc(rows[pr][j]) * xs[j]
         xs[pc] = acc / RatFunc(rows[pr][pc])
     free = tuple(c for c in range(ncols) if c not in pivot_cols)
-    return LinearSystemResult(True, tuple(xs), free, None)
+    return Answer(True, tuple(xs), free, None)
 
 
 def _matmul(a, b):
@@ -635,7 +656,7 @@ def linear_systems(draw):
 @example(([[ZERO, ONE], [ZERO, ONE], [ONE, ZERO]], [ONE, ZERO, ZERO]))
 def test_solver_matches_reference_elimination(system):
     matrix, rhs = system
-    assert solve_linear_system(matrix, rhs) == _reference_solve(matrix, rhs)
+    assert _answer(solve_linear_system(matrix, rhs)) == _reference_solve(matrix, rhs)
 
 
 def test_solver_certifies_the_square_path():
@@ -644,7 +665,7 @@ def test_solver_certifies_the_square_path():
     # full elimination, which reports that row.
     matrix, rhs = [[ONE], [ONE]], [ZERO, QPoly.of([-5, 1])]
     res = solve_linear_system(matrix, rhs, basis=[0])
-    assert res == _reference_solve(matrix, rhs)
+    assert _answer(res) == _reference_solve(matrix, rhs)
     assert res.witness_row == 1
 
 
@@ -818,9 +839,9 @@ def test_solver_vandermonde_stress():
     matrix = [[x**j for j in range(5)] for x in xs]
     rhs = [qnum(i + 2) * 1000003 for i in range(5)]
     result = solve_linear_system(matrix, rhs)
-    assert result == _reference_solve(matrix, rhs)
+    assert _answer(result) == _reference_solve(matrix, rhs)
     assert result.consistent and result.free_columns == ()
-    assert solve_linear_system(matrix[:3], rhs[:3]) == _reference_solve(matrix[:3], rhs[:3])
+    assert _answer(solve_linear_system(matrix[:3], rhs[:3])) == _reference_solve(matrix[:3], rhs[:3])
 
 
 def test_solver_packing_bound_is_attained():
@@ -832,12 +853,12 @@ def test_solver_packing_bound_is_attained():
     matrix = [[QPoly.monomial(n_coef, 2), ZERO], [ZERO, QPoly.monomial(1, 3)]]
     rhs = [ZERO, QPoly.monomial(m_coef, 1)]
     result = solve_linear_system(matrix, rhs)
-    assert result == _reference_solve(matrix, rhs)
+    assert _answer(result) == _reference_solve(matrix, rhs)
     assert result.solution == (RAT_ZERO, RatFunc(QPoly.of([m_coef]), QPoly.monomial(1, 2)))
     # 4x = q and x = 4 leave the witness entry 16 - q, a 2x2 minor of [A|b].
     # A bound over ncols = 1 rows (H = 4, k = 4) would pack it as 16 - 2^4 = 0.
     witness = solve_linear_system([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
-    assert witness == _reference_solve([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
+    assert _answer(witness) == _reference_solve([[QPoly.of([4])], [ONE]], [Q, QPoly.of([4])])
     assert witness.witness_row == 1
 
 
@@ -862,7 +883,7 @@ def test_solver_packing_meets_hadamards_bound(monkeypatch):
 
     monkeypatch.setattr(qpoly, "step_above", spy)
     result = solve_linear_system(matrix, rhs)
-    assert result == _reference_solve(matrix, rhs)
+    assert _answer(result) == _reference_solve(matrix, rhs)
     assert result.solution == tuple(RatFunc(ONE, QPoly.monomial(4, j)) for j in range(4))
     # the elimination sizes its cells first, then the certificate its rows
     assert bounds[0] == 2 * 17

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_partitions,
@@ -29,6 +34,7 @@ from qtab.posets import (
 )
 from qtab.qpoly import QPoly, RatFunc, parse_poly, qbinom, qnum
 from qtab.solver import (
+    _toggle_solve_all,
     build_system,
     predict_constant,
     statistic_diagonal,
@@ -302,3 +308,131 @@ def test_refinements_reject_other_posets():
     with pytest.raises(UnsupportedPoset):
         verify_refinements(build_propeller(2))
 
+
+
+# ---------------------------------------------------------------------------
+# answers keep the certified y = d x and reduce a fraction when it is read
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        naturally_labeled_posets(),
+        partition_strategy(8).map(build_shape),
+        strict_partition_strategy(8).map(build_shifted),
+    ),
+    st.sampled_from([None, 1, -1]),
+)
+def test_answers_reduce_their_certified_fractions(poset, q_value):
+    # The eager reduction of every y_j / d is the oracle for the constant and
+    # for the coefficients; at q = 1 and -1 some prefix minors are singular,
+    # and the answer comes from all rows.
+    statistic = statistic_ddeg(poset)
+    result = toggle_solve(poset, statistic, q_value)
+    if not result.consistent:
+        assert (result.constant, result.coefficients) == (None, None)
+        assert (result.numerators, result.denominator) == (None, None)
+        return
+    rows, rhs = build_system(poset, statistic, q_value)
+    qpoly.check_solution(rows, rhs, result.numerators, result.denominator)
+    assert (result.constant, *result.coefficients) == qpoly._fractions(
+        result.numerators, result.denominator
+    )
+    assert len(result.coefficients) == poset.n
+
+
+@pytest.mark.parametrize(
+    "poset", [build_rectangle(3, 4), staircase(4)], ids=["rect:3x4", "staircase:4"]
+)
+def test_refinement_constants_reduce_their_certified_fractions(poset):
+    statistics = (
+        [statistic_row(poset, row) for row in (1, 2, 3)]
+        if poset.n == 12
+        else [statistic_diagonal(poset, True), statistic_diagonal(poset, False)]
+    )
+    results = _toggle_solve_all(poset, statistics)
+    for report, result in zip(verify_refinements(poset), results):
+        fractions = qpoly._fractions(result.numerators, result.denominator)
+        assert report.constant == result.constant == fractions[0]
+        assert result.coefficients == fractions[1:]
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Counts of ``_fractions`` calls and of gcds, the work of a reduction."""
+    calls = Counter()
+    fractions, gcd = qpoly._fractions, qpoly.poly_gcd
+
+    def spy_fractions(*args):
+        calls["fractions"] += 1
+        return fractions(*args)
+
+    def spy_gcd(*args):
+        calls["gcd"] += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(qpoly, "_fractions", spy_fractions)
+    monkeypatch.setattr(solver, "_fractions", spy_fractions)
+    monkeypatch.setattr(qpoly, "poly_gcd", spy_gcd)
+    return calls
+
+
+def test_answers_reduce_one_fraction_until_more_are_read(reductions):
+    rect = build_rectangle(3, 4)
+    verify_refinements(rect)
+    assert reductions == {"gcd": 3}  # one constant per row statistic
+    reductions.clear()
+    result = toggle_solve(rect, statistic_ddeg(rect))
+    assert reductions == {"gcd": 1}
+    reductions.clear()
+    coefficients = result.coefficients
+    assert reductions["fractions"] == 1
+    assert result.coefficients is coefficients
+    assert reductions["fractions"] == 1
+
+    rows, rhs = build_system(rect, statistic_ddeg(rect))
+    reductions.clear()
+    system = qpoly.solve_linear_system(rows, rhs)
+    assert reductions == {}
+    assert system.solution == (result.constant, *coefficients)
+    assert system.solution is system.solution
+    assert reductions["fractions"] == 1
+
+
+_REPRS = """
+from qtab.distributions import statistic_ddeg
+from qtab.posets import build_rectangle, build_shape
+from qtab.qpoly import solve_linear_system
+from qtab.solver import build_system, toggle_solve
+
+for poset in (build_rectangle(2, 3), build_shape((2, 1))):
+    statistic = statistic_ddeg(poset)
+    rows, rhs = build_system(poset, statistic)
+    for answer, reduced in (
+        (toggle_solve(poset, statistic), "coefficients"),
+        (solve_linear_system(rows, rhs), "solution"),
+    ):
+        print(repr(answer))
+        getattr(answer, reduced)
+        print(repr(answer))
+"""
+
+
+def test_answer_reprs_are_the_same_in_every_process():
+    # perfbench compares passes by a hash of each answer's repr, so the repr
+    # holds no address and does not change when a fraction is first read.
+    src = str(Path(solver.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        run = subprocess.run(
+            [sys.executable, "-c", _REPRS], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 8 and lines[0::2] == lines[1::2]
+    assert " at 0x" not in outputs[0]
+    assert lines[0].startswith("ToggleSolveResult(consistent=True, ")
+    assert lines[4].startswith("ToggleSolveResult(consistent=False, ")
