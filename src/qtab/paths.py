@@ -379,8 +379,26 @@ def two_row_tally(length: int) -> tuple[Counter, Counter]:
 
 def rbmotz_counts(length: int) -> Counter:
     """Counts of the restricted paths of the given length by number of
-    horizontal steps, from one walk."""
-    return Counter(path.horizontal_count for path in enumerate_rbmotz(length))
+    horizontal steps: a transfer-matrix walk over (height, seen a down step,
+    horizontal steps) states, each with its number of prefixes.  A state too
+    high to return to the axis in the steps left is dropped, so every state
+    left at the end has height 0."""
+    states = Counter({(0, False, 0): 1})
+    for left in reversed(range(length)):
+        step: Counter = Counter()
+        for (height, seen_down, hcount), count in states.items():
+            if height < left:
+                step[height + 1, seen_down, hcount] += count
+            if height:
+                step[height - 1, True, hcount] += count
+            if height <= left and (height or seen_down):
+                # a red step needs height > 0, a blue one a down step before it
+                step[height, seen_down, hcount + 1] += count * ((height > 0) + seen_down)
+        states = step
+    counts: Counter = Counter()
+    for (_, _, hcount), count in states.items():
+        counts[hcount] += count
+    return counts
 
 
 def narayana_row(m: int) -> dict[int, int]:

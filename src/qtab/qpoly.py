@@ -653,11 +653,7 @@ class _PerEntry(dict):
 
 
 def solve_linear_system(
-    matrix: Sequence[Sequence[QPoly]] | Sequence[Row],
-    rhs: Sequence[QPoly],
-    *,
-    basis: Sequence[int] = (),
-    _columns: Sequence[int] = (),
+    matrix: Sequence[Sequence[QPoly]] | Sequence[Row], rhs: Sequence[QPoly]
 ) -> LinearSystemResult:
     """Solve ``matrix @ x = rhs`` over Q(q) exactly.
 
@@ -667,20 +663,10 @@ def solve_linear_system(
     Dense rows are made sparse here, once, and everything below reads only
     the nonzero cells.
 
-    ``basis`` names rows to try first, for a caller that knows ncols rows
-    forming a nonsingular minor of a tall system; ``_columns`` is the column
-    order in which those rows are eliminated (the order of the columns
-    as given by default).  When the basis rows eliminate with no free
-    column, their answer is unique; it is permuted back to the given column
-    order and returned once it passes the certificate (``check_solution``)
-    on every row.  In every other case -- no basis, a free column, or a
-    failed certificate -- all rows are eliminated in the given column order,
-    which also gives the witness row of an inconsistent system, and a
-    consistent answer is certified the same way.  The basis and its column
-    order can only save time; they never change the solution x = y / d,
-    though y and d themselves depend on the rows eliminated.  No fraction
-    y_j / d is reduced here: a caller that reads ``solution`` pays for the
-    gcds.
+    All rows are eliminated in the given column order (``_eliminate``),
+    which gives the witness row of an inconsistent system; a consistent
+    answer is certified on every row (``check_solution``), and no y_j / d is
+    reduced: a caller that reads ``solution`` pays for the gcds.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -694,54 +680,11 @@ def solve_linear_system(
             if len(row) != ncols:
                 raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
         rows = [{j: entry for j, entry in enumerate(row) if entry} for row in matrix]
-    if basis:
-        (result,) = _solve_on_basis(rows, [rhs], basis, list(_columns) or range(ncols))
-        if result is not None:
-            return result
     [(witness, numerators)], denominator, free = _eliminate(rows, [rhs], ncols)
     if witness is not None:
         return LinearSystemResult(False, None, None, (), witness)
     check_solution(rows, rhs, numerators, denominator)
     return LinearSystemResult(True, tuple(numerators), denominator, free, None)
-
-
-def _solve_on_basis(
-    rows: Sequence[Row],
-    rhss: Sequence[Sequence[QPoly]],
-    basis: Sequence[int],
-    columns: Sequence[int],
-) -> list[LinearSystemResult | None]:
-    """The basis step of ``solve_linear_system`` for every right-hand side
-    in ``rhss`` at once: one elimination of the ``basis`` rows of
-    [A | b_1 ... b_s], with every column of A taken in the order ``columns``.
-
-    Each answer is permuted back to the given column order and certified on
-    every row of its own system.  An answer is None when the basis rows
-    leave a free column or an inconsistent row, or when its certificate
-    fails; the caller then solves that right-hand side on all rows.
-    """
-    ncols = len(columns)
-    place = {j: t for t, j in enumerate(columns)}
-    answers, denominator, free = _eliminate(
-        [{place[j]: entry for j, entry in rows[i].items()} for i in basis],
-        [[b[i] for i in basis] for b in rhss],
-        ncols,
-    )
-    results: list[LinearSystemResult | None] = []
-    for b, (witness, ys) in zip(rhss, answers):
-        result = None
-        if witness is None and not free:
-            numerators = [ZERO] * ncols
-            for j, y in zip(columns, ys):
-                numerators[j] = y
-            try:
-                check_solution(rows, b, numerators, denominator)
-            except ResidualMismatch:
-                pass
-            else:
-                result = LinearSystemResult(True, tuple(numerators), denominator, (), None)
-        results.append(result)
-    return results
 
 
 def _eliminate(

@@ -25,14 +25,15 @@ from .distributions import (
     expectation,
     statistic_ddeg,
 )
+from .kronecker import pack, step_above
 from .posets import Poset, UnsupportedPoset, box_coords, order_ideals
 from .qpoly import (
-    LinearSystemResult,
     QPoly,
     RatFunc,
     Row,
+    _eliminate,
     _fractions,
-    _solve_on_basis,
+    _norm,
     solve_linear_system,
 )
 
@@ -77,32 +78,40 @@ class RefinementReport:
     constant: RatFunc | None
 
 
+_System = tuple[QPoly, QPoly, list[QPoly]]  # the entries 1 and -q, and f(I) per order ideal
+
+
+def _specialise(poset: Poset, statistic: Statistic, q_value: int | Fraction | None) -> _System:
+    """The entries 1 and -q of the toggle system and its right-hand sides
+    f(I), one per order ideal.  With ``q_value`` = a/b each is specialised
+    at q = a/b and scaled by s = b^max(1, deg f) into an integer constant;
+    one nonzero scale for all rows changes no solution and no zero pattern."""
+    if statistic.poset != poset:
+        raise PosetMismatch("statistic and system posets differ")
+    rhs = list(statistic.values)  # one per order ideal
+    if len(rhs) > ROW_LIMIT:
+        raise RowLimitExceeded(f"{len(rhs)} ideals exceed the row limit {ROW_LIMIT}")
+    one, minus_q = QPoly.of([1]), QPoly.of([0, -1])
+    if q_value is not None:
+        q = Fraction(q_value)
+        s = q.denominator ** max(1, *(f.degree for f in rhs))
+        one, minus_q = QPoly.of([s]), QPoly.of([int(-q * s)])
+        scaled = {f: QPoly.of([int(f.evaluate(q) * s)]) for f in set(rhs)}  # once per value
+        rhs = [scaled[f] for f in rhs]
+    return one, minus_q, rhs
+
+
 def build_system(
     poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
 ) -> tuple[list[Row], list[QPoly]]:
     """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f.
 
     Each row is sparse (``Row``): its nonzero cells, c in column 0 and the
-    coefficient a_p in column p + 1.  With ``q_value`` = a/b every row is
-    specialised at q = a/b and multiplied by s = b^max(1, deg f), which
-    makes every entry an integer constant; one nonzero scale for all rows
-    changes no solution and no zero pattern.
-    """
-    if statistic.poset != poset:
-        raise PosetMismatch("statistic and system posets differ")
-    ideals = order_ideals(poset)
-    if len(ideals) > ROW_LIMIT:
-        raise RowLimitExceeded(f"{len(ideals)} ideals exceed the row limit {ROW_LIMIT}")
-    rhs = list(statistic.values)
+    coefficient a_p in column p + 1, specialised as ``_specialise`` says."""
+    one, minus_q, rhs = _specialise(poset, statistic, q_value)
     # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
     # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
-    one, minus_q = QPoly.of([1]), QPoly.of([0, -1])
-    if q_value is not None:
-        q = Fraction(q_value)
-        s = q.denominator ** max(1, *(f.degree for f in rhs))
-        one, minus_q = QPoly.of([s]), QPoly.of([int(-q * s)])
-        rhs = [QPoly.of([int(f.evaluate(q) * s)]) for f in rhs]
-    rows = [{0: one} for _ in ideals]
+    rows = [{0: one} for _ in rhs]
     for column, edges in enumerate(poset.ideal_edges, 1):
         for lower, upper in edges:
             rows[lower][column] = one
@@ -112,59 +121,104 @@ def build_system(
     return rows, rhs
 
 
-def toggle_solve(
-    poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
-) -> ToggleSolveResult:
-    """Solve for the forced expectation of the statistic, exactly."""
-    rows, rhs = build_system(poset, statistic, q_value)
-    ideals = order_ideals(poset)
-    result = solve_linear_system(
-        rows, rhs, basis=_prefix_rows(poset, ideals), _columns=_c_last(poset.n)
-    )
-    return _toggle_result(result, ideals)
+def _prefix_system(poset: Poset, systems: Sequence[_System]) -> tuple[list[Row], list[list[QPoly]]]:
+    """The rows of the prefix ideals {0..k-1}, k = 0..n, and their entries in
+    each right-hand side of ``systems``; element p is in column p, c in n.
+    Lower covers come first, so {0..k-1} can add p (entry 1) for k from the
+    bit length of its lower-cover mask up to p, and remove it (entry -q) for
+    k from p + 1 up to its lowest upper cover, or n; c has 1 in every row.
 
-
-def _prefix_rows(poset: Poset, ideals: tuple[int, ...]) -> list[int]:
-    """Rows of the n + 1 prefix ideals {0..k-1}, a nonsingular minor of A.
-
-    Under the natural labeling every prefix is an order ideal.  At q = 0 the
-    -q entries vanish: with the unknown c taken last (``_c_last``), row k < n
-    has its leading 1 at the column of element k, which {0..k-1} can always
-    add, and the full ideal's row is a single 1 at c.  The minor is unit
-    upper triangular there, so its determinant is +-1 at q = 0 and is not
-    the zero polynomial.  A given q_value can still make it singular; then
-    all rows are eliminated.
+    Every prefix is an order ideal.  At q = 0 the -q entries vanish: row
+    k < n has its leading 1 at element k, which {0..k-1} can always add, and
+    the full ideal's row is a single 1 at c.  The minor is unit upper
+    triangular there, so its determinant is not the zero polynomial; a given
+    q_value can still make it singular.
     """
-    return [bisect_left(ideals, (1 << k) - 1) for k in range(poset.n + 1)]
+    (one, minus_q, _), ideals, n = systems[0], order_ideals(poset), poset.n
+    rows = [{n: one} for _ in range(n + 1)]
+    for p, (low, up) in enumerate(zip(poset.low_masks, poset.up_masks)):
+        for k in range(low.bit_length(), p + 1):
+            rows[k][p] = one
+        if minus_q:  # q = 0 leaves the -q cells zero
+            for k in range(p + 1, (up & -up).bit_length() if up else n + 1):
+                rows[k][p] = minus_q
+    at = [bisect_left(ideals, (1 << k) - 1) for k in range(n + 1)]
+    return rows, [[rhs[i] for i in at] for _, _, rhs in systems]
 
 
-def _c_last(n: int) -> list[int]:
-    """The columns of the elements in order, then the column of c."""
-    return [*range(1, n + 1), 0]
+def _certified(
+    poset: Poset, system: _System, numerators: Sequence[QPoly], d: QPoly
+) -> ToggleSolveResult | None:
+    """The answer y = ``numerators`` (c last) over d if A y = d b holds on
+    every order ideal's row of the ``system`` (1, -q, b) of ``_specialise``.
 
-
-def _toggle_result(result: LinearSystemResult, ideals: tuple[int, ...]) -> ToggleSolveResult:
-    if not result.consistent:
-        return ToggleSolveResult(False, None, None, None, ideals[result.witness_row])
-    ys, d = result.numerators, result.denominator
+    One walk over J(P)'s cover edges at q = 2^K checks it: every row starts
+    at v(1) y_c, the edge I -> I + p adds v(1) y_p at I and v(-q) y_p at
+    I + p, and each total is compared with d f(I).  No row of [A|b], with
+    its n + 1 cells at most, has a 1-norm above N = (n + 1) * (the larger
+    entry 1-norm) + (the largest 1-norm in b).  With Y the largest 1-norm
+    among the y_j and d, no coefficient of a row's residual r = sum_j A_Ij
+    y_j - d f(I) exceeds N*Y in absolute value (a product's 1-norm is at
+    most the product of the 1-norms).  By Cauchy's bound every root of a
+    nonzero r lies below 1 + N*Y < 2^K (K = 8 * ``step_above(1 + N*Y)``),
+    so each residual is zero exactly when its value is (``check_solution``).
+    """
+    one, minus_q, rhs = system
+    fs = [f.coeffs for f in rhs]
+    entry_norm = max(_norm(one.coeffs), _norm(minus_q.coeffs))
+    row_norm = (poset.n + 1) * entry_norm + max(map(_norm, set(fs)))
+    step = step_above(1 + row_norm * max(_norm(y.coeffs) for y in (*numerators, d)))
+    tin, tout, d_value = (pack(x.coeffs, step) for x in (one, minus_q, d))
+    *values, c = [pack(y.coeffs, step) for y in numerators]
+    totals = [tin * c] * len(rhs)
+    for y, edges in zip(values, poset.ideal_edges):
+        at_lower, at_upper = tin * y, tout * y
+        for lower, upper in edges:
+            totals[lower] += at_lower
+            totals[upper] += at_upper
+    targets = {f: d_value * pack(f, step) for f in set(fs)}
+    if totals != [targets[f] for f in fs]:
+        return None
+    ys = (numerators[-1], *numerators[:-1])
     return ToggleSolveResult(True, RatFunc(ys[0], d), ys, d, None)
 
 
+def toggle_solve(
+    poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
+) -> ToggleSolveResult:
+    """Solve for the forced expectation of the statistic, exactly: from the
+    n + 1 prefix rows when they leave no free column and their answer holds
+    on every row (``_certified``), else -- as always for an inconsistent
+    system -- from all rows, which also gives the witness."""
+    system = _specialise(poset, statistic, q_value)
+    rows, (rhs,) = _prefix_system(poset, [system])
+    result = solve_linear_system(rows, rhs)
+    unique = result.consistent and not result.free_columns
+    answer = unique and _certified(poset, system, result.numerators, result.denominator)
+    return answer or _solve_all_rows(poset, statistic, q_value)
+
+
 def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[ToggleSolveResult]:
-    """``toggle_solve`` for several statistics of one poset: the matrix A is
-    built once and its prefix rows are eliminated once, with every
-    statistic's right-hand side attached.  A statistic whose answer from
-    those rows is not certified on every row is solved on all rows alone."""
-    rows, _ = build_system(poset, statistics[0])
-    if any(statistic.poset != poset for statistic in statistics):
-        raise PosetMismatch("statistic and system posets differ")
-    rhss = [list(statistic.values) for statistic in statistics]
-    ideals = order_ideals(poset)
-    answers = _solve_on_basis(rows, rhss, _prefix_rows(poset, ideals), _c_last(poset.n))
+    """``toggle_solve`` for several statistics, with one prefix elimination for all."""
+    systems = [_specialise(poset, statistic, None) for statistic in statistics]
+    rows, rhss = _prefix_system(poset, systems)
+    answers, d, free = _eliminate(rows, rhss, poset.n + 1)
     return [
-        _toggle_result(answer or solve_linear_system(rows, rhs), ideals)
-        for rhs, answer in zip(rhss, answers)
+        (witness is None and not free and _certified(poset, system, ys, d))
+        or _solve_all_rows(poset, statistic)
+        for statistic, system, (witness, ys) in zip(statistics, systems, answers)
     ]
+
+
+def _solve_all_rows(
+    poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
+) -> ToggleSolveResult:
+    """The answer of every row of ``build_system``, c in column 0."""
+    result = solve_linear_system(*build_system(poset, statistic, q_value))
+    if not result.consistent:
+        return ToggleSolveResult(False, None, None, None, order_ideals(poset)[result.witness_row])
+    ys, d = result.numerators, result.denominator
+    return ToggleSolveResult(True, RatFunc(ys[0], d), ys, d, None)
 
 
 def predict_constant(poset: Poset) -> RatFunc:

@@ -408,10 +408,12 @@ def test_catalan_sum_goldens():
     assert sum(1 for _ in enumerate_rbmotz(7)) == 132
 
 
-@pytest.mark.parametrize("length", range(2, 11))
+@pytest.mark.parametrize("length", range(12))
 def test_rbmotz_counts_match_the_walk_per_horizontal_count(length):
+    # The empty path is the one path of length 0; no path has length 1.
     counts = rbmotz_counts(length)
-    assert sum(counts.values()) == catalan_number(length - 1)
+    assert sum(counts.values()) == (catalan_number(length - 1) if length > 1 else 1 - length)
+    assert all(counts.values()) and set(counts) <= set(range(length + 1))
     for k in range(length + 1):
         assert counts[k] == sum(1 for _ in enumerate_rbmotz(length, k=k))
 

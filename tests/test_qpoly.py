@@ -16,9 +16,9 @@ from conftest import (
     partition_strategy,
     strict_partition_strategy,
 )
-from qtab import qpoly
+from qtab import qpoly, solver
 from qtab.distributions import Statistic, _maximal_count, statistic_ddeg, statistic_toggle
-from qtab.posets import build_rectangle, build_shape, build_shifted, order_ideals
+from qtab.posets import Poset, build_rectangle, build_shape, build_shifted, order_ideals
 from qtab.qpoly import (
     ONE,
     Q,
@@ -659,14 +659,30 @@ def test_solver_matches_reference_elimination(system):
     assert _answer(solve_linear_system(matrix, rhs)) == _reference_solve(matrix, rhs)
 
 
-def test_solver_certifies_the_square_path():
-    # The basis row alone solves to x = 0, which the second row x = q - 5
-    # breaks.  Only the certificate on every row sends the system to the
-    # full elimination, which reports that row.
-    matrix, rhs = [[ONE], [ONE]], [ZERO, QPoly.of([-5, 1])]
-    res = solve_linear_system(matrix, rhs, basis=[0])
-    assert _answer(res) == _reference_solve(matrix, rhs)
-    assert res.witness_row == 1
+def test_solver_certifies_the_square_path(monkeypatch):
+    # The prefix rows of the 2-element antichain (ideals 0, 1 and 3) solve to
+    # y = 0, which the row of ideal 2, with f = q - 5, breaks.  Only the
+    # certificate on every ideal's row sends the system to the elimination
+    # of all rows.  That finds it inconsistent: rows 0 to 2 are its pivots,
+    # so the witness is the last row, ideal 3.
+    poset = Poset(2, [])
+    statistic = Statistic.from_function(poset, lambda mask: QPoly.of([-5, 1]) if mask == 2 else ZERO)
+    seen = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhss, ncols):
+        answers = eliminate(matrix, rhss, ncols)
+        seen.append((len(matrix), answers))
+        return answers
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    res = toggle_solve(poset, statistic)
+    (prefix, ([(witness, ys)], _, free)), (full, _) = seen
+    assert (prefix, witness, ys, free) == (3, None, [ZERO] * 3, ())
+    sparse, rhs = build_system(poset, statistic)
+    want = _reference_solve(densify(sparse, 3), rhs)
+    assert full == 4 and not res.consistent and not want.consistent
+    assert res.witness_mask == order_ideals(poset)[want.witness_row] == 3
 
 
 def _prefix_rows(poset):
@@ -774,11 +790,13 @@ def test_several_statistics_share_one_elimination(mix):
         calls.append(len(rhss))
         return eliminate(matrix, rhss, ncols)
 
-    qpoly._eliminate = spy
+    # the shared elimination is called from the solver, each full one from
+    # solve_linear_system
+    qpoly._eliminate = solver._eliminate = spy
     try:
         results = _toggle_solve_all(poset, statistics)
     finally:
-        qpoly._eliminate = eliminate
+        qpoly._eliminate = solver._eliminate = eliminate
     assert len(results) == len(statistics)
     assert calls == [len(statistics)] + [1] * sum(not r.consistent for r in results)
     for statistic, got in zip(statistics, results):
@@ -804,6 +822,7 @@ def test_only_the_failing_statistic_takes_the_full_path(monkeypatch):
         return eliminate(matrix, rhss, ncols)
 
     monkeypatch.setattr(qpoly, "_eliminate", spy)
+    monkeypatch.setattr(solver, "_eliminate", spy)
     ddeg, toggle = _toggle_solve_all(poset, [statistic_ddeg(poset), statistic_toggle(poset, 1)])
     assert seen == [(poset.n + 1, 2), (len(order_ideals(poset)), 1)]
     assert (ddeg.consistent, ddeg.witness_mask) == (False, 7)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     all_partitions,
@@ -20,7 +20,7 @@ from conftest import (
     strict_partition_strategy,
 )
 from qtab import qpoly, solver
-from qtab.distributions import PosetMismatch, ddeg, statistic_ddeg, tin, tout
+from qtab.distributions import PosetMismatch, Statistic, ddeg, statistic_ddeg, tin, tout
 from qtab.posets import (
     NotGraded,
     Poset,
@@ -32,7 +32,7 @@ from qtab.posets import (
     build_shifted,
     order_ideals,
 )
-from qtab.qpoly import QPoly, RatFunc, parse_poly, qbinom, qnum
+from qtab.qpoly import ONE, ZERO, QPoly, RatFunc, parse_poly, qbinom, qnum
 from qtab.solver import (
     _toggle_solve_all,
     build_system,
@@ -187,19 +187,128 @@ def test_inconsistent_witness_masks(lam, mask):
 )
 def test_elimination_sees_a_row_basis(monkeypatch, poset, rows):
     # Rect 4x4 has 70 equations in 17 unknowns: only the 17 prefix-ideal
-    # rows are eliminated.  Shape 4,3,2,1 is inconsistent: its 11 prefix
-    # rows solve, the certificate fails, and all 42 rows are eliminated to
-    # find the witness.
-    seen = []
-    eliminate = qpoly._eliminate
+    # rows are built and eliminated, and no row of the full system is built.
+    # Shape 4,3,2,1 is inconsistent: its 11 prefix rows solve, the edge
+    # certificate fails, and all 42 rows are built and eliminated to find
+    # the witness.
+    seen, built = [], []
+    eliminate, build = qpoly._eliminate, solver.build_system
 
     def spy(matrix, rhss, ncols):
         seen.append(len(matrix))
         return eliminate(matrix, rhss, ncols)
 
+    def spy_build(*args):
+        system = build(*args)
+        built.append(len(system[0]))
+        return system
+
     monkeypatch.setattr(qpoly, "_eliminate", spy)
+    monkeypatch.setattr(solver, "build_system", spy_build)
     toggle_solve(poset, statistic_ddeg(poset))
     assert seen == rows
+    assert built == rows[1:]
+
+
+# ---------------------------------------------------------------------------
+# the edge certificate against the row-by-row one
+
+
+_BOX_AND_RANDOM_POSETS = st.one_of(
+    naturally_labeled_posets(),
+    partition_strategy(8).map(build_shape),
+    strict_partition_strategy(8).map(build_shifted),
+)
+
+
+def _prefix_answer(poset, system):
+    """The prefix rows' unique (y, d), c last, or None."""
+    rows, (rhs,) = solver._prefix_system(poset, [system])
+    [(witness, ys)], d, free = qpoly._eliminate(rows, [rhs], poset.n + 1)
+    if witness is not None or free:
+        return None
+    return ys, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _BOX_AND_RANDOM_POSETS,
+    st.sampled_from([None, 0, 1, -1, Fraction(1, 2), 2]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+@example(build_rectangle(2, 3), None, 0, 0)
+def test_edge_certificate_accepts_what_check_solution_accepts(poset, q_value, column, ideal):
+    # For the prefix rows' (y, d), true or with one planted error -- in one
+    # y_j, in d times 1 + q, or in f(I) at an ideal that is not a prefix --
+    # the walk over J(P)'s edges and the row-by-row check on build_system's
+    # rows agree.
+    statistic = statistic_ddeg(poset)
+    one, minus_q, rhs = system = solver._specialise(poset, statistic, q_value)
+    answer = _prefix_answer(poset, system)
+    assume(answer is not None)
+    ys, d = answer
+    rows, _ = build_system(poset, statistic, q_value)
+
+    def agree(ys, d, rhs):
+        try:
+            qpoly.check_solution(rows, rhs, (ys[-1], *ys[:-1]), d)
+        except qpoly.ResidualMismatch:
+            accepted = False
+        else:
+            accepted = True
+        answer = solver._certified(poset, (one, minus_q, rhs), ys, d)
+        assert (answer is not None) == accepted
+        return accepted
+
+    agree(ys, d, rhs)
+    j = column % (poset.n + 1)
+    assert not agree((*ys[:j], ys[j] + ONE, *ys[j + 1 :]), d, rhs)
+    agree(ys, d * qnum(2), rhs)
+    prefixes = {(1 << k) - 1 for k in range(poset.n + 1)}
+    others = [i for i, mask in enumerate(order_ideals(poset)) if mask not in prefixes]
+    if others:
+        i = others[ideal % len(others)]
+        agree(ys, d, [*rhs[:i], rhs[i] + ONE, *rhs[i + 1 :]])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize(
+    "poset", [build_rectangle(1, 1), build_rectangle(2, 3), staircase(3)], ids=["1x1", "2x3", "st3"]
+)
+def test_edge_certificate_rejects_a_residual_vanishing_just_below_its_bound(monkeypatch, poset, s):
+    # Adding 2^(8s) - q to the true y_c leaves the residual 2^(8s) - q at
+    # every ideal.  The certificate evaluates at 2^(8(s+1)), one byte above
+    # that root, and rejects; one byte lower it would be fooled.
+    statistic = statistic_ddeg(poset)
+    result = toggle_solve(poset, statistic)
+    root = QPoly.of([1 << 8 * s, -1])
+    ys = (*result.numerators[1:], result.numerators[0] + root)
+    system = solver._specialise(poset, statistic, None)
+    steps = []
+    step_above = solver.step_above
+
+    def spy(bound):
+        steps.append(step_above(bound))
+        return steps[-1]
+
+    monkeypatch.setattr(solver, "step_above", spy)
+    assert solver._certified(poset, system, ys, result.denominator) is None
+    assert steps == [s + 1]
+    monkeypatch.setattr(solver, "step_above", lambda bound: step_above(bound) - 1)
+    assert solver._certified(poset, system, ys, result.denominator) is not None
+
+
+def test_edge_certificate_bound_counts_the_right_hand_side():
+    # y = 0 and d = 1 against f = 256 - q on both ideals of one element
+    # leave the residual q - 256.  A bound without the 1-norm 257 of b would
+    # be N = 2 and Y = 1, so 2^K = 256, its root; with it the walk evaluates
+    # at 2^16 and rejects.
+    poset = Poset(1, [])
+    statistic = Statistic.from_function(poset, lambda mask: QPoly.of([256, -1]))
+    system = solver._specialise(poset, statistic, None)
+    assert solver._certified(poset, system, (ZERO, ZERO), ONE) is None
+    assert solver._certified(poset, system, (ZERO, QPoly.of([256, -1])), ONE) is not None
 
 
 def test_hook_shape_is_consistent_at_one():
