@@ -18,7 +18,7 @@ Every division is exact or raises; nothing here rounds.  ``QPoly`` products
 go through the schoolbook kernel ``_mul`` on coefficient lists, and
 ``QTPoly`` reaches it through ``QPoly``.  The linear solver packs each
 polynomial into one int instead (``kronecker``), as the J(P) engine does:
-its elimination, its certificate and the gcd pre-test are int arithmetic.
+its elimination, its certificate and the gcd (``poly_gcd``) are int arithmetic.
 
 Text format for q-polynomials: terms in ascending exponent order joined with
 `` + `` / `` - ``, e.g. ``"1 + 2*q + q^2"``.  The parser also accepts ``2q``,
@@ -419,7 +419,7 @@ def _embed_qt(x: QTPoly | QPoly | int) -> QTPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd (an evaluation pre-test, then the subresultant sequence)
+# polynomial gcd (the heuristic gcd over the Kronecker packing)
 
 
 def _primitive(p: QPoly) -> QPoly:
@@ -430,79 +430,47 @@ def _primitive(p: QPoly) -> QPoly:
     return q if q.lc >= 0 else -q
 
 
-def _pseudo_rem(a: QPoly, b: QPoly) -> QPoly:
-    """lc(b)^(deg a - deg b + 1) * a mod b, computed without fractions."""
-    rem = list(a.coeffs)
-    db, lead = b.degree, b.lc
-    for k in range(a.degree - db, -1, -1):
-        top = rem[db + k]
-        rem = [lead * x for x in rem]
-        if top:
-            for e, c in enumerate(b.coeffs):
-                rem[e + k] -= top * c
-    return QPoly.of(rem[:db] if len(rem) > db else rem)
-
-
-def _exact_scalar_div(p: QPoly, d: int) -> QPoly:
-    if d in (1, -1):
-        return p if d == 1 else -p
-    out = []
-    for c in p.coeffs:
-        if c % d:
-            raise InexactDivision("subresultant coefficient division failed")
-        out.append(c // d)
-    return QPoly.of(out)
-
-
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Greatest common divisor in Z[q], with positive leading coefficient.
+    """Greatest common divisor in Z[q], content included, with positive
+    leading coefficient; gcd(0, b) is b with a positive leading coefficient.
 
-    Most coprime pairs of positive degree are recognised by one integer gcd
-    before the subresultant sequence runs.  Put M = min(|a|_inf, |b|_inf)
-    and x = 2^(8*step) > M + 3 (``step_above``).  A common factor h of
-    positive degree in Z[q] has only roots of a and of b, and by Cauchy's
-    bound every root of a lies within 1 + |a|_inf of 0 (as |lc a| >= 1), and
-    likewise for b, so within 1 + M.  Each factor x - z of
-    h(x) = lc(h) * prod (x - z) then exceeds 2 in absolute value, so
-    |h(x)| >= 2, and h(x) divides both a(x) and b(x).  A common integer
-    content divides both values too.  Hence gcd(a(x), b(x)) = 1 proves
-    gcd(a, b) = 1; any other value leaves the answer to the subresultant
-    sequence.
+    The heuristic gcd (Char, Geddes & Gonnet, *J. Symbolic Comput.* 7,
+    1989) over the Kronecker packing.  Put c = gcd(cont a, cont b),
+    M = min(|a|_inf, |b|_inf) and x = 2^(8*step) > 2M + 1 (``step_above``).
+    The balanced base-x digits of gcd(a(x), b(x)) (``balanced``) are a
+    polynomial h with h(x) = gcd(a(x), b(x)); let g be its primitive part.
+    A constant g gives c, a g that divides a and b gives c*g, and any
+    other g squares x and the loop runs again.
+
+    Soundness.  Write a = cont(a) * G * a' and b = cont(b) * G * b', with G
+    the primitive gcd, so c*G is the answer.  A primitive g that divides a
+    and b (a constant one does) divides G: say G = g*k.  Then
+    c * G(x) = c * g(x) * k(x) divides a(x) and b(x), so it divides their
+    gcd h(x) = cont(h) * g(x); as g(x) != 0, k(x) divides cont(h) > 0.  A
+    nonconstant k has only common roots of a and b, each below 1 + M <= x/2
+    in absolute value by Cauchy's bound, so |k(x)| > x/2.  The digits of h
+    lie in [-x/2, x/2), so cont(h) <= x/2, and k is constant: g = G.
+    Termination.  gcd(a(x), b(x)) = G(x) * r, where r divides
+    cont(a) * cont(b) * Res(a', b'), a nonzero integer that does not depend
+    on x.  Once x/2 > r * |G|_inf the digits of G(x) * r are the
+    coefficients of r*G, so g = G divides a and b.
     """
-    if a.degree > 0 and b.degree > 0:
-        bound = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
-        step = step_above(bound + 3)
-        if math.gcd(pack(a.coeffs, step), pack(b.coeffs, step)) == 1:
-            return ONE
-    return _subresultant_gcd(a, b)
-
-
-def _subresultant_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """``poly_gcd`` by the subresultant pseudo-remainder sequence."""
-    if not a:
-        return _primitive(b) * b.content() if b else ZERO
-    if not b:
-        return _primitive(a) * a.content()
+    if not (a and b):
+        p = a or b
+        return -p if p.lc < 0 else p
     c = math.gcd(a.content(), b.content())
-    fa, fb = _primitive(a), _primitive(b)
-    if fa.degree < fb.degree:
-        fa, fb = fb, fa
-    g = h = 1
+    step = step_above(2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 1)
     while True:
-        d = fa.degree - fb.degree
-        rem = _pseudo_rem(fa, fb)
-        if not rem:
-            return _primitive(fb) * c
-        if rem.degree == 0:
+        value = math.gcd(pack(a.coeffs, step), pack(b.coeffs, step))
+        g = _primitive(QPoly.of(balanced(value, step)))
+        if g.degree == 0:
             return QPoly((c,))
-        fa, fb = fb, _exact_scalar_div(rem, g * h**d)
-        g = fa.lc
-        if d > 0:
-            num = g**d
-            den = h ** (d - 1)
-            if num % den:
-                raise InexactDivision("subresultant h-update failed")
-            h = num // den
+        try:
+            a.exact_div(g)
+            b.exact_div(g)
+            return g * c
+        except InexactDivision:
+            step *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +492,6 @@ class RatFunc:
             if g.degree > 0 or g.lc > 1:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            c = math.gcd(num.content(), den.content())
-            num, den = _exact_scalar_div(num, c), _exact_scalar_div(den, c)
             if den.lc < 0:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
@@ -544,13 +510,13 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, QPoly):
-            return self.den == ONE and self.num == other
         if isinstance(other, int):
             return self.den == ONE and self.num == QPoly.of([other])
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self.den == ONE and self.num.degree <= 0:
+            return hash(sum(self.num.coeffs))  # a constant hashes as its int
         return hash((self.num, self.den))
 
     def __add__(self, other: RatFunc) -> RatFunc:

@@ -18,6 +18,7 @@ from conftest import (
 )
 from qtab import qpoly, solver
 from qtab.distributions import Statistic, _maximal_count, statistic_ddeg, statistic_toggle
+from qtab.kronecker import step_above
 from qtab.posets import Poset, build_rectangle, build_shape, build_shifted, order_ideals
 from qtab.qpoly import (
     ONE,
@@ -367,9 +368,59 @@ def test_gcd_divides_common_multiples(a, b, c):
         g.exact_div(poly_gcd(c, g))  # c divides the gcd
 
 
-def _pretest_point(a, b):
-    """The point x = 2^k > min(|a|_inf, |b|_inf) + 3 of the coprimality test."""
-    return 1 << (min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 3).bit_length()
+def _pseudo_rem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b, computed without fractions."""
+    rem = list(a.coeffs)
+    db, lead = b.degree, b.lc
+    for k in range(a.degree - db, -1, -1):
+        top = rem[db + k]
+        rem = [lead * x for x in rem]
+        if top:
+            for e, c in enumerate(b.coeffs):
+                rem[e + k] -= top * c
+    return QPoly.of(rem[:db] if len(rem) > db else rem)
+
+
+def _subresultant_gcd(a, b):
+    """The oracle for ``poly_gcd``: the subresultant pseudo-remainder
+    sequence, whose divisions are exact by the subresultant theorem."""
+    if not a:
+        return qpoly._primitive(b) * b.content() if b else ZERO
+    if not b:
+        return qpoly._primitive(a) * a.content()
+    c = math.gcd(a.content(), b.content())
+    fa, fb = qpoly._primitive(a), qpoly._primitive(b)
+    if fa.degree < fb.degree:
+        fa, fb = fb, fa
+    g = h = 1
+    while True:
+        d = fa.degree - fb.degree
+        rem = _pseudo_rem(fa, fb)
+        if not rem:
+            return qpoly._primitive(fb) * c
+        if rem.degree == 0:
+            return QPoly((c,))
+        scale = g * h**d
+        assert not any(x % scale for x in rem.coeffs)
+        fa, fb = fb, QPoly.of(x // scale for x in rem.coeffs)
+        g = fa.lc
+        if d > 0:
+            assert g**d % h ** (d - 1) == 0
+            h = g**d // h ** (d - 1)
+
+
+def _first_point(a, b):
+    """The first point x = 2^(8*step) > 2 min(|a|_inf, |b|_inf) + 1 of the
+    heuristic gcd."""
+    bound = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
+    return 1 << 8 * step_above(2 * bound + 1)
+
+
+def _candidate(a, b, x):
+    """The primitive part of the balanced base-x digits of gcd(a(x), b(x)):
+    the heuristic gcd's candidate at x."""
+    value = math.gcd(a.evaluate(x), b.evaluate(x))
+    return qpoly._primitive(QPoly.of(balanced_divmod_digits(value, x.bit_length() - 1)))
 
 
 def _assert_canonical(r, num, den):
@@ -377,7 +428,7 @@ def _assert_canonical(r, num, den):
     assert r.num * den == r.den * num
     assert r.den.lc > 0
     if r.num:
-        assert qpoly._subresultant_gcd(r.num, r.den) == ONE
+        assert _subresultant_gcd(r.num, r.den) == ONE
     else:
         assert r.den == ONE
 
@@ -397,9 +448,10 @@ wide_polys = st.lists(st.integers(-(10**6), 10**6), max_size=5).map(QPoly.of)
 # the shared factor q - t has its root t at or next to a power of two
 @example(QPoly.of([-7, 1]), QPoly.of([-8, 1]), QPoly.of([-9, 1]))
 @example(QPoly.of([1, 1]), QPoly.of([-15, 0, 1]), QPoly.of([-16, 1]))
+@example(QPoly.of([1, 1]), QPoly.of([-255, 0, 1]), QPoly.of([-256, 1]))
 def test_gcd_matches_the_subresultant_route(a, b, c):
     for x, y in ((a, b), (a * c, b * c), (-(a * c), b * c)):
-        assert poly_gcd(x, y) == qpoly._subresultant_gcd(x, y)
+        assert poly_gcd(x, y) == _subresultant_gcd(x, y)
         if y:
             _assert_canonical(RatFunc(x, y), x, y)
 
@@ -407,32 +459,77 @@ def test_gcd_matches_the_subresultant_route(a, b, c):
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 @pytest.mark.parametrize("shared", [True, False])
 def test_gcd_with_a_root_at_the_test_point(delta, shared):
-    # b = (q + 1)(q + 2) has the smaller norm, 3, so the test point is x = 8.
-    # a = (q - 8 - delta) times (q + 1) or (q + 3): at delta = 0 a vanishes
-    # at x, the values have gcd b(x) > 1, and the subresultant sequence
-    # decides.
+    # b = (q + 1)(q + 2) has the smaller norm, 3, so the first point is
+    # x = 2^8.  a = (q - 256 - delta) times (q + 1) or (q + 3): at delta = 0
+    # a vanishes at x, the values have gcd b(x), the candidate b does not
+    # divide a, and the loop retries at 2^16.
     b = QPoly.of([2, 3, 1])
-    x = 8
+    x = 256
     a = QPoly.of([-(x + delta), 1]) * QPoly.of([1 if shared else 3, 1])
-    assert _pretest_point(a, b) == x
+    assert _first_point(a, b) == x
+    if delta == 0:
+        assert _candidate(a, b, x) == b
     want = QPoly.of([1, 1]) if shared else ONE
     assert poly_gcd(a, b) == poly_gcd(b, a) == want
-    assert qpoly._subresultant_gcd(a, b) == want
+    assert _subresultant_gcd(a, b) == want
     _assert_canonical(RatFunc(a, b), a, b)
     _assert_canonical(RatFunc(-b, a), -b, a)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+@pytest.mark.parametrize(
+    "t", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+)
 def test_gcd_finds_a_shared_root_near_a_power_of_two(t):
-    # (q - t)(q + 1) against (q - t)(q^2 + 2): the norms are at least t, so
-    # the test point lies past t + 3 and the values share the factor x - t.
+    # (q - t)(q + 1) against (q - t)(q^2 + 2): the values at every point
+    # share the factor x - t > 1.
     shared = QPoly.of([-t, 1])
     a, b = shared * QPoly.of([1, 1]), shared * QPoly.of([2, 0, 1])
-    assert math.gcd(a.evaluate(_pretest_point(a, b)), b.evaluate(_pretest_point(a, b))) > 1
+    x = _first_point(a, b)
+    assert math.gcd(a.evaluate(x), b.evaluate(x)) > 1
     assert poly_gcd(a, b) == poly_gcd(-a, b) == shared
     r = RatFunc(a, -b)
     _assert_canonical(r, a, -b)
     assert (r.num, r.den) == (QPoly.of([-1, -1]), QPoly.of([2, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "a, b, first",
+    [
+        # at 2^8 the values share 148, read back as -108 + q
+        (QPoly.of([188, 1]), QPoly.of([12, 122, -66, 15, 3]), QPoly.of([-108, 1])),
+        # at 2^8 the values share 501, read back as -11 + 2q
+        (QPoly.of([-1, -3, 2, 2]), QPoly.of([-2, -2, -3, 1]), QPoly.of([-11, 2])),
+    ],
+)
+def test_gcd_retries_at_a_wider_point(a, b, first):
+    # the first candidate divides neither input; at 2^16 the candidate is 1
+    x = _first_point(a, b)
+    assert x == 256
+    assert _candidate(a, b, x) == first
+    for p in (a, b):
+        with pytest.raises(InexactDivision):
+            p.exact_div(first)
+    assert _candidate(a, b, x * x) == ONE
+    assert poly_gcd(a, b) == poly_gcd(b, a) == _subresultant_gcd(a, b) == ONE
+
+
+def test_gcd_point_is_above_twice_the_norm():
+    # (q - 129)(q + 1) against (q - 129)(q + 2): M = 129 puts the first point
+    # at 2^16.  At 2^8 > M + 3 the values would share only 127 = 256 - 129,
+    # and the loop would answer 1.
+    a, b = QPoly.of([-129, -128, 1]), QPoly.of([-258, -127, 1])
+    assert _first_point(a, b) == 1 << 16
+    assert _candidate(a, b, 256) == ONE
+    assert poly_gcd(a, b) == poly_gcd(b, a) == QPoly.of([-129, 1])
+
+
+def test_gcd_matches_the_oracle_at_high_degree():
+    # [40 choose 20] (degree 400) against [40 choose 10] * [21] (degree 320)
+    a, b = qbinom(40, 20), qbinom(40, 10) * qnum(21)
+    assert (a.degree, b.degree) == (400, 320)
+    g = poly_gcd(a, b)
+    assert g == _subresultant_gcd(a, b)
+    assert g.degree > 0
 
 
 def test_ratfunc_canonical():
@@ -451,6 +548,16 @@ def test_ratfunc_canonical():
 def test_ratfunc_negative_denominator_normalized():
     assert RatFunc(ONE, -qnum(2)) == RatFunc(-ONE, qnum(2))
     assert RatFunc(ONE, -qnum(2)).den.lc > 0
+
+
+def test_ratfunc_equality_and_hash_agree():
+    two = RatFunc.from_int(2)
+    assert two == 2 and hash(two) == hash(2) and len({two, 2}) == 1
+    assert RAT_ZERO == 0 and hash(RAT_ZERO) == hash(0)
+    assert RatFunc(ONE, qnum(2)) != 1 and RatFunc(qnum(2)) != 2
+    # a RatFunc never equals a QPoly, as 2 does not: == stays transitive
+    assert two != QPoly.of([2]) and QPoly.of([2]) != 2
+    assert RatFunc(qnum(2)) != qnum(2)
 
 
 @given(polys, nonzero_polys, polys, nonzero_polys)
