@@ -454,12 +454,30 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     cont(a) * cont(b) * Res(a', b'), a nonzero integer that does not depend
     on x.  Once x/2 > r * |G|_inf the digits of G(x) * r are the
     coefficients of r*G, so g = G divides a and b.
+    Bound.  With |.|_1 the 1-norm and M(.) the Mahler measure, a factor h
+    of a has |h|_2 <= |h|_1 <= 2^deg(h) M(h) <= 2^deg(h) M(a) <= 2^deg(h)
+    |a|_1 (Landau-Mignotte), and Hadamard's inequality on the Sylvester
+    matrix gives |Res(a', b')| <= |a'|_2^deg(b') * |b'|_2^deg(a').  So
+    r * |G|_inf < 2^B, with B the sum of the bit lengths of cont(a),
+    cont(b), (2^deg(a) |a|_1)^deg(b), (2^deg(b) |b|_1)^deg(a) and
+    2^min(deg a, deg b) * min(|a|_1, |b|_1).  A candidate that fails once
+    x/2 >= 2^B can only come from faulty arithmetic, and QAlgebraError is
+    raised instead of squaring x again.
     """
     if not (a and b):
         p = a or b
         return -p if p.lc < 0 else p
     c = math.gcd(a.content(), b.content())
     step = step_above(2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 1)
+    (da, na), (db, nb) = ((p.degree, _norm(p.coeffs).bit_length()) for p in (a, b))
+    limit = (
+        a.content().bit_length()
+        + b.content().bit_length()
+        + db * (da + na)
+        + da * (db + nb)
+        + min(da, db)
+        + min(na, nb)
+    )
     while True:
         value = math.gcd(pack(a.coeffs, step), pack(b.coeffs, step))
         g = _primitive(QPoly.of(balanced(value, step)))
@@ -470,6 +488,8 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
             b.exact_div(g)
             return g * c
         except InexactDivision:
+            if 8 * step > limit:
+                raise QAlgebraError("poly_gcd: no candidate divides past its termination bound")
             step *= 2
 
 
@@ -573,11 +593,15 @@ class LinearSystemResult:
 
     When ``consistent``, the certified answer is kept as the elimination
     gives it: ``numerators`` y = d * x, one QPoly per column with free
-    columns (listed in ``free_columns``) set to zero, over the one
-    ``denominator`` d, the last Bareiss pivot; A y = d b holds on every row.
-    ``solution`` reduces each y_j / d to a RatFunc when it is first read.
-    Otherwise ``witness_row`` is the input index of an equation that cannot
-    be satisfied, and the other fields are None.
+    columns (listed in ``free_columns``) set to zero, over the one nonzero
+    ``denominator`` d; A y = d b holds on every row.  (y, d) is the Bareiss
+    pair, d the last pivot, whenever the packing width of the elimination
+    holds every entry it meets (``_eliminate``); a square system accepted at
+    its first width may instead give lambda * (y, d) for a rational lambda
+    with lambda(2^k) = 1, which changes no y_j / d.  ``solution`` reduces
+    each y_j / d to a RatFunc when it is first read.  Otherwise
+    ``witness_row`` is the input index of an equation that cannot be
+    satisfied, and the other fields are None.
     """
 
     consistent: bool
@@ -630,9 +654,14 @@ def solve_linear_system(
     the nonzero cells.
 
     All rows are eliminated in the given column order (``_eliminate``),
-    which gives the witness row of an inconsistent system; a consistent
-    answer is certified on every row (``check_solution``), and no y_j / d is
-    reduced: a caller that reads ``solution`` pays for the gcds.
+    which gives the witness row of an inconsistent system.  A square system
+    is first eliminated at its narrower first width (``_widths``), and that
+    answer is taken when it leaves no free column and holds on every row
+    (``_violated_row``): the determinant is then nonzero at 2^k, so the
+    solution is unique.  Any other system, and a square one whose first
+    answer fails, is eliminated at Hadamard's width, and a consistent
+    answer from there is certified on every row (``check_solution``).  No
+    y_j / d is reduced: a caller that reads ``solution`` pays for the gcds.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -646,15 +675,55 @@ def solve_linear_system(
             if len(row) != ncols:
                 raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
         rows = [{j: entry for j, entry in enumerate(row) if entry} for row in matrix]
-    [(witness, numerators)], denominator, free = _eliminate(rows, [rhs], ncols)
+    *first, full = _widths(rows, [rhs], ncols)
+    for step in first:
+        [(witness, ys)], d, free = _eliminate(rows, [rhs], ncols, step)
+        if witness is None and not free and _violated_row(rows, rhs, ys, d) is None:
+            return LinearSystemResult(True, tuple(ys), d, (), None)
+    [(witness, numerators)], denominator, free = _eliminate(rows, [rhs], ncols, full)
     if witness is not None:
         return LinearSystemResult(False, None, None, (), witness)
     check_solution(rows, rhs, numerators, denominator)
     return LinearSystemResult(True, tuple(numerators), denominator, free, None)
 
 
+def _widths(matrix: Sequence[Row], rhss: Sequence[Sequence[QPoly]], ncols: int) -> tuple[int, ...]:
+    """The packing widths, in bytes, at which to eliminate [A | b_1 ... b_s]:
+    Hadamard's width last, and before it, for a square system, the first
+    width ``step_above(2 * isqrt(H))``, half of H's bits, when narrower.
+
+    Every Bareiss entry, the last pivot and every back-substituted value is,
+    up to sign, a minor of one [A|b_t] of size at most ncols+1.  On |q| = 1
+    each entry is at most its 1-norm in absolute value, so by Hadamard's
+    inequality the minor is at most the product of its rows' 2-norms of
+    entry 1-norms; by Parseval no coefficient of a polynomial exceeds its
+    maximum on |q| = 1.  Hence H, with H^2 the product over the ncols+1
+    largest rows of sum_j |a_ij|_1^2 + max_t |b_ti|_1^2, bounds every
+    coefficient.  With step = step_above(2H), 2^(k-1) > H at k = 8 * step,
+    so balanced base-2^k digits cover every coefficient and evaluation at
+    2^k is injective on everything the elimination meets.
+
+    The first width is a guess (the answers of toggle systems need a third
+    to a quarter of H's bits), so its answer must be certified.  A tall
+    system keeps Hadamard's width: its witness rows rest on exact zero tests
+    that no certificate covers.
+    """
+    square = _PerEntry(lambda c: _norm(c) ** 2).__getitem__
+    weights = sorted(
+        (
+            sum(map(square, map(_coeffs, row.values()))) + max(square(b[i].coeffs) for b in rhss)
+            for i, row in enumerate(matrix)
+        ),
+        reverse=True,
+    )
+    bound = math.isqrt(math.prod(max(v, 1) for v in weights[: ncols + 1]))
+    full = step_above(2 * bound)
+    first = step_above(2 * math.isqrt(bound))
+    return (first, full) if len(matrix) == ncols and first < full else (full,)
+
+
 def _eliminate(
-    matrix: Sequence[Row], rhss: Sequence[Sequence[QPoly]], ncols: int
+    matrix: Sequence[Row], rhss: Sequence[Sequence[QPoly]], ncols: int, step: int
 ) -> tuple[list[tuple[int | None, list[QPoly]]], QPoly, tuple[int, ...]]:
     """Bareiss one-step division (Math. Comp. 22, 1968) on packed entries,
     with every right-hand side b_t of ``rhss`` carried as a column of
@@ -662,18 +731,15 @@ def _eliminate(
     ``matrix`` are expanded, into dense rows of packed cells.
 
     Each cell holds the integer P(2^k) of its polynomial P (``kronecker``),
-    with k = 8 * step a whole number of bytes.  Every Bareiss entry, the
-    last pivot and every back-substituted value is, up to sign,
-    a minor of one [A|b_t] of size at most ncols+1.  On |q| = 1 each entry
-    is at most its 1-norm in absolute value, so by Hadamard's inequality
-    the minor is at most the product of its rows' 2-norms of entry 1-norms;
-    by Parseval no coefficient of a polynomial exceeds its maximum on
-    |q| = 1.  Hence H, with H^2 the product over the ncols+1 largest rows of
-    sum_j |a_ij|_1^2 + max_t |b_ti|_1^2, bounds every coefficient.  With
-    step = step_above(2H), 2^(k-1) > H, so balanced base-2^k digits cover
-    every coefficient and evaluation at 2^k is injective on everything the
-    elimination meets.  The integer divisions are therefore exact, and an
-    entry is zero exactly when its polynomial is.
+    with k = 8 * ``step`` a whole number of bytes.  The pass is integer
+    Bareiss on [A(2^k) | B(2^k)], so every division is exact at any k and
+    every cell is a minor of that integer matrix: the value at 2^k of the
+    polynomial minor with the same rows and columns.  At Hadamard's width
+    (``_widths``) the value determines the minor: an entry is zero exactly
+    when its polynomial is, the pivots, free columns and witness rows are
+    those of the polynomial elimination, and every value decodes.  At a
+    narrower width a nonzero minor can vanish at 2^k, and a value can
+    decode to another polynomial with the same value at 2^k.
 
     A step whose pivot column holds zero in a row only scales that row, by
     piv / prev, and the scalings of consecutive steps telescope.  So such a
@@ -688,19 +754,11 @@ def _eliminate(
     (the denominator) and the free columns set to zero, the
     back-substitution stays fraction-free: it finds y = d * x, a vector of
     Cramer minors of [A|b_t], so every division is exact again and every
-    y_j unpacks.  No answer is certified here.
+    y_j unpacks.  d is nonzero, as its value at 2^k is a pivot.  (y, d) is
+    the Bareiss pair whenever 2^(k-1) exceeds every coefficient of every
+    entry met, as at Hadamard's width.  No answer is certified here.
     """
     m = len(matrix)
-    square = _PerEntry(lambda c: _norm(c) ** 2).__getitem__
-    weights = sorted(
-        (
-            sum(map(square, map(_coeffs, row.values()))) + max(square(b[i].coeffs) for b in rhss)
-            for i, row in enumerate(matrix)
-        ),
-        reverse=True,
-    )
-    bound = math.isqrt(math.prod(max(v, 1) for v in weights[: ncols + 1]))
-    step = step_above(2 * bound)
     value = _PerEntry(lambda c: pack(c, step)).__getitem__
     rows = []
     for i, row in enumerate(matrix):
@@ -786,7 +844,21 @@ def check_solution(
     numerators: Sequence[QPoly],
     denominator: QPoly,
 ) -> None:
-    """Raise ResidualMismatch unless ``matrix @ numerators == denominator * rhs``.
+    """Raise ResidualMismatch unless ``matrix @ numerators == denominator * rhs``
+    (``_violated_row``)."""
+    i = _violated_row(matrix, rhs, numerators, denominator)
+    if i is not None:
+        raise ResidualMismatch(f"solution violates equation {i}")
+
+
+def _violated_row(
+    matrix: Sequence[Row],
+    rhs: Sequence[QPoly],
+    numerators: Sequence[QPoly],
+    denominator: QPoly,
+) -> int | None:
+    """The first row i with ``matrix[i] @ numerators != denominator * rhs[i]``,
+    None when every row holds.
 
     No row of [A|b] has a 1-norm above N = (the most cells in a row) * (the
     largest entry 1-norm) + (the largest 1-norm in b).  With Y the largest
@@ -814,7 +886,8 @@ def check_solution(
     targets = _PerEntry(lambda c: d * value(c)).__getitem__
     for i, (row, target) in enumerate(zip(matrix, rhs)):
         if sum([products[j](entry.coeffs) for j, entry in row.items()]) != targets(target.coeffs):
-            raise ResidualMismatch(f"solution violates equation {i}")
+            return i
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .qpoly import (
     _eliminate,
     _fractions,
     _norm,
+    _violated_row,
+    _widths,
     solve_linear_system,
 )
 
@@ -199,15 +201,40 @@ def toggle_solve(
 
 
 def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[ToggleSolveResult]:
-    """``toggle_solve`` for several statistics, with one prefix elimination for all."""
+    """``toggle_solve`` for several statistics, with one prefix elimination
+    for all at each width of ``_widths``, the first width before Hadamard's.
+
+    A statistic whose answer passes ``_certified`` is taken.  At the first
+    width, one that fails but holds on the n + 1 prefix rows with no free
+    column is their unique answer, so the system is inconsistent and goes
+    to all rows; any other was packed too narrow and is eliminated again at
+    Hadamard's width, where a failure goes to all rows, as in
+    ``toggle_solve``.
+    """
     systems = [_specialise(poset, statistic, None) for statistic in statistics]
     rows, rhss = _prefix_system(poset, systems)
-    answers, d, free = _eliminate(rows, rhss, poset.n + 1)
-    return [
-        (witness is None and not free and _certified(poset, system, ys, d))
-        or _solve_all_rows(poset, statistic)
-        for statistic, system, (witness, ys) in zip(statistics, systems, answers)
-    ]
+    ncols = poset.n + 1
+    steps = _widths(rows, rhss, ncols)
+    results: dict[int, ToggleSolveResult] = {}
+    pending = list(range(len(systems)))
+    for step in steps:
+        answers, d, free = _eliminate(rows, [rhss[i] for i in pending], ncols, step)
+        short = []
+        for i, (witness, ys) in zip(pending, answers):
+            unique = witness is None and not free
+            answer = unique and _certified(poset, systems[i], ys, d)
+            if (
+                answer
+                or step == steps[-1]
+                or unique and _violated_row(rows, rhss[i], ys, d) is None
+            ):
+                results[i] = answer or _solve_all_rows(poset, statistics[i])
+            else:
+                short.append(i)
+        pending = short
+        if not pending:
+            break
+    return [results[i] for i in range(len(systems))]
 
 
 def _solve_all_rows(

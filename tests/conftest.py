@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from qtab import qpoly
 from qtab.posets import Poset, build_propeller, build_rectangle, build_shape, build_shifted
 from qtab.qpoly import ZERO
 
@@ -40,6 +41,12 @@ def densify(rows: list[dict], ncols: int) -> list[list]:
     """Sparse rows {column: entry}, as ``build_system`` returns them, written
     out as dense rows of ``ncols`` cells."""
     return [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+
+
+def hadamard_eliminate(rows: list[dict], rhss: list[list], ncols: int) -> tuple:
+    """``qpoly._eliminate`` at Hadamard's width, the last of ``qpoly._widths``,
+    which gives the Bareiss pair."""
+    return qpoly._eliminate(rows, rhss, ncols, qpoly._widths(rows, rhss, ncols)[-1])
 
 
 def divmod_digits(value: int, bits: int) -> list[int]:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     balanced_divmod_digits,
     densify,
+    hadamard_eliminate,
     naturally_labeled_posets,
     partition_strategy,
     strict_partition_strategy,
@@ -28,6 +29,7 @@ from qtab.qpoly import (
     DimensionMismatch,
     DivisionByZero,
     InexactDivision,
+    QAlgebraError,
     QPoly,
     QTPoly,
     RatFunc,
@@ -532,6 +534,29 @@ def test_gcd_matches_the_oracle_at_high_degree():
     assert g.degree > 0
 
 
+def test_gcd_loop_stops_at_its_termination_bound(monkeypatch):
+    # Every candidate read back as 1 + q + q^2 divides neither 1 + q nor
+    # 2 + q.  Their bound is B = 1 + 1 + 1*(1 + 2) + 1*(1 + 2) + 1 + 2 = 11
+    # bits (contents, the two resultant factors, |G|_inf), so the loop tries
+    # x = 2^8 and x = 2^16 > 2^12 and raises.  A loop without the bound
+    # would square x until memory runs out; the pack spy stops it after 16
+    # packs, at x = 2^1024, as each further square doubles every packed int.
+    monkeypatch.setattr(qpoly, "balanced", lambda value, step: [1, 1, 1])
+    steps = []
+    pack = qpoly.pack
+
+    def spy(coeffs, step):
+        steps.append(step)
+        if len(steps) > 16:
+            raise RuntimeError("poly_gcd squared x 8 times")
+        return pack(coeffs, step)
+
+    monkeypatch.setattr(qpoly, "pack", spy)
+    with pytest.raises(QAlgebraError, match="termination bound"):
+        poly_gcd(QPoly.of([1, 1]), QPoly.of([2, 1]))
+    assert steps == [1, 1, 2, 2]
+
+
 def test_ratfunc_canonical():
     assert RatFunc(QPoly.of([-1, 0, 1]), QPoly.of([-1, 1])) == RatFunc(QPoly.of([1, 1]))
     assert RatFunc(qnum(2) * qnum(2), qnum(4)) == RatFunc(qnum(2), QPoly.of([1, 0, 1]))
@@ -777,16 +802,21 @@ def test_solver_certifies_the_square_path(monkeypatch):
     seen = []
     eliminate = qpoly._eliminate
 
-    def spy(matrix, rhss, ncols):
-        answers = eliminate(matrix, rhss, ncols)
-        seen.append((len(matrix), answers))
+    def spy(matrix, rhss, ncols, step):
+        answers = eliminate(matrix, rhss, ncols, step)
+        seen.append((len(matrix), step, answers))
         return answers
 
     monkeypatch.setattr(qpoly, "_eliminate", spy)
     res = toggle_solve(poset, statistic)
-    (prefix, ([(witness, ys)], _, free)), (full, _) = seen
+    (prefix, prefix_step, ([(witness, ys)], _, free)), (full, full_step, _) = seen
     assert (prefix, witness, ys, free) == (3, None, [ZERO] * 3, ())
     sparse, rhs = build_system(poset, statistic)
+    # each system is eliminated once, at Hadamard's width: the first width
+    # of the 3 x 3 prefix rows is no narrower, and the full rows are tall
+    rows, (prefix_rhs,) = solver._prefix_system(poset, [solver._specialise(poset, statistic, None)])
+    assert qpoly._widths(rows, [prefix_rhs], 3) == (prefix_step,)
+    assert qpoly._widths(sparse, [rhs], 3) == (full_step,)
     want = _reference_solve(densify(sparse, 3), rhs)
     assert full == 4 and not res.consistent and not want.consistent
     assert res.witness_mask == order_ideals(poset)[want.witness_row] == 3
@@ -889,13 +919,18 @@ def test_several_statistics_share_one_elimination(mix):
     # At generic q the prefix minor is nonsingular, so every consistent
     # statistic is answered by the one shared elimination, and only each
     # inconsistent one eliminates all rows again.
+    # The shared elimination runs at the first width of the prefix rows:
+    # on every prefix system drawn so far that width has held every entry,
+    # so no statistic is eliminated again at Hadamard's width (a short first
+    # width is test_a_short_first_width_retries_the_prefix_rows).  Each full
+    # system is tall and runs at Hadamard's width.
     poset, statistics = mix
     calls = []
     eliminate = qpoly._eliminate
 
-    def spy(matrix, rhss, ncols):
-        calls.append(len(rhss))
-        return eliminate(matrix, rhss, ncols)
+    def spy(matrix, rhss, ncols, step):
+        calls.append((len(rhss), step))
+        return eliminate(matrix, rhss, ncols, step)
 
     # the shared elimination is called from the solver, each full one from
     # solve_linear_system
@@ -905,7 +940,14 @@ def test_several_statistics_share_one_elimination(mix):
     finally:
         qpoly._eliminate = solver._eliminate = eliminate
     assert len(results) == len(statistics)
-    assert calls == [len(statistics)] + [1] * sum(not r.consistent for r in results)
+    systems = [solver._specialise(poset, statistic, None) for statistic in statistics]
+    rows, rhss = solver._prefix_system(poset, systems)
+    full = []
+    for statistic, result in zip(statistics, results):
+        if not result.consistent:
+            sparse, rhs = build_system(poset, statistic)
+            full.append((1, qpoly._widths(sparse, [rhs], poset.n + 1)[-1]))
+    assert calls == [(len(statistics), qpoly._widths(rows, rhss, poset.n + 1)[0])] + full
     for statistic, got in zip(statistics, results):
         assert got == toggle_solve(poset, statistic)
         sparse, rhs = build_system(poset, statistic)
@@ -920,20 +962,48 @@ def test_several_statistics_share_one_elimination(mix):
 def test_only_the_failing_statistic_takes_the_full_path(monkeypatch):
     # The prefix rows of shape 2,1 are eliminated once for both statistics;
     # ddeg fails its certificate there and alone eliminates all 5 rows.
+    # Both run at Hadamard's width: 1 byte already, and the full rows are tall.
     poset = build_shape((2, 1))
     seen = []
     eliminate = qpoly._eliminate
 
-    def spy(matrix, rhss, ncols):
-        seen.append((len(matrix), len(rhss)))
-        return eliminate(matrix, rhss, ncols)
+    def spy(matrix, rhss, ncols, step):
+        seen.append((len(matrix), len(rhss), step))
+        return eliminate(matrix, rhss, ncols, step)
 
     monkeypatch.setattr(qpoly, "_eliminate", spy)
     monkeypatch.setattr(solver, "_eliminate", spy)
     ddeg, toggle = _toggle_solve_all(poset, [statistic_ddeg(poset), statistic_toggle(poset, 1)])
-    assert seen == [(poset.n + 1, 2), (len(order_ideals(poset)), 1)]
+    assert seen == [(poset.n + 1, 2, 1), (len(order_ideals(poset)), 1, 1)]
     assert (ddeg.consistent, ddeg.witness_mask) == (False, 7)
     assert toggle.consistent and toggle.constant == RAT_ZERO
+
+
+def test_a_short_first_width_retries_the_prefix_rows(monkeypatch):
+    # No toggle prefix system has been found whose first width is short, so
+    # the width is forced to 1 byte for the five row statistics of rect
+    # 5x6, whose answers need 12 bits.  Every answer then fails its
+    # certificate and the prefix rows, so all five are eliminated again at
+    # Hadamard's width, and no full system is eliminated.
+    poset = build_rectangle(5, 6)
+    statistics = [solver.statistic_row(poset, row) for row in range(1, 6)]
+    want = _toggle_solve_all(poset, statistics)
+    widths = qpoly._widths
+    monkeypatch.setattr(solver, "_widths", lambda *args: (1, widths(*args)[-1]))
+    seen = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhss, ncols, step):
+        seen.append((len(matrix), len(rhss), step))
+        return eliminate(matrix, rhss, ncols, step)
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    monkeypatch.setattr(solver, "_eliminate", spy)
+    got = _toggle_solve_all(poset, statistics)
+    systems = [solver._specialise(poset, statistic, None) for statistic in statistics]
+    rows, rhss = solver._prefix_system(poset, systems)
+    assert seen == [(poset.n + 1, 5, 1), (poset.n + 1, 5, widths(rows, rhss, poset.n + 1)[-1])]
+    assert got == want and all(result.consistent for result in got)
 
 
 @pytest.mark.parametrize(
@@ -941,18 +1011,26 @@ def test_only_the_failing_statistic_takes_the_full_path(monkeypatch):
 )
 def test_singular_prefix_minor_falls_back(monkeypatch, lam, coefficients):
     # At q = -1 the prefix minor of these shapes is singular: its rows leave
-    # a free column, and all rows are eliminated.
+    # a free column, and all rows are eliminated.  Shape 2,2,1,1 has a
+    # narrower first width, where the free column sends the prefix rows to
+    # Hadamard's width first: one more square elimination.
     poset = build_shape(lam)
     seen = []
     eliminate = qpoly._eliminate
 
-    def spy(matrix, rhss, ncols):
-        seen.append(len(matrix))
-        return eliminate(matrix, rhss, ncols)
+    def spy(matrix, rhss, ncols, step):
+        seen.append((len(matrix), step))
+        return eliminate(matrix, rhss, ncols, step)
 
     monkeypatch.setattr(qpoly, "_eliminate", spy)
     result = toggle_solve(poset, statistic_ddeg(poset), q_value=-1)
-    assert seen == [poset.n + 1, len(order_ideals(poset))]
+    system = solver._specialise(poset, statistic_ddeg(poset), -1)
+    rows, (prefix_rhs,) = solver._prefix_system(poset, [system])
+    prefix_steps = qpoly._widths(rows, [prefix_rhs], poset.n + 1)
+    assert prefix_steps == {(2, 2): (1,), (2, 2, 1, 1): (1, 2)}[lam]
+    sparse, rhs = build_system(poset, statistic_ddeg(poset), -1)
+    full = (len(order_ideals(poset)), *qpoly._widths(sparse, [rhs], poset.n + 1))
+    assert seen == [(poset.n + 1, step) for step in prefix_steps] + [full]
     assert result.consistent and result.constant == RAT_ZERO
     assert result.coefficients == tuple(RatFunc.from_int(c) for c in coefficients)
 
@@ -1011,12 +1089,115 @@ def test_solver_packing_meets_hadamards_bound(monkeypatch):
     result = solve_linear_system(matrix, rhs)
     assert _answer(result) == _reference_solve(matrix, rhs)
     assert result.solution == tuple(RatFunc(ONE, QPoly.monomial(4, j)) for j in range(4))
-    # the elimination sizes its cells first, then the certificate its rows
-    assert bounds[0] == 2 * 17
-    denominator = qpoly._eliminate([dict(enumerate(row)) for row in matrix], [rhs], 4)[1]
+    # the widths are sized first, Hadamard's before the first width 2 * 4,
+    # which is no narrower; then the certificate sizes its rows
+    assert bounds[:2] == [2 * 17, 2 * 4]
+    rows = [dict(enumerate(row)) for row in matrix]
+    assert qpoly._widths(rows, [rhs], 4) == (1,)
+    denominator = hadamard_eliminate(rows, [rhs], 4)[1]
     assert denominator == QPoly.monomial(16, 12)
     assert balanced_divmod_digits(16 << 5 * 12, 5) != list(denominator.coeffs)
     assert balanced_divmod_digits(16 << 6 * 12, 6) == list(denominator.coeffs)
+
+
+def _spy_widths(monkeypatch):
+    """Record the step of every ``qpoly._eliminate`` call, from either module."""
+    steps = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhss, ncols, step):
+        steps.append(step)
+        return eliminate(matrix, rhss, ncols, step)
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    monkeypatch.setattr(solver, "_eliminate", spy)
+    return steps
+
+
+def _sylvester(order):
+    """Sylvester's Hadamard matrix of this order (a power of two), entries +-1."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [row + row for row in rows] + [row + [-h for h in row] for row in rows]
+    return rows
+
+
+def test_first_width_retries_when_the_certificate_fails(monkeypatch):
+    # 1000 x = 1: H = 1000, so Hadamard's width is 2 bytes and the first,
+    # step_above(2 * 31), 1 byte.  There d = 1000 = 4 * 256 - 24 reads back
+    # as 4q - 24, the residual 1000 - (4q - 24) is not zero, and the system
+    # is eliminated again at 2 bytes.
+    steps = _spy_widths(monkeypatch)
+    matrix, rhs = [[QPoly.of([1000])]], [ONE]
+    result = solve_linear_system(matrix, rhs)
+    assert steps == [1, 2]
+    assert _answer(result) == _reference_solve(matrix, rhs)
+    assert (result.numerators, result.denominator) == ((ONE,), QPoly.of([1000]))
+
+
+def test_first_width_can_accept_a_multiple_of_the_bareiss_pair(monkeypatch):
+    # The Sylvester system of order 8, entries +-q^(i+j) and b = e_0, has
+    # H^2 = 9 * 8^7: Hadamard's width is 2 bytes, the first 1 byte.  Its
+    # determinant 4096 q^56 is 2^460 = 16 * 256^57 at q = 2^8, so the first
+    # width reads it back as 16 q^57, and every y_j as q/256 times the
+    # Bareiss one.  That pair holds on every row, so it is accepted; the
+    # fractions are the same.
+    matrix = [
+        [QPoly.monomial(h, i + j) for j, h in enumerate(row)] for i, row in enumerate(_sylvester(8))
+    ]
+    rhs = [ONE] + [ZERO] * 7
+    rows = [dict(enumerate(row)) for row in matrix]
+    assert qpoly._widths(rows, [rhs], 8) == (1, 2)
+    steps = _spy_widths(monkeypatch)
+    result = solve_linear_system(matrix, rhs)
+    assert steps == [1]
+    assert _answer(result) == _reference_solve(matrix, rhs)
+    assert result.denominator == QPoly.monomial(16, 57)
+    assert hadamard_eliminate(rows, [rhs], 8)[1] == QPoly.monomial(4096, 56)
+    assert result.solution == tuple(RatFunc(ONE, QPoly.monomial(8, j)) for j in range(8))
+
+
+def _assert_certified_pair(matrix, rhs, result):
+    """A y = d b on every row with d != 0, in QPoly arithmetic."""
+    ys, d = result.numerators, result.denominator
+    assert d
+    for row, b in zip(matrix, rhs):
+        assert sum((a * y for a, y in zip(row, ys)), ZERO) == d * b
+
+
+@st.composite
+def _square_sparse_systems(draw):
+    """Square systems up to 7 x 7 whose cells are mostly zero, with entries
+    of degree <= 3 and coefficients up to 2^40, and a random rhs."""
+    n = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([1, 3, 100, 2**40]))
+    entry = st.one_of(
+        st.just(ZERO),
+        st.just(ZERO),
+        st.lists(st.integers(-bound, bound), max_size=4).map(QPoly.of),
+    )
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(entry, min_size=n, max_size=n))
+    return matrix, rhs
+
+
+def _toggle_prefix_system(poset):
+    """The dense prefix rows of ddeg on the poset and their right-hand side."""
+    system = solver._specialise(poset, statistic_ddeg(poset), None)
+    rows, (rhs,) = solver._prefix_system(poset, [system])
+    return densify(rows, poset.n + 1), rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_square_sparse_systems(), _TOGGLE_POSETS.map(_toggle_prefix_system)))
+def test_square_solves_match_the_reference_at_either_width(system):
+    # Whichever width answers, the fractions are those of the polynomial
+    # elimination, and the pair it keeps is certified: A y = d b, d != 0.
+    matrix, rhs = system
+    result = solve_linear_system(matrix, rhs)
+    assert _answer(result) == _reference_solve(matrix, rhs)
+    if result.consistent:
+        _assert_certified_pair(matrix, rhs, result)
 
 
 def test_check_solution_rejects_planted_error():
@@ -1091,7 +1272,7 @@ def test_check_solution_rejects_an_error_in_the_full_ideals_row(q_value):
     full = len(rows) - 1
     assert order_ideals(poset)[full] == (1 << poset.n) - 1
     assert len(rows[full]) == (1 if q_value == 0 else 2)
-    [(witness, ys)], d, free = qpoly._eliminate(rows, [rhs], poset.n + 1)
+    [(witness, ys)], d, free = hadamard_eliminate(rows, [rhs], poset.n + 1)
     assert witness is None and free == ()
     check_solution(rows, rhs, ys, d)
     with pytest.raises(ResidualMismatch, match=f"equation {full}$"):

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     all_partitions,
     densify,
+    hadamard_eliminate,
     naturally_labeled_posets,
     partition_strategy,
     strict_partition_strategy,
@@ -181,22 +182,24 @@ def test_inconsistent_witness_masks(lam, mask):
 
 
 @pytest.mark.parametrize(
-    "poset,rows",
-    [(build_rectangle(4, 4), [17]), (build_shape((4, 3, 2, 1)), [11, 42])],
+    "poset,rows,steps",
+    [(build_rectangle(4, 4), [17], [2]), (build_shape((4, 3, 2, 1)), [11, 42], [2, 4])],
     ids=["rect4x4", "4321"],
 )
-def test_elimination_sees_a_row_basis(monkeypatch, poset, rows):
+def test_elimination_sees_a_row_basis(monkeypatch, poset, rows, steps):
     # Rect 4x4 has 70 equations in 17 unknowns: only the 17 prefix-ideal
     # rows are built and eliminated, and no row of the full system is built.
     # Shape 4,3,2,1 is inconsistent: its 11 prefix rows solve, the edge
     # certificate fails, and all 42 rows are built and eliminated to find
-    # the witness.
+    # the witness.  The prefix rows are eliminated once, at their first
+    # width of 2 bytes (Hadamard's is 3); the full rows, a tall system, at
+    # Hadamard's width of 4 bytes.
     seen, built = [], []
     eliminate, build = qpoly._eliminate, solver.build_system
 
-    def spy(matrix, rhss, ncols):
-        seen.append(len(matrix))
-        return eliminate(matrix, rhss, ncols)
+    def spy(matrix, rhss, ncols, step):
+        seen.append((len(matrix), step))
+        return eliminate(matrix, rhss, ncols, step)
 
     def spy_build(*args):
         system = build(*args)
@@ -206,7 +209,7 @@ def test_elimination_sees_a_row_basis(monkeypatch, poset, rows):
     monkeypatch.setattr(qpoly, "_eliminate", spy)
     monkeypatch.setattr(solver, "build_system", spy_build)
     toggle_solve(poset, statistic_ddeg(poset))
-    assert seen == rows
+    assert seen == list(zip(rows, steps))
     assert built == rows[1:]
 
 
@@ -224,7 +227,7 @@ _BOX_AND_RANDOM_POSETS = st.one_of(
 def _prefix_answer(poset, system):
     """The prefix rows' unique (y, d), c last, or None."""
     rows, (rhs,) = solver._prefix_system(poset, [system])
-    [(witness, ys)], d, free = qpoly._eliminate(rows, [rhs], poset.n + 1)
+    [(witness, ys)], d, free = hadamard_eliminate(rows, [rhs], poset.n + 1)
     if witness is not None or free:
         return None
     return ys, d
