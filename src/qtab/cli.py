@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from operator import mul
@@ -52,6 +51,7 @@ from .extensions import (
     gf_comaj_hook_formula,
     parse_tableau,
 )
+from .frozen import _Frozen
 from .paths import (
     catalan_number,
     gf_rbmotz,
@@ -127,30 +127,38 @@ class UsageError(Exception):
 # check plumbing
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Frozen):
     """One named verification: ``fn(*params)`` returns (ok, lhs, rhs).
 
     ``fn`` is a module-level function and ``params`` holds its arguments, so a
     check is plain data that can be listed, counted and compared unrun.
     """
 
-    id: str
-    anchor: str
-    fn: Callable[..., tuple[bool, object, object]]
-    params: tuple = ()
+    __match_args__ = ("id", "anchor", "fn", "params")
+
+    def __init__(
+        self, id: str, anchor: str, fn: Callable[..., tuple[bool, object, object]], params: tuple = ()
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "params", params)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(_Frozen):
     """Outcome of one check, with the mismatching sides kept on failure."""
 
-    id: str
-    anchor: str
-    ok: bool
-    seconds: float
-    lhs: object
-    rhs: object
+    __match_args__ = ("id", "anchor", "ok", "seconds", "lhs", "rhs")
+
+    def __init__(
+        self, id: str, anchor: str, ok: bool, seconds: float, lhs: object, rhs: object
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def _vec(value: object) -> object:

@@ -17,7 +17,6 @@ of linear extensions, and the rank-chain weighting of a graded poset.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -28,6 +27,7 @@ from .extensions import (
     enumerate_linear_extensions,
     gf_comaj,
 )
+from .frozen import _Frozen
 from .posets import Poset, order_ideals, rank_data
 from .ppartitions import Rpp, rpp_size_gf
 from .qpoly import (
@@ -78,8 +78,7 @@ def ddeg(poset: Poset, mask: int) -> int:
 # ensembles and statistics
 
 
-@dataclass(frozen=True)
-class WeightedEnsemble:
+class WeightedEnsemble(_Frozen):
     """Polynomial ideal weights summing to a polynomial normalizer.
 
     ``weights[j]`` is the weight of the ideal ``order_ideals(poset)[j]``: one
@@ -88,23 +87,24 @@ class WeightedEnsemble:
     from weights keyed by ideal mask, and ``weight(mask)`` reads one back.
     """
 
-    poset: Poset
-    weights: tuple[QPoly, ...]
-    normalizer: QPoly
+    __match_args__ = ("poset", "weights", "normalizer")
 
-    def __post_init__(self) -> None:
-        ideals = order_ideals(self.poset)
-        if len(self.weights) != len(ideals):
+    def __init__(self, poset: Poset, weights: tuple[QPoly, ...], normalizer: QPoly) -> None:
+        ideals = order_ideals(poset)
+        if len(weights) != len(ideals):
             raise ValueError("weights must cover exactly the order ideals")
         total: list[int] = []
-        for mask, weight in zip(ideals, self.weights):
+        for mask, weight in zip(ideals, weights):
             if weight and min(weight.coeffs) < 0:
                 raise ValueError(f"negative weight at ideal {mask:#x}")
             _add(total, weight.coeffs)
-        if QPoly.of(total) != self.normalizer:
+        if QPoly.of(total) != normalizer:
             raise ValueError("weights do not sum to the normalizer")
-        if not self.normalizer:
+        if not normalizer:
             raise ValueError("normalizer must be nonzero")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "normalizer", normalizer)
 
     @classmethod
     def from_weights(
@@ -128,19 +128,21 @@ class WeightedEnsemble:
         return RatFunc(self.weight(mask), self.normalizer)
 
 
-@dataclass(frozen=True, eq=False)
-class Statistic:
+class Statistic(_Frozen):
     """An exact polynomial-valued function of the order ideals: ``values[j]``
     is its value at ``order_ideals(poset)[j]``, in the layout of
-    ``WeightedEnsemble.weights``."""
+    ``WeightedEnsemble.weights``.  A statistic equals only itself."""
 
-    poset: Poset
-    values: tuple[QPoly, ...]
-    label: str = ""
+    __match_args__ = ("poset", "values", "label")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(order_ideals(self.poset)):
+    def __init__(self, poset: Poset, values: tuple[QPoly, ...], label: str = "") -> None:
+        if len(values) != len(order_ideals(poset)):
             raise ValueError("values must cover exactly the order ideals")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "label", label)
 
     @classmethod
     def from_function(

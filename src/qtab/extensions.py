@@ -23,11 +23,11 @@ entries comma-separated, a doubled cell written ``a|b`` -- e.g. ``"1,3\\n2,4|5"`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import engine
+from .frozen import _Frozen
 from .posets import Poset, box_coords
 from .qpoly import QPoly, QTPoly, _qt_rows, bracket_ratio
 
@@ -36,20 +36,27 @@ class InvalidTriple(Exception):
     """A (T, i, p) triple that does not define a barely set-valued filling."""
 
 
-@dataclass(frozen=True)
-class LinearExtension:
+class LinearExtension(_Frozen):
     """A linear extension; ``values[e]`` is the value (1..n) of element e."""
 
-    poset: Poset
-    values: tuple[int, ...]
+    __match_args__ = ("poset", "values")
 
-    def __post_init__(self) -> None:
-        n = self.poset.n
-        if sorted(self.values) != list(range(1, n + 1)):
+    def __init__(self, poset: Poset, values: tuple[int, ...]) -> None:
+        if sorted(values) != list(range(1, poset.n + 1)):
             raise ValueError("values must be a bijection onto 1..n")
-        for lo, hi in self.poset.covers:
-            if self.values[lo] > self.values[hi]:
+        for lo, hi in poset.covers:
+            if values[lo] > values[hi]:
                 raise ValueError(f"values decrease along cover ({lo}, {hi})")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.poset, self.values) == (other.poset, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.poset, self.values))
 
     @cached_property
     def positions(self) -> tuple[int, ...]:
@@ -125,7 +132,7 @@ def _extension_positions(poset: Poset) -> Iterator[tuple[int, ...]]:
 def _from_positions(poset: Poset, pos: Sequence[int]) -> LinearExtension:
     """The extension whose element at value k+1 is ``pos[k]``.  The walk
     yields only linear extensions, so it is built without the check of
-    ``__post_init__``, with ``positions`` already cached."""
+    ``__init__``, with ``positions`` already cached."""
     values = [0] * poset.n
     for k, e in enumerate(pos):
         values[e] = k + 1
@@ -200,33 +207,35 @@ def f_x_permutation(n: int, xset: Sequence[int]) -> tuple[int, ...]:
 # barely set-valued linear extensions
 
 
-@dataclass(frozen=True)
-class BsvLinearExtension:
+class BsvLinearExtension(_Frozen):
     """Barely set-valued extension: per-element sorted value tuples."""
 
-    poset: Poset
-    entries: tuple[tuple[int, ...], ...]
-    p_star: int
-    i_star: int
+    __match_args__ = ("poset", "entries", "p_star", "i_star")
 
-    def __post_init__(self) -> None:
-        n = self.poset.n
-        if len(self.entries) != n:
+    def __init__(
+        self, poset: Poset, entries: tuple[tuple[int, ...], ...], p_star: int, i_star: int
+    ) -> None:
+        n = poset.n
+        if len(entries) != n:
             raise ValueError("one cell per element required")
-        for cell in self.entries:
+        for cell in entries:
             if len(cell) not in (1, 2) or list(cell) != sorted(set(cell)):
                 raise ValueError("cells must be sorted 1- or 2-element sets")
-        flat = sorted(v for cell in self.entries for v in cell)
+        flat = sorted(v for cell in entries for v in cell)
         if flat != list(range(1, n + 2)):
             raise ValueError("entries must partition 1..n+1")
-        doubles = [e for e, cell in enumerate(self.entries) if len(cell) == 2]
-        if doubles != [self.p_star]:
+        doubles = [e for e, cell in enumerate(entries) if len(cell) == 2]
+        if doubles != [p_star]:
             raise ValueError("exactly the doubled cell must be p_star")
-        if max(self.entries[self.p_star]) != self.i_star:
+        if max(entries[p_star]) != i_star:
             raise ValueError("i_star must be the larger doubleton entry")
-        for lo, hi in self.poset.covers:
-            if max(self.entries[lo]) > min(self.entries[hi]):
+        for lo, hi in poset.covers:
+            if max(entries[lo]) > min(entries[hi]):
                 raise ValueError(f"entries decrease along cover ({lo}, {hi})")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "p_star", p_star)
+        object.__setattr__(self, "i_star", i_star)
 
 
 def bsv_from_triple(ext: LinearExtension, i: int, p: int) -> BsvLinearExtension:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
 from .extensions import BsvLinearExtension, LinearExtension
+from .frozen import _Frozen
 from .posets import Poset, UnsupportedPoset, box_coords, build_rectangle
 from .qpoly import QPoly, QTPoly, _from_map, qbinom, qnum
 
@@ -31,16 +31,15 @@ from .qpoly import QPoly, QTPoly, _from_map, qbinom, qnum
 # restricted bicolored Motzkin paths, and Dyck paths among them
 
 
-@dataclass(frozen=True)
-class RbMotzkinPath:
+class RbMotzkinPath(_Frozen):
     """Motzkin path with red/blue horizontal steps under the two restrictions."""
 
-    steps: tuple[str, ...]
+    __match_args__ = ("steps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: tuple[str, ...]) -> None:
         height = 0
         seen_down = False
-        for step in self.steps:
+        for step in steps:
             if step == "U":
                 height += 1
             elif step == "D":
@@ -58,6 +57,7 @@ class RbMotzkinPath:
                 raise ValueError("path dips below the axis")
         if height:
             raise ValueError("path does not return to the axis")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def horizontal_count(self) -> int:
@@ -93,7 +93,7 @@ def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPat
     depth first from a stack of (steps, height, seen a down step, horizontal
     steps) entries, pushed so that they pop as U, D, Hr, Hb.  The walk takes
     only allowed steps, so its paths are built without the check of
-    ``__post_init__``."""
+    ``__init__``."""
     stack: list[tuple[tuple[str, ...], int, bool, int]] = [((), 0, False, 0)]
     while stack:
         steps, height, seen_down, hcount = stack.pop()
@@ -114,8 +114,9 @@ def enumerate_rbmotz(length: int, k: int | None = None) -> Iterator[RbMotzkinPat
 
 
 def _unchecked(cls: type, **fields: object) -> object:
-    """An instance of a frozen dataclass with the given fields, built without
-    ``__post_init__``, for walks that yield only valid objects."""
+    """An instance of ``cls`` with the given fields, set straight into its
+    ``__dict__`` without the checks of ``__init__``, for walks that yield
+    only valid objects."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj
@@ -125,11 +126,11 @@ class DyckPath(RbMotzkinPath):
     """A restricted Motzkin path with no horizontal step: a balanced U/D step
     sequence that never goes below the axis."""
 
-    def __post_init__(self) -> None:
-        for step in self.steps:
+    def __init__(self, steps: tuple[str, ...]) -> None:
+        for step in steps:
             if step not in ("U", "D"):
                 raise ValueError(f"step {step!r} is not U or D")
-        super().__post_init__()
+        super().__init__(steps)
 
     @property
     def semilength(self) -> int:
@@ -224,20 +225,21 @@ def syt_from_dyck(path: DyckPath) -> LinearExtension:
 # two-row set-valued tableaux
 
 
-@dataclass(frozen=True)
-class TwoRowSetValued:
+class TwoRowSetValued(_Frozen):
     """Two rows of b cells holding disjoint sets that partition 1..2b+k."""
 
-    rows: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+    __match_args__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        top, bottom = self.rows
+    def __init__(
+        self, rows: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+    ) -> None:
+        top, bottom = rows
         if len(top) != len(bottom):
             raise ValueError("rows must have equal length")
-        flat = sorted(v for row in self.rows for cell in row for v in cell)
+        flat = sorted(v for row in rows for cell in row for v in cell)
         if flat != list(range(1, len(flat) + 1)):
             raise ValueError("entries must partition 1..total")
-        for row in self.rows:
+        for row in rows:
             for cell in row:
                 if not cell or list(cell) != sorted(set(cell)):
                     raise ValueError("cells must be nonempty sorted sets")
@@ -247,6 +249,7 @@ class TwoRowSetValued:
         for upper, lower in zip(top, bottom):
             if max(upper) > min(lower):
                 raise ValueError("column entries must increase")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def width(self) -> int:
@@ -272,7 +275,7 @@ def enumerate_two_row_set_valued(b: int, k: int) -> Iterator[TwoRowSetValued]:
     entry.  It joins the last bottom cell whenever there is one.  Each value
     of a tableau is placed by exactly one of these moves, so the walk yields
     every tableau once and nothing else, built without the check of
-    ``__post_init__``.
+    ``__init__``.
     """
     if b < 1 or k < 0:
         return

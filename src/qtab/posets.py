@@ -30,9 +30,10 @@ is likewise built once, on the first call of ``dual``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+from .frozen import _Frozen
 
 
 class NotGraded(Exception):
@@ -171,12 +172,14 @@ class Poset:
         return f"Poset({label})"
 
 
-@dataclass(frozen=True)
-class RankData:
+class RankData(_Frozen):
     """Ranks of all elements plus the common rank of the maximal elements."""
 
-    ranks: tuple[int, ...]
-    rank: int
+    __match_args__ = ("ranks", "rank")
+
+    def __init__(self, ranks: tuple[int, ...], rank: int) -> None:
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "rank", rank)
 
 
 def order_ideals(poset: Poset) -> tuple[int, ...]:

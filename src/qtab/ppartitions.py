@@ -18,33 +18,33 @@ by ``engine``; the enumerators are the reference they are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import engine
 from .extensions import InvalidTriple
+from .frozen import _Frozen
 from .posets import Poset, hook_lengths, rank_data
 from .qpoly import QPoly, QTPoly, _qt_rows, bracket_ratio
 
 
-@dataclass(frozen=True)
-class Rpp:
+class Rpp(_Frozen):
     """A weakly increasing filling with entries in 0..m."""
 
-    poset: Poset
-    m: int
-    entries: tuple[int, ...]
+    __match_args__ = ("poset", "m", "entries")
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __init__(self, poset: Poset, m: int, entries: tuple[int, ...]) -> None:
+        if m < 0:
             raise ValueError("entry bound must be nonnegative")
-        if len(self.entries) != self.poset.n:
+        if len(entries) != poset.n:
             raise ValueError("one entry per element required")
-        if any(not 0 <= v <= self.m for v in self.entries):
-            raise ValueError(f"entries must lie in 0..{self.m}")
-        for lo, hi in self.poset.covers:
-            if self.entries[lo] > self.entries[hi]:
+        if any(not 0 <= v <= m for v in entries):
+            raise ValueError(f"entries must lie in 0..{m}")
+        for lo, hi in poset.covers:
+            if entries[lo] > entries[hi]:
                 raise ValueError(f"entries decrease along cover ({lo}, {hi})")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -149,29 +149,31 @@ def gansner_series(partition: Sequence[int], cap: int) -> QPoly:
 # barely set-valued fillings
 
 
-@dataclass(frozen=True)
-class BsvRpp:
+class BsvRpp(_Frozen):
     """A weakly increasing filling with exactly one doubled cell."""
 
-    poset: Poset
-    m: int
-    entries: tuple[tuple[int, ...], ...]
-    p_star: int
+    __match_args__ = ("poset", "m", "entries", "p_star")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.poset.n:
+    def __init__(
+        self, poset: Poset, m: int, entries: tuple[tuple[int, ...], ...], p_star: int
+    ) -> None:
+        if len(entries) != poset.n:
             raise ValueError("one cell per element required")
-        doubles = [e for e, cell in enumerate(self.entries) if len(cell) == 2]
-        if doubles != [self.p_star]:
+        doubles = [e for e, cell in enumerate(entries) if len(cell) == 2]
+        if doubles != [p_star]:
             raise ValueError("exactly the doubled cell must be p_star")
-        for cell in self.entries:
+        for cell in entries:
             if len(cell) not in (1, 2) or list(cell) != sorted(set(cell)):
                 raise ValueError("cells must be sorted 1- or 2-element sets")
-            if any(not 0 <= v <= self.m for v in cell):
-                raise ValueError(f"entries must lie in 0..{self.m}")
-        for lo, hi in self.poset.covers:
-            if max(self.entries[lo]) > min(self.entries[hi]):
+            if any(not 0 <= v <= m for v in cell):
+                raise ValueError(f"entries must lie in 0..{m}")
+        for lo, hi in poset.covers:
+            if max(entries[lo]) > min(entries[hi]):
                 raise ValueError(f"entries decrease along cover ({lo}, {hi})")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "p_star", p_star)
 
     @property
     def i_star(self) -> int:

@@ -32,13 +32,13 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, zip_longest
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .frozen import _Frozen
 from .kronecker import balanced, pack, step_above
 
 
@@ -95,15 +95,24 @@ def _from_map(entries: dict[int, int]) -> QPoly:
 # QPoly
 
 
-@dataclass(frozen=True, slots=True)
-class QPoly:
+class QPoly(_Frozen):
     """Dense integer-coefficient polynomial in q; ``coeffs[e]`` multiplies q^e."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+    __match_args__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("QPoly coefficients must not end in zero")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def of(cls, coeffs: Iterable[int]) -> QPoly:
@@ -314,15 +323,24 @@ def qt_num(k: int) -> QTPoly:
 # QTPoly
 
 
-@dataclass(frozen=True, slots=True)
-class QTPoly:
+class QTPoly(_Frozen):
     """Integer-coefficient polynomial in q and t; ``rows[k]`` multiplies t^k."""
 
-    rows: tuple[QPoly, ...]
+    __slots__ = ("rows",)
+    __match_args__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if self.rows and not self.rows[-1]:
+    def __init__(self, rows: tuple[QPoly, ...]) -> None:
+        if rows and not rows[-1]:
             raise ValueError("QTPoly rows must not end in zero")
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def of(cls, entries: dict[tuple[int, int], int]) -> QTPoly:
@@ -497,10 +515,11 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 # RatFunc
 
 
-class RatFunc:
+class RatFunc(_Frozen):
     """Reduced fraction of two QPoly with a canonical representative."""
 
     __slots__ = ("num", "den")
+    __match_args__ = ("num", "den")
 
     def __init__(self, num: QPoly, den: QPoly = ONE) -> None:
         if not den:
@@ -520,9 +539,6 @@ class RatFunc:
     @classmethod
     def from_int(cls, k: int) -> RatFunc:
         return cls(QPoly.of([k]))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RatFunc is immutable")
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -587,8 +603,7 @@ RAT_ZERO = RatFunc(ZERO)
 # linear solver
 
 
-@dataclass(frozen=True)
-class LinearSystemResult:
+class LinearSystemResult(_Frozen):
     """Outcome of a fraction-free solve.
 
     When ``consistent``, the certified answer is kept as the elimination
@@ -604,11 +619,21 @@ class LinearSystemResult:
     satisfied, and the other fields are None.
     """
 
-    consistent: bool
-    numerators: tuple[QPoly, ...] | None
-    denominator: QPoly | None
-    free_columns: tuple[int, ...]
-    witness_row: int | None
+    __match_args__ = ("consistent", "numerators", "denominator", "free_columns", "witness_row")
+
+    def __init__(
+        self,
+        consistent: bool,
+        numerators: tuple[QPoly, ...] | None,
+        denominator: QPoly | None,
+        free_columns: tuple[int, ...],
+        witness_row: int | None,
+    ) -> None:
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "free_columns", free_columns)
+        object.__setattr__(self, "witness_row", witness_row)
 
     @cached_property
     def solution(self) -> tuple[RatFunc, ...] | None:

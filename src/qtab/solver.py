@@ -12,7 +12,6 @@ posets the rank-chain distribution predicts the constant independently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -25,6 +24,7 @@ from .distributions import (
     expectation,
     statistic_ddeg,
 )
+from .frozen import _Frozen
 from .kronecker import pack, step_above
 from .posets import Poset, UnsupportedPoset, box_coords, order_ideals
 from .qpoly import (
@@ -46,8 +46,7 @@ class RowLimitExceeded(ValueError):
     """The poset has more order ideals than the system's row limit."""
 
 
-@dataclass(frozen=True)
-class ToggleSolveResult:
+class ToggleSolveResult(_Frozen):
     """Outcome of the toggle-constant system for one statistic.
 
     A consistent answer keeps the certified ``numerators`` y = d * (c, a_0,
@@ -57,11 +56,21 @@ class ToggleSolveResult:
     has only ``witness_mask``, an order ideal whose equation cannot hold.
     """
 
-    consistent: bool
-    constant: RatFunc | None
-    numerators: tuple[QPoly, ...] | None
-    denominator: QPoly | None
-    witness_mask: int | None
+    __match_args__ = ("consistent", "constant", "numerators", "denominator", "witness_mask")
+
+    def __init__(
+        self,
+        consistent: bool,
+        constant: RatFunc | None,
+        numerators: tuple[QPoly, ...] | None,
+        denominator: QPoly | None,
+        witness_mask: int | None,
+    ) -> None:
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "witness_mask", witness_mask)
 
     @cached_property
     def coefficients(self) -> tuple[RatFunc, ...] | None:
@@ -71,13 +80,15 @@ class ToggleSolveResult:
         return _fractions(self.numerators[1:], self.denominator)
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(_Frozen):
     """The toggle constant of one refinement statistic, None if it has none."""
 
-    label: str
-    consistent: bool
-    constant: RatFunc | None
+    __match_args__ = ("label", "consistent", "constant")
+
+    def __init__(self, label: str, consistent: bool, constant: RatFunc | None) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "constant", constant)
 
 
 _System = tuple[QPoly, QPoly, list[QPoly]]  # the entries 1 and -q, and f(I) per order ideal

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -678,7 +677,19 @@ def test_failing_symmetry_reports_each_expectation_against_zero():
 
 def _answered(**fields):
     """``toggle_solve`` with these fields of its answer replaced."""
-    return lambda *args, **kwargs: dataclasses.replace(solver.toggle_solve(*args, **kwargs), **fields)
+
+    def solve(*args, **kwargs):
+        answer = solver.toggle_solve(*args, **kwargs)
+        kept = {
+            "consistent": answer.consistent,
+            "constant": answer.constant,
+            "numerators": answer.numerators,
+            "denominator": answer.denominator,
+            "witness_mask": answer.witness_mask,
+        }
+        return solver.ToggleSolveResult(**{**kept, **fields})
+
+    return solve
 
 
 @pytest.mark.parametrize(
@@ -717,7 +728,7 @@ def test_failing_refinements_report_expected_constants_as_objects(capsys, monkey
         reports = solver.verify_refinements(poset)
         if poset != RECT22:
             return reports
-        return tuple(dataclasses.replace(report, consistent=False) for report in reports)
+        return tuple(solver.RefinementReport(report.label, False, report.constant) for report in reports)
 
     monkeypatch.setattr(cli, "verify_refinements", failing_on_rect22)
     code, out, _ = run_cli(capsys, "verify", "solver", "--max-boxes", "2", "--json")
@@ -739,7 +750,7 @@ def test_failing_refinements_report_expected_constants_as_objects(capsys, monkey
 def test_wrong_solver_constants_fail_every_constant_row(capsys, monkeypatch):
     def first_wrong(poset):
         first, *rest = solver.verify_refinements(poset)
-        return (dataclasses.replace(first, constant=RatFunc.from_int(7)), *rest)
+        return (solver.RefinementReport(first.label, first.consistent, RatFunc.from_int(7)), *rest)
 
     monkeypatch.setattr(cli, "verify_refinements", first_wrong)
     monkeypatch.setattr(cli, "toggle_solve", _answered(constant=RatFunc.from_int(7)))

@@ -179,7 +179,7 @@ def test_enumeration_order_matches_the_recursive_walk_on_random_posets(poset):
 @settings(max_examples=60, deadline=None)
 @given(naturally_labeled_posets(max_n=7))
 def test_walked_extensions_equal_validated_ones(poset):
-    # The walk builds each extension without the check of __post_init__ and
+    # The walk builds each extension without the check of __init__ and
     # presets its positions; the checked constructor must accept each one
     # and agree on every field, the positions and the hash.
     for ext in enumerate_linear_extensions(poset):

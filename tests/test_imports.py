@@ -8,12 +8,17 @@ No linter is a test dependency, so this scans the syntax trees itself:
 - a function, class or variable defined at the top of a package module
   (dunders aside) must be read, as a name or an attribute, somewhere in the
   package or its tests, or be listed in ``__all__``.
+
+It also checks what importing the CLI loads: neither ``dataclasses`` nor
+``inspect``, which would add to the start-up of every qtab process.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +96,12 @@ def test_no_unread_module_names(path):
 def test_scan_sees_an_unread_module_name():
     tree = ast.parse("A = 1\nB: int = 2\nC, D = 3, 4\n__all__ = ['D']\ndef f(): pass\nclass K: pass\nx.B\nf()\n")
     assert sorted(defined_names(tree) - read_anywhere([tree])) == ["A", "C", "K"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import qtab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
