@@ -139,10 +139,7 @@ class Check(_Frozen):
     def __init__(
         self, id: str, anchor: str, fn: Callable[..., tuple[bool, object, object]], params: tuple = ()
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "params", params)
+        self._set(id, anchor, fn, params)
 
 
 class CheckRecord(_Frozen):
@@ -153,12 +150,7 @@ class CheckRecord(_Frozen):
     def __init__(
         self, id: str, anchor: str, ok: bool, seconds: float, lhs: object, rhs: object
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        self._set(id, anchor, ok, seconds, lhs, rhs)
 
 
 def _vec(value: object) -> object:

@@ -102,9 +102,7 @@ class WeightedEnsemble(_Frozen):
             raise ValueError("weights do not sum to the normalizer")
         if not normalizer:
             raise ValueError("normalizer must be nonzero")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "normalizer", normalizer)
+        self._set(poset, weights, normalizer)
 
     @classmethod
     def from_weights(
@@ -140,9 +138,7 @@ class Statistic(_Frozen):
     def __init__(self, poset: Poset, values: tuple[QPoly, ...], label: str = "") -> None:
         if len(values) != len(order_ideals(poset)):
             raise ValueError("values must cover exactly the order ideals")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "label", label)
+        self._set(poset, values, label)
 
     @classmethod
     def from_function(

@@ -232,10 +232,7 @@ class BsvLinearExtension(_Frozen):
         for lo, hi in poset.covers:
             if max(entries[lo]) > min(entries[hi]):
                 raise ValueError(f"entries decrease along cover ({lo}, {hi})")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "p_star", p_star)
-        object.__setattr__(self, "i_star", i_star)
+        self._set(poset, entries, p_star, i_star)
 
 
 def bsv_from_triple(ext: LinearExtension, i: int, p: int) -> BsvLinearExtension:

@@ -2,14 +2,15 @@
 
 A subclass names its fields, in order, in ``__match_args__`` (which also
 lets ``match`` read them positionally) and sets them in its own
-``__init__`` with ``object.__setattr__``.  The base refuses every later
+``__init__``, with ``_set`` or, in the few hot constructors, one
+``object.__setattr__`` per field.  The base refuses every later
 assignment or deletion, makes an instance equal only to an instance of the
 very same class with equal fields, hashes it as the tuple of its fields and
 shows it as ``Name(field=value, ...)``.  Copies and pickles are rebuilt
-through ``__init__`` from the fields, so they pass its checks again.  The classes are written out by
-hand: a class decorator that generates these methods compiles them with
-``exec`` at every import and loads ``inspect``, a large share of the
-start-up of every qtab process.
+through ``__init__`` from the fields, so they pass its checks again.  The
+classes are written out by hand: a class decorator that generates these
+methods compiles them with ``exec`` at every import and loads ``inspect``,
+a large share of the start-up of every qtab process.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *values: object) -> None:
+        """Set the fields to ``values``, given in ``__match_args__`` order."""
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -178,8 +178,7 @@ class RankData(_Frozen):
     __match_args__ = ("ranks", "rank")
 
     def __init__(self, ranks: tuple[int, ...], rank: int) -> None:
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "rank", rank)
+        self._set(ranks, rank)
 
 
 def order_ideals(poset: Poset) -> tuple[int, ...]:

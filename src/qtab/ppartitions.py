@@ -42,9 +42,7 @@ class Rpp(_Frozen):
         for lo, hi in poset.covers:
             if entries[lo] > entries[hi]:
                 raise ValueError(f"entries decrease along cover ({lo}, {hi})")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "entries", entries)
+        self._set(poset, m, entries)
 
     @property
     def size(self) -> int:
@@ -170,10 +168,7 @@ class BsvRpp(_Frozen):
         for lo, hi in poset.covers:
             if max(entries[lo]) > min(entries[hi]):
                 raise ValueError(f"entries decrease along cover ({lo}, {hi})")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "p_star", p_star)
+        self._set(poset, m, entries, p_star)
 
     @property
     def i_star(self) -> int:

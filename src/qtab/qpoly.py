@@ -334,14 +334,6 @@ class QTPoly(_Frozen):
             raise ValueError("QTPoly rows must not end in zero")
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
     @classmethod
     def of(cls, entries: dict[tuple[int, int], int]) -> QTPoly:
         """Build from a {(q_exp, t_exp): coeff} map, dropping zeros."""
@@ -629,11 +621,7 @@ class LinearSystemResult(_Frozen):
         free_columns: tuple[int, ...],
         witness_row: int | None,
     ) -> None:
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "free_columns", free_columns)
-        object.__setattr__(self, "witness_row", witness_row)
+        self._set(consistent, numerators, denominator, free_columns, witness_row)
 
     @cached_property
     def solution(self) -> tuple[RatFunc, ...] | None:

@@ -66,11 +66,7 @@ class ToggleSolveResult(_Frozen):
         denominator: QPoly | None,
         witness_mask: int | None,
     ) -> None:
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "witness_mask", witness_mask)
+        self._set(consistent, constant, numerators, denominator, witness_mask)
 
     @cached_property
     def coefficients(self) -> tuple[RatFunc, ...] | None:
@@ -86,9 +82,7 @@ class RefinementReport(_Frozen):
     __match_args__ = ("label", "consistent", "constant")
 
     def __init__(self, label: str, consistent: bool, constant: RatFunc | None) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "constant", constant)
+        self._set(label, consistent, constant)
 
 
 _System = tuple[QPoly, QPoly, list[QPoly]]  # the entries 1 and -q, and f(I) per order ideal
