@@ -17,7 +17,6 @@ of linear extensions, and the rank-chain weighting of a graded poset.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from . import engine
@@ -27,7 +26,7 @@ from .extensions import (
     enumerate_linear_extensions,
     gf_comaj,
 )
-from .frozen import _Frozen
+from .frozen import _Frozen, cached
 from .posets import Poset, order_ideals, rank_data
 from .ppartitions import Rpp, rpp_size_gf
 from .qpoly import (
@@ -115,7 +114,7 @@ class WeightedEnsemble(_Frozen):
             raise ValueError("not order ideals: " + ", ".join(f"{mask:#x}" for mask in strays))
         return cls(poset, tuple(weights.get(mask, ZERO) for mask in ideals), normalizer)
 
-    @cached_property
+    @cached
     def _by_mask(self) -> dict[int, QPoly]:
         return dict(zip(order_ideals(self.poset), self.weights))
 

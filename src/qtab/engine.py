@@ -26,23 +26,25 @@ per-ideal values in ``order_ideals`` order.
 from __future__ import annotations
 
 from bisect import bisect
-from functools import cached_property
 from typing import Callable, Iterator
 
+from .frozen import cached
 from .kronecker import digits, step_above
-from .posets import Poset, order_ideals
+from .posets import Poset, ideal_steps, order_ideals
 
 
 class _Lattice:
-    """J(P) as ideal sizes plus its cover edges ``I -> I + e``."""
+    """J(P) as ideal sizes plus its cover edges ``I -> I + e``: per ideal
+    (``out_of``, from ``ideal_steps``) and per element (``Poset.ideal_edges``,
+    which ``into``, ``sum_below`` and ``sum_above`` read).  A backward path
+    sum alone never builds the per-element edges."""
 
     def __init__(self, poset: Poset) -> None:
+        self.poset = poset
         self.n = poset.n
         self.sizes = [mask.bit_count() for mask in order_ideals(poset)]
-        # by_element[e]: (lower, upper) index pairs of the edges adding e
-        self.by_element = poset.ideal_edges
 
-    @cached_property
+    @cached
     def levels(self) -> list[list[int]]:
         """``levels[s]``: the indices of the ideals with s elements."""
         out: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -50,25 +52,22 @@ class _Lattice:
             out[size].append(j)
         return out
 
-    @cached_property
-    def into(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per ideal, the edges into it: the elements they add and their
-        lower ends, elements ascending."""
-        return self._steps(1)
-
-    @cached_property
+    @cached
     def out_of(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per ideal, the edges out of it: the elements they add and their
         upper ends, elements ascending."""
-        return self._steps(0)
+        return ideal_steps(self.poset)
 
-    def _steps(self, at: int) -> tuple[list[list[int]], list[list[int]]]:
+    @cached
+    def into(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per ideal, the edges into it: the elements they add and their
+        lower ends, elements ascending."""
         es: list[list[int]] = [[] for _ in self.sizes]
         ends: list[list[int]] = [[] for _ in self.sizes]
-        for e, edges in enumerate(self.by_element):
-            for edge in edges:
-                es[edge[at]].append(e)
-                ends[edge[at]].append(edge[1 - at])
+        for e, edges in enumerate(self.poset.ideal_edges):
+            for lower, upper in edges:
+                es[upper].append(e)
+                ends[upper].append(lower)
         return es, ends
 
     def sum_below(self, values: list[int]) -> list[int]:
@@ -76,7 +75,7 @@ class _Lattice:
         edge: J reaches I once, adding the elements of I - J in ascending order
         (a natural labeling keeps every step an ideal), one pass per element."""
         out = list(values)
-        for edges in self.by_element:
+        for edges in self.poset.ideal_edges:
             for lower, upper in edges:
                 out[upper] += out[lower]
         return out
@@ -85,7 +84,7 @@ class _Lattice:
         """As ``sum_below`` over the ideals J >= I, with the passes in
         descending order: the one for the least element of J - I comes last."""
         out = list(values)
-        for edges in reversed(self.by_element):
+        for edges in reversed(self.poset.ideal_edges):
             for lower, upper in edges:
                 out[lower] += out[upper]
         return out

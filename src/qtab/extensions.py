@@ -23,11 +23,10 @@ entries comma-separated, a doubled cell written ``a|b`` -- e.g. ``"1,3\\n2,4|5"`
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import engine
-from .frozen import _Frozen
+from .frozen import _Frozen, cached
 from .posets import Poset, box_coords
 from .qpoly import QPoly, QTPoly, _qt_rows, bracket_ratio
 
@@ -58,7 +57,7 @@ class LinearExtension(_Frozen):
     def __hash__(self) -> int:
         return hash((self.poset, self.values))
 
-    @cached_property
+    @cached
     def positions(self) -> tuple[int, ...]:
         """``positions[k]`` is the element holding value k+1."""
         out = [0] * self.poset.n
@@ -66,12 +65,12 @@ class LinearExtension(_Frozen):
             out[v - 1] = e
         return tuple(out)
 
-    @cached_property
+    @cached
     def _descents(self) -> frozenset[int]:
         pos = self.positions
         return frozenset(k for k in range(1, self.poset.n) if pos[k - 1] > pos[k])
 
-    @cached_property
+    @cached
     def theta_exponents(self) -> tuple[int, ...]:
         """Per i = 0..n, comaj(T, i) + #{descents below i}, the exponent of
         theta(T, i)."""
@@ -83,7 +82,7 @@ class LinearExtension(_Frozen):
         """The label word w_1 .. w_n."""
         return tuple(e + 1 for e in self.positions)
 
-    @cached_property
+    @cached
     def prefix_masks(self) -> tuple[int, ...]:
         """Per i = 0..n, the mask of the elements holding values 1..i."""
         masks = [0]

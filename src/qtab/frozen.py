@@ -11,9 +11,14 @@ through ``__init__`` from the fields, so they pass its checks again.  The
 classes are written out by hand: a class decorator that generates these
 methods compiles them with ``exec`` at every import and loads ``inspect``,
 a large share of the start-up of every qtab process.
+
+``cached``, the attribute cache of these classes and of ``Poset``, is a
+``functools.cached_property`` without the lock.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 
 class _Frozen:
@@ -48,3 +53,25 @@ class _Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class cached:
+    """A method read as an attribute and computed on the first read only.
+
+    The value goes into the instance ``__dict__`` under the method's name,
+    where every later read finds it before this descriptor, which defines no
+    ``__set__``.  Unlike ``functools.cached_property`` it takes no lock, the
+    larger part of that one's cost per first read; two threads reading the
+    attribute at once may both compute it, and the values are equal.
+    """
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, instance: object, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.fn(instance)
+        return value

@@ -21,19 +21,22 @@ JSON exchange format::
 ``null`` it is the identity.  Elements are renumbered so the stored labeling
 is always the identity.
 
-Each poset builds its lattice J(P) once, on first use: ``order_ideals`` (built
-element by element) and its cover edges ``Poset.ideal_edges``, which the J(P)
-engine, the doubled-cell sum and the toggle system all read.  Its order dual
-is likewise built once, on the first call of ``dual``.
+Each poset builds its lattice J(P) once, on first use: ``order_ideals``,
+built element by element, and with each ideal the mask of the elements that
+can be added to it, at one step per ideal.  The cover edges are read off
+those masks at one step per edge: per element as ``Poset.ideal_edges``, kept
+with the poset and read by the J(P) engine, the doubled-cell sum and the
+toggle system, and per ideal by ``ideal_steps``, which the engine's backward
+path sum reads.  Its order dual is likewise built once, on the first call of
+``dual``.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .frozen import _Frozen
+from .frozen import _Frozen, cached
 
 
 class NotGraded(Exception):
@@ -84,21 +87,21 @@ class Poset:
                 if mid != hi and above[mid] >> hi & 1:
                     raise ValueError(f"({lo}, {hi}) is implied by other covers")
 
-    @cached_property
+    @cached
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.n)]
         for lo, hi in self.covers:
             out[hi].append(lo)
         return tuple(tuple(x) for x in out)
 
-    @cached_property
+    @cached
     def upper_covers(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.n)]
         for lo, hi in self.covers:
             out[lo].append(hi)
         return tuple(tuple(x) for x in out)
 
-    @cached_property
+    @cached
     def low_masks(self) -> tuple[int, ...]:
         """Mask of the lower covers of each element."""
         out = [0] * self.n
@@ -106,7 +109,7 @@ class Poset:
             out[hi] |= 1 << lo
         return tuple(out)
 
-    @cached_property
+    @cached
     def up_masks(self) -> tuple[int, ...]:
         """Mask of the upper covers of each element."""
         out = [0] * self.n
@@ -114,7 +117,7 @@ class Poset:
             out[lo] |= 1 << hi
         return tuple(out)
 
-    @cached_property
+    @cached
     def above_masks(self) -> tuple[int, ...]:
         """Mask of all elements strictly above each element."""
         out = [0] * self.n
@@ -122,7 +125,7 @@ class Poset:
             out[lo] |= (1 << hi) | out[hi]
         return tuple(out)
 
-    @cached_property
+    @cached
     def below_masks(self) -> tuple[int, ...]:
         """Mask of all elements strictly below each element."""
         out = [0] * self.n
@@ -130,30 +133,48 @@ class Poset:
             out[hi] |= (1 << lo) | out[lo]
         return tuple(out)
 
-    @cached_property
+    @cached
     def _ideals(self) -> tuple[int, ...]:
         # The lower covers of k lie in 0..k-1, so the ideals on 0..k are those
         # on 0..k-1 plus k added to each of them that holds its lower covers;
         # the added masks are the larger ones, so the list stays ascending.
-        ideals = [0]
+        # Each ideal I that takes k gains k in its addable mask, and I + k
+        # starts from I's mask as it was: the elements below k addable to
+        # I + k are those addable to I, and later ones are added as they come.
+        ideals, addable = [0], [0]
         for k, low in enumerate(self.low_masks):
-            ideals += [mask | 1 << k for mask in ideals if mask & low == low]
+            bit = 1 << k
+            for j in [j for j, mask in enumerate(ideals) if mask & low == low]:
+                ideals.append(ideals[j] | bit)
+                addable.append(addable[j])
+                addable[j] |= bit
+        self._addable = tuple(addable)
         return tuple(ideals)
 
-    @cached_property
+    @cached
+    def _addable(self) -> tuple[int, ...]:
+        """Per ideal I in ``order_ideals`` order, the mask of the elements
+        e not in I whose lower covers I holds: the edges ``I -> I + e``.
+        ``_ideals`` sets it while it builds the ideals."""
+        self._ideals
+        return self.__dict__["_addable"]
+
+    @cached
     def ideal_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per element e, the cover edges ``I -> I + e`` of J(P) as
-        ``(lower, upper)`` index pairs into ``order_ideals``, lower ascending."""
+        ``(lower, upper)`` index pairs into ``order_ideals``, lower ascending:
+        each ideal hands its edges out from its addable mask, one step each."""
         ideals = self._ideals
-        index = {m: j for j, m in enumerate(ideals)}
-        out = []
-        for e, low in enumerate(self.low_masks):
-            bit, test = 1 << e, low | 1 << e  # e absent, its lower covers present
-            pairs = [(j, index[m | bit]) for j, m in enumerate(ideals) if m & test == low]
-            out.append(tuple(pairs))
-        return tuple(out)
+        index = dict(zip(ideals, range(len(ideals))))
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for j, (mask, addable) in enumerate(zip(ideals, self._addable)):
+            while addable:
+                bit = addable & -addable
+                out[bit.bit_length() - 1].append((j, index[mask | bit]))
+                addable ^= bit
+        return tuple(map(tuple, out))
 
-    @cached_property
+    @cached
     def _dual(self) -> Poset:
         n = self.n
         coords = self.coords[::-1] if self.coords is not None else None
@@ -184,6 +205,28 @@ class RankData(_Frozen):
 def order_ideals(poset: Poset) -> tuple[int, ...]:
     """All order ideals as masks, in ascending mask order."""
     return poset._ideals
+
+
+def ideal_steps(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:
+    """Per ideal I in ``order_ideals`` order, the elements e with I + e an
+    ideal, ascending, and the positions of those ideals I + e: the cover
+    edges of J(P) grouped by lower end.  Read off the addable masks at one
+    step per edge and built anew on each call, so the poset keeps no
+    per-ideal lists."""
+    ideals = poset._ideals
+    index = dict(zip(ideals, range(len(ideals))))
+    es: list[list[int]] = []
+    ends: list[list[int]] = []
+    for mask, addable in zip(ideals, poset._addable):
+        adds, uppers = [], []
+        while addable:
+            bit = addable & -addable
+            adds.append(bit.bit_length() - 1)
+            uppers.append(index[mask | bit])
+            addable ^= bit
+        es.append(adds)
+        ends.append(uppers)
+    return es, ends
 
 
 def box_coords(poset: Poset) -> tuple[tuple[int, int], ...]:

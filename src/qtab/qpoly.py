@@ -33,12 +33,12 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, zip_longest
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .frozen import _Frozen
+from .frozen import _Frozen, cached
 from .kronecker import balanced, pack, step_above
 
 
@@ -623,7 +623,7 @@ class LinearSystemResult(_Frozen):
     ) -> None:
         self._set(consistent, numerators, denominator, free_columns, witness_row)
 
-    @cached_property
+    @cached
     def solution(self) -> tuple[RatFunc, ...] | None:
         """The reduced fractions y_j / d, None for an inconsistent system."""
         if not self.consistent:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .distributions import (
@@ -24,7 +23,7 @@ from .distributions import (
     expectation,
     statistic_ddeg,
 )
-from .frozen import _Frozen
+from .frozen import _Frozen, cached
 from .kronecker import pack, step_above
 from .posets import Poset, UnsupportedPoset, box_coords, order_ideals
 from .qpoly import (
@@ -68,7 +67,7 @@ class ToggleSolveResult(_Frozen):
     ) -> None:
         self._set(consistent, constant, numerators, denominator, witness_mask)
 
-    @cached_property
+    @cached
     def coefficients(self) -> tuple[RatFunc, ...] | None:
         """The reduced a_p, one per element; None when inconsistent."""
         if not self.consistent:

@@ -7,7 +7,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -150,6 +150,32 @@ def test_edge_posets():
     assert gf_comaj(empty) == QPoly.of([1])
     assert gf_bsv(empty) == QTPoly.of({})
     assert rpp_size_series(chain, 0) == QPoly.of([1])
+
+
+@given(naturally_labeled_posets())
+@example(Poset(0, []))
+@example(build_rectangle(5, 6))
+@example(build_shape((5, 4, 3, 2, 1)))
+@example(build_shifted((4, 3, 2, 1)))
+def test_lattice_steps_are_the_ideal_edges(poset):
+    """``out_of``, read off the addable masks of a fresh poset without
+    building its per-element edges, and ``into`` are ``Poset.ideal_edges``
+    grouped by lower and by upper end."""
+    poset = Poset(poset.n, poset.covers)
+    lat = engine._Lattice(poset)
+    out_of = lat.out_of
+    assert "ideal_edges" not in vars(poset)
+    into = lat.into
+    size = len(order_ideals(poset))
+    out_es, out_ends, in_es, in_ends = ([[] for _ in range(size)] for _ in range(4))
+    for e, edges in enumerate(poset.ideal_edges):
+        for lower, upper in edges:
+            out_es[lower].append(e)
+            out_ends[lower].append(upper)
+            in_es[upper].append(e)
+            in_ends[upper].append(lower)
+    assert out_of == (out_es, out_ends)
+    assert into == (in_es, in_ends)
 
 
 # Past the oracles' limits the engine packs wide coefficients (72 bits for

@@ -142,6 +142,9 @@ def test_ideals_match_brute_force(poset):
 @given(st.one_of(partitions().map(build_shape), naturally_labeled_posets()))
 @example(Poset(0, []))
 @example(Poset(6, []))
+@example(build_rectangle(5, 6))
+@example(build_shape((5, 4, 3, 2, 1)))
+@example(build_shifted((4, 3, 2, 1)))
 def test_ideal_edges_match_brute_force(poset):
     ideals = order_ideals(poset)
     position = {mask: j for j, mask in enumerate(ideals)}
@@ -154,6 +157,32 @@ def test_ideal_edges_match_brute_force(poset):
         for e in range(poset.n)
     ]
     assert [list(edges) for edges in poset.ideal_edges] == expected
+
+
+@given(naturally_labeled_posets())
+@example(build_rectangle(5, 6))
+@example(build_shape((5, 4, 3, 2, 1)))
+def test_addable_masks_read_first_or_after_the_ideals(poset):
+    """Per ideal, the elements outside it whose lower covers it holds, the
+    same whichever of ``_addable`` and ``_ideals`` a fresh poset builds first."""
+    ideals = order_ideals(poset)
+    expected = tuple(
+        sum(1 << e for e, low in enumerate(poset.low_masks) if not mask >> e & 1 and mask & low == low)
+        for mask in ideals
+    )
+    assert poset._addable == expected
+    fresh = Poset(poset.n, poset.covers)
+    assert fresh._addable == expected
+    assert order_ideals(fresh) == ideals
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+@pytest.mark.parametrize("b", range(1, 8))
+def test_rectangle_edge_count(a, b):
+    """J([a] x [b]) has C(a+b, a) ideals, and a uniform ideal of it has
+    ab/(a+b) maximal elements on average, so it has C(a+b, a) ab/(a+b) edges."""
+    edges = sum(len(by_element) for by_element in build_rectangle(a, b).ideal_edges)
+    assert edges * (a + b) == math.comb(a + b, a) * a * b
 
 
 @given(strict_partitions())
