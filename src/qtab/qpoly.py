@@ -851,6 +851,21 @@ def _fractions(numerators: Sequence[QPoly], denominator: QPoly) -> tuple[RatFunc
     return tuple(RatFunc(x, rest) for x in quotients)
 
 
+def _certificate_step(row_norm: int, numerators: Sequence[QPoly], denominator: QPoly) -> int:
+    """The packing width, in bytes, at which an answer (y, d) of A y = d b
+    is checked row by row, given N = ``row_norm``, a bound on the 1-norm of
+    every row of [A|b].
+
+    With Y the largest 1-norm among the y_j and d, no coefficient of a
+    row's residual r = sum_j A_ij y_j - d b_i exceeds N*Y in absolute value
+    (a product's 1-norm is at most the product of the 1-norms).  By
+    Cauchy's root bound every root of a nonzero r is below 1 + N*Y in
+    absolute value, so at q = 2^(8*step) > 1 + N*Y (``step_above``) the
+    residual is zero exactly when its value is.
+    """
+    return step_above(1 + row_norm * max(_norm(y.coeffs) for y in (*numerators, denominator)))
+
+
 def check_solution(
     matrix: Sequence[Row],
     rhs: Sequence[QPoly],
@@ -874,13 +889,9 @@ def _violated_row(
     None when every row holds.
 
     No row of [A|b] has a 1-norm above N = (the most cells in a row) * (the
-    largest entry 1-norm) + (the largest 1-norm in b).  With Y the largest
-    1-norm among the numerators and the denominator, no coefficient of a
-    row's residual r = sum_j A_ij y_j - d b_i then exceeds N*Y in absolute
-    value.  By Cauchy's root bound every root of a nonzero r is below
-    1 + N*Y in absolute value, so at q = 2^(8*step) > 1 + N*Y
-    (``step_above``) the residual is zero exactly when its value is, and
-    each row is compared as one integer.
+    largest entry 1-norm) + (the largest 1-norm in b), so at the width of
+    ``_certificate_step`` each row's residual is zero exactly when its
+    value is, and each row is compared as one integer.
     The rows are sparse (``Row``), so only nonzero cells are read.  The
     product of an entry's value with y_j is computed once per distinct
     entry of column j, and d times b_i once per distinct b_i, so a row
@@ -890,8 +901,7 @@ def _violated_row(
     entry_norm = max(map(_norm, entries), default=0)
     b_norm = max(map(_norm, set(map(_coeffs, rhs))), default=0)
     row_norm = max(map(len, matrix), default=0) * entry_norm + b_norm
-    y_norm = max(map(_norm, map(_coeffs, (*numerators, denominator))))
-    step = step_above(1 + row_norm * y_norm)
+    step = _certificate_step(row_norm, numerators, denominator)
     value = _PerEntry(lambda c: pack(c, step)).__getitem__
     d = pack(denominator.coeffs, step)
     ys = [pack(y.coeffs, step) for y in numerators]

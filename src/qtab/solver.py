@@ -24,16 +24,16 @@ from .distributions import (
     statistic_ddeg,
 )
 from .frozen import _Frozen, cached
-from .kronecker import pack, step_above
+from .kronecker import pack
 from .posets import Poset, UnsupportedPoset, box_coords, order_ideals
 from .qpoly import (
     QPoly,
     RatFunc,
     Row,
+    _certificate_step,
     _eliminate,
     _fractions,
     _norm,
-    _violated_row,
     _widths,
     solve_linear_system,
 )
@@ -49,8 +49,9 @@ class ToggleSolveResult(_Frozen):
     """Outcome of the toggle-constant system for one statistic.
 
     A consistent answer keeps the certified ``numerators`` y = d * (c, a_0,
-    ..., a_(n-1)) over the ``denominator`` d, as ``solve_linear_system``
-    gives them.  ``constant`` is c = y_0 / d, reduced; ``coefficients``, the
+    ..., a_(n-1)) over the ``denominator`` d, as the elimination that
+    answered gives them, of the prefix rows or of all rows (``toggle_solve``).
+    ``constant`` is c = y_0 / d, reduced; ``coefficients``, the
     a_p = y_(p+1) / d, are reduced when first read.  An inconsistent answer
     has only ``witness_mask``, an order ideal whose equation cannot hold.
     """
@@ -162,18 +163,14 @@ def _certified(
     at v(1) y_c, the edge I -> I + p adds v(1) y_p at I and v(-q) y_p at
     I + p, and each total is compared with d f(I).  No row of [A|b], with
     its n + 1 cells at most, has a 1-norm above N = (n + 1) * (the larger
-    entry 1-norm) + (the largest 1-norm in b).  With Y the largest 1-norm
-    among the y_j and d, no coefficient of a row's residual r = sum_j A_Ij
-    y_j - d f(I) exceeds N*Y in absolute value (a product's 1-norm is at
-    most the product of the 1-norms).  By Cauchy's bound every root of a
-    nonzero r lies below 1 + N*Y < 2^K (K = 8 * ``step_above(1 + N*Y)``),
-    so each residual is zero exactly when its value is (``check_solution``).
+    entry 1-norm) + (the largest 1-norm in b), so at K = 8 *
+    ``_certificate_step`` each residual is zero exactly when its value is.
     """
     one, minus_q, rhs = system
     fs = [f.coeffs for f in rhs]
     entry_norm = max(_norm(one.coeffs), _norm(minus_q.coeffs))
     row_norm = (poset.n + 1) * entry_norm + max(map(_norm, set(fs)))
-    step = step_above(1 + row_norm * max(_norm(y.coeffs) for y in (*numerators, d)))
+    step = _certificate_step(row_norm, numerators, d)
     tin, tout, d_value = (pack(x.coeffs, step) for x in (one, minus_q, d))
     *values, c = [pack(y.coeffs, step) for y in numerators]
     totals = [tin * c] * len(rhs)
@@ -192,64 +189,46 @@ def _certified(
 def toggle_solve(
     poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
 ) -> ToggleSolveResult:
-    """Solve for the forced expectation of the statistic, exactly: from the
-    n + 1 prefix rows when they leave no free column and their answer holds
-    on every row (``_certified``), else -- as always for an inconsistent
-    system -- from all rows, which also gives the witness."""
+    """Solve for the forced expectation of the statistic, exactly.
+
+    The n + 1 prefix rows are solved first (``solve_linear_system``, which
+    retries a short first width at Hadamard's), and their answer is taken
+    when it leaves no free column and holds on every row (``_certified``).
+    Otherwise -- as always for an inconsistent system -- every row of
+    ``build_system`` is solved, c in column 0, which also gives the witness.
+    """
     system = _specialise(poset, statistic, q_value)
     rows, (rhs,) = _prefix_system(poset, [system])
     result = solve_linear_system(rows, rhs)
     unique = result.consistent and not result.free_columns
     answer = unique and _certified(poset, system, result.numerators, result.denominator)
-    return answer or _solve_all_rows(poset, statistic, q_value)
-
-
-def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[ToggleSolveResult]:
-    """``toggle_solve`` for several statistics, with one prefix elimination
-    for all at each width of ``_widths``, the first width before Hadamard's.
-
-    A statistic whose answer passes ``_certified`` is taken.  At the first
-    width, one that fails but holds on the n + 1 prefix rows with no free
-    column is their unique answer, so the system is inconsistent and goes
-    to all rows; any other was packed too narrow and is eliminated again at
-    Hadamard's width, where a failure goes to all rows, as in
-    ``toggle_solve``.
-    """
-    systems = [_specialise(poset, statistic, None) for statistic in statistics]
-    rows, rhss = _prefix_system(poset, systems)
-    ncols = poset.n + 1
-    steps = _widths(rows, rhss, ncols)
-    results: dict[int, ToggleSolveResult] = {}
-    pending = list(range(len(systems)))
-    for step in steps:
-        answers, d, free = _eliminate(rows, [rhss[i] for i in pending], ncols, step)
-        short = []
-        for i, (witness, ys) in zip(pending, answers):
-            unique = witness is None and not free
-            answer = unique and _certified(poset, systems[i], ys, d)
-            if (
-                answer
-                or step == steps[-1]
-                or unique and _violated_row(rows, rhss[i], ys, d) is None
-            ):
-                results[i] = answer or _solve_all_rows(poset, statistics[i])
-            else:
-                short.append(i)
-        pending = short
-        if not pending:
-            break
-    return [results[i] for i in range(len(systems))]
-
-
-def _solve_all_rows(
-    poset: Poset, statistic: Statistic, q_value: int | Fraction | None = None
-) -> ToggleSolveResult:
-    """The answer of every row of ``build_system``, c in column 0."""
+    if answer:
+        return answer
     result = solve_linear_system(*build_system(poset, statistic, q_value))
     if not result.consistent:
         return ToggleSolveResult(False, None, None, None, order_ideals(poset)[result.witness_row])
     ys, d = result.numerators, result.denominator
     return ToggleSolveResult(True, RatFunc(ys[0], d), ys, d, None)
+
+
+def _toggle_solve_all(poset: Poset, statistics: Sequence[Statistic]) -> list[ToggleSolveResult]:
+    """``toggle_solve`` for several statistics, with one elimination of the
+    prefix rows for all of them, at the first width of ``_widths``.
+
+    Each answer that leaves no free column and passes ``_certified`` is
+    taken as it is.  Every other statistic, whether its system is
+    inconsistent or the width too narrow for its answer, is solved by
+    ``toggle_solve``.
+    """
+    systems = [_specialise(poset, statistic, None) for statistic in statistics]
+    rows, rhss = _prefix_system(poset, systems)
+    ncols = poset.n + 1
+    answers, d, free = _eliminate(rows, rhss, ncols, _widths(rows, rhss, ncols)[0])
+    return [
+        witness is None and not free and _certified(poset, system, ys, d)
+        or toggle_solve(poset, statistic)
+        for statistic, system, (witness, ys) in zip(statistics, systems, answers)
+    ]
 
 
 def predict_constant(poset: Poset) -> RatFunc:

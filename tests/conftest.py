@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import pytest
 from hypothesis import strategies as st
 
-from qtab import qpoly
+from qtab import qpoly, solver
 from qtab.posets import Poset, build_propeller, build_rectangle, build_shape, build_shifted
 from qtab.qpoly import ZERO
 
@@ -47,6 +50,34 @@ def hadamard_eliminate(rows: list[dict], rhss: list[list], ncols: int) -> tuple:
     """``qpoly._eliminate`` at Hadamard's width, the last of ``qpoly._widths``,
     which gives the Bareiss pair."""
     return qpoly._eliminate(rows, rhss, ncols, qpoly._widths(rows, rhss, ncols)[-1])
+
+
+class Elimination(NamedTuple):
+    """One ``qpoly._eliminate`` call: its numbers of rows and of right-hand
+    sides, its step and what it returned."""
+
+    rows: int
+    rhss: int
+    step: int
+    result: tuple
+
+
+@pytest.fixture
+def eliminations(monkeypatch) -> list[Elimination]:
+    """Every ``qpoly._eliminate`` call of the test, in order, whether from
+    ``solve_linear_system`` or from the solver's shared elimination.  A
+    hypothesis test clears the list at the start of each example."""
+    calls: list[Elimination] = []
+    eliminate = qpoly._eliminate
+
+    def spy(matrix, rhss, ncols, step):
+        result = eliminate(matrix, rhss, ncols, step)
+        calls.append(Elimination(len(matrix), len(rhss), step, result))
+        return result
+
+    monkeypatch.setattr(qpoly, "_eliminate", spy)
+    monkeypatch.setattr(solver, "_eliminate", spy)
+    return calls
 
 
 def divmod_digits(value: int, bits: int) -> list[int]:

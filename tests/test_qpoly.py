@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import (
     balanced_divmod_digits,
@@ -791,7 +791,7 @@ def test_solver_matches_reference_elimination(system):
     assert _answer(solve_linear_system(matrix, rhs)) == _reference_solve(matrix, rhs)
 
 
-def test_solver_certifies_the_square_path(monkeypatch):
+def test_solver_certifies_the_square_path(eliminations):
     # The prefix rows of the 2-element antichain (ideals 0, 1 and 3) solve to
     # y = 0, which the row of ideal 2, with f = q - 5, breaks.  Only the
     # certificate on every ideal's row sends the system to the elimination
@@ -799,17 +799,8 @@ def test_solver_certifies_the_square_path(monkeypatch):
     # so the witness is the last row, ideal 3.
     poset = Poset(2, [])
     statistic = Statistic.from_function(poset, lambda mask: QPoly.of([-5, 1]) if mask == 2 else ZERO)
-    seen = []
-    eliminate = qpoly._eliminate
-
-    def spy(matrix, rhss, ncols, step):
-        answers = eliminate(matrix, rhss, ncols, step)
-        seen.append((len(matrix), step, answers))
-        return answers
-
-    monkeypatch.setattr(qpoly, "_eliminate", spy)
     res = toggle_solve(poset, statistic)
-    (prefix, prefix_step, ([(witness, ys)], _, free)), (full, full_step, _) = seen
+    (prefix, _, prefix_step, ([(witness, ys)], _, free)), (full, _, full_step, _) = eliminations
     assert (prefix, witness, ys, free) == (3, None, [ZERO] * 3, ())
     sparse, rhs = build_system(poset, statistic)
     # each system is eliminated once, at Hadamard's width: the first width
@@ -910,44 +901,42 @@ def _hook_mix():
     return poset, [statistic_ddeg(poset), statistic_toggle(poset, 1)]
 
 
-@settings(max_examples=60, deadline=None)
+def _rect_4x4_mix():
+    poset = build_rectangle(4, 4)
+    return poset, [statistic_ddeg(poset), solver.statistic_row(poset, 1), statistic_toggle(poset, 8)]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(_statistic_mixes())
 # ddeg is inconsistent on shape 2,1 and the toggle statistic consistent, so
-# only ddeg leaves the shared elimination for the full path.
+# only ddeg leaves the shared elimination for toggle_solve.
 @example(_hook_mix())
-def test_several_statistics_share_one_elimination(mix):
+def test_several_statistics_share_one_elimination(eliminations, mix):
     # At generic q the prefix minor is nonsingular, so every consistent
     # statistic is answered by the one shared elimination, and only each
-    # inconsistent one eliminates all rows again.
-    # The shared elimination runs at the first width of the prefix rows:
+    # inconsistent one goes to toggle_solve: its own prefix rows, then all
+    # rows.  Every prefix elimination runs at the first width of its rows:
     # on every prefix system drawn so far that width has held every entry,
-    # so no statistic is eliminated again at Hadamard's width (a short first
-    # width is test_a_short_first_width_retries_the_prefix_rows).  Each full
-    # system is tall and runs at Hadamard's width.
+    # so no prefix rows are eliminated again at Hadamard's width (a short
+    # first width is test_a_short_first_width_retries_the_prefix_rows).  Each
+    # full system is tall and runs at Hadamard's width.
+    eliminations.clear()
     poset, statistics = mix
-    calls = []
-    eliminate = qpoly._eliminate
-
-    def spy(matrix, rhss, ncols, step):
-        calls.append((len(rhss), step))
-        return eliminate(matrix, rhss, ncols, step)
-
-    # the shared elimination is called from the solver, each full one from
-    # solve_linear_system
-    qpoly._eliminate = solver._eliminate = spy
-    try:
-        results = _toggle_solve_all(poset, statistics)
-    finally:
-        qpoly._eliminate = solver._eliminate = eliminate
+    results = _toggle_solve_all(poset, statistics)
     assert len(results) == len(statistics)
     systems = [solver._specialise(poset, statistic, None) for statistic in statistics]
     rows, rhss = solver._prefix_system(poset, systems)
-    full = []
-    for statistic, result in zip(statistics, results):
+    ncols = poset.n + 1
+    alone = []
+    for statistic, rhs, result in zip(statistics, rhss, results):
         if not result.consistent:
-            sparse, rhs = build_system(poset, statistic)
-            full.append((1, qpoly._widths(sparse, [rhs], poset.n + 1)[-1]))
-    assert calls == [(len(statistics), qpoly._widths(rows, rhss, poset.n + 1)[0])] + full
+            sparse, full_rhs = build_system(poset, statistic)
+            alone.append((1, qpoly._widths(rows, [rhs], ncols)[0]))
+            alone.append((1, qpoly._widths(sparse, [full_rhs], ncols)[-1]))
+    calls = [(call.rhss, call.step) for call in eliminations]
+    assert calls == [(len(statistics), qpoly._widths(rows, rhss, ncols)[0])] + alone
     for statistic, got in zip(statistics, results):
         assert got == toggle_solve(poset, statistic)
         sparse, rhs = build_system(poset, statistic)
@@ -959,70 +948,80 @@ def test_several_statistics_share_one_elimination(mix):
             assert got.witness_mask == order_ideals(poset)[want.witness_row]
 
 
-def test_only_the_failing_statistic_takes_the_full_path(monkeypatch):
+def test_only_the_failing_statistic_takes_the_full_path(eliminations):
     # The prefix rows of shape 2,1 are eliminated once for both statistics;
-    # ddeg fails its certificate there and alone eliminates all 5 rows.
-    # Both run at Hadamard's width: 1 byte already, and the full rows are tall.
+    # ddeg fails its certificate there and alone goes to toggle_solve, which
+    # eliminates its prefix rows again and then all 5 rows.  Every pass runs
+    # at Hadamard's width: 1 byte already, and the full rows are tall.
     poset = build_shape((2, 1))
-    seen = []
-    eliminate = qpoly._eliminate
-
-    def spy(matrix, rhss, ncols, step):
-        seen.append((len(matrix), len(rhss), step))
-        return eliminate(matrix, rhss, ncols, step)
-
-    monkeypatch.setattr(qpoly, "_eliminate", spy)
-    monkeypatch.setattr(solver, "_eliminate", spy)
     ddeg, toggle = _toggle_solve_all(poset, [statistic_ddeg(poset), statistic_toggle(poset, 1)])
-    assert seen == [(poset.n + 1, 2, 1), (len(order_ideals(poset)), 1, 1)]
+    calls = [(call.rows, call.rhss, call.step) for call in eliminations]
+    assert calls == [(poset.n + 1, 2, 1), (poset.n + 1, 1, 1), (len(order_ideals(poset)), 1, 1)]
     assert (ddeg.consistent, ddeg.witness_mask) == (False, 7)
     assert toggle.consistent and toggle.constant == RAT_ZERO
 
 
-def test_a_short_first_width_retries_the_prefix_rows(monkeypatch):
+def test_a_short_first_width_retries_the_prefix_rows(monkeypatch, eliminations):
     # No toggle prefix system has been found whose first width is short, so
-    # the width is forced to 1 byte for the five row statistics of rect
-    # 5x6, whose answers need 12 bits.  Every answer then fails its
-    # certificate and the prefix rows, so all five are eliminated again at
-    # Hadamard's width, and no full system is eliminated.
+    # the shared width is forced to 1 byte for the five row statistics of
+    # rect 5x6, whose answers need 12 bits.  Every answer then fails its
+    # certificate, so each statistic goes to toggle_solve, which eliminates
+    # its own prefix rows at their first width and certifies the answer
+    # there; no full system is eliminated.
     poset = build_rectangle(5, 6)
     statistics = [solver.statistic_row(poset, row) for row in range(1, 6)]
     want = _toggle_solve_all(poset, statistics)
-    widths = qpoly._widths
-    monkeypatch.setattr(solver, "_widths", lambda *args: (1, widths(*args)[-1]))
-    seen = []
-    eliminate = qpoly._eliminate
-
-    def spy(matrix, rhss, ncols, step):
-        seen.append((len(matrix), len(rhss), step))
-        return eliminate(matrix, rhss, ncols, step)
-
-    monkeypatch.setattr(qpoly, "_eliminate", spy)
-    monkeypatch.setattr(solver, "_eliminate", spy)
+    eliminations.clear()
+    monkeypatch.setattr(solver, "_widths", lambda *args: (1,))
     got = _toggle_solve_all(poset, statistics)
     systems = [solver._specialise(poset, statistic, None) for statistic in statistics]
     rows, rhss = solver._prefix_system(poset, systems)
-    assert seen == [(poset.n + 1, 5, 1), (poset.n + 1, 5, widths(rows, rhss, poset.n + 1)[-1])]
-    assert got == want and all(result.consistent for result in got)
+    ncols = poset.n + 1
+    calls = [(call.rows, call.rhss, call.step) for call in eliminations]
+    alone = [(ncols, 1, qpoly._widths(rows, [rhs], ncols)[0]) for rhs in rhss]
+    assert calls == [(ncols, 5, 1)] + alone
+    assert got == want == [toggle_solve(poset, statistic) for statistic in statistics]
+    assert all(result.consistent for result in got)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_statistic_mixes())
+@example(_hook_mix())
+# rect 4x4's ddeg is consistent, but its y and d need more than 8 bits
+@example(_rect_4x4_mix())
+def test_a_one_byte_shared_width_gives_the_answers_of_toggle_solve(monkeypatch, mix):
+    # With the shared elimination forced to 1 byte, a consistent answer that
+    # decodes wrongly fails its certificate and goes to toggle_solve, as
+    # every inconsistent statistic does.  One that decodes is the Bareiss
+    # pair, as toggle_solve gives it: no prefix system of at most 8 elements
+    # found so far has a d with a coefficient outside a byte (the largest is
+    # 70, in the antichain's (1 + q)^8), and a wrong d is the one way a
+    # wrong pair passes its certificate.
+    poset, statistics = mix
+    monkeypatch.setattr(solver, "_widths", lambda *args: (1,))
+    results = _toggle_solve_all(poset, statistics)
+    assert results == [toggle_solve(poset, statistic) for statistic in statistics]
+    for statistic, got in zip(statistics, results):
+        sparse, rhs = build_system(poset, statistic)
+        want = _reference_solve(densify(sparse, poset.n + 1), rhs)
+        assert got.consistent == want.consistent
+        if want.consistent:
+            assert (got.constant, got.coefficients) == (want.solution[0], want.solution[1:])
+        else:
+            assert got.witness_mask == order_ideals(poset)[want.witness_row]
 
 
 @pytest.mark.parametrize(
     "lam,coefficients", [((2, 2), (0, 1, 0, 1)), ((2, 2, 1, 1), (0, 0, 1, 1, 0, 1))]
 )
-def test_singular_prefix_minor_falls_back(monkeypatch, lam, coefficients):
+def test_singular_prefix_minor_falls_back(eliminations, lam, coefficients):
     # At q = -1 the prefix minor of these shapes is singular: its rows leave
     # a free column, and all rows are eliminated.  Shape 2,2,1,1 has a
     # narrower first width, where the free column sends the prefix rows to
     # Hadamard's width first: one more square elimination.
     poset = build_shape(lam)
-    seen = []
-    eliminate = qpoly._eliminate
-
-    def spy(matrix, rhss, ncols, step):
-        seen.append((len(matrix), step))
-        return eliminate(matrix, rhss, ncols, step)
-
-    monkeypatch.setattr(qpoly, "_eliminate", spy)
     result = toggle_solve(poset, statistic_ddeg(poset), q_value=-1)
     system = solver._specialise(poset, statistic_ddeg(poset), -1)
     rows, (prefix_rhs,) = solver._prefix_system(poset, [system])
@@ -1030,7 +1029,8 @@ def test_singular_prefix_minor_falls_back(monkeypatch, lam, coefficients):
     assert prefix_steps == {(2, 2): (1,), (2, 2, 1, 1): (1, 2)}[lam]
     sparse, rhs = build_system(poset, statistic_ddeg(poset), -1)
     full = (len(order_ideals(poset)), *qpoly._widths(sparse, [rhs], poset.n + 1))
-    assert seen == [(poset.n + 1, step) for step in prefix_steps] + [full]
+    calls = [(call.rows, call.step) for call in eliminations]
+    assert calls == [(poset.n + 1, step) for step in prefix_steps] + [full]
     assert result.consistent and result.constant == RAT_ZERO
     assert result.coefficients == tuple(RatFunc.from_int(c) for c in coefficients)
 
@@ -1100,20 +1100,6 @@ def test_solver_packing_meets_hadamards_bound(monkeypatch):
     assert balanced_divmod_digits(16 << 6 * 12, 6) == list(denominator.coeffs)
 
 
-def _spy_widths(monkeypatch):
-    """Record the step of every ``qpoly._eliminate`` call, from either module."""
-    steps = []
-    eliminate = qpoly._eliminate
-
-    def spy(matrix, rhss, ncols, step):
-        steps.append(step)
-        return eliminate(matrix, rhss, ncols, step)
-
-    monkeypatch.setattr(qpoly, "_eliminate", spy)
-    monkeypatch.setattr(solver, "_eliminate", spy)
-    return steps
-
-
 def _sylvester(order):
     """Sylvester's Hadamard matrix of this order (a power of two), entries +-1."""
     rows = [[1]]
@@ -1122,20 +1108,19 @@ def _sylvester(order):
     return rows
 
 
-def test_first_width_retries_when_the_certificate_fails(monkeypatch):
+def test_first_width_retries_when_the_certificate_fails(eliminations):
     # 1000 x = 1: H = 1000, so Hadamard's width is 2 bytes and the first,
     # step_above(2 * 31), 1 byte.  There d = 1000 = 4 * 256 - 24 reads back
     # as 4q - 24, the residual 1000 - (4q - 24) is not zero, and the system
     # is eliminated again at 2 bytes.
-    steps = _spy_widths(monkeypatch)
     matrix, rhs = [[QPoly.of([1000])]], [ONE]
     result = solve_linear_system(matrix, rhs)
-    assert steps == [1, 2]
+    assert [call.step for call in eliminations] == [1, 2]
     assert _answer(result) == _reference_solve(matrix, rhs)
     assert (result.numerators, result.denominator) == ((ONE,), QPoly.of([1000]))
 
 
-def test_first_width_can_accept_a_multiple_of_the_bareiss_pair(monkeypatch):
+def test_first_width_can_accept_a_multiple_of_the_bareiss_pair(eliminations):
     # The Sylvester system of order 8, entries +-q^(i+j) and b = e_0, has
     # H^2 = 9 * 8^7: Hadamard's width is 2 bytes, the first 1 byte.  Its
     # determinant 4096 q^56 is 2^460 = 16 * 256^57 at q = 2^8, so the first
@@ -1148,9 +1133,8 @@ def test_first_width_can_accept_a_multiple_of_the_bareiss_pair(monkeypatch):
     rhs = [ONE] + [ZERO] * 7
     rows = [dict(enumerate(row)) for row in matrix]
     assert qpoly._widths(rows, [rhs], 8) == (1, 2)
-    steps = _spy_widths(monkeypatch)
     result = solve_linear_system(matrix, rhs)
-    assert steps == [1]
+    assert [call.step for call in eliminations] == [1]
     assert _answer(result) == _reference_solve(matrix, rhs)
     assert result.denominator == QPoly.monomial(16, 57)
     assert hadamard_eliminate(rows, [rhs], 8)[1] == QPoly.monomial(4096, 56)

@@ -186,7 +186,7 @@ def test_inconsistent_witness_masks(lam, mask):
     [(build_rectangle(4, 4), [17], [2]), (build_shape((4, 3, 2, 1)), [11, 42], [2, 4])],
     ids=["rect4x4", "4321"],
 )
-def test_elimination_sees_a_row_basis(monkeypatch, poset, rows, steps):
+def test_elimination_sees_a_row_basis(monkeypatch, eliminations, poset, rows, steps):
     # Rect 4x4 has 70 equations in 17 unknowns: only the 17 prefix-ideal
     # rows are built and eliminated, and no row of the full system is built.
     # Shape 4,3,2,1 is inconsistent: its 11 prefix rows solve, the edge
@@ -194,22 +194,17 @@ def test_elimination_sees_a_row_basis(monkeypatch, poset, rows, steps):
     # the witness.  The prefix rows are eliminated once, at their first
     # width of 2 bytes (Hadamard's is 3); the full rows, a tall system, at
     # Hadamard's width of 4 bytes.
-    seen, built = [], []
-    eliminate, build = qpoly._eliminate, solver.build_system
-
-    def spy(matrix, rhss, ncols, step):
-        seen.append((len(matrix), step))
-        return eliminate(matrix, rhss, ncols, step)
+    built = []
+    build = solver.build_system
 
     def spy_build(*args):
         system = build(*args)
         built.append(len(system[0]))
         return system
 
-    monkeypatch.setattr(qpoly, "_eliminate", spy)
     monkeypatch.setattr(solver, "build_system", spy_build)
     toggle_solve(poset, statistic_ddeg(poset))
-    assert seen == list(zip(rows, steps))
+    assert [(call.rows, call.step) for call in eliminations] == list(zip(rows, steps))
     assert built == rows[1:]
 
 
@@ -289,16 +284,16 @@ def test_edge_certificate_rejects_a_residual_vanishing_just_below_its_bound(monk
     ys = (*result.numerators[1:], result.numerators[0] + root)
     system = solver._specialise(poset, statistic, None)
     steps = []
-    step_above = solver.step_above
+    certificate_step = solver._certificate_step
 
-    def spy(bound):
-        steps.append(step_above(bound))
+    def spy(*args):
+        steps.append(certificate_step(*args))
         return steps[-1]
 
-    monkeypatch.setattr(solver, "step_above", spy)
+    monkeypatch.setattr(solver, "_certificate_step", spy)
     assert solver._certified(poset, system, ys, result.denominator) is None
     assert steps == [s + 1]
-    monkeypatch.setattr(solver, "step_above", lambda bound: step_above(bound) - 1)
+    monkeypatch.setattr(solver, "_certificate_step", lambda *args: certificate_step(*args) - 1)
     assert solver._certified(poset, system, ys, result.denominator) is not None
 
 
