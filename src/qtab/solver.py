@@ -38,7 +38,7 @@ from .qpoly import (
     solve_linear_system,
 )
 
-ROW_LIMIT = 100_000  # most order ideals, hence equations, a system may have
+ROW_LIMIT = 100_000  # most order ideals, hence equations, the full system may have
 
 
 class RowLimitExceeded(ValueError):
@@ -96,8 +96,6 @@ def _specialise(poset: Poset, statistic: Statistic, q_value: int | Fraction | No
     if statistic.poset != poset:
         raise PosetMismatch("statistic and system posets differ")
     rhs = list(statistic.values)  # one per order ideal
-    if len(rhs) > ROW_LIMIT:
-        raise RowLimitExceeded(f"{len(rhs)} ideals exceed the row limit {ROW_LIMIT}")
     one, minus_q = QPoly.of([1]), QPoly.of([0, -1])
     if q_value is not None:
         q = Fraction(q_value)
@@ -114,8 +112,11 @@ def build_system(
     """One row per order ideal: c + sum_p a_p * (tin_p - q*tout_p) = f.
 
     Each row is sparse (``Row``): its nonzero cells, c in column 0 and the
-    coefficient a_p in column p + 1, specialised as ``_specialise`` says."""
+    coefficient a_p in column p + 1, specialised as ``_specialise`` says.
+    More than ``ROW_LIMIT`` ideals raise ``RowLimitExceeded``."""
     one, minus_q, rhs = _specialise(poset, statistic, q_value)
+    if len(rhs) > ROW_LIMIT:
+        raise RowLimitExceeded(f"{len(rhs)} ideals exceed the row limit {ROW_LIMIT}")
     # The toggle entry of p at I is 1 on the edge I -> I + p (tin), -q on the
     # edge I - p -> I (tout) and 0 otherwise; the rows share one QPoly each.
     rows = [{0: one} for _ in rhs]

@@ -279,12 +279,17 @@ def test_solve_statistic_errors(capsys):
 
 
 def test_solve_row_limit_exit(capsys, monkeypatch):
-    """Too many order ideals for the system is a usage error, not a traceback."""
+    """Too many order ideals for the full system is a usage error, not a
+    traceback; an answer certified without the full system meets no limit."""
     monkeypatch.setattr(solver, "ROW_LIMIT", 3)
-    code, out, err = run_cli(capsys, "solve", "rect:2x2", "ddeg")
+    code, out, err = run_cli(capsys, "solve", "shape:2,1", "ddeg")
     assert code == 2
     assert out == ""
-    assert err == "error: 6 ideals exceed the row limit 3\n"
+    assert err == "error: 5 ideals exceed the row limit 3\n"
+    code, out, err = run_cli(capsys, "solve", "rect:2x2", "ddeg")
+    assert code == 0
+    assert out == "consistent: yes\nc = (1 + q) / (1 + q^2)\n"
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
