@@ -193,8 +193,10 @@ def _run_checks(checks: Sequence[Check]) -> list[CheckRecord]:
 
 # Filled while ``cmd_verify`` builds and runs its checks, and emptied as soon
 # as they have run.  Until then the suites share one poset per spec, with the
-# J(P), ideal edges and order dual cached on it, one list of linear extensions
-# per poset, and one ensemble or tableau tally per (builder, *args).
+# J(P), ideal edges, order dual and theta classes cached on it, one list of
+# linear extensions per poset, one ensemble or tableau tally per
+# (builder, *args), one value per product-row call factor and one toggle
+# symmetry verdict per ensemble, equal ensembles sharing it.
 _BUILT: dict[tuple, object] = {}
 
 
@@ -278,28 +280,30 @@ def _cap(value: int | None, default: int) -> int:
 def _check_product(lhs: tuple, rhs: tuple) -> tuple[bool, object, object]:
     """Each side's factors, multiplied from left to right, give equal products.
 
-    A factor is a call ``_Call(fn, *args)``, made when the check runs, or any
-    other value, used as it is.  A side of one factor is that factor's value,
-    so a row also compares counts, tuples, lists and tallies.
+    A factor is a call ``_Call(fn, *args)``, made when a check first needs
+    it and then kept for the run, or any other value, used as it is.  A side
+    of one factor is that factor's value, so a row also compares counts,
+    tuples, lists and tallies.
     """
     return _eq(reduce(mul, map(_factor, lhs)), reduce(mul, map(_factor, rhs)))
 
 
 class _Call(tuple):
     """A call factor ``(fn, *args)`` of a product row: ``fn(*args)`` is made
-    when the check runs."""
+    when a check first needs it, once per run."""
 
     def __new__(cls, fn: Callable, *args: object) -> _Call:
         return super().__new__(cls, (fn, *args))
 
 
 def _factor(factor: object) -> object:
-    return factor[0](*factor[1:]) if isinstance(factor, _Call) else factor
+    return _built(*factor) if isinstance(factor, _Call) else factor
 
 
 def _at_t1(fn: Callable, *args: object) -> QPoly:
-    """``fn(*args)`` at t = 1, as a call factor."""
-    return fn(*args).at_t1()
+    """``fn(*args)`` at t = 1, as a call factor; ``fn(*args)`` itself is
+    shared with the rows that read it whole."""
+    return _built(fn, *args).at_t1()
 
 
 def _row(check_id: str, anchor: str, lhs: tuple, rhs: tuple) -> Check:
@@ -362,9 +366,10 @@ def _suite_thm_pp(args: argparse.Namespace) -> list[Check]:
 
 
 def _check_symmetry(poset: Poset, make_ensemble: Callable, *extra: object) -> tuple[bool, object, object]:
-    """``make_ensemble(poset, *extra)`` has toggle expectation zero at every element."""
+    """``make_ensemble(poset, *extra)`` has toggle expectation zero at every
+    element; each ensemble, or any equal to it, is checked once per run."""
     ensemble = _built(make_ensemble, poset, *extra)
-    if check_toggle_symmetry(ensemble):
+    if _built(check_toggle_symmetry, ensemble):
         return True, None, None
     expectations = [expectation(ensemble, statistic_toggle(poset, p)) for p in range(poset.n)]
     return False, expectations, [RatFunc.from_int(0)] * poset.n
@@ -585,21 +590,40 @@ def _broken(p: int, what: str, lhs: object, rhs: object) -> tuple[bool, object, 
     return False, (label, lhs), (label, rhs)
 
 
+_Pairs = list[list[tuple[LinearExtension, int]]]
+
+
+def _toggle_pairs(poset: Poset, extensions: Sequence[LinearExtension]) -> tuple[_Pairs, _Pairs]:
+    """Per element p, the pairs (T, y) in which p toggles out of the
+    y-prefix of T, and those in which it toggles in, in the order of the
+    extensions and then of y.  p leaves an ideal I when an edge I - p -> I
+    of J(P) adds it and enters I when an edge I -> I + p does, so one pass
+    over ``ideal_edges`` gives each ideal both masks, and each prefix reads
+    the bits of its two."""
+    ideals = order_ideals(poset)
+    leaving, entering = dict.fromkeys(ideals, 0), dict.fromkeys(ideals, 0)
+    for p, edges in enumerate(poset.ideal_edges):
+        bit = 1 << p
+        for lower, upper in edges:
+            entering[ideals[lower]] |= bit
+            leaving[ideals[upper]] |= bit
+    out_pairs: _Pairs = [[] for _ in range(poset.n)]
+    in_pairs: _Pairs = [[] for _ in range(poset.n)]
+    for ext in extensions:
+        for y, mask in enumerate(ext.prefix_masks):
+            for pairs, bits in ((out_pairs, leaving[mask]), (in_pairs, entering[mask])):
+                while bits:
+                    low = bits & -bits
+                    pairs[low.bit_length() - 1].append((ext, y))
+                    bits ^= low
+    return out_pairs, in_pairs
+
+
 def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
     extensions = _extension_list(poset)
     by_values = {ext.values: ext for ext in extensions}
     ensemble = _built(ensemble_lin, poset)
-    # one pass sorts every (T, y) into the out- and in-togglable pairs of each p
-    out_pairs: list[list[tuple[LinearExtension, int]]] = [[] for _ in range(poset.n)]
-    in_pairs: list[list[tuple[LinearExtension, int]]] = [[] for _ in range(poset.n)]
-    for ext in extensions:
-        for y, mask in enumerate(ext.prefix_masks):
-            for p in range(poset.n):
-                if mask >> p & 1:
-                    if not poset.up_masks[p] & mask:
-                        out_pairs[p].append((ext, y))
-                elif poset.low_masks[p] & mask == poset.low_masks[p]:
-                    in_pairs[p].append((ext, y))
+    out_pairs, in_pairs = _toggle_pairs(poset, extensions)
     for p in range(poset.n):
         images = []
         for ext, y in out_pairs[p]:
@@ -612,7 +636,8 @@ def _check_bijection(poset: Poset) -> tuple[bool, object, object]:
             weights = ext.theta_exponents[y] + 1, twin.theta_exponents[y2]
             if weights[0] != weights[1]:
                 return _broken(p, "theta exponent", *weights)
-            counts = len(descents(ext) - {y}), len(descents(twin) - {y2})
+            des, twin_des = descents(ext), descents(twin)
+            counts = len(des) - (y in des), len(twin_des) - (y2 in twin_des)
             if counts[0] != counts[1]:
                 return _broken(p, "descents off y", *counts)
             back, y3 = inverse_toggle_bijection(p, twin, y2)

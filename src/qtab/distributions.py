@@ -258,12 +258,38 @@ def ensemble_uniform(poset: Poset) -> WeightedEnsemble:
     return WeightedEnsemble(poset, weights, rpp_size_gf(poset, 1))
 
 
+def _theta_classes(poset: Poset) -> dict[tuple[int, int], list[int]]:
+    """The theta exponents of every (T, i), tallied per class (j, d): j the
+    position of the prefix ideal of T of length i in ``order_ideals``, and
+    d = #(Des(T) \\ {i}).  The tally does not depend on m, so it is built
+    on the first call only and kept in the poset's ``__dict__``, as the
+    poset's cached attributes are: it is freed with the poset."""
+    cache = vars(poset)
+    if "_theta_classes" in cache:
+        return cache["_theta_classes"]
+    ideals = order_ideals(poset)
+    tally: dict[tuple[int, int], list[int]] = {}
+    for ext in enumerate_linear_extensions(poset):
+        des = descents(ext)
+        for i, (mask, e) in enumerate(zip(ext.prefix_masks, ext.theta_exponents)):
+            row = tally.setdefault((bisect_left(ideals, mask), len(des) - (i in des)), [])
+            if len(row) <= e:
+                row.extend([0] * (e + 1 - len(row)))
+            row[e] += 1
+    # stored only once complete, so an interrupted build leaves no part behind
+    cache["_theta_classes"] = tally
+    return tally
+
+
 def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble:
     """Weight of I: sum of q^(size + k) over fillings whose level-k ideal is I.
 
     ``mode="direct"`` sums over multichains of ideals; ``mode="via_theta_m"``
     enumerates linear extensions and assembles the same weights from their
     prefix ideals carrying theta_m, an independent route to the distribution.
+    That route enumerates once per poset: the tally of theta exponents it
+    reads, which does not depend on m, stays with the poset and is freed
+    with it.
     """
     if m < 1:
         raise ValueError("level bound must be at least 1")
@@ -271,20 +297,9 @@ def ensemble_rpp(poset: Poset, m: int, mode: str = "direct") -> WeightedEnsemble
         weights = engine.rpp_weights(poset, m)
     elif mode == "via_theta_m":
         # theta_m(T, i) is q^theta(T, i) times a q-binomial that depends only
-        # on d = #(Des \ {i}): tally the theta exponents per (prefix, d) and
-        # multiply each class by its q-binomial once
-        ideals = order_ideals(poset)
-        tally: dict[tuple[int, int], list[int]] = {}
-        for ext in enumerate_linear_extensions(poset):
-            des = descents(ext)
-            for i, (mask, e) in enumerate(zip(ext.prefix_masks, ext.theta_exponents)):
-                row = tally.setdefault((bisect_left(ideals, mask), len(des) - (i in des)), [])
-                if len(row) <= e:
-                    row.extend([0] * (e + 1 - len(row)))
-                row[e] += 1
-        weights = [[] for _ in ideals]
-        while tally:  # popping frees each class once it is added
-            (j, d), row = tally.popitem()
+        # on d = #(Des \ {i}): multiply each class by its q-binomial once
+        weights = [[] for _ in order_ideals(poset)]
+        for (j, d), row in _theta_classes(poset).items():
             _add(weights[j], _mul(row, qbinom(m + poset.n - d, poset.n + 1).coeffs))
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -191,9 +191,14 @@ def lin_weights(poset: Poset) -> list[list[int]]:
 
 
 def _chains_ending(lat: _Lattice, m: int, k: int, cap: int | None = None) -> Iterator[list[int]]:
-    """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1."""
-    level = [1] + [0] * (len(lat.sizes) - 1)
-    for _ in range(m):
+    """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1.
+    Every ideal holds the empty one, so ``F[0][I]`` is q^(n - |I|), written
+    without an edge pass."""
+    if m < 1:
+        return
+    level = lat.complement_weights([1] * len(lat.sizes), k, cap)
+    yield level
+    for _ in range(m - 1):
         level = lat.complement_weights(lat.sum_below(level), k, cap)
         yield level
 

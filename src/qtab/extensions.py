@@ -90,6 +90,19 @@ class LinearExtension(_Frozen):
             masks.append(masks[-1] | 1 << e)
         return tuple(masks)
 
+    @cached
+    def dual_positions(self) -> tuple[int, ...]:
+        """``positions`` of the same order read backwards on the order dual
+        (element e -> n-1-e, value v -> n+1-v)."""
+        n = self.poset.n
+        return tuple([n - 1 - e for e in reversed(self.positions)])
+
+    @cached
+    def dual_values(self) -> tuple[int, ...]:
+        """``values`` of the same order read backwards on the order dual."""
+        n = self.poset.n
+        return tuple([n + 1 - v for v in reversed(self.values)])
+
     def prefix_ideal(self, i: int) -> int:
         """Mask of the elements holding values 1..i."""
         if not 0 <= i <= self.poset.n:

@@ -219,14 +219,9 @@ def toggle_bijection(
     return escalate(ext, ext.values[p], z), y_prime
 
 
-def _dual_values(n: int, values: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([n + 1 - v for v in reversed(values)])
-
-
 def dual_extension(ext: LinearExtension) -> LinearExtension:
     """The same order read backwards on the dual poset (element e -> n-1-e)."""
-    n = ext.poset.n
-    return LinearExtension(dual(ext.poset), _dual_values(n, ext.values))
+    return LinearExtension(dual(ext.poset), ext.dual_values)
 
 
 def inverse_toggle_bijection(
@@ -241,11 +236,10 @@ def inverse_toggle_bijection(
         raise ValueError(f"element {p} out of range")
     if not tin(poset, p, ext.prefix_masks[y]):
         raise PNotTogglableIn(f"element {p} is not togglable into the {y}-prefix")
-    # the dual extension as tuples (element e -> n-1-e, value v -> n+1-v);
-    # p enters the y-prefix of T exactly when n-1-p leaves its (n-y)-prefix
-    star_pos = tuple(n - 1 - e for e in reversed(ext.positions))
-    star_values = _dual_values(n, ext.values)
+    # the dual extension as tuples, cached on T for its other pairs; p enters
+    # the y-prefix of T exactly when n-1-p leaves its (n-y)-prefix
+    star_pos, star_values = ext.dual_positions, ext.dual_values
     x = star_values[n - 1 - p]
     *_, y_prime, z = _rules(star_pos, n, x, n - y)
     image = _rotate(star_values, star_pos, x, z)
-    return _extension(poset, _dual_values(n, image)), n - y_prime
+    return _extension(poset, tuple([n + 1 - v for v in reversed(image)])), n - y_prime

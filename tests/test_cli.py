@@ -14,11 +14,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import naturally_labeled_posets
 from qtab import cli, posets, solver
 from qtab.cli import Check, _run_checks, main
 from qtab.distributions import WeightedEnsemble
-from qtab.extensions import gf_bsv, gf_comaj
+from qtab.extensions import enumerate_linear_extensions, gf_bsv, gf_comaj
 from qtab.paths import gf_rbmotz, narayana_row, rbmotz_counts, two_row_tally
 from qtab.posets import Poset, build_minuscule, build_rectangle, build_shape
 from qtab.ppartitions import rpp_size_series
@@ -32,7 +34,7 @@ from qtab.qpoly import (
     qt_coeff_vector,
     qt_num,
 )
-from qtab.togglebij import toggle_bijection
+from qtab.togglebij import inverse_toggle_bijection, toggle_bijection
 
 RECT22 = build_rectangle(2, 2)
 
@@ -490,7 +492,7 @@ def test_verify_empties_its_memo(capsys, monkeypatch, error):
     else:
         with pytest.raises(_Abort):
             main(["verify", "paths"])
-    assert seen == [2]  # the poset and its ensemble
+    assert seen == [3]  # the poset, its ensemble and the ensemble's verdict
     assert not cli._BUILT
 
     assert run_cli(capsys, "verify", "toggle-symmetry", "--max-boxes", "3", "--max-m", "1")[0] == 0
@@ -519,6 +521,47 @@ def test_verify_builds_each_shared_ensemble_once(capsys, monkeypatch):
         for m in (1, 2):
             assert (poset, "ensemble_rpp", m, "direct") in builds
             assert (poset, "ensemble_rpp", m, "via_theta_m") in builds
+
+
+def test_verify_makes_each_call_factor_once_per_run(capsys, monkeypatch):
+    made: list[Poset] = []
+
+    def counted(poset):
+        made.append(poset)
+        return gf_bsv(poset)
+
+    def suite(args):
+        rect = cli._poset("rect:2x3")
+        return [
+            cli._row("demo:a", "demo", (cli._Call(counted, rect),), (cli._Call(gf_bsv, rect),)),
+            cli._row("demo:b", "demo", (cli._Call(counted, rect), qnum(1)), (cli._Call(gf_bsv, rect),)),
+            # the value at t = 1 reads the same call
+            cli._row(
+                "demo:c", "demo",
+                (cli._Call(cli._at_t1, counted, rect),), (cli._Call(cli._at_t1, gf_bsv, rect),),
+            ),
+        ]
+
+    monkeypatch.setitem(cli.SUITES, "paths", suite)
+    assert run_cli(capsys, "verify", "paths")[0] == 0
+    assert made == [cli._poset("rect:2x3")]
+    assert run_cli(capsys, "verify", "paths")[0] == 0
+    assert len(made) == 2  # the next run makes it again
+
+
+def test_verify_checks_each_ensemble_once(capsys, monkeypatch):
+    checked: list[WeightedEnsemble] = []
+    check_toggle_symmetry = cli.check_toggle_symmetry
+
+    def counted(ensemble):
+        checked.append(ensemble)
+        return check_toggle_symmetry(ensemble)
+
+    monkeypatch.setattr(cli, "check_toggle_symmetry", counted)
+    code, out, _ = run_cli(capsys, "verify", "toggle-symmetry", "--max-boxes", "4", "--json")
+    assert code == 0
+    # the two routes to each bounded ensemble give equal ensembles, checked once
+    assert len(checked) == len(set(checked)) < len(json.loads(out)["checks"])
 
 
 def test_verify_repeats_in_process(capsys):
@@ -618,13 +661,13 @@ def test_verify_lists_each_posets_extensions_once(capsys, monkeypatch):
         listed.append(poset)
         return enumerate_linear_extensions(poset)
 
-    def lists_in_memo() -> int:
-        return sum(isinstance(value, list) for value in cli._BUILT.values())
+    def extension_lists_in_memo() -> int:
+        return sum(key[0] is cli._extensions for key in cli._BUILT)
 
     def clear_counted():
-        before = lists_in_memo()
+        before = extension_lists_in_memo()
         clear_run_memo()
-        held.append((before, lists_in_memo()))
+        held.append((before, extension_lists_in_memo()))
 
     monkeypatch.setattr(cli, "enumerate_linear_extensions", counted)
     monkeypatch.setattr(cli, "_clear_run_memo", clear_counted)
@@ -812,6 +855,56 @@ def test_bijection_check_fails_under_a_broken_pairing(monkeypatch, pairing, side
     finally:
         cli._clear_run_memo()
     assert (record.ok, record.lhs, record.rhs) == (False, *sides)
+
+
+def test_bijection_check_fails_under_a_wrong_inverse(monkeypatch):
+    def one_longer(p, ext, y):
+        back, y3 = inverse_toggle_bijection(p, ext, y)
+        return back, y3 + 1
+
+    monkeypatch.setattr(cli, "inverse_toggle_bijection", one_longer)
+    poset = cli._poset("shape:3,2,1")
+    try:
+        [record] = _run_checks([Check("demo", "demo", cli._check_bijection, (poset,))])
+    finally:
+        cli._clear_run_memo()
+    assert not record.ok
+    (label, (back, y3)), (expected_label, (values, y)) = record.lhs, record.rhs
+    assert label == expected_label == "p=0: inverse image"
+    assert (back, y3) == (values, y + 1)
+
+
+def _toggle_pairs_by_element(poset: Poset, extensions: list) -> tuple[list, list]:
+    """The reference for ``cli._toggle_pairs``: every element tested at
+    every (T, y)."""
+    out_pairs: list[list] = [[] for _ in range(poset.n)]
+    in_pairs: list[list] = [[] for _ in range(poset.n)]
+    for ext in extensions:
+        for y, mask in enumerate(ext.prefix_masks):
+            for p in range(poset.n):
+                if mask >> p & 1:
+                    if not poset.up_masks[p] & mask:
+                        out_pairs[p].append((ext, y))
+                elif poset.low_masks[p] & mask == poset.low_masks[p]:
+                    in_pairs[p].append((ext, y))
+    return out_pairs, in_pairs
+
+
+def test_toggle_pairs_on_the_labeled_corpus():
+    try:
+        corpus = cli._labeled_corpus(7)
+    finally:
+        cli._clear_run_memo()
+    for label, poset in corpus:
+        extensions = list(enumerate_linear_extensions(poset))
+        assert cli._toggle_pairs(poset, extensions) == _toggle_pairs_by_element(poset, extensions), label
+
+
+@given(naturally_labeled_posets(max_n=7))
+@settings(max_examples=50, deadline=None)
+def test_toggle_pairs_on_random_posets(poset):
+    extensions = list(enumerate_linear_extensions(poset))
+    assert cli._toggle_pairs(poset, extensions) == _toggle_pairs_by_element(poset, extensions)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     small_shape_corpus,
     strict_partition_strategy,
 )
+from qtab import distributions
 from qtab.distributions import (
     PosetMismatch,
     Statistic,
@@ -215,6 +216,28 @@ def test_theta_m_tally_matches_the_pair_sum(poset, m):
     """The class tally of ``mode="via_theta_m"`` against the per-pair sum."""
     via = ensemble_rpp(poset, m, mode="via_theta_m")
     assert via.weights == _theta_m_pair_sum(poset, m)
+
+
+@given(naturally_labeled_posets(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_theta_classes_are_tallied_once_per_poset(poset):
+    """m = 5, 1, 3 in turn read one tally of the poset, which none of them
+    consumes; an equal poset built anew enumerates again into its own."""
+    poset = Poset(poset.n, poset.covers)
+    enumerated: list[Poset] = []
+
+    def spy(poset):
+        enumerated.append(poset)
+        return enumerate_linear_extensions(poset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "enumerate_linear_extensions", spy)
+        for m in (5, 1, 3):
+            assert ensemble_rpp(poset, m, "via_theta_m") == ensemble_rpp(poset, m, "direct")
+        assert len(enumerated) == 1 and enumerated[0] is poset
+        anew = Poset(poset.n, poset.covers)
+        assert ensemble_rpp(anew, 2, "via_theta_m") == ensemble_rpp(poset, 2, "direct")
+        assert len(enumerated) == 2 and enumerated[1] is anew
 
 
 def test_lin_weights_golden_2x2():

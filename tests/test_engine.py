@@ -132,6 +132,32 @@ def test_filling_sums_on_random_posets(poset, m):
     filling_case(poset, m)
 
 
+@given(naturally_labeled_posets(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_chains_ending_on_random_posets(poset, m):
+    """Level l < m of ``_chains_ending`` weighs each ideal I by the fillings
+    bounded by l + 1 whose level-l ideal is I, by size, truncated above the
+    cap when one is given; m = 0 yields no level."""
+    fillings = [at_most(enumerate_rpp(poset, level + 1), FILLING_LIMIT) for level in range(m)]
+    assume(None not in fillings)
+    lat = engine._Lattice(poset)
+    for cap in (None, 0, 1):
+        levels = list(engine._chains_ending(lat, m, 16, cap))
+        assert len(levels) == m
+        for level, (weights, bounded) in enumerate(zip(levels, fillings)):
+            assert tuple(QPoly.of(kronecker.digits(v, 2)) for v in weights) == weights_by_ideal(
+                poset,
+                (
+                    (ideal_at_level(rpp, level), QPoly.monomial(1, rpp.size))
+                    for rpp in bounded
+                    if cap is None or rpp.size <= cap
+                ),
+            )
+    for cap in (0, 1):
+        series = rpp_size_series(poset, cap)
+        assert series == poly_sum(rpp.size for rpp in enumerate_rpp(poset, cap) if rpp.size <= cap)
+
+
 @given(st.one_of(partition_strategy(6).map(build_shape), strict_partition_strategy(7).map(build_shifted)))
 @settings(max_examples=30, deadline=None)
 def test_row_refinement_on_shapes(poset):
