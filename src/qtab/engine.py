@@ -15,18 +15,22 @@ The work is a few int operations per edge of J(P), not per extension or
 filling.  Inside the DPs a polynomial is one int, its value at q = 2^k
 (``kronecker``).  No coefficient is negative, so none exceeds the
 polynomial's value at q = 1.  ``_exact`` gets those values from the same DP
-at k = 0, where every shift is 0: the path DP is then a plain path count and
-the multichain weights are the bare counts.  It then runs the DP at the
-width ``step_above`` gives for the largest of them and reads the unsigned
-digits.  The path DP walks J(P) level by level and keeps the prefix sums of
-two levels only.  Results are coefficient lists (index = exponent of q),
-per-ideal values in ``order_ideals`` order.
+at k = 0, where every shift is 0: the path DP is then a plain path count,
+one loop over the ideals in index order (an edge's upper end has the larger
+mask, so the larger index), and the multichain weights are the bare counts.
+It then runs the DP at the width ``step_above`` gives for the largest of
+them and reads the unsigned digits.  The path DP walks J(P) level by level
+and keeps the prefix sums of two levels only; the backward walk reads each
+step's descents by its position among the steps out of its ideal, with no
+search.  Results are coefficient lists (index = exponent of q), per-ideal
+values in ``order_ideals`` order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Callable, Iterator
+from itertools import count
+from typing import Callable, Iterator, Sequence
 
 from .frozen import cached
 from .kronecker import digits, step_above
@@ -35,9 +39,9 @@ from .posets import Poset, ideal_steps, order_ideals
 
 class _Lattice:
     """J(P) as ideal sizes plus its cover edges ``I -> I + e``: per ideal
-    (``out_of``, from ``ideal_steps``) and per element (``Poset.ideal_edges``,
-    which ``into``, ``sum_below`` and ``sum_above`` read).  A backward path
-    sum alone never builds the per-element edges."""
+    (``out_of``, their upper ends from ``ideal_steps``) and per element
+    (``Poset.ideal_edges``, which ``into``, ``sum_below`` and ``sum_above``
+    read).  A backward path sum alone never builds the per-element edges."""
 
     def __init__(self, poset: Poset) -> None:
         self.poset = poset
@@ -53,9 +57,9 @@ class _Lattice:
         return out
 
     @cached
-    def out_of(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per ideal, the edges out of it: the elements they add and their
-        upper ends, elements ascending."""
+    def out_of(self) -> list[list[int]]:
+        """Per ideal, the upper ends of the edges out of it, the elements they
+        add ascending."""
         return ideal_steps(self.poset)
 
     @cached
@@ -111,30 +115,37 @@ def _exact(poset: Poset, dp: Callable[[_Lattice, int], list[int]]) -> list[list[
 # linear extensions
 
 
-def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[list[int], list[int]]]:
-    """Per level of J(P), away from the start: its ideals and their paths.
+def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int], list[int]]]:
+    """Batches of J(P)'s ideals and their paths, away from the start: at
+    k = 0 one batch of every ideal in index order, else one per level.
     Forward: paths 0 -> I, a descent at step i < |I| weighing q^(n + 1 - i).
     Backward: paths I -> P, a descent at i > |I| weighing q^(n - i), leaving
     out the descent at |I|, which also needs the last element before I."""
-    es, ends = lat.into if forward else lat.out_of
+    if forward:
+        es, ends = lat.into
+    else:
+        ends = lat.out_of
+    if not k:
+        # every shift is 0 and the descents cancel: a plain path count.  An
+        # edge's upper end has the larger mask, so the larger index: in
+        # ascending (descending) index order every ideal comes after the
+        # other ends of its steps.
+        counts = [1] * len(ends)
+        for j in range(1, len(ends)) if forward else range(len(ends) - 2, -1, -1):
+            counts[j] = sum(map(counts.__getitem__, ends[j]))
+        yield range(len(ends)), counts
+        return
     levels = lat.levels if forward else lat.levels[::-1]
     yield levels[0], [1]
-    if not k:
-        # every shift is 0 and the descents cancel: a plain path count
-        counts = [1] * len(es)
-        for level in levels[1:]:
-            totals = [sum([counts[other] for other in ends[j]]) for j in level]
-            for j, total in zip(level, totals):
-                counts[j] = total
-            yield level, totals
-        return
     # sums[j][i]: paths to (from) ideal j whose last (first) step adds one of
-    # es[j][:i], for j in the last two levels.  A step adding e after (before)
-    # them makes a descent with the elements above (below) e, found by
-    # bisection of the ascending es[j].  The start adds nothing, so its sums
-    # [1] ([0, 1]) count the empty path as below (not below) every e: no
-    # descent.
-    sums: list[list[int] | None] = [None] * len(es)
+    # the i lowest elements j's steps add, for j in the last two levels.  A
+    # step adding e after (before) them makes a descent with the elements
+    # above (below) e.  Forward, bisection of the ascending es[other] counts
+    # those below e.  Backward, i steps out of j precede j -> other = j + e,
+    # and the elements addable to j + e below e are the i addable to j below
+    # e: a read by position.  The start adds nothing, so its sums [1]
+    # ([0, 1]) count the empty path as below (not below) every e: no descent.
+    sums: list[list[int] | None] = [None] * len(ends)
     (start,) = levels[0]
     sums[start] = [1] if forward else [0, 1]
     for done, level in zip(levels, levels[1:]):
@@ -142,11 +153,12 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[list[int], li
         shift = k * (lat.n + 2 - size if forward else lat.n - 1 - size)
         totals = []
         for j in level:
+            steps = ends[j]
+            below = map(bisect, map(es.__getitem__, steps), es[j]) if forward else count()
             acc, pre = 0, [0]
-            for e, other in zip(es[j], ends[j]):
+            for i, other in zip(below, steps):
                 paths = sums[other]
-                below = paths[bisect(es[other], e)]
-                descents = paths[-1] - below if forward else below
+                descents = paths[-1] - paths[i] if forward else paths[i]
                 acc += paths[-1] + (descents << shift) - descents
                 pre.append(acc)
             sums[j] = pre
@@ -170,10 +182,11 @@ def _lin(lat: _Lattice, k: int) -> list[int]:
 
 
 def _comaj(lat: _Lattice, k: int) -> list[int]:
-    """The backward paths from the empty ideal, the walk's last level."""
+    """The backward paths from the empty ideal, index 0, which heads the
+    walk's last batch."""
     for _, totals in _paths(lat, k, False):
         pass
-    return totals
+    return totals[:1]
 
 
 def comaj_gf(poset: Poset) -> list[int]:

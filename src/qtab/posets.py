@@ -26,9 +26,9 @@ built element by element, and with each ideal the mask of the elements that
 can be added to it, at one step per ideal.  The cover edges are read off
 those masks at one step per edge: per element as ``Poset.ideal_edges``, kept
 with the poset and read by the J(P) engine, the doubled-cell sum and the
-toggle system, and per ideal by ``ideal_steps``, which the engine's backward
-path sum reads.  Its order dual is likewise built once, on the first call of
-``dual``.
+toggle system, and per ideal by ``ideal_steps`` as upper ends only, which
+the engine's backward path sum reads.  Its order dual is likewise built
+once, on the first call of ``dual``.
 """
 
 from __future__ import annotations
@@ -81,11 +81,15 @@ class Poset:
         self._check_covers_irredundant()
 
     def _check_covers_irredundant(self) -> None:
-        above = self.above_masks
+        # (lo, hi) is implied when lo lies below another lower cover of hi;
+        # the covers are sorted, so the first one named is the least
+        below = self.below_masks
+        under = [0] * self.n
         for lo, hi in self.covers:
-            for mid in self.upper_covers[lo]:
-                if mid != hi and above[mid] >> hi & 1:
-                    raise ValueError(f"({lo}, {hi}) is implied by other covers")
+            under[hi] |= below[lo]
+        for lo, hi in self.covers:
+            if under[hi] >> lo & 1:
+                raise ValueError(f"({lo}, {hi}) is implied by other covers")
 
     @cached
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -207,26 +211,23 @@ def order_ideals(poset: Poset) -> tuple[int, ...]:
     return poset._ideals
 
 
-def ideal_steps(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    """Per ideal I in ``order_ideals`` order, the elements e with I + e an
-    ideal, ascending, and the positions of those ideals I + e: the cover
-    edges of J(P) grouped by lower end.  Read off the addable masks at one
-    step per edge and built anew on each call, so the poset keeps no
-    per-ideal lists."""
+def ideal_steps(poset: Poset) -> list[list[int]]:
+    """Per ideal I in ``order_ideals`` order, the positions of the ideals
+    I + e, e ascending: the upper ends of the cover edges of J(P) grouped by
+    lower end.  The i-th end adds the i-th lowest bit of I's addable mask.
+    Read off the addable masks at one step per edge and built anew on each
+    call, so the poset keeps no per-ideal lists."""
     ideals = poset._ideals
     index = dict(zip(ideals, range(len(ideals))))
-    es: list[list[int]] = []
     ends: list[list[int]] = []
     for mask, addable in zip(ideals, poset._addable):
-        adds, uppers = [], []
+        uppers = []
         while addable:
             bit = addable & -addable
-            adds.append(bit.bit_length() - 1)
             uppers.append(index[mask | bit])
             addable ^= bit
-        es.append(adds)
         ends.append(uppers)
-    return es, ends
+    return ends
 
 
 def box_coords(poset: Poset) -> tuple[tuple[int, int], ...]:

@@ -197,6 +197,13 @@ def test_gf_rejects_bad_poset_files(capsys, tmp_path, doc):
         assert err.startswith("error: ")
 
 
+def test_gf_names_the_implied_cover(capsys, tmp_path):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}))
+    code, out, err = run_cli(capsys, "gf", str(path), "comaj")
+    assert (code, out, err) == (2, "", "error: (0, 2) is implied by other covers\n")
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -186,13 +186,15 @@ def test_edge_posets():
 def test_lattice_steps_are_the_ideal_edges(poset):
     """``out_of``, read off the addable masks of a fresh poset without
     building its per-element edges, and ``into`` are ``Poset.ideal_edges``
-    grouped by lower and by upper end."""
+    grouped by lower and by upper end; the i-th upper end out of I adds the
+    i-th lowest element addable to I."""
     poset = Poset(poset.n, poset.covers)
     lat = engine._Lattice(poset)
     out_of = lat.out_of
     assert "ideal_edges" not in vars(poset)
     into = lat.into
-    size = len(order_ideals(poset))
+    ideals = order_ideals(poset)
+    size = len(ideals)
     out_es, out_ends, in_es, in_ends = ([[] for _ in range(size)] for _ in range(4))
     for e, edges in enumerate(poset.ideal_edges):
         for lower, upper in edges:
@@ -200,8 +202,12 @@ def test_lattice_steps_are_the_ideal_edges(poset):
             out_ends[lower].append(upper)
             in_es[upper].append(e)
             in_ends[upper].append(lower)
-    assert out_of == (out_es, out_ends)
+    assert out_of == out_ends
     assert into == (in_es, in_ends)
+    for j, (ends, addable) in enumerate(zip(out_of, poset._addable)):
+        adds = [ideals[end] - ideals[j] for end in ends]
+        assert adds == [1 << e for e in range(poset.n) if addable >> e & 1]
+        assert [bit.bit_length() - 1 for bit in adds] == out_es[j]
 
 
 # Past the oracles' limits the engine packs wide coefficients (72 bits for
@@ -245,6 +251,11 @@ def fillings_dp(m: int):
 
 @given(naturally_labeled_posets(), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
+@example(Poset(0, []), 1)  # one ideal
+@example(Poset(1, []), 2)
+@example(Poset(10, [(i, i + 1) for i in range(9)]), 3)  # one ideal per level
+@example(Poset(5, []), 1)  # Boolean lattices: 120 extensions, and 720, past
+@example(Poset(6, []), 1)  # the extension limit, so fillings only
 def test_width_pass_counts_the_objects(poset, m):
     extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
     fillings = at_most(enumerate_rpp(poset, m), FILLING_LIMIT)

@@ -104,10 +104,50 @@ def test_cover_validation():
         Poset(-1, [])
     with pytest.raises(ValueError):
         Poset(3, [(1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         Poset(3, [(0, 1), (1, 2), (0, 2)])  # (0, 2) is transitive, not a cover
+    assert str(info.value) == "(0, 2) is implied by other covers"
+    # two implied covers: the message names the lexicographically least
+    with pytest.raises(ValueError) as info:
+        Poset(7, [(0, 1), (1, 6), (0, 6), (2, 3), (3, 5), (2, 5)])
+    assert str(info.value) == "(0, 6) is implied by other covers"
     with pytest.raises(ValueError, match="two elements share a box"):
         Poset(2, [(0, 1)], coords=[(1, 1), (1, 1)])
+
+
+def implied_cover_oracle(n: int, covers: list[tuple[int, int]]) -> str | None:
+    """The implied-cover message for the least cover (lo, hi) with an upper
+    cover of lo other than hi below hi, read off the upper covers and the
+    strict up-sets; None when no cover is implied."""
+    covers = sorted(set(covers))
+    upper: list[list[int]] = [[] for _ in range(n)]
+    above = [0] * n
+    for lo, hi in covers:
+        upper[lo].append(hi)
+    for lo, hi in reversed(covers):
+        above[lo] |= 1 << hi | above[hi]
+    for lo, hi in covers:
+        if any(mid != hi and above[mid] >> hi & 1 for mid in upper[lo]):
+            return f"({lo}, {hi}) is implied by other covers"
+    return None
+
+
+@given(naturally_labeled_posets(), st.data())
+def test_implied_cover_check_matches_the_up_set_oracle(poset, data):
+    """One or two comparable pairs added to a random poset's covers:
+    rejected with the oracle's message, which names the least implied cover
+    when both are, or accepted when each pair is already a cover."""
+    pairs = [(lo, hi) for lo in range(poset.n) for hi in range(poset.n) if poset.above_masks[lo] >> hi & 1]
+    covers = [*poset.covers]
+    if pairs:
+        covers += data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+    expected = implied_cover_oracle(poset.n, covers)
+    if expected is None:
+        assert Poset(poset.n, covers) == poset
+    else:
+        with pytest.raises(ValueError) as info:
+            Poset(poset.n, covers)
+        assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +214,24 @@ def test_addable_masks_read_first_or_after_the_ideals(poset):
     fresh = Poset(poset.n, poset.covers)
     assert fresh._addable == expected
     assert order_ideals(fresh) == ideals
+
+
+@given(naturally_labeled_posets())
+@example(Poset(0, []))
+@example(build_rectangle(5, 6))
+@example(build_shape((5, 4, 3, 2, 1)))
+@example(build_shifted((4, 3, 2, 1)))
+def test_edges_climb_in_index_and_keep_the_addable_elements_below(poset):
+    """Every edge ``I -> I + e`` ends at a larger index than it starts, and
+    the elements below e addable to I + e are those addable to I.  The
+    engine's path counts in index order and its backward position reads
+    rest on these two facts."""
+    addable = poset._addable
+    for e, edges in enumerate(poset.ideal_edges):
+        below = (1 << e) - 1
+        for lower, upper in edges:
+            assert upper > lower
+            assert addable[upper] & below == addable[lower] & below
 
 
 @pytest.mark.parametrize("a", range(1, 7))
