@@ -11,75 +11,167 @@ Combinatorics I* (ch. 3 and 4):
   ``I_0 <= ... <= I_(m-1)`` of its level ideals, weighing
   ``prod q^(n - |I_k|)``.
 
+The engine walks its own J(P), once per poset, up from the empty ideal one
+level at a time (``_Lattice``), so the ideals of each size hold a range of
+indices and every cover edge runs to a larger index.  The walk records the
+edges grouped the way its first caller reads them; the other grouping is
+regrouped from the first when it is first read.  The lattice stays with the
+poset, with the whole-poset totals (``comaj_gf``, ``filling_gf``) computed
+on it, so a repeated call is a lookup.
+
 The work is a few int operations per edge of J(P), not per extension or
 filling.  Inside the DPs a polynomial is one int, its value at q = 2^k
 (``kronecker``).  No coefficient is negative, so none exceeds the
-polynomial's value at q = 1.  ``_exact`` gets those values from the same DP
-at k = 0, where every shift is 0: the path DP is then a plain path count,
-one loop over the ideals in index order (an edge's upper end has the larger
-mask, so the larger index), and the multichain weights are the bare counts.
-It then runs the DP at the width ``step_above`` gives for the largest of
-them and reads the unsigned digits.  The path DP walks J(P) level by level
-and keeps the prefix sums of two levels only; the backward walk reads each
-step's descents by its position among the steps out of its ideal, with no
-search.  Results are coefficient lists (index = exponent of q), per-ideal
-values in ``order_ideals`` order.
+polynomial's value at q = 1.  ``_exact`` runs the DP at the width
+``step_above`` gives for the largest of those values and reads the unsigned
+digits.  For comaj that value is the number of paths to the top, which the
+walk counts; the other DPs get theirs from the same DP at k = 0, where every
+shift is 0: the path DP is then a plain path count in index order, and the
+multichain weights are the bare counts.  The path DP keeps the prefix sums
+of two levels only; the backward walk reads each step's descents by its
+position among the steps out of its ideal, with no search.  Results are
+coefficient lists (index = exponent of q), per-ideal values in
+``order_ideals`` order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import count
+from itertools import count, repeat
+from operator import and_, lshift
 from typing import Callable, Iterator, Sequence
 
 from .frozen import cached
 from .kronecker import digits, step_above
-from .posets import Poset, ideal_steps, order_ideals
+from .posets import Poset
 
 
 class _Lattice:
-    """J(P) as ideal sizes plus its cover edges ``I -> I + e``: per ideal
-    (``out_of``, their upper ends from ``ideal_steps``) and per element
-    (``Poset.ideal_edges``, which ``into``, ``sum_below`` and ``sum_above``
-    read).  A backward path sum alone never builds the per-element edges."""
+    """J(P) in level order: ``masks[levels[s]]`` are the ideals with s
+    elements, and ``addable[j]`` the mask of the elements that can be added
+    to ``masks[j]``.  The cover edges ``I -> I + e`` are grouped per ideal
+    (``out_of``, with the paths to the top counted as they are recorded) or
+    per element (``by_element``); ``by_ideal`` picks the one the walk
+    records, and the other is regrouped from it when first read.  ``totals``
+    keeps the whole-poset sums computed on it."""
 
-    def __init__(self, poset: Poset) -> None:
-        self.poset = poset
+    def __init__(self, poset: Poset, by_ideal: bool) -> None:
         self.n = poset.n
-        self.sizes = [mask.bit_count() for mask in order_ideals(poset)]
+        self.totals: dict[object, tuple[int, ...]] = {}
+        self._walk(poset, by_ideal)
 
-    @cached
-    def levels(self) -> list[list[int]]:
-        """``levels[s]``: the indices of the ideals with s elements."""
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for j, size in enumerate(self.sizes):
-            out[size].append(j)
-        return out
+    def _walk(self, poset: Poset, by_ideal: bool) -> None:
+        """One level at a time from the empty ideal.  A dict of the next
+        level's masks drops the ideals reached twice and gives each edge its
+        upper index.  ``I + e`` can take what I can, less e, plus those upper
+        covers of e whose lower covers it now holds."""
+        low = poset.low_masks
+        raises: dict[int, list[tuple[int, int]]] = {1 << e: [] for e in range(self.n)}
+        for lower, upper in poset.covers:
+            raises[1 << lower].append((1 << upper, low[upper]))
+        masks = [0]
+        addable = [sum(1 << e for e, lows in enumerate(low) if not lows)]
+        levels = []
+        if by_ideal:
+            out_of: list[list[int]] = []
+            paths = [1]
+        else:
+            by_element: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        start, size = 0, 1
+        while start < size:
+            level = range(start, size)
+            levels.append(level)
+            index: dict[int, int] = {}
+            for i in level:
+                mask = masks[i]
+                rest = can = addable[i]
+                if by_ideal:
+                    ends, through = [], paths[i]
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    top = mask | bit
+                    j = index.setdefault(top, size)
+                    if j == size:
+                        size += 1
+                        masks.append(top)
+                        grown = can ^ bit
+                        for up, lows in raises[bit]:
+                            if top & lows == lows:
+                                grown |= up
+                        addable.append(grown)
+                        if by_ideal:
+                            paths.append(0)
+                    if by_ideal:
+                        ends.append(j)
+                        paths[j] += through
+                    else:
+                        by_element[bit.bit_length() - 1].append((i, j))
+                if by_ideal:
+                    out_of.append(ends)
+            start = level.stop
+        self.masks, self.addable, self.levels = masks, addable, levels
+        if by_ideal:
+            self.out_of, self.extension_count = out_of, paths[-1]
+        else:
+            self.by_element = by_element
 
     @cached
     def out_of(self) -> list[list[int]]:
         """Per ideal, the upper ends of the edges out of it, the elements they
-        add ascending."""
-        return ideal_steps(self.poset)
+        add ascending: the per-element edges regrouped, elements ascending."""
+        out: list[list[int]] = [[] for _ in self.masks]
+        for edges in self.by_element:
+            for lower, upper in edges:
+                out[lower].append(upper)
+        return out
+
+    @cached
+    def by_element(self) -> list[list[tuple[int, int]]]:
+        """Per element e, the edges ``I -> I + e`` as (lower, upper) index
+        pairs, lower ascending: ``out_of`` regrouped, the i-th end out of I
+        adding the i-th lowest element addable to I."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for lower, (rest, ends) in enumerate(zip(self.addable, self.out_of)):
+            for upper in ends:
+                bit = rest & -rest
+                rest ^= bit
+                out[bit.bit_length() - 1].append((lower, upper))
+        return out
+
+    @cached
+    def extension_count(self) -> int:
+        """The paths from the empty ideal to P, P's linear extensions."""
+        return _comaj(self, 0)[0]
 
     @cached
     def into(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per ideal, the edges into it: the elements they add and their
         lower ends, elements ascending."""
-        es: list[list[int]] = [[] for _ in self.sizes]
-        ends: list[list[int]] = [[] for _ in self.sizes]
-        for e, edges in enumerate(self.poset.ideal_edges):
+        es: list[list[int]] = [[] for _ in self.masks]
+        ends: list[list[int]] = [[] for _ in self.masks]
+        for e, edges in enumerate(self.by_element):
             for lower, upper in edges:
                 es[upper].append(e)
                 ends[upper].append(lower)
         return es, ends
+
+    @cached
+    def mask_order(self) -> list[int]:
+        """The indices of the ideals in ascending mask order, the order of
+        ``order_ideals``."""
+        return sorted(range(len(self.masks)), key=self.masks.__getitem__)
+
+    def in_mask_order(self, values: list) -> list:
+        """Per-ideal values, from index order into ``order_ideals`` order."""
+        return list(map(values.__getitem__, self.mask_order))
 
     def sum_below(self, values: list[int]) -> list[int]:
         """``out[I] = sum of values[J] over ideals J <= I``, one addition per
         edge: J reaches I once, adding the elements of I - J in ascending order
         (a natural labeling keeps every step an ideal), one pass per element."""
         out = list(values)
-        for edges in self.poset.ideal_edges:
+        for edges in self.by_element:
             for lower, upper in edges:
                 out[upper] += out[lower]
         return out
@@ -88,9 +180,20 @@ class _Lattice:
         """As ``sum_below`` over the ideals J >= I, with the passes in
         descending order: the one for the least element of J - I comes last."""
         out = list(values)
-        for edges in reversed(self.poset.ideal_edges):
+        for edges in reversed(self.by_element):
             for lower, upper in edges:
                 out[lower] += out[upper]
+        return out
+
+    def corank_powers(self, k: int, cap: int | None = None) -> list[int]:
+        """``q^(n - |I|)`` per ideal, truncated above degree cap if given
+        and k > 0, one list product per level."""
+        if not k:
+            return [1] * len(self.masks)
+        out: list[int] = []
+        for size, level in enumerate(self.levels):
+            power = self.n - size
+            out += [1 << k * power if cap is None or power <= cap else 0] * len(level)
         return out
 
     def complement_weights(self, values: list[int], k: int, cap: int | None = None) -> list[int]:
@@ -99,16 +202,41 @@ class _Lattice:
         the mask reads, so the values come back as they are."""
         if not k:
             return values
-        out = [v << k * (self.n - size) for size, v in zip(self.sizes, values)]
-        return out if cap is None else [v & (1 << k * (cap + 1)) - 1 for v in out]
+        shifts: list[int] = []
+        for size, level in enumerate(self.levels):
+            shifts += [k * (self.n - size)] * len(level)
+        out = map(lshift, values, shifts)
+        return list(out if cap is None else map(and_, out, repeat((1 << k * (cap + 1)) - 1)))
 
 
-def _exact(poset: Poset, dp: Callable[[_Lattice, int], list[int]]) -> list[list[int]]:
-    """The polynomials ``dp(lattice, k)`` returns, read as unsigned digits
-    of whole bytes above their values at q = 1."""
-    lat = _Lattice(poset)
-    step = step_above(max(dp(lat, 0), default=0))
+def _lattice(poset: Poset, by_ideal: bool) -> _Lattice:
+    """The poset's J(P), walked on the first call (recording the edges per
+    ideal if ``by_ideal``, else per element) and kept in the poset's
+    ``__dict__`` beside its cached attributes, so it is freed with it."""
+    lat = vars(poset).get("_lattice")
+    if lat is None:
+        lat = vars(poset)["_lattice"] = _Lattice(poset, by_ideal)
+    return lat
+
+
+_DP = Callable[[_Lattice, int], list[int]]
+
+
+def _exact(lat: _Lattice, dp: _DP, bound: int | None = None) -> list[list[int]]:
+    """The polynomials ``dp(lat, k)`` returns, read as unsigned digits of
+    whole bytes above bound, by default their largest value at q = 1."""
+    if bound is None:
+        bound = max(dp(lat, 0), default=0)
+    step = step_above(bound)
     return [digits(v, step) for v in dp(lat, 8 * step)]
+
+
+def _total(lat: _Lattice, key: object, dp: _DP, bound: int | None = None) -> list[int]:
+    """The one polynomial ``dp`` gives, computed once per lattice and key."""
+    total = lat.totals.get(key)
+    if total is None:
+        total = lat.totals[key] = tuple(_exact(lat, dp, bound)[0])
+    return list(total)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +255,7 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int]
         ends = lat.out_of
     if not k:
         # every shift is 0 and the descents cancel: a plain path count.  An
-        # edge's upper end has the larger mask, so the larger index: in
+        # edge's upper end is on the next level, so at a larger index: in
         # ascending (descending) index order every ideal comes after the
         # other ends of its steps.
         counts = [1] * len(ends)
@@ -136,6 +264,7 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int]
         yield range(len(ends)), counts
         return
     levels = lat.levels if forward else lat.levels[::-1]
+    sizes = range(1, lat.n + 1) if forward else range(lat.n - 1, -1, -1)
     yield levels[0], [1]
     # sums[j][i]: paths to (from) ideal j whose last (first) step adds one of
     # the i lowest elements j's steps add, for j in the last two levels.  A
@@ -148,19 +277,24 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int]
     sums: list[list[int] | None] = [None] * len(ends)
     (start,) = levels[0]
     sums[start] = [1] if forward else [0, 1]
-    for done, level in zip(levels, levels[1:]):
-        size = lat.sizes[level[0]]
+    for size, done, level in zip(sizes, levels, levels[1:]):
         shift = k * (lat.n + 2 - size if forward else lat.n - 1 - size)
         totals = []
         for j in level:
-            steps = ends[j]
-            below = map(bisect, map(es.__getitem__, steps), es[j]) if forward else count()
             acc, pre = 0, [0]
-            for i, other in zip(below, steps):
-                paths = sums[other]
-                descents = paths[-1] - paths[i] if forward else paths[i]
-                acc += paths[-1] + (descents << shift) - descents
-                pre.append(acc)
+            if forward:
+                steps = ends[j]
+                for i, other in zip(map(bisect, map(es.__getitem__, steps), es[j]), steps):
+                    paths = sums[other]
+                    below = paths[i]
+                    acc += below + (paths[-1] - below << shift)
+                    pre.append(acc)
+            else:
+                for i, other in enumerate(ends[j]):
+                    paths = sums[other]
+                    above = paths[i]
+                    acc += paths[-1] - above + (above << shift)
+                    pre.append(acc)
             sums[j] = pre
             totals.append(acc)
         for j in done:
@@ -169,13 +303,13 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int]
 
 
 def _lin(lat: _Lattice, k: int) -> list[int]:
-    """``q^(n - |I|) * forward[I] * backward[I]``."""
-    out = [0] * len(lat.sizes)
+    """``q^(n - |I|) * forward[I] * backward[I]``, in index order."""
+    out = [0] * len(lat.masks)
     for level, totals in _paths(lat, k, True):
-        for j, f in zip(level, totals):
-            out[j] = f
-    for level, totals in _paths(lat, k, False):
-        shift = k * (lat.n - lat.sizes[level[0]])
+        out[level.start:level.stop] = totals
+    # backward, the batches come down from P; at k = 0 there is one, shift 0
+    for size, (level, totals) in zip(count(lat.n, -1), _paths(lat, k, False)):
+        shift = k * (lat.n - size)
         for j, b in zip(level, totals):
             out[j] = out[j] * b << shift
     return out
@@ -190,13 +324,16 @@ def _comaj(lat: _Lattice, k: int) -> list[int]:
 
 
 def comaj_gf(poset: Poset) -> list[int]:
-    """Sum of q^comaj over all linear extensions."""
-    return _exact(poset, _comaj)[0]
+    """Sum of q^comaj over all linear extensions, whose number bounds every
+    coefficient."""
+    lat = _lattice(poset, True)
+    return _total(lat, "comaj", _comaj, lat.extension_count)
 
 
 def lin_weights(poset: Poset) -> list[list[int]]:
     """Per ideal I: the sum of theta(T, |I|) over extensions T with prefix I."""
-    return _exact(poset, _lin)
+    lat = _lattice(poset, False)
+    return lat.in_mask_order(_exact(lat, _lin))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +341,12 @@ def lin_weights(poset: Poset) -> list[list[int]]:
 
 
 def _chains_ending(lat: _Lattice, m: int, k: int, cap: int | None = None) -> Iterator[list[int]]:
-    """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1.
-    Every ideal holds the empty one, so ``F[0][I]`` is q^(n - |I|), written
-    without an edge pass."""
+    """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1, in
+    index order.  Every ideal holds the empty one, so ``F[0][I]`` is
+    q^(n - |I|), written without an edge pass."""
     if m < 1:
         return
-    level = lat.complement_weights([1] * len(lat.sizes), k, cap)
+    level = lat.corank_powers(k, cap)
     yield level
     for _ in range(m - 1):
         level = lat.complement_weights(lat.sum_below(level), k, cap)
@@ -230,13 +367,13 @@ def filling_gf(poset: Poset, m: int, cap: int | None = None) -> list[int]:
     repeated, so the number of fillings bounds every F[k][I] at q = 1."""
     if m < 0:
         raise ValueError("entry bound must be nonnegative")
-    return _exact(poset, lambda lat, k: _fillings(lat, m, k, cap))[0]
+    return _total(_lattice(poset, False), (m, cap), lambda lat, k: _fillings(lat, m, k, cap))
 
 
 def _rpp(lat: _Lattice, m: int, k: int) -> list[int]:
     """``sum_k q^k * F[k][I] * B[k][I]``, ``B[k][I]`` counting the multichains
-    I <= I_(k+1) <= ... <= I_(m-1)."""
-    out, starting = [0] * len(lat.sizes), [1] * len(lat.sizes)
+    I <= I_(k+1) <= ... <= I_(m-1), in index order."""
+    out, starting = [0] * len(lat.masks), [1] * len(lat.masks)
     for level, ending in reversed(list(enumerate(_chains_ending(lat, m, k)))):
         out = [w + (f * b << k * level) for w, f, b in zip(out, ending, starting)]
         starting = lat.sum_above(lat.complement_weights(starting, k))
@@ -246,29 +383,30 @@ def _rpp(lat: _Lattice, m: int, k: int) -> list[int]:
 def rpp_weights(poset: Poset, m: int) -> list[list[int]]:
     """Per ideal I: the sum of q^(size + k) over fillings bounded by m whose
     level-k ideal is I."""
-    return _exact(poset, lambda lat, k: _rpp(lat, m, k))
+    lat = _lattice(poset, False)
+    return lat.in_mask_order(_exact(lat, lambda lat, k: _rpp(lat, m, k)))
 
 
 # ---------------------------------------------------------------------------
 # the doubled cell
 
 
-def _mark_maximal(poset: Poset, weights: list[int]) -> list[int]:
+def _mark_maximal(poset: Poset, lat: _Lattice, weights: list[int]) -> list[int]:
     """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)``, one
     int per power of t; everything lands in t^0 without box coordinates."""
     rows = [r - 1 for r, _ in poset.coords] if poset.coords is not None else [0] * poset.n
     by_row = [0] * (max(rows, default=-1) + 1)
     # p is maximal in I exactly when the edge I - p -> I adds p
-    for p, edges in enumerate(poset.ideal_edges):
+    for p, edges in enumerate(lat.by_element):
         by_row[rows[p]] += sum(weights[upper] for _, upper in edges)
     return by_row
 
 
 def bsv_rows(poset: Poset) -> list[list[int]]:
     """``_mark_maximal`` of the lin weights."""
-    return _exact(poset, lambda lat, k: _mark_maximal(poset, _lin(lat, k)))
+    return _exact(_lattice(poset, False), lambda lat, k: _mark_maximal(poset, lat, _lin(lat, k)))
 
 
 def bsv_rpp_rows(poset: Poset, m: int) -> list[list[int]]:
     """``_mark_maximal`` of the rpp weights."""
-    return _exact(poset, lambda lat, k: _mark_maximal(poset, _rpp(lat, m, k)))
+    return _exact(_lattice(poset, False), lambda lat, k: _mark_maximal(poset, lat, _rpp(lat, m, k)))

@@ -22,13 +22,13 @@ JSON exchange format::
 is always the identity.
 
 Each poset builds its lattice J(P) once, on first use: ``order_ideals``,
-built element by element, and with each ideal the mask of the elements that
-can be added to it, at one step per ideal.  The cover edges are read off
-those masks at one step per edge: per element as ``Poset.ideal_edges``, kept
-with the poset and read by the J(P) engine, the doubled-cell sum and the
-toggle system, and per ideal by ``ideal_steps`` as upper ends only, which
-the engine's backward path sum reads.  Its order dual is likewise built
-once, on the first call of ``dual``.
+built element by element in ascending mask order, and with each ideal the
+mask of the elements that can be added to it, at one step per ideal.  The
+cover edges are read off those masks at one step per edge, per element as
+``Poset.ideal_edges``, kept with the poset and read by the distributions,
+the solver's toggle system and ``verify``.  The counting engine walks a
+J(P) of its own, level by level (``qtab.engine``).  The order dual is
+likewise built once, on the first call of ``dual``.
 """
 
 from __future__ import annotations
@@ -209,25 +209,6 @@ class RankData(_Frozen):
 def order_ideals(poset: Poset) -> tuple[int, ...]:
     """All order ideals as masks, in ascending mask order."""
     return poset._ideals
-
-
-def ideal_steps(poset: Poset) -> list[list[int]]:
-    """Per ideal I in ``order_ideals`` order, the positions of the ideals
-    I + e, e ascending: the upper ends of the cover edges of J(P) grouped by
-    lower end.  The i-th end adds the i-th lowest bit of I's addable mask.
-    Read off the addable masks at one step per edge and built anew on each
-    call, so the poset keeps no per-ideal lists."""
-    ideals = poset._ideals
-    index = dict(zip(ideals, range(len(ideals))))
-    ends: list[list[int]] = []
-    for mask, addable in zip(ideals, poset._addable):
-        uppers = []
-        while addable:
-            bit = addable & -addable
-            uppers.append(index[mask | bit])
-            addable ^= bit
-        ends.append(uppers)
-    return ends
 
 
 def box_coords(poset: Poset) -> tuple[tuple[int, int], ...]:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import naturally_labeled_posets
-from qtab import cli, posets, solver
+from qtab import cli, engine, posets, solver
 from qtab.cli import Check, _run_checks, main
 from qtab.distributions import WeightedEnsemble
 from qtab.extensions import enumerate_linear_extensions, gf_bsv, gf_comaj
@@ -554,6 +554,38 @@ def test_verify_makes_each_call_factor_once_per_run(capsys, monkeypatch):
     assert made == [cli._poset("rect:2x3")]
     assert run_cli(capsys, "verify", "paths")[0] == 0
     assert len(made) == 2  # the next run makes it again
+
+
+def test_verify_computes_each_engine_total_once(capsys, monkeypatch):
+    """The normalizers, oracle sides and product rows of a run ask for the
+    same ``comaj_gf(P)`` and ``filling_gf(P, m)`` many times; only the first
+    call on a poset runs a DP (``engine._exact``), the others read the total
+    kept with the poset's J(P)."""
+    runs: list[None] = []
+    computed: list[tuple[Poset, tuple]] = []
+    exact = engine._exact
+
+    def counted_exact(*args):
+        runs.append(None)
+        return exact(*args)
+
+    def spy(total):
+        def call(poset, *args):
+            before = len(runs)
+            out = total(poset, *args)
+            if len(runs) > before:
+                computed.append((poset, args))
+            return out
+
+        return call
+
+    monkeypatch.setattr(engine, "_exact", counted_exact)
+    for name in ("comaj_gf", "filling_gf"):
+        monkeypatch.setattr(engine, name, spy(getattr(engine, name)))
+    assert run_cli(capsys, "verify", "all", "--json")[0] == 0
+    keys = [(id(poset), args) for poset, args in computed]  # the posets stay alive in computed
+    assert len(keys) == len(set(keys))
+    assert {args for _, args in computed} >= {(), (1,), (2,), (3,), (4,)}
 
 
 def test_verify_checks_each_ensemble_once(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -140,12 +141,13 @@ def test_chains_ending_on_random_posets(poset, m):
     cap when one is given; m = 0 yields no level."""
     fillings = [at_most(enumerate_rpp(poset, level + 1), FILLING_LIMIT) for level in range(m)]
     assume(None not in fillings)
-    lat = engine._Lattice(poset)
-    for cap in (None, 0, 1):
+    for by_ideal, cap in itertools.product((False, True), (None, 0, 1)):
+        lat = engine._Lattice(poset, by_ideal)
         levels = list(engine._chains_ending(lat, m, 16, cap))
         assert len(levels) == m
         for level, (weights, bounded) in enumerate(zip(levels, fillings)):
-            assert tuple(QPoly.of(kronecker.digits(v, 2)) for v in weights) == weights_by_ideal(
+            by_mask = lat.in_mask_order(weights)
+            assert tuple(QPoly.of(kronecker.digits(v, 2)) for v in by_mask) == weights_by_ideal(
                 poset,
                 (
                     (ideal_at_level(rpp, level), QPoly.monomial(1, rpp.size))
@@ -178,36 +180,86 @@ def test_edge_posets():
     assert rpp_size_series(chain, 0) == QPoly.of([1])
 
 
-@given(naturally_labeled_posets())
-@example(Poset(0, []))
-@example(build_rectangle(5, 6))
-@example(build_shape((5, 4, 3, 2, 1)))
-@example(build_shifted((4, 3, 2, 1)))
-def test_lattice_steps_are_the_ideal_edges(poset):
-    """``out_of``, read off the addable masks of a fresh poset without
-    building its per-element edges, and ``into`` are ``Poset.ideal_edges``
-    grouped by lower and by upper end; the i-th upper end out of I adds the
-    i-th lowest element addable to I."""
-    poset = Poset(poset.n, poset.covers)
-    lat = engine._Lattice(poset)
-    out_of = lat.out_of
-    assert "ideal_edges" not in vars(poset)
-    into = lat.into
+# The engine's J(P): a walk up from the empty ideal, one level at a time.
+
+WALK_EXAMPLES = (
+    Poset(0, []),
+    Poset(1, []),
+    Poset(10, [(i, i + 1) for i in range(9)]),
+    Poset(5, []),
+    Poset(6, []),
+    build_rectangle(5, 6),
+    build_shape((5, 4, 3, 2, 1)),
+    build_shifted((4, 3, 2, 1)),
+)
+
+
+def with_examples(test):
+    for poset in WALK_EXAMPLES:
+        test = example(poset)(test)
+    return test
+
+
+def edges_by_mask(poset: Poset) -> list[list[tuple[int, int]]]:
+    """``Poset.ideal_edges`` with each index read as its ideal's mask."""
     ideals = order_ideals(poset)
-    size = len(ideals)
-    out_es, out_ends, in_es, in_ends = ([[] for _ in range(size)] for _ in range(4))
-    for e, edges in enumerate(poset.ideal_edges):
-        for lower, upper in edges:
-            out_es[lower].append(e)
-            out_ends[lower].append(upper)
-            in_es[upper].append(e)
-            in_ends[upper].append(lower)
-    assert out_of == out_ends
-    assert into == (in_es, in_ends)
-    for j, (ends, addable) in enumerate(zip(out_of, poset._addable)):
-        adds = [ideals[end] - ideals[j] for end in ends]
-        assert adds == [1 << e for e in range(poset.n) if addable >> e & 1]
-        assert [bit.bit_length() - 1 for bit in adds] == out_es[j]
+    return [[(ideals[lower], ideals[upper]) for lower, upper in edges] for edges in poset.ideal_edges]
+
+
+@given(naturally_labeled_posets())
+@settings(max_examples=100, deadline=None)
+@with_examples
+def test_walk_is_the_ideal_lattice(poset):
+    """Both walks list every order ideal once, by size, with the cover edges
+    ``I -> I + e`` between them and the paths from the empty ideal to P."""
+    extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
+    ideals = list(order_ideals(poset))
+    for by_ideal in (True, False):
+        lat = engine._Lattice(poset, by_ideal)
+        masks = lat.masks
+        assert sorted(masks) == lat.in_mask_order(masks) == ideals
+        sizes = [mask.bit_count() for mask in masks]
+        assert sizes == sorted(sizes)
+        assert [list(level) for level in lat.levels] == [
+            [j for j, size in enumerate(sizes) if size == s] for s in range(poset.n + 1)
+        ]
+        for e, edges in enumerate(lat.by_element):
+            assert all(masks[upper] == masks[lower] | 1 << e != masks[lower] for lower, upper in edges)
+            assert [lower for lower, _ in edges] == sorted({lower for lower, _ in edges})
+        for j, ends in enumerate(lat.out_of):
+            # the i-th end out of I adds the i-th lowest element addable to I
+            assert lat.addable[j] == poset._addable[ideals.index(masks[j])]
+            addable = [e for e in range(poset.n) if lat.addable[j] >> e & 1]
+            assert [(masks[end] ^ masks[j]).bit_length() - 1 for end in ends] == addable
+        by_element = [[(masks[lower], masks[upper]) for lower, upper in edges] for edges in lat.by_element]
+        assert list(map(sorted, by_element)) == list(map(sorted, edges_by_mask(poset)))
+        if extensions is not None:
+            assert lat.extension_count == len(extensions)
+
+
+@given(naturally_labeled_posets())
+@with_examples
+def test_lattice_steps_are_the_ideal_edges(poset):
+    """The walk records one grouping of the edges and leaves the other until
+    it is read: ``out_of`` and ``into`` are ``Poset.ideal_edges`` grouped by
+    lower and by upper end, whichever the walk recorded, and the engine
+    builds neither ``order_ideals`` nor ``ideal_edges`` on the poset."""
+    poset = Poset(poset.n, poset.covers)
+    walked = {by_ideal: engine._Lattice(poset, by_ideal) for by_ideal in (True, False)}
+    assert "by_element" not in vars(walked[True]) and "out_of" not in vars(walked[False])
+    assert "_ideals" not in vars(poset) and "ideal_edges" not in vars(poset)
+    for lat in walked.values():
+        masks = lat.masks
+        out_of, into = defaultdict(list), defaultdict(list)
+        for e, edges in enumerate(edges_by_mask(poset)):
+            for lower, upper in edges:
+                out_of[lower].append(upper)
+                into[upper].append((e, lower))
+        assert {masks[j]: [masks[end] for end in ends] for j, ends in enumerate(lat.out_of) if ends} == out_of
+        es, ends = lat.into
+        assert {
+            masks[j]: [(e, masks[lower]) for e, lower in zip(es[j], ends[j])] for j in range(len(masks)) if es[j]
+        } == into
 
 
 # Past the oracles' limits the engine packs wide coefficients (72 bits for
@@ -260,12 +312,13 @@ def test_width_pass_counts_the_objects(poset, m):
     extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
     fillings = at_most(enumerate_rpp(poset, m), FILLING_LIMIT)
     assume(extensions is not None or fillings is not None)
-    lat = engine._Lattice(poset)
+    lat = engine._Lattice(poset, False)
     if extensions is not None:
-        assert engine._comaj(lat, 0) == [len(extensions)]
+        assert engine._comaj(lat, 0) == [len(extensions)] == [lat.extension_count]
+        assert engine._Lattice(poset, True).extension_count == len(extensions)
         # forward times backward paths: the extensions with prefix I
         prefixes = [ext.prefix_ideal(size) for ext in extensions for size in range(poset.n + 1)]
-        assert engine._lin(lat, 0) == [prefixes.count(mask) for mask in order_ideals(poset)]
+        assert lat.in_mask_order(engine._lin(lat, 0)) == [prefixes.count(mask) for mask in order_ideals(poset)]
     if fillings is not None:
         assert fillings_dp(m)(lat, 0) == [len(fillings)]
         # each filling has one level-k ideal for every k < m
@@ -287,10 +340,13 @@ def test_width_pass_counts_the_objects(poset, m):
 )
 def test_digits_at_every_width(step, poset, dp):
     """Byte casts (1, 2, 4, 8) and slices (3, 5, 10) against divmod."""
-    lat = engine._Lattice(poset)
+    lat = engine._Lattice(poset, dp is engine._comaj)
     assert max(dp(lat, 0)).bit_length() // 8 + 1 == step
     expected = [divmod_digits(v, 8 * step) for v in dp(lat, 8 * step)]
-    assert engine._exact(poset, dp) == expected
+    assert engine._exact(lat, dp) == expected
+    if dp is engine._comaj:
+        # the production route: the width from the walk's count of paths
+        assert engine._exact(lat, dp, lat.extension_count) == expected
 
 
 # ---------------------------------------------------------------------------
