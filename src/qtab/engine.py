@@ -11,26 +11,28 @@ Combinatorics I* (ch. 3 and 4):
   ``I_0 <= ... <= I_(m-1)`` of its level ideals, weighing
   ``prod q^(n - |I_k|)``.
 
-The engine walks its own J(P), once per poset, up from the empty ideal one
-level at a time (``_Lattice``), so the ideals of each size hold a range of
-indices and every cover edge runs to a larger index.  The walk records the
-edges grouped the way its first caller reads them; the other grouping is
-regrouped from the first when it is first read.  The lattice stays with the
-poset, with the whole-poset totals (``comaj_gf``, ``filling_gf``) computed
-on it, so a repeated call is a lookup.
+The engine reads the poset's own J(P), ``order_ideals`` in ascending mask
+order with the addable masks and per-element edges ``Poset.ideal_edges``
+(``qtab.posets``), so per-ideal values come out in ``order_ideals`` order.
+``_Lattice`` adds what the DPs read on top: each ideal's size for the
+shifts, the indices of each size for the level-by-level path DP, and for
+the backward path sum the upper ends per ideal, read off the masks with the
+paths to the top counted on the way.  The lattice stays with the poset,
+with the whole-poset totals (``comaj_gf``, ``filling_gf``) computed on it,
+so a repeated call is a lookup.
 
 The work is a few int operations per edge of J(P), not per extension or
 filling.  Inside the DPs a polynomial is one int, its value at q = 2^k
 (``kronecker``).  No coefficient is negative, so none exceeds the
 polynomial's value at q = 1.  ``_exact`` runs the DP at the width
 ``step_above`` gives for the largest of those values and reads the unsigned
-digits.  For comaj that value is the number of paths to the top, which the
-walk counts; the other DPs get theirs from the same DP at k = 0, where every
-shift is 0: the path DP is then a plain path count in index order, and the
-multichain weights are the bare counts.  The path DP keeps the prefix sums
-of two levels only; the backward walk reads each step's descents by its
-position among the steps out of its ideal, with no search.  Results are
-coefficient lists (index = exponent of q), per-ideal values in
+digits.  For comaj that value is the number of paths to the top, counted
+with the upper ends; the other DPs get theirs from the same DP at k = 0,
+where every shift is 0: the path DP is then a plain path count in index
+order, and the multichain weights are the bare counts.  The path DP keeps
+the prefix sums of two levels only; the backward walk reads each step's
+descents by its position among the steps out of its ideal, with no search.
+Results are coefficient lists (index = exponent of q), per-ideal values in
 ``order_ideals`` order.
 """
 
@@ -43,106 +45,65 @@ from typing import Callable, Iterator, Sequence
 
 from .frozen import cached
 from .kronecker import digits, step_above
-from .posets import Poset
+from .posets import Poset, order_ideals
 
 
 class _Lattice:
-    """J(P) in level order: ``masks[levels[s]]`` are the ideals with s
-    elements, and ``addable[j]`` the mask of the elements that can be added
-    to ``masks[j]``.  The cover edges ``I -> I + e`` are grouped per ideal
-    (``out_of``, with the paths to the top counted as they are recorded) or
-    per element (``by_element``); ``by_ideal`` picks the one the walk
-    records, and the other is regrouped from it when first read.  ``totals``
+    """The poset's J(P): ``masks``, its ideals in ascending mask order
+    (``order_ideals``), and ``addable[j]`` the mask of the elements that can
+    be added to ``masks[j]`` (``Poset._addable``).  ``sizes[j]`` is the size
+    of ``masks[j]``, and ``levels[s]`` lists the indices of the ideals with s
+    elements, ascending.  The cover edges ``I -> I + e`` are read per element
+    (``by_element``, the poset's ``ideal_edges`` itself, set by ``_lattice``)
+    or per ideal (``out_of``, read off the masks on first use).  ``totals``
     keeps the whole-poset sums computed on it."""
 
-    def __init__(self, poset: Poset, by_ideal: bool) -> None:
+    def __init__(self, poset: Poset) -> None:
         self.n = poset.n
+        self.masks = order_ideals(poset)
+        self.addable = poset._addable
         self.totals: dict[object, tuple[int, ...]] = {}
-        self._walk(poset, by_ideal)
 
-    def _walk(self, poset: Poset, by_ideal: bool) -> None:
-        """One level at a time from the empty ideal.  A dict of the next
-        level's masks drops the ideals reached twice and gives each edge its
-        upper index.  ``I + e`` can take what I can, less e, plus those upper
-        covers of e whose lower covers it now holds."""
-        low = poset.low_masks
-        raises: dict[int, list[tuple[int, int]]] = {1 << e: [] for e in range(self.n)}
-        for lower, upper in poset.covers:
-            raises[1 << lower].append((1 << upper, low[upper]))
-        masks = [0]
-        addable = [sum(1 << e for e, lows in enumerate(low) if not lows)]
-        levels = []
-        if by_ideal:
-            out_of: list[list[int]] = []
-            paths = [1]
-        else:
-            by_element: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        start, size = 0, 1
-        while start < size:
-            level = range(start, size)
-            levels.append(level)
-            index: dict[int, int] = {}
-            for i in level:
-                mask = masks[i]
-                rest = can = addable[i]
-                if by_ideal:
-                    ends, through = [], paths[i]
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    top = mask | bit
-                    j = index.setdefault(top, size)
-                    if j == size:
-                        size += 1
-                        masks.append(top)
-                        grown = can ^ bit
-                        for up, lows in raises[bit]:
-                            if top & lows == lows:
-                                grown |= up
-                        addable.append(grown)
-                        if by_ideal:
-                            paths.append(0)
-                    if by_ideal:
-                        ends.append(j)
-                        paths[j] += through
-                    else:
-                        by_element[bit.bit_length() - 1].append((i, j))
-                if by_ideal:
-                    out_of.append(ends)
-            start = level.stop
-        self.masks, self.addable, self.levels = masks, addable, levels
-        if by_ideal:
-            self.out_of, self.extension_count = out_of, paths[-1]
-        else:
-            self.by_element = by_element
+    @cached
+    def sizes(self) -> list[int]:
+        return list(map(int.bit_count, self.masks))
+
+    @cached
+    def levels(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for j, size in enumerate(self.sizes):
+            out[size].append(j)
+        return out
 
     @cached
     def out_of(self) -> list[list[int]]:
         """Per ideal, the upper ends of the edges out of it, the elements they
-        add ascending: the per-element edges regrouped, elements ascending."""
-        out: list[list[int]] = [[] for _ in self.masks]
-        for edges in self.by_element:
-            for lower, upper in edges:
-                out[lower].append(upper)
-        return out
-
-    @cached
-    def by_element(self) -> list[list[tuple[int, int]]]:
-        """Per element e, the edges ``I -> I + e`` as (lower, upper) index
-        pairs, lower ascending: ``out_of`` regrouped, the i-th end out of I
-        adding the i-th lowest element addable to I."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for lower, (rest, ends) in enumerate(zip(self.addable, self.out_of)):
-            for upper in ends:
+        add ascending, found by mask.  Every end has the larger mask, so the
+        larger index: in index order the paths from the empty ideal into each
+        ideal are counted before they are handed on, and the count at P is
+        kept as ``extension_count``."""
+        index = dict(zip(self.masks, count()))
+        paths = [0] * len(self.masks)
+        paths[0] = 1
+        out = []
+        for i, (mask, rest) in enumerate(zip(self.masks, self.addable)):
+            ends, through = [], paths[i]
+            while rest:
                 bit = rest & -rest
                 rest ^= bit
-                out[bit.bit_length() - 1].append((lower, upper))
+                j = index[mask | bit]
+                ends.append(j)
+                paths[j] += through
+            out.append(ends)
+        self.extension_count = paths[-1]
         return out
 
     @cached
     def extension_count(self) -> int:
-        """The paths from the empty ideal to P, P's linear extensions."""
-        return _comaj(self, 0)[0]
+        """The paths from the empty ideal to P, P's linear extensions, which
+        ``out_of`` counts."""
+        self.out_of
+        return self.__dict__["extension_count"]
 
     @cached
     def into(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -155,16 +116,6 @@ class _Lattice:
                 es[upper].append(e)
                 ends[upper].append(lower)
         return es, ends
-
-    @cached
-    def mask_order(self) -> list[int]:
-        """The indices of the ideals in ascending mask order, the order of
-        ``order_ideals``."""
-        return sorted(range(len(self.masks)), key=self.masks.__getitem__)
-
-    def in_mask_order(self, values: list) -> list:
-        """Per-ideal values, from index order into ``order_ideals`` order."""
-        return list(map(values.__getitem__, self.mask_order))
 
     def sum_below(self, values: list[int]) -> list[int]:
         """``out[I] = sum of values[J] over ideals J <= I``, one addition per
@@ -187,14 +138,12 @@ class _Lattice:
 
     def corank_powers(self, k: int, cap: int | None = None) -> list[int]:
         """``q^(n - |I|)`` per ideal, truncated above degree cap if given
-        and k > 0, one list product per level."""
+        and k > 0, read from one power per size."""
         if not k:
             return [1] * len(self.masks)
-        out: list[int] = []
-        for size, level in enumerate(self.levels):
-            power = self.n - size
-            out += [1 << k * power if cap is None or power <= cap else 0] * len(level)
-        return out
+        # by size, so by corank n, n - 1, ..., 0
+        powers = [1 << k * c if cap is None or c <= cap else 0 for c in range(self.n, -1, -1)]
+        return list(map(powers.__getitem__, self.sizes))
 
     def complement_weights(self, values: list[int], k: int, cap: int | None = None) -> list[int]:
         """``q^(n - |I|) * values[I]``, truncated above degree cap if given and
@@ -202,20 +151,20 @@ class _Lattice:
         the mask reads, so the values come back as they are."""
         if not k:
             return values
-        shifts: list[int] = []
-        for size, level in enumerate(self.levels):
-            shifts += [k * (self.n - size)] * len(level)
-        out = map(lshift, values, shifts)
+        shifts = [k * c for c in range(self.n, -1, -1)]
+        out = map(lshift, values, map(shifts.__getitem__, self.sizes))
         return list(out if cap is None else map(and_, out, repeat((1 << k * (cap + 1)) - 1)))
 
 
-def _lattice(poset: Poset, by_ideal: bool) -> _Lattice:
-    """The poset's J(P), walked on the first call (recording the edges per
-    ideal if ``by_ideal``, else per element) and kept in the poset's
-    ``__dict__`` beside its cached attributes, so it is freed with it."""
+def _lattice(poset: Poset, edges: bool = True) -> _Lattice:
+    """The poset's J(P), built on the first call and kept in the poset's
+    ``__dict__`` beside its cached attributes, so it is freed with it; with
+    ``edges``, also its per-element edges, ``Poset.ideal_edges``."""
     lat = vars(poset).get("_lattice")
     if lat is None:
-        lat = vars(poset)["_lattice"] = _Lattice(poset, by_ideal)
+        lat = vars(poset)["_lattice"] = _Lattice(poset)
+    if edges:
+        lat.by_element = poset.ideal_edges
     return lat
 
 
@@ -245,7 +194,8 @@ def _total(lat: _Lattice, key: object, dp: _DP, bound: int | None = None) -> lis
 
 def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int], list[int]]]:
     """Batches of J(P)'s ideals and their paths, away from the start: at
-    k = 0 one batch of every ideal in index order, else one per level.
+    k = 0 one batch of every ideal in index order, else one per level, its
+    indices ascending.
     Forward: paths 0 -> I, a descent at step i < |I| weighing q^(n + 1 - i).
     Backward: paths I -> P, a descent at i > |I| weighing q^(n - i), leaving
     out the descent at |I|, which also needs the last element before I."""
@@ -255,7 +205,7 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int]
         ends = lat.out_of
     if not k:
         # every shift is 0 and the descents cancel: a plain path count.  An
-        # edge's upper end is on the next level, so at a larger index: in
+        # edge's upper end has the larger mask, so the larger index: in
         # ascending (descending) index order every ideal comes after the
         # other ends of its steps.
         counts = [1] * len(ends)
@@ -303,10 +253,11 @@ def _paths(lat: _Lattice, k: int, forward: bool) -> Iterator[tuple[Sequence[int]
 
 
 def _lin(lat: _Lattice, k: int) -> list[int]:
-    """``q^(n - |I|) * forward[I] * backward[I]``, in index order."""
+    """``q^(n - |I|) * forward[I] * backward[I]``."""
     out = [0] * len(lat.masks)
     for level, totals in _paths(lat, k, True):
-        out[level.start:level.stop] = totals
+        for j, f in zip(level, totals):
+            out[j] = f
     # backward, the batches come down from P; at k = 0 there is one, shift 0
     for size, (level, totals) in zip(count(lat.n, -1), _paths(lat, k, False)):
         shift = k * (lat.n - size)
@@ -317,7 +268,7 @@ def _lin(lat: _Lattice, k: int) -> list[int]:
 
 def _comaj(lat: _Lattice, k: int) -> list[int]:
     """The backward paths from the empty ideal, index 0, which heads the
-    walk's last batch."""
+    last batch."""
     for _, totals in _paths(lat, k, False):
         pass
     return totals[:1]
@@ -326,14 +277,13 @@ def _comaj(lat: _Lattice, k: int) -> list[int]:
 def comaj_gf(poset: Poset) -> list[int]:
     """Sum of q^comaj over all linear extensions, whose number bounds every
     coefficient."""
-    lat = _lattice(poset, True)
+    lat = _lattice(poset, edges=False)
     return _total(lat, "comaj", _comaj, lat.extension_count)
 
 
 def lin_weights(poset: Poset) -> list[list[int]]:
     """Per ideal I: the sum of theta(T, |I|) over extensions T with prefix I."""
-    lat = _lattice(poset, False)
-    return lat.in_mask_order(_exact(lat, _lin))
+    return _exact(_lattice(poset), _lin)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +291,9 @@ def lin_weights(poset: Poset) -> list[list[int]]:
 
 
 def _chains_ending(lat: _Lattice, m: int, k: int, cap: int | None = None) -> Iterator[list[int]]:
-    """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1, in
-    index order.  Every ideal holds the empty one, so ``F[0][I]`` is
-    q^(n - |I|), written without an edge pass."""
+    """``F[k][I]``: multichains I_0 <= ... <= I_k = I, for k in 0..m-1.
+    Every ideal holds the empty one, so ``F[0][I]`` is q^(n - |I|), written
+    without an edge pass."""
     if m < 1:
         return
     level = lat.corank_powers(k, cap)
@@ -367,12 +317,12 @@ def filling_gf(poset: Poset, m: int, cap: int | None = None) -> list[int]:
     repeated, so the number of fillings bounds every F[k][I] at q = 1."""
     if m < 0:
         raise ValueError("entry bound must be nonnegative")
-    return _total(_lattice(poset, False), (m, cap), lambda lat, k: _fillings(lat, m, k, cap))
+    return _total(_lattice(poset), (m, cap), lambda lat, k: _fillings(lat, m, k, cap))
 
 
 def _rpp(lat: _Lattice, m: int, k: int) -> list[int]:
     """``sum_k q^k * F[k][I] * B[k][I]``, ``B[k][I]`` counting the multichains
-    I <= I_(k+1) <= ... <= I_(m-1), in index order."""
+    I <= I_(k+1) <= ... <= I_(m-1)."""
     out, starting = [0] * len(lat.masks), [1] * len(lat.masks)
     for level, ending in reversed(list(enumerate(_chains_ending(lat, m, k)))):
         out = [w + (f * b << k * level) for w, f, b in zip(out, ending, starting)]
@@ -383,30 +333,29 @@ def _rpp(lat: _Lattice, m: int, k: int) -> list[int]:
 def rpp_weights(poset: Poset, m: int) -> list[list[int]]:
     """Per ideal I: the sum of q^(size + k) over fillings bounded by m whose
     level-k ideal is I."""
-    lat = _lattice(poset, False)
-    return lat.in_mask_order(_exact(lat, lambda lat, k: _rpp(lat, m, k)))
+    return _exact(_lattice(poset), lambda lat, k: _rpp(lat, m, k))
 
 
 # ---------------------------------------------------------------------------
 # the doubled cell
 
 
-def _mark_maximal(poset: Poset, lat: _Lattice, weights: list[int]) -> list[int]:
+def _mark_maximal(poset: Poset, weights: list[int]) -> list[int]:
     """``sum over I and p maximal in I of weights[I] * t^(row(p) - 1)``, one
     int per power of t; everything lands in t^0 without box coordinates."""
     rows = [r - 1 for r, _ in poset.coords] if poset.coords is not None else [0] * poset.n
     by_row = [0] * (max(rows, default=-1) + 1)
     # p is maximal in I exactly when the edge I - p -> I adds p
-    for p, edges in enumerate(lat.by_element):
+    for p, edges in enumerate(poset.ideal_edges):
         by_row[rows[p]] += sum(weights[upper] for _, upper in edges)
     return by_row
 
 
 def bsv_rows(poset: Poset) -> list[list[int]]:
     """``_mark_maximal`` of the lin weights."""
-    return _exact(_lattice(poset, False), lambda lat, k: _mark_maximal(poset, lat, _lin(lat, k)))
+    return _exact(_lattice(poset), lambda lat, k: _mark_maximal(poset, _lin(lat, k)))
 
 
 def bsv_rpp_rows(poset: Poset, m: int) -> list[list[int]]:
     """``_mark_maximal`` of the rpp weights."""
-    return _exact(_lattice(poset, False), lambda lat, k: _mark_maximal(poset, lat, _rpp(lat, m, k)))
+    return _exact(_lattice(poset), lambda lat, k: _mark_maximal(poset, _rpp(lat, m, k)))

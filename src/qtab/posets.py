@@ -25,10 +25,10 @@ Each poset builds its lattice J(P) once, on first use: ``order_ideals``,
 built element by element in ascending mask order, and with each ideal the
 mask of the elements that can be added to it, at one step per ideal.  The
 cover edges are read off those masks at one step per edge, per element as
-``Poset.ideal_edges``, kept with the poset and read by the distributions,
-the solver's toggle system and ``verify``.  The counting engine walks a
-J(P) of its own, level by level (``qtab.engine``).  The order dual is
-likewise built once, on the first call of ``dual``.
+``Poset.ideal_edges``, kept with the poset and read by the counting engine
+(``qtab.engine``), the distributions, the solver's toggle system and
+``verify``, so a poset builds one J(P) whatever reads it.  The order dual
+is likewise built once, on the first call of ``dual``.
 """
 
 from __future__ import annotations

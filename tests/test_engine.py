@@ -3,9 +3,10 @@ enumeration oracles, on random naturally labeled posets and on shapes."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
-from collections import defaultdict
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +20,7 @@ from conftest import (
     strict_partition_strategy,
 )
 from qtab import engine, kronecker
-from qtab.distributions import ensemble_lin, ensemble_rpp, ensemble_uniform, theta
+from qtab.distributions import ensemble_lin, ensemble_rpp, ensemble_uniform, statistic_ddeg, theta
 from qtab.extensions import (
     comaj,
     comaj_plus,
@@ -40,7 +41,9 @@ from qtab.ppartitions import (
     rpp_size_gf,
     rpp_size_series,
 )
+from qtab.frozen import cached
 from qtab.qpoly import QPoly, QTPoly, qnum, qt_num
+from qtab.solver import toggle_solve
 
 EXTENSION_LIMIT = 300  # larger posets are skipped: the oracles enumerate
 FILLING_LIMIT = 400
@@ -141,13 +144,12 @@ def test_chains_ending_on_random_posets(poset, m):
     cap when one is given; m = 0 yields no level."""
     fillings = [at_most(enumerate_rpp(poset, level + 1), FILLING_LIMIT) for level in range(m)]
     assume(None not in fillings)
-    for by_ideal, cap in itertools.product((False, True), (None, 0, 1)):
-        lat = engine._Lattice(poset, by_ideal)
+    lat = engine._lattice(poset)
+    for cap in (None, 0, 1):
         levels = list(engine._chains_ending(lat, m, 16, cap))
         assert len(levels) == m
         for level, (weights, bounded) in enumerate(zip(levels, fillings)):
-            by_mask = lat.in_mask_order(weights)
-            assert tuple(QPoly.of(kronecker.digits(v, 2)) for v in by_mask) == weights_by_ideal(
+            assert tuple(QPoly.of(kronecker.digits(v, 2)) for v in weights) == weights_by_ideal(
                 poset,
                 (
                     (ideal_at_level(rpp, level), QPoly.monomial(1, rpp.size))
@@ -180,9 +182,10 @@ def test_edge_posets():
     assert rpp_size_series(chain, 0) == QPoly.of([1])
 
 
-# The engine's J(P): a walk up from the empty ideal, one level at a time.
+# The engine's J(P) is the poset's: ``order_ideals``, ``Poset._addable`` and
+# ``Poset.ideal_edges``, with the indices of each size and the edges per ideal.
 
-WALK_EXAMPLES = (
+LATTICE_EXAMPLES = (
     Poset(0, []),
     Poset(1, []),
     Poset(10, [(i, i + 1) for i in range(9)]),
@@ -195,71 +198,104 @@ WALK_EXAMPLES = (
 
 
 def with_examples(test):
-    for poset in WALK_EXAMPLES:
+    for poset in LATTICE_EXAMPLES:
         test = example(poset)(test)
     return test
 
 
-def edges_by_mask(poset: Poset) -> list[list[tuple[int, int]]]:
-    """``Poset.ideal_edges`` with each index read as its ideal's mask."""
-    ideals = order_ideals(poset)
-    return [[(ideals[lower], ideals[upper]) for lower, upper in edges] for edges in poset.ideal_edges]
+def rpp_size_gf_2(poset: Poset) -> QPoly:
+    return rpp_size_gf(poset, 2)
 
 
 @given(naturally_labeled_posets())
 @settings(max_examples=100, deadline=None)
 @with_examples
-def test_walk_is_the_ideal_lattice(poset):
-    """Both walks list every order ideal once, by size, with the cover edges
-    ``I -> I + e`` between them and the paths from the empty ideal to P."""
+def test_lattice_is_the_posets_ideal_lattice(poset):
+    """Whichever of ``gf_comaj`` and ``rpp_size_gf`` runs first on a fresh
+    poset, the engine's lattice holds ``order_ideals`` and ``Poset._addable``
+    themselves, its levels split the ideals by size with indices ascending,
+    and ``extension_count`` is the number of extensions."""
     extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
-    ideals = list(order_ideals(poset))
-    for by_ideal in (True, False):
-        lat = engine._Lattice(poset, by_ideal)
-        masks = lat.masks
-        assert sorted(masks) == lat.in_mask_order(masks) == ideals
-        sizes = [mask.bit_count() for mask in masks]
-        assert sizes == sorted(sizes)
-        assert [list(level) for level in lat.levels] == [
-            [j for j, size in enumerate(sizes) if size == s] for s in range(poset.n + 1)
-        ]
-        for e, edges in enumerate(lat.by_element):
-            assert all(masks[upper] == masks[lower] | 1 << e != masks[lower] for lower, upper in edges)
-            assert [lower for lower, _ in edges] == sorted({lower for lower, _ in edges})
-        for j, ends in enumerate(lat.out_of):
-            # the i-th end out of I adds the i-th lowest element addable to I
-            assert lat.addable[j] == poset._addable[ideals.index(masks[j])]
-            addable = [e for e in range(poset.n) if lat.addable[j] >> e & 1]
-            assert [(masks[end] ^ masks[j]).bit_length() - 1 for end in ends] == addable
-        by_element = [[(masks[lower], masks[upper]) for lower, upper in edges] for edges in lat.by_element]
-        assert list(map(sorted, by_element)) == list(map(sorted, edges_by_mask(poset)))
+    ideals = order_ideals(poset)
+    levels = [[j for j, mask in enumerate(ideals) if mask.bit_count() == s] for s in range(poset.n + 1)]
+    for calls in ((gf_comaj, rpp_size_gf_2), (rpp_size_gf_2, gf_comaj)):
+        fresh = Poset(poset.n, poset.covers)
+        calls[0](fresh)
+        lat = engine._lattice(fresh, edges=False)
         if extensions is not None:
             assert lat.extension_count == len(extensions)
+        calls[1](fresh)
+        assert lat is engine._lattice(fresh, edges=False)
+        assert lat.masks is order_ideals(fresh) and lat.masks == ideals
+        assert lat.addable is fresh._addable
+        assert lat.levels == levels
+        assert lat.sizes == [mask.bit_count() for mask in ideals]
 
 
 @given(naturally_labeled_posets())
 @with_examples
 def test_lattice_steps_are_the_ideal_edges(poset):
-    """The walk records one grouping of the edges and leaves the other until
-    it is read: ``out_of`` and ``into`` are ``Poset.ideal_edges`` grouped by
-    lower and by upper end, whichever the walk recorded, and the engine
-    builds neither ``order_ideals`` nor ``ideal_edges`` on the poset."""
+    """``by_element`` is ``Poset.ideal_edges`` itself, and ``out_of`` and
+    ``into`` are its edges grouped by lower and by upper end, elements
+    ascending.  ``gf_comaj`` alone reads the upper ends off the masks and
+    leaves ``ideal_edges`` unbuilt."""
     poset = Poset(poset.n, poset.covers)
-    walked = {by_ideal: engine._Lattice(poset, by_ideal) for by_ideal in (True, False)}
-    assert "by_element" not in vars(walked[True]) and "out_of" not in vars(walked[False])
-    assert "_ideals" not in vars(poset) and "ideal_edges" not in vars(poset)
-    for lat in walked.values():
-        masks = lat.masks
-        out_of, into = defaultdict(list), defaultdict(list)
-        for e, edges in enumerate(edges_by_mask(poset)):
-            for lower, upper in edges:
-                out_of[lower].append(upper)
-                into[upper].append((e, lower))
-        assert {masks[j]: [masks[end] for end in ends] for j, ends in enumerate(lat.out_of) if ends} == out_of
-        es, ends = lat.into
-        assert {
-            masks[j]: [(e, masks[lower]) for e, lower in zip(es[j], ends[j])] for j in range(len(masks)) if es[j]
-        } == into
+    gf_comaj(poset)
+    assert "ideal_edges" not in vars(poset)
+    lat = engine._lattice(poset)
+    assert lat.by_element is poset.ideal_edges
+    out_of = [[] for _ in lat.masks]
+    es = [[] for _ in lat.masks]
+    ends = [[] for _ in lat.masks]
+    for e, edges in enumerate(poset.ideal_edges):
+        for lower, upper in edges:
+            out_of[lower].append(upper)
+            es[upper].append(e)
+            ends[upper].append(lower)
+    assert lat.out_of == out_of
+    assert lat.into == (es, ends)
+
+
+def test_each_poset_builds_its_ideals_once(monkeypatch):
+    """The engine, the ensembles and the toggle solver share one J(P) per
+    poset, whatever order they run in."""
+    build = Poset.__dict__["_ideals"].fn
+    built = []
+
+    def _ideals(poset):
+        built.append(poset)
+        return build(poset)
+
+    monkeypatch.setattr(Poset, "_ideals", cached(_ideals))
+    calls = [
+        gf_comaj,
+        rpp_size_gf_2,
+        lambda poset: ensemble_rpp(poset, 1),
+        lambda poset: toggle_solve(poset, statistic_ddeg(poset)),
+    ]
+    for order in (calls, calls[::-1]):
+        for poset in (build_rectangle(3, 3), Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 5)])):
+            built.clear()
+            for call in order:
+                call(poset)
+            assert built == [poset]
+            assert vars(poset)["_lattice"].by_element is poset.ideal_edges
+
+
+def test_lattice_holds_no_reference_to_its_poset():
+    """With the cyclic collector off, a poset that ran ``gf_comaj`` and
+    ``rpp_size_gf`` is freed as soon as its last reference goes: the lattice
+    kept in its ``__dict__`` refers to nothing that refers back to it."""
+    gc.disable()
+    try:
+        poset = build_rectangle(3, 4)
+        gf_comaj(poset)
+        rpp_size_gf(poset, 2)
+        ref = weakref.ref(poset)
+        del poset
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # Past the oracles' limits the engine packs wide coefficients (72 bits for
@@ -312,13 +348,12 @@ def test_width_pass_counts_the_objects(poset, m):
     extensions = at_most(enumerate_linear_extensions(poset), EXTENSION_LIMIT)
     fillings = at_most(enumerate_rpp(poset, m), FILLING_LIMIT)
     assume(extensions is not None or fillings is not None)
-    lat = engine._Lattice(poset, False)
+    lat = engine._lattice(poset)
     if extensions is not None:
         assert engine._comaj(lat, 0) == [len(extensions)] == [lat.extension_count]
-        assert engine._Lattice(poset, True).extension_count == len(extensions)
         # forward times backward paths: the extensions with prefix I
         prefixes = [ext.prefix_ideal(size) for ext in extensions for size in range(poset.n + 1)]
-        assert lat.in_mask_order(engine._lin(lat, 0)) == [prefixes.count(mask) for mask in order_ideals(poset)]
+        assert engine._lin(lat, 0) == [prefixes.count(mask) for mask in order_ideals(poset)]
     if fillings is not None:
         assert fillings_dp(m)(lat, 0) == [len(fillings)]
         # each filling has one level-k ideal for every k < m
@@ -340,12 +375,12 @@ def test_width_pass_counts_the_objects(poset, m):
 )
 def test_digits_at_every_width(step, poset, dp):
     """Byte casts (1, 2, 4, 8) and slices (3, 5, 10) against divmod."""
-    lat = engine._Lattice(poset, dp is engine._comaj)
+    lat = engine._lattice(poset)
     assert max(dp(lat, 0)).bit_length() // 8 + 1 == step
     expected = [divmod_digits(v, 8 * step) for v in dp(lat, 8 * step)]
     assert engine._exact(lat, dp) == expected
     if dp is engine._comaj:
-        # the production route: the width from the walk's count of paths
+        # the production route: the width from the count of paths to P
         assert engine._exact(lat, dp, lat.extension_count) == expected
 
 

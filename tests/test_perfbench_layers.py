@@ -12,7 +12,7 @@ import importlib.util
 from pathlib import Path
 
 from qtab import extensions, ppartitions, solver
-from qtab.distributions import check_toggle_symmetry, ensemble_rpp, statistic_ddeg
+from qtab.distributions import statistic_ddeg
 from qtab.posets import Poset, build_rectangle
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -44,9 +44,9 @@ def test_tracer_counts_a_toggle_solve():
 
 def test_tracer_counts_the_ideals_of_a_counting_pass():
     """``count`` runs ``gf_comaj`` and ``rpp_size_gf(P, 2)`` on fresh random
-    posets, which walk the engine's own J(P) and never call
-    ``order_ideals``, and ensembles, which do; its traced run requires both
-    ideal counters to be nonzero."""
+    posets, which read the poset's J(P) through ``order_ideals``; its traced
+    run requires both ideal counters to be nonzero, and those two calls alone
+    make them so."""
     layers = load_layers()
     covers = [(0, 2), (1, 2), (1, 3), (2, 4), (3, 5)]
     expected = (extensions.gf_comaj(Poset(6, covers)), ppartitions.rpp_size_gf(Poset(6, covers), 2))
@@ -55,9 +55,6 @@ def test_tracer_counts_the_ideals_of_a_counting_pass():
     try:
         tracer.install()
         assert (extensions.gf_comaj(poset), ppartitions.rpp_size_gf(poset, 2)) == expected
-        assert tracer.metrics()["posets.order_ideals.calls"] == 0
-        assert "_ideals" not in vars(poset)
-        assert check_toggle_symmetry(ensemble_rpp(poset, 2))
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
